@@ -1,6 +1,7 @@
 package laacad
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -87,7 +88,11 @@ func BenchmarkFig5Deployment(b *testing.B) {
 		cfg := DefaultConfig(2)
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 150
-		if _, err := Deploy(reg, start, cfg); err != nil {
+		eng, err := NewEngine(reg, start, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +124,11 @@ func BenchmarkFig7LoadSweep(b *testing.B) {
 		cfg := DefaultConfig(2)
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 150
-		res, err := Deploy(reg, start, cfg)
+		eng, err := NewEngine(reg, start, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +182,11 @@ func BenchmarkFig8Obstacles(b *testing.B) {
 		cfg := DefaultConfig(2)
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 150
-		if _, err := Deploy(reg, start, cfg); err != nil {
+		eng, err := NewEngine(reg, start, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +205,11 @@ func BenchmarkAblationStepSize(b *testing.B) {
 				cfg.Alpha = alpha
 				cfg.Epsilon = 1e-3
 				cfg.MaxRounds = 300
-				if _, err := Deploy(reg, start, cfg); err != nil {
+				eng, err := NewEngine(reg, start, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

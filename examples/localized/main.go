@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,7 +24,11 @@ func main() {
 		cfg.Gamma = 0.22 // transmission range γ (km)
 		cfg.Epsilon = 2e-3
 		cfg.MaxRounds = 200
-		res, err := laacad.Deploy(reg, start, cfg)
+		eng, err := laacad.NewEngine(reg, start, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

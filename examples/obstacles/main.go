@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,7 +23,11 @@ func main() {
 	for _, k := range []int{2, 4} {
 		cfg := laacad.DefaultConfig(k)
 		cfg.MaxRounds = 250
-		res, err := laacad.Deploy(reg, start, cfg)
+		eng, err := laacad.NewEngine(reg, start, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

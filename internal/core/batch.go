@@ -10,19 +10,20 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Batch-kernel dispatch: unless Config.DisableBatch is set, the per-node
-// dominating-region pipeline runs on the structure-of-arrays kernel
-// (voronoi.DominatingRegionSoA over slab-resident rel lists and polygon
-// vertices) instead of the scalar clip pipeline. The two are bit-identical
-// by contract — the SoA walk routes every arithmetic step through the same
-// geom functions in the same order — so the dispatch is semantically
-// invisible; what changes is the hot path's shape:
+// The region kernel. Every dominating region the engine, the Stepper (and
+// through it the sharded engine and the asynchronous simulator) computes runs
+// on the structure-of-arrays kernel: voronoi.DominatingRegionSoA over
+// slab-resident rel lists and polygon vertices. The scalar clip pipeline
+// (voronoi.DominatingRegionScratch) survives only as the test oracle, and the
+// two are bit-identical by contract — the SoA walk routes every arithmetic
+// step through the same geom functions in the same order. Two properties
+// shape the hot path:
 //
 //   - The expanding-radius exactness search keeps its relevant-neighbor
 //     slabs across ρ-doublings. Each doubling appends only the newly gathered
 //     suffix (everything nearer is already present, in canonical (d², ID)
-//     order) and sorts just that tail, where the scalar path rebuilds and
-//     re-sorts the whole list per iteration.
+//     order) and sorts just that tail, instead of rebuilding and re-sorting
+//     the whole list per iteration.
 //
 //   - The search warm-starts at the node's last exactness radius (rhoHint)
 //     instead of the density-based fallback guess, skipping the early
@@ -30,18 +31,25 @@ import (
 //     bit-identical for any starting radius: the exactness predicate
 //     2·R̂ ≤ ρ is what terminates the search, and generators beyond 2·R̂
 //     leave both the clipping walk and its recursion bitwise untouched
-//     (asserted by TestHintStartMatchesFallbackStart). The scalar oracle
-//     deliberately keeps the fallback start so the two paths cross-check
-//     the warm start, not just the kernel.
+//     (asserted by TestHintStartMatchesFallbackStart; the per-state oracle
+//     check diffs the warm-started kernel against the scalar pipeline from
+//     the fallback start).
 
-// batchOn reports whether the SoA batch kernel handles region computation.
-func (e *Engine) batchOn() bool { return !e.cfg.DisableBatch }
-
-// centralizedRegionSoA is centralizedRegionScratch on the batch kernel with
-// an incremental rel list across ρ-doublings. startRho, when positive, warm-
-// starts the expanding search (it is clamped up to the fallback guess, never
-// down). The returned refs point into s.vor's slab and are valid until the
-// next batch region computation on s.
+// centralizedRegionSoA computes node i's dominating region over the
+// network's current positions from global knowledge, using an
+// exactness-checked expanding radius: a region computed from all nodes
+// within distance ρ of u_i is globally exact as soon as its circumradius-
+// from-u_i satisfies R̂ ≤ ρ/2, because every generator that could beat u_i
+// at a point within R̂ of u_i lies within 2·R̂ ≤ ρ of u_i. The rel list
+// grows incrementally across ρ-doublings. startRho, when positive, warm-
+// starts the search (it is clamped up to the fallback guess, never down).
+//
+// It returns the region as refs into s.vor's slab (valid until the next
+// region computation on s), the tightened exactness radius — the cache
+// invalidation radius: the computation read only positions within the
+// search's ρ of u_i, so the outcome stays bit-reproducible until some
+// position inside that ball changes — and the region's circumradius R̂
+// about u_i, a by-product of the exactness check.
 func centralizedRegionSoA(net *wsn.Network, reg *region.Region, i, k int, startRho float64, s *Scratch) ([]geom.PolyRef, float64, float64) {
 	// SearchLen, not Len: a sharded local network reports the global
 	// deployment size here so the fallback radius — and with it the whole
@@ -109,36 +117,82 @@ func chebyshevOfRefs(s *Scratch, refs []geom.PolyRef) (geom.Point, float64) {
 	return geom.ChebyshevCenterInPlace(s.verts)
 }
 
-// stepNodeCentralizedBatch is stepNodeCentralized on the batch kernel,
-// warm-starting the expanding search at the node's last exactness radius.
-func (e *Engine) stepNodeCentralizedBatch(i int, s *Scratch) (nodeOutcome, float64) {
-	ui := e.net.Position(i)
-	var hint float64
-	if i < len(e.rhoHint) {
-		hint = e.rhoHint[i]
-	}
+// stepNodeCentralized computes node i's dominating region, Chebyshev center
+// and motion target from the current positions (Centralized mode), warm-
+// starting the expanding search at hint. The second return value is the
+// search's exactness radius ρ — the cache invalidation radius. The outcome is
+// a pure function of (positions within ρ of u_i, region, config): no RNG
+// stream is consumed.
+func (e *Engine) stepNodeCentralized(i int, hint float64, s *Scratch) (nodeOutcome, float64) {
 	refs, rho, rhat := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
+	return e.outcomeOf(i, refs, rhat, s), rho
+}
+
+// stepNodeLocalized computes node i's outcome with Algorithm 2. rng is the
+// node's private stream for this round (see nodeRNG); it drives message-loss
+// sampling. The second return value is the search's invalidation radius
+// (see localizedSearch) — with loss sampling off, the outcome and its exact
+// message cost are a pure function of the positions inside that ball plus
+// the boundary flag, which is what makes Localized outcomes cacheable
+// without falsifying the accounting.
+func (e *Engine) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s *Scratch) (nodeOutcome, float64) {
+	refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
+	rhat := voronoi.MaxDistFromRefs(e.net.Position(i), &s.vor.Slab, refs)
+	return e.outcomeOf(i, refs, rhat, s), inv
+}
+
+// outcomeOf finishes a node's step from its region: the Chebyshev center and
+// circumradius, the motion rule, and (with Config.KeepRegions) the region
+// compacted into owned storage so it survives the scratch's reuse —
+// everything else any consumer needs is scalar, so by default no region is
+// materialized. An empty region (a node crowded out numerically) stands
+// still.
+func (e *Engine) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scratch) nodeOutcome {
+	ui := e.net.Position(i)
 	e.batchNodes.Add(1)
 	if len(refs) == 0 {
-		// Pathological (e.g. node crowded out numerically): stand still.
-		return nodeOutcome{next: ui, empty: true}, rho
+		return nodeOutcome{next: ui, empty: true}
 	}
 	ci, ri := chebyshevOfRefs(s, refs)
-	out := nodeOutcome{
-		next: ui,
-		ri:   ri,
-		rhat: rhat,
-	}
+	out := nodeOutcome{next: ui, ri: ri, rhat: rhat}
 	if e.cfg.KeepRegions {
 		out.polys = voronoi.CompactRefs(&s.vor.Slab, refs)
 	}
 	e.finishMove(ui, ci, &out)
-	return out, rho
+	return out
 }
 
-// localizedRegionRefs is the batch-kernel assembly of localizedRegionOf: the
-// expanding-ring search (and its message accounting) is shared verbatim; only
-// the region construction runs on the slabs.
+// regionOf computes node i's dominating region at the current positions,
+// compacted, plus the radius of the ball the computation read positions
+// from (see StepOutcome.ReadRad) — the Finalize/DebugRegions recompute path.
+func (e *Engine) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
+	if e.cfg.Mode == Localized {
+		refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
+		return voronoi.CompactRefs(&s.vor.Slab, refs), inv
+	}
+	refs, _, _ := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
+	return voronoi.CompactRefs(&s.vor.Slab, refs), s.searchRho
+}
+
+// localizedRegionRefs runs Algorithm 2 for node i: the expanding-ring search
+// (which charges every message, see localizedSearch) followed by the region
+// construction from the gathered neighbors, closed with the ρ/2 ring when
+// the search says so. rng drives message-loss sampling when LossRate > 0; it
+// must be the node's private stream so parallel fan-outs stay
+// deterministic. The refs point into s.vor's slab.
+//
+// Correctness (Lemma 1 and the star-shape argument): the set where fewer
+// than k others are closer is star-shaped about u_i — if a point v has ≥ k
+// closer nodes, so does every point on the ray from u_i beyond v, because
+// each "closer than u_i" half-plane is convex and excludes u_i. Hence a
+// fully dominated ρ/2 circle implies the true dominating region lies inside
+// the ρ/2 disk, where the local computation is exact: any node beating u_i
+// at a point within ρ/2 of u_i must itself lie within ρ of u_i.
+//
+// Boundary nodes (per the configured detector) restrict the domination check
+// to the portion of the circle inside the network's coverage and close their
+// region with the search ring, which is what pushes them outward during the
+// expanding phase (Fig. 3 of the paper).
 func (e *Engine) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.PolyRef, float64) {
 	ui := e.net.Position(i)
 	nbrIDs, rho, clipToRing, invRad := e.localizedSearch(i, isBoundary, rng, s)
@@ -156,32 +210,12 @@ func (e *Engine) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand, s *
 	return refs, invRad
 }
 
-// clipToDiskRefs is clipToDisk on the slabs.
+// clipToDiskRefs clips a slab-resident region to an inscribed 48-gon of the
+// disk — the search ring closing a boundary node's dominating region.
 func clipToDiskRefs(refs []geom.PolyRef, disk geom.Circle, s *Scratch) []geom.PolyRef {
 	if disk.R <= 0 {
 		return nil
 	}
 	s.ring = geom.AppendCirclePoints(s.ring[:0], disk, 48, math.Pi/48)
 	return s.vor.ClipToConvexSoA(refs, geom.Polygon(s.ring))
-}
-
-// stepNodeLocalizedBatch is stepNodeLocalized on the batch kernel.
-func (e *Engine) stepNodeLocalizedBatch(i int, isBoundary bool, rng *rand.Rand, s *Scratch) (nodeOutcome, float64) {
-	ui := e.net.Position(i)
-	refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
-	e.batchNodes.Add(1)
-	if len(refs) == 0 {
-		return nodeOutcome{next: ui, empty: true}, inv
-	}
-	ci, ri := chebyshevOfRefs(s, refs)
-	out := nodeOutcome{
-		next: ui,
-		ri:   ri,
-		rhat: voronoi.MaxDistFromRefs(ui, &s.vor.Slab, refs),
-	}
-	if e.cfg.KeepRegions {
-		out.polys = voronoi.CompactRefs(&s.vor.Slab, refs)
-	}
-	e.finishMove(ui, ci, &out)
-	return out, inv
 }

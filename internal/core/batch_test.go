@@ -4,59 +4,108 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"laacad/internal/region"
 	"laacad/internal/voronoi"
+	"laacad/internal/wsn"
 )
 
-// The batch-kernel contract: the SoA pipeline (incremental rel slabs, lazy
-// bisector memos, slab-resident clipping, rhoHint warm start) is semantically
-// invisible. Across seeds, sizes, coverage orders, both modes, both update
-// orders and every worker count, the batch engine's trace, final positions,
-// radii AND message accounting are bit-identical to the scalar engine's
-// (DisableBatch). This is the equivalence half of the PR's acceptance
-// criteria; the scalar serial run is the oracle.
+// The kernel contract, checked per state: the SoA pipeline (incremental rel
+// slabs, lazy bisector memos, slab-resident clipping, rhoHint warm start) is
+// semantically invisible. A live engine runs each cell; at every state it
+// computes from — each round start, plus each Sequential turn via
+// commitHook — every node about to compute from that state is stepped twice
+// over a mirror of the positions: through the production entry point with the
+// engine's own warm start, and through the scalar reference pipeline from the
+// fallback start. The region polygons, Chebyshev center, Ri, R̂, next
+// position and Localized message cost must agree bit for bit.
 func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 	reg := region.UnitSquareKm()
 	cells := []struct {
 		seed int64
 		n, k int
-	}{{1, 60, 2}, {2, 150, 3}, {3, 90, 1}}
+		// corner piles the start into a corner: the sparse expansion front
+		// makes the Centralized search double past its first radius, which
+		// exercises the incremental rel-slab appends.
+		corner bool
+	}{{1, 60, 2, false}, {2, 150, 3, false}, {3, 90, 1, false}, {4, 80, 2, true}}
 	modes := []Mode{Centralized, Localized}
 	orders := []UpdateOrder{Synchronous, Sequential}
 	if testing.Short() {
-		cells = cells[:1]
+		cells = append(cells[:1], cells[3])
 	}
 	for _, cell := range cells {
 		for _, mode := range modes {
 			for _, order := range orders {
 				cell, mode, order := cell, mode, order
-				t.Run(fmt.Sprintf("seed=%d/n=%d/k=%d/%v/%v", cell.seed, cell.n, cell.k, mode, order), func(t *testing.T) {
+				name := fmt.Sprintf("seed=%d/n=%d/k=%d", cell.seed, cell.n, cell.k)
+				if cell.corner {
+					name += "-corner"
+				}
+				t.Run(fmt.Sprintf("%s/%v/%v", name, mode, order), func(t *testing.T) {
 					t.Parallel()
 					rng := rand.New(rand.NewSource(cell.seed))
 					start := region.PlaceUniform(reg, cell.n, rng)
+					if cell.corner {
+						start = region.PlaceCorner(reg, cell.n, 0.1, rng)
+					}
 					cfg := DefaultConfig(cell.k)
 					cfg.Epsilon = 1e-3
 					cfg.MaxRounds = 40
 					cfg.Seed = cell.seed
 					cfg.Mode = mode
 					cfg.Order = order
-					cfg.DisableBatch = true
-					cfg.Workers = 0
-					scalarTrace, scalarRes := runEngine(t, reg, start, cfg)
-
-					cfg.DisableBatch = false
-					for _, w := range []int{0, 3, runtime.NumCPU()} {
-						cfg.Workers = w
-						batchTrace, batchRes := runEngine(t, reg, start, cfg)
-						assertIdentical(t, fmt.Sprintf("batch workers=%d", w),
-							scalarTrace, batchTrace, scalarRes, batchRes)
-						if batchRes.Messages != scalarRes.Messages {
-							t.Errorf("batch workers=%d: messages %d, scalar %d",
-								w, batchRes.Messages, scalarRes.Messages)
+					cfg.Workers = 3 // Sequential rounds speculate, so hints move mid-round
+					eng, err := New(reg, start, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracleCfg := cfg
+					oracleCfg.KeepRegions = true
+					st, err := NewStepper(reg, cell.n, oracleCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net := wsn.New(eng.Positions(), eng.Network().Gamma())
+					st.SetNetwork(net)
+					kernelS, scalarS := NewScratch(), NewScratch()
+					var flags []bool
+					states := 0
+					check := func(i int) {
+						states++
+						b := flags != nil && flags[i]
+						hint := 0.0 // the engine's warm start; unset before round 1
+						if i < len(eng.rhoHint) {
+							hint = eng.rhoHint[i]
 						}
+						got := kernelStep(st, i, hint, b, kernelS)
+						want := scalarStep(st.eng, i, b, scalarS)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d node %d: SoA kernel %+v, scalar oracle %+v",
+								eng.Round()+1, i, got, want)
+						}
+					}
+					eng.commitHook = func(i int) {
+						net.SetPosition(i, eng.Network().Position(i))
+						if i+1 < cell.n {
+							check(i + 1)
+						}
+					}
+					for r := 0; r < cfg.MaxRounds; r++ {
+						net.SetPositions(eng.Positions())
+						if mode == Localized {
+							flags = st.Detector().Boundary(net)
+						}
+						for i := 0; i < cell.n; i++ {
+							check(i)
+						}
+						if _, done := eng.Step(); done {
+							break
+						}
+					}
+					if states == 0 {
+						t.Fatal("no state was checked")
 					}
 				})
 			}
@@ -113,28 +162,20 @@ func TestHintStartMatchesFallbackStart(t *testing.T) {
 	}
 }
 
-// The batch kernel must actually be live: a default-config engine computes
-// its regions on the SoA pipeline (BatchNodes advances), and DisableBatch
-// really does route everything back through the scalar kernel.
+// The batch kernel must actually be live: an engine computes its regions on
+// the SoA pipeline, so BatchNodes advances.
 func TestBatchKernelEngages(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 50, rand.New(rand.NewSource(11)))
-	for _, disable := range []bool{false, true} {
-		cfg := DefaultConfig(2)
-		cfg.Epsilon = 1e-3
-		cfg.Seed = 11
-		cfg.DisableBatch = disable
-		eng, err := New(reg, start, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Step()
-		got := eng.CacheCounters().BatchNodes
-		if disable && got != 0 {
-			t.Errorf("DisableBatch engine computed %d nodes on the batch kernel, want 0", got)
-		}
-		if !disable && got == 0 {
-			t.Error("default engine never used the batch kernel")
-		}
+	cfg := DefaultConfig(2)
+	cfg.Epsilon = 1e-3
+	cfg.Seed = 11
+	eng, err := New(reg, start, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Step()
+	if got := eng.CacheCounters().BatchNodes; got != 50 {
+		t.Errorf("first round computed %d nodes on the batch kernel, want 50", got)
 	}
 }

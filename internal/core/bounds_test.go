@@ -105,11 +105,11 @@ func TestExternalWriteLocalFlushMatchesEager(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.Epsilon = pitch / 20
 		cfg.Seed = 3
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		for r := 0; r < 12; r++ {
 			if r == 4 {
 				eng.Network().SetPosition(11, geom.Pt(0.52, 0.48))

@@ -12,13 +12,15 @@ import (
 )
 
 // runEngine drives a fixed configuration to convergence (or MaxRounds) and
-// returns the trace plus the finalized result for bitwise comparison.
-func runEngine(t *testing.T, reg *region.Region, start []geom.Point, cfg Config) ([]RoundStats, *Result) {
+// returns the trace plus the finalized result for bitwise comparison. eager
+// selects the reference engine, which recomputes every node every round.
+func runEngine(t *testing.T, reg *region.Region, start []geom.Point, cfg Config, eager bool) ([]RoundStats, *Result) {
 	t.Helper()
 	eng, err := New(reg, start, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.eager = eager
 	for r := 0; r < cfg.MaxRounds; r++ {
 		if _, done := eng.Step(); done {
 			break
@@ -34,7 +36,7 @@ func runEngine(t *testing.T, reg *region.Region, start []geom.Point, cfg Config)
 // The dirty-set contract: the incremental engine is semantically invisible.
 // Across seeds, sizes, coverage orders, worker counts and both update
 // orders, the cached engine's trace, final positions and radii are
-// bit-identical to the eager (DisableCache) engine's. This is the
+// bit-identical to the eager engine's (the cache forced off). This is the
 // equivalence half of the PR's acceptance criteria; the determinism matrix
 // in parallel_test.go covers worker-count invariance.
 func TestDirtySetMatchesEagerEngine(t *testing.T) {
@@ -60,17 +62,15 @@ func TestDirtySetMatchesEagerEngine(t *testing.T) {
 						cfg.MaxRounds = 60 // into the converged tail for most cells
 						cfg.Seed = seed
 						cfg.Order = order
-						cfg.DisableCache = true
-						eagerTrace, eagerRes := runEngine(t, reg, start, cfg)
+						eagerTrace, eagerRes := runEngine(t, reg, start, cfg, true)
 
-						cfg.DisableCache = false
 						workerCounts := []int{0}
 						if order == Synchronous {
 							workerCounts = append(workerCounts, 3, runtime.NumCPU())
 						}
 						for _, w := range workerCounts {
 							cfg.Workers = w
-							cachedTrace, cachedRes := runEngine(t, reg, start, cfg)
+							cachedTrace, cachedRes := runEngine(t, reg, start, cfg, false)
 							assertIdentical(t, fmt.Sprintf("cache-on workers=%d", w),
 								eagerTrace, cachedTrace, eagerRes, cachedRes)
 						}
@@ -133,11 +133,11 @@ func TestDirtySetSurvivesTopologyChange(t *testing.T) {
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 30
 		cfg.Seed = 9
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		for r := 0; r < cfg.MaxRounds; r++ {
 			if r == 10 {
 				if err := eng.RemoveNode(7); err != nil {
@@ -175,11 +175,11 @@ func TestDirtySetFlushedByPairedTopologyChange(t *testing.T) {
 		cfg.Epsilon = reg.BBox().Diagonal() * 2 // every node converged from round one
 		cfg.MaxRounds = 10
 		cfg.Seed = 27
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		return eng
 	}
 	drive := func(eng *Engine) ([]RoundStats, *Result) {
@@ -214,11 +214,11 @@ func TestDirtySetFlushesOnExternalPositionWrite(t *testing.T) {
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 25
 		cfg.Seed = 13
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		for r := 0; r < cfg.MaxRounds; r++ {
 			if r == 8 {
 				// Teleport a node behind the engine's back.
@@ -446,7 +446,8 @@ func TestStepAllocsActiveRounds(t *testing.T) {
 	}
 }
 
-// The dominating-region pipeline of a live engine (region + Chebyshev) runs
+// The production dominating-region pipeline of a live engine — the SoA
+// region warm-started at the node's hint, plus its Chebyshev center — runs
 // allocation-free on a warmed scratch.
 func TestCentralizedRegionScratchZeroAllocs(t *testing.T) {
 	reg := region.UnitSquareKm()
@@ -457,19 +458,17 @@ func TestCentralizedRegionScratchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.Step() // populate the warm-start hints
 	eng.Network().Rebuild()
 	s := NewScratch()
-	for i := 0; i < 120; i++ { // warm across all nodes
-		polys := CentralizedDominatingRegionScratch(eng.Network(), reg, i, cfg.K, s)
-		ChebyshevOfRegion(polys, s)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	sweep := func() {
 		for i := 0; i < 120; i++ {
-			polys := CentralizedDominatingRegionScratch(eng.Network(), reg, i, cfg.K, s)
-			ChebyshevOfRegion(polys, s)
+			refs, _, _ := centralizedRegionSoA(eng.Network(), reg, i, cfg.K, eng.rhoHint[i], s)
+			chebyshevOfRefs(s, refs)
 		}
-	})
-	if allocs > 0 {
+	}
+	sweep() // warm across all nodes
+	if allocs := testing.AllocsPerRun(20, sweep); allocs > 0 {
 		t.Errorf("warmed region+Chebyshev pipeline allocates %v per 120-node sweep, want 0", allocs)
 	}
 }

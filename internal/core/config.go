@@ -8,7 +8,7 @@
 //
 //   - Centralized: each node's region is computed from global knowledge of
 //     all positions (with an internal expanding-radius shortcut that is
-//     exact — see dominatingRegionAuto). This matches the idealized
+//     exact — see centralizedRegionSoA). This matches the idealized
 //     algorithm analyzed by the paper's proofs.
 //
 //   - Localized: Algorithm 2 — each node discovers neighbors with an
@@ -135,30 +135,12 @@ type Config struct {
 	// Sequential (Gauss–Seidel) rounds parallelize via the colored sweep —
 	// speculation waves over provably independent nodes, validated by the
 	// cache's invalidation machinery — so they too match the one-worker
-	// sweep bit for bit (with the cache disabled the sweep stays serial).
+	// sweep bit for bit (lossy Localized runs, which never cache, sweep
+	// serially).
 	Workers int
 	// KeepRegions retains every node's final dominating region in the
 	// Result (costs memory; useful for rendering and debugging).
 	KeepRegions bool
-	// DisableCache turns off the incremental dirty-set: every round
-	// recomputes every node instead of reusing outcomes whose exactness
-	// neighborhood is unchanged. The cache is semantically invisible —
-	// trajectories, traces, results AND message accounting are bit-identical
-	// either way (asserted by the equivalence suites) — so this knob exists
-	// for benchmarking the eager engine and as a belt-and-braces escape
-	// hatch. Localized entries record their search's link-level message
-	// cost and every reuse re-charges it, keeping Result.Messages exactly
-	// faithful to the protocol; under message loss (LossRate > 0) Localized
-	// rounds never cache, since loss draws are per-round randomness.
-	DisableCache bool
-	// DisableBatch turns off the structure-of-arrays batch geometry kernel
-	// and routes every dominating-region computation through the scalar
-	// clip pipeline instead. The two kernels are bit-identical by contract
-	// (the batch walk routes every arithmetic step through the same geom
-	// functions in the same order; the equivalence suites gate them against
-	// each other), so this knob exists for benchmarking the scalar oracle
-	// and as an escape hatch.
-	DisableBatch bool
 }
 
 // DefaultConfig returns the configuration used throughout the paper's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"laacad/internal/boundary"
@@ -126,8 +125,8 @@ type Engine struct {
 	// cache is the incremental dirty-set: each entry holds a node's last
 	// computed outcome together with the exactness radius ρ of the search
 	// that produced it. The outcome is a pure function of the positions
-	// inside the ρ-ball around the node (see centralizedRegionScratch and
-	// localizedRegionOf), so it is reused verbatim until some position
+	// inside the ρ-ball around the node (see centralizedRegionSoA and
+	// localizedSearch), so it is reused verbatim until some position
 	// inside that ball changes — which collapses the long converged tail of
 	// a deployment to near-zero work per round. In Localized mode each entry
 	// additionally records the search's link-level message cost; a reuse
@@ -189,6 +188,12 @@ type Engine struct {
 	waveFn       func(w, idx int)
 	waveRound    int
 	waveBoundary []bool
+	// eager, when set (tests), turns the dirty-set cache off: every round
+	// recomputes every node. The cache is semantically invisible —
+	// trajectories, traces, results and message accounting are
+	// bit-identical either way — and the eager engine is the reference the
+	// equivalence suites diff the cached engine against.
+	eager bool
 	// commitHook, when set (tests), runs after every node's turn of a
 	// Sequential sweep completes — the mid-round observation point at which
 	// externally visible accounting must be exact and monotone.
@@ -436,68 +441,6 @@ type nodeOutcome struct {
 	empty    bool // pathological empty region: node stands still
 }
 
-// stepNodeCentralized computes node i's dominating region, Chebyshev center
-// and motion target from the current positions (Centralized mode). The
-// geometry pipeline runs entirely on s; with Config.KeepRegions set the
-// outcome's polygons are compacted into owned storage so they survive the
-// scratch's reuse (everything any other consumer needs — the circumradius,
-// R̂, the move — is scalar, so by default no region is materialized). The second return
-// value is the exactness radius ρ of the expanding search — the cache
-// invalidation radius. Since the deterministic-Welzl change, the outcome is
-// a pure function of (positions within ρ of u_i, region, config): no RNG
-// stream is consumed.
-func (e *Engine) stepNodeCentralized(i int, s *Scratch) (nodeOutcome, float64) {
-	if e.batchOn() {
-		return e.stepNodeCentralizedBatch(i, s)
-	}
-	ui := e.net.Position(i)
-	polys, rho, rhat := centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
-	if len(polys) == 0 {
-		// Pathological (e.g. node crowded out numerically): stand still.
-		return nodeOutcome{next: ui, empty: true}, rho
-	}
-	ci, ri := ChebyshevOfRegion(polys, s)
-	out := nodeOutcome{
-		next: ui,
-		ri:   ri,
-		rhat: rhat,
-	}
-	if e.cfg.KeepRegions {
-		out.polys = voronoi.CompactRegion(polys)
-	}
-	e.finishMove(ui, ci, &out)
-	return out, rho
-}
-
-// stepNodeLocalized computes node i's outcome with Algorithm 2. rng is the
-// node's private stream for this round (see nodeRNG); it drives message-loss
-// sampling. The second return value is the search's invalidation radius
-// (see localizedRegionOf) — with loss sampling off, the outcome and its
-// exact message cost are a pure function of the positions inside that ball
-// plus the boundary flag, which is what makes Localized outcomes cacheable
-// without falsifying the accounting.
-func (e *Engine) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s *Scratch) (nodeOutcome, float64) {
-	if e.batchOn() {
-		return e.stepNodeLocalizedBatch(i, isBoundary, rng, s)
-	}
-	ui := e.net.Position(i)
-	polys, inv := e.localizedRegionOf(i, isBoundary, rng, s)
-	if len(polys) == 0 {
-		return nodeOutcome{next: ui, empty: true}, inv
-	}
-	ci, ri := ChebyshevOfRegion(polys, s)
-	out := nodeOutcome{
-		next: ui,
-		ri:   ri,
-		rhat: voronoi.MaxDistFrom(ui, polys),
-	}
-	if e.cfg.KeepRegions {
-		out.polys = voronoi.CompactRegion(polys)
-	}
-	e.finishMove(ui, ci, &out)
-	return out, inv
-}
-
 // finishMove applies the motion rule (step α toward the clamped Chebyshev
 // center, stand still within ε) to an outcome under construction.
 func (e *Engine) finishMove(ui, ci geom.Point, out *nodeOutcome) {
@@ -558,7 +501,7 @@ func (e *Engine) stepNodeAny(i, round int, isBoundary []bool, s *Scratch, cacheO
 		}
 		return e.computeEntry(i, round, isBoundary, s, false)
 	}
-	out, _ := e.stepNodeCentralized(i, s)
+	out, _ := e.stepNodeCentralized(i, e.rhoHint[i], s)
 	return out
 }
 
@@ -592,19 +535,20 @@ func (e *Engine) computeEntry(i, round int, isBoundary []bool, s *Scratch, spec 
 		e.rhoHint[i] = inv
 		return out
 	}
-	out, rho := e.stepNodeCentralized(i, s)
+	out, rho := e.stepNodeCentralized(i, e.rhoHint[i], s)
 	e.cache[i] = nodeCache{valid: true, spec: spec, rho: rho, out: out}
 	e.rhoHint[i] = rho
 	return out
 }
 
 // cacheEnabled reports whether the dirty-set cache applies. Centralized mode
-// always caches (unless disabled); Localized mode caches only when message
-// loss is off — loss draws are per-round randomness, so an outcome computed
-// last round is not the outcome this round's search would produce even over
-// identical positions.
+// always caches; Localized mode caches only when message loss is off — loss
+// draws are per-round randomness, so an outcome computed last round is not
+// the outcome this round's search would produce even over identical
+// positions. Lossy Localized runs therefore take the eager path, which the
+// equivalence suites also force through the eager hook.
 func (e *Engine) cacheEnabled() bool {
-	if e.cfg.DisableCache {
+	if e.eager {
 		return false
 	}
 	if e.cfg.Mode == Localized {
@@ -1354,35 +1298,29 @@ func (e *Engine) AddNode(p geom.Point) {
 	e.cache = nil
 }
 
-// computeRegions returns each node's dominating region under the configured
-// mode.
+// computeRegions returns every node's dominating region at the current
+// positions, fanning the per-node computations across Config.Workers. In
+// Localized mode the searches run (and charge) under a negative round tag —
+// a domain separate from every Step round, so an inspection fan-out
+// (DebugRegions, Finalize) never replays the loss draws the next Step is
+// about to make.
 func (e *Engine) computeRegions() [][]geom.Polygon {
-	switch e.cfg.Mode {
-	case Localized:
-		return e.localizedRegions()
-	default:
-		return e.centralizedRegions()
-	}
-}
-
-// centralizedRegions computes every node's dominating region with global
-// knowledge, fanning the per-node computations across Config.Workers.
-func (e *Engine) centralizedRegions() [][]geom.Polygon {
 	n := e.net.Len()
 	out := make([][]geom.Polygon, n)
+	var isBoundary []bool
+	if e.cfg.Mode == Localized {
+		isBoundary = e.detector.Boundary(e.net)
+	}
 	e.net.Rebuild()
+	round := FinalRoundTag(e.round)
 	workers := parallel.Workers(e.cfg.Workers)
 	e.ensurePool(workers)
-	batch := e.batchOn()
 	parallel.ForWorker(n, workers, func(w, i int) {
-		if batch {
-			s := e.pool[w]
-			refs, _, _ := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, 0, s)
-			out[i] = voronoi.CompactRefs(&s.vor.Slab, refs)
+		if isBoundary == nil {
+			out[i], _ = e.regionOf(i, 0, false, nil, e.pool[w])
 			return
 		}
-		polys := CentralizedDominatingRegionScratch(e.net, e.reg, i, e.cfg.K, e.pool[w])
-		out[i] = voronoi.CompactRegion(polys)
+		out[i], _ = e.regionOf(i, 0, isBoundary[i], e.lossRNG(round, i), e.pool[w])
 	})
 	return out
 }

@@ -5,51 +5,8 @@ import (
 	"math/rand"
 
 	"laacad/internal/geom"
-	"laacad/internal/parallel"
-	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
 )
-
-// localizedRegions computes every node's dominating region with Algorithm 2:
-// an expanding-ring neighbor search in increments of the transmission range
-// γ, stopped once the circle of radius ρ/2 around the node is entirely
-// non-dominated (every in-region sample already has ≥ k closer nodes).
-//
-// Correctness (Lemma 1 and the star-shape argument): the set where fewer
-// than k others are closer is star-shaped about u_i — if a point v has ≥ k
-// closer nodes, so does every point on the ray from u_i beyond v, because
-// each "closer than u_i" half-plane is convex and excludes u_i. Hence a
-// fully dominated ρ/2 circle implies the true dominating region lies inside
-// the ρ/2 disk, where the local computation is exact: any node beating u_i
-// at a point within ρ/2 of u_i must itself lie within ρ of u_i.
-//
-// Boundary nodes (per the configured detector) restrict the domination check
-// to the portion of the circle inside the network's coverage and close their
-// region with the search ring, which is what pushes them outward during the
-// expanding phase (Fig. 3 of the paper).
-func (e *Engine) localizedRegions() [][]geom.Polygon {
-	n := e.net.Len()
-	out := make([][]geom.Polygon, n)
-	isBoundary := e.detector.Boundary(e.net)
-	e.net.Rebuild()
-	// Negative round tag: a domain separate from every Step round, so an
-	// inspection fan-out (DebugRegions, Finalize) never replays the loss
-	// draws the next Step is about to make.
-	round := -(e.round + 1)
-	workers := parallel.Workers(e.cfg.Workers)
-	e.ensurePool(workers)
-	batch := e.batchOn()
-	parallel.ForWorker(n, workers, func(w, i int) {
-		if batch {
-			refs, _ := e.localizedRegionRefs(i, isBoundary[i], e.lossRNG(round, i), e.pool[w])
-			out[i] = voronoi.CompactRefs(&e.pool[w].vor.Slab, refs)
-			return
-		}
-		polys, _ := e.localizedRegionOf(i, isBoundary[i], e.lossRNG(round, i), e.pool[w])
-		out[i] = voronoi.CompactRegion(polys)
-	})
-	return out
-}
 
 // lossRNG returns node i's private message-loss stream for the given round,
 // or nil when loss sampling is off — the search consumes no randomness then,
@@ -61,39 +18,18 @@ func (e *Engine) lossRNG(round, i int) *rand.Rand {
 	return nodeRNG(e.cfg.Seed, round, i)
 }
 
-// localizedRegionOf runs Algorithm 2 for node i. rng drives message-loss
-// sampling when LossRate > 0; it must be the node's private stream so
-// parallel fan-outs stay deterministic. The geometry runs on s's kernel
-// arena: the returned polygons are valid only until the next region
-// computation on s (compact them to keep them).
-//
-// The second return value is the search's invalidation radius: the whole
+// localizedSearch runs the expanding-ring phase of Algorithm 2 for node i —
+// every message the node sends is charged here — and returns the gathered
+// neighbor IDs, the final ring radius ρ, whether the region must be closed
+// with the ρ/2 ring, and the search's invalidation radius: the whole
 // computation — every ring probe, the domination sampling, the coverage
 // check and the region construction — read only positions within that
 // distance of u_i, so the result (and its exact message cost) is
 // reproducible bit for bit until some position inside that ball changes.
 // For geometric rings that radius is the final ρ; hop-limited rings flood
 // ⌈ρ/γ⌉ hops, whose reachable set can depend on relays up to ⌈ρ/γ⌉·γ out.
-func (e *Engine) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	ui := e.net.Position(i)
-	nbrIDs, rho, clipToRing, invRad := e.localizedSearch(i, isBoundary, rng, s)
-	s.sites = s.sites[:0]
-	for _, j := range nbrIDs {
-		s.sites = append(s.sites, voronoi.Site{ID: j, Pos: e.net.Position(j)})
-	}
-	polys := voronoi.DominatingRegionScratch(voronoi.Site{ID: i, Pos: ui}, s.sites, e.cfg.K, e.reg.Pieces(), &s.vor)
-	if clipToRing {
-		polys = clipToDisk(polys, geom.Circle{Center: ui, R: rho / 2}, s)
-	}
-	return polys, invRad
-}
-
-// localizedSearch runs the expanding-ring phase of Algorithm 2 for node i —
-// every message the node sends is charged here — and returns the gathered
-// neighbor IDs, the final ring radius ρ, whether the region must be closed
-// with the ρ/2 ring, and the search's invalidation radius. It is shared by
-// the scalar and batch region assemblies, so the two paths are message-
-// identical by construction.
+// The scalar test oracle shares it, so the two assemblies are
+// message-identical by construction.
 func (e *Engine) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]int, float64, bool, float64) {
 	gamma := e.cfg.Gamma
 	rho := 0.0
@@ -195,14 +131,4 @@ func (e *Engine) covered(v geom.Point, i int, nbrIDs []int) bool {
 		}
 	}
 	return false
-}
-
-// clipToDisk clips polygons to an inscribed 48-gon of the disk — the search
-// ring closing a boundary node's dominating region — on s's kernel arena.
-func clipToDisk(polys []geom.Polygon, disk geom.Circle, s *Scratch) []geom.Polygon {
-	if disk.R <= 0 {
-		return nil
-	}
-	s.ring = geom.AppendCirclePoints(s.ring[:0], disk, 48, math.Pi/48)
-	return s.vor.ClipToConvex(polys, geom.Polygon(s.ring))
 }

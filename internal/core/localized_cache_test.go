@@ -28,7 +28,7 @@ func assertSameMessages(t *testing.T, label string, res1, res2 *Result) {
 // The message-faithful cache contract: across seeds, sizes, coverage orders,
 // placements, ring modes, update orders and worker counts, a cached
 // Localized run has a byte-identical trajectory AND exactly equal message
-// accounting versus the eager (DisableCache) engine. Reuses re-charge the
+// accounting versus the eager engine (the cache forced off). Reuses re-charge the
 // recorded search cost, so skipping the ring searches is invisible to the
 // protocol's books.
 func TestLocalizedCacheMatchesEager(t *testing.T) {
@@ -72,14 +72,12 @@ func TestLocalizedCacheMatchesEager(t *testing.T) {
 					cfg.Epsilon = 1e-3
 					cfg.MaxRounds = 20
 					cfg.Seed = c.seed
-					cfg.DisableCache = true
-					eagerTrace, eagerRes := runEngine(t, reg, start, cfg)
+					eagerTrace, eagerRes := runEngine(t, reg, start, cfg, true)
 
-					cfg.DisableCache = false
 					workerCounts := []int{0, 3}
 					for _, w := range workerCounts {
 						cfg.Workers = w
-						cachedTrace, cachedRes := runEngine(t, reg, start, cfg)
+						cachedTrace, cachedRes := runEngine(t, reg, start, cfg, false)
 						label := fmt.Sprintf("cache-on workers=%d", w)
 						assertIdentical(t, label, eagerTrace, cachedTrace, eagerRes, cachedRes)
 						assertSameMessages(t, label, eagerRes, cachedRes)
@@ -105,11 +103,11 @@ func TestLocalizedCacheReusesAndRecharges(t *testing.T) {
 		cfg.Gamma = 3 * pitch
 		cfg.Epsilon = pitch / 50
 		cfg.Seed = 1
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		return eng
 	}
 	eager, cached := mk(true), mk(false)
@@ -151,8 +149,7 @@ func TestLocalizedCacheTinyRingCapMatchesEager(t *testing.T) {
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 15
 		cfg.Seed = 19
-		cfg.DisableCache = disable
-		return runEngine(t, reg, start, cfg)
+		return runEngine(t, reg, start, cfg, disable)
 	}
 	eagerTrace, eagerRes := run(true)
 	cachedTrace, cachedRes := run(false)
@@ -230,8 +227,7 @@ func TestLocalizedCacheWithGlobalDetector(t *testing.T) {
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 15
 		cfg.Seed = 11
-		cfg.DisableCache = disable
-		return runEngine(t, reg, start, cfg)
+		return runEngine(t, reg, start, cfg, disable)
 	}
 	eagerTrace, eagerRes := run(true)
 	cachedTrace, cachedRes := run(false)
@@ -253,11 +249,11 @@ func TestLocalizedCacheSurvivesExternalWrite(t *testing.T) {
 		cfg.Epsilon = 1e-3
 		cfg.MaxRounds = 15
 		cfg.Seed = 13
-		cfg.DisableCache = disable
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.eager = disable
 		for r := 0; r < cfg.MaxRounds; r++ {
 			if r == 5 {
 				eng.Network().SetPosition(3, geom.Pt(0.05, 0.95))

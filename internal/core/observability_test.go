@@ -45,12 +45,11 @@ func TestMidRoundAccountingExactness(t *testing.T) {
 
 		// Eager reference: serial, cache off, charges published the moment
 		// each search runs. Record the message prefix after every commit.
-		eagerCfg := cfg
-		eagerCfg.DisableCache = true
-		eager, err := New(reg, start, eagerCfg)
+		eager, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eager.eager = true
 		var want [][]int64
 		var cur []int64
 		eager.commitHook = func(int) {
@@ -178,12 +177,11 @@ func TestResetStatsMidRunStaysExact(t *testing.T) {
 	cfg.Epsilon = 1e-3
 	cfg.Seed = 11
 
-	eagerCfg := cfg
-	eagerCfg.DisableCache = true
-	eager, err := New(reg, start, eagerCfg)
+	eager, err := New(reg, start, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eager.eager = true
 	cached, err := New(reg, start, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -300,12 +298,11 @@ func TestFlagCacheMatchesWholesaleDetection(t *testing.T) {
 		cfg.MaxRounds = 10
 		cfg.Seed = 23
 
-		eagerCfg := cfg
-		eagerCfg.DisableCache = true
-		eager, err := New(reg, start, eagerCfg)
+		eager, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eager.eager = true
 		cached, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)

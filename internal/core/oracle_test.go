@@ -1,0 +1,131 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+
+	"laacad/internal/geom"
+	"laacad/internal/region"
+	"laacad/internal/voronoi"
+	"laacad/internal/wsn"
+)
+
+// The scalar reference pipeline: the dominating-region assembly the SoA
+// kernel replaced, kept only as the oracle the production kernel is diffed
+// against. It rebuilds and re-sorts the whole site list on every ρ-doubling,
+// always starts from the fallback radius, and clips on
+// voronoi.DominatingRegionScratch — so a match cross-checks the kernel, the
+// incremental rel lists and the warm start at once.
+
+// centralizedRegionScratch is centralizedRegionSoA on the scalar pipeline,
+// from the fallback start. It returns the region (arena-owned by s) and its
+// circumradius R̂ about u_i.
+func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s *Scratch) ([]geom.Polygon, float64) {
+	n := net.SearchLen()
+	pieces := reg.Pieces()
+	diag := reg.BBox().Diagonal()
+	ui := net.Position(i)
+	self := voronoi.Site{ID: i, Pos: ui}
+	rho := diag / math.Sqrt(float64(n)) * math.Sqrt(float64(4*k+4))
+	var sites []voronoi.Site
+	for {
+		s.nbrs = net.NeighborsWithinBuf(i, rho, s.nbrs)
+		sites = sites[:0]
+		for _, j := range s.nbrs {
+			sites = append(sites, voronoi.Site{ID: j, Pos: net.Position(j)})
+		}
+		polys := voronoi.DominatingRegionScratch(self, sites, k, pieces, &s.vor)
+		rhat := voronoi.MaxDistFrom(ui, polys)
+		if 2*rhat <= rho || len(s.nbrs) == n-1 || rho > 4*diag {
+			return polys, rhat
+		}
+		rho *= 2
+	}
+}
+
+// localizedRegionOf is localizedRegionRefs on the scalar pipeline. The
+// expanding-ring search (and its message accounting) is the production one.
+func (e *Engine) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch) []geom.Polygon {
+	ui := e.net.Position(i)
+	nbrIDs, rho, clipToRing, _ := e.localizedSearch(i, isBoundary, rng, s)
+	sites := make([]voronoi.Site, 0, len(nbrIDs))
+	for _, j := range nbrIDs {
+		sites = append(sites, voronoi.Site{ID: j, Pos: e.net.Position(j)})
+	}
+	polys := voronoi.DominatingRegionScratch(voronoi.Site{ID: i, Pos: ui}, sites, e.cfg.K, e.reg.Pieces(), &s.vor)
+	if clipToRing {
+		polys = clipToDisk(polys, geom.Circle{Center: ui, R: rho / 2}, s)
+	}
+	return polys
+}
+
+// clipToDisk is clipToDiskRefs on the scalar pipeline.
+func clipToDisk(polys []geom.Polygon, disk geom.Circle, s *Scratch) []geom.Polygon {
+	if disk.R <= 0 {
+		return nil
+	}
+	s.ring = geom.AppendCirclePoints(s.ring[:0], disk, 48, math.Pi/48)
+	return s.vor.ClipToConvex(polys, geom.Polygon(s.ring))
+}
+
+// stepRecord is everything one node's step derives from a state, for bitwise
+// comparison between the kernels.
+type stepRecord struct {
+	Polys       []geom.Polygon
+	Center      geom.Point
+	Ri, Rhat    float64
+	Next        geom.Point
+	Moved       bool
+	Empty       bool
+	MessageCost int64
+}
+
+// scalarStep runs node i's step on the scalar reference pipeline from the
+// fallback start, with loss sampling off, measuring the Localized search's
+// message cost on the attached network.
+func scalarStep(e *Engine, i int, isBoundary bool, s *Scratch) stepRecord {
+	ui := e.net.Position(i)
+	before := e.net.NodeMessages(i)
+	var polys []geom.Polygon
+	var rhat float64
+	if e.cfg.Mode == Localized {
+		polys = e.localizedRegionOf(i, isBoundary, nil, s)
+		rhat = voronoi.MaxDistFrom(ui, polys)
+	} else {
+		polys, rhat = centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
+	}
+	rec := stepRecord{Next: ui, MessageCost: e.net.NodeMessages(i) - before}
+	if len(polys) == 0 {
+		rec.Empty = true
+		return rec
+	}
+	ci, ri := ChebyshevOfRegion(polys, s)
+	out := nodeOutcome{next: ui, ri: ri, rhat: rhat}
+	e.finishMove(ui, ci, &out)
+	rec.Polys = voronoi.CompactRegion(polys)
+	rec.Center, rec.Ri, rec.Rhat = ci, out.ri, out.rhat
+	rec.Next, rec.Moved = out.next, out.moved
+	return rec
+}
+
+// kernelStep runs node i's step through the production entry point
+// (Stepper.StepNode, warm-started at hint) and records the same quantities.
+// The stepper must run with KeepRegions so the region comes back.
+func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) stepRecord {
+	net := st.eng.net
+	before := net.NodeMessages(i)
+	out := st.StepNode(i, hint, isBoundary, nil, s)
+	rec := stepRecord{
+		Polys:       out.Polys,
+		Ri:          out.Ri,
+		Rhat:        out.Rhat,
+		Next:        out.Next,
+		Moved:       out.Moved,
+		Empty:       out.Empty,
+		MessageCost: net.NodeMessages(i) - before,
+	}
+	if !out.Empty {
+		rec.Center, _ = ChebyshevOfRegion(out.Polys, s)
+	}
+	return rec
+}

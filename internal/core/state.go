@@ -33,7 +33,7 @@ func (e *Engine) Snapshot() (*snapshot.State, error) {
 	// interrupted run's partial-result assembly in the count would make the
 	// resumed total exceed an uninterrupted run's by one extra collection.
 	st.Messages = e.msgBase + e.net.MessageCount() - e.finalMsgs
-	st.Trace = traceToState(e.trace)
+	st.Trace = TraceToState(e.trace)
 	st.Config = ConfigToState(e.cfg)
 	return st, nil
 }
@@ -51,7 +51,7 @@ func Resume(reg *region.Region, st *snapshot.State) (*Engine, error) {
 	}
 	e.round = st.Round
 	e.converged = st.Converged
-	e.trace = traceFromState(st.Trace)
+	e.trace = TraceFromState(st.Trace)
 	e.msgBase = st.Messages
 	return e, nil
 }
@@ -60,23 +60,21 @@ func Resume(reg *region.Region, st *snapshot.State) (*Engine, error) {
 // shared by resumable checkpoints and the scenario wire format.
 func ConfigToState(c Config) snapshot.ConfigState {
 	return snapshot.ConfigState{
-		K:            c.K,
-		Alpha:        c.Alpha,
-		Epsilon:      c.Epsilon,
-		MaxRounds:    c.MaxRounds,
-		Mode:         int(c.Mode),
-		Order:        int(c.Order),
-		Gamma:        c.Gamma,
-		RingMode:     int(c.RingMode),
-		LossRate:     c.LossRate,
-		LossRetries:  c.LossRetries,
-		ArcSamples:   c.ArcSamples,
-		RingCap:      c.RingCap,
-		Seed:         c.Seed,
-		Workers:      c.Workers,
-		KeepRegions:  c.KeepRegions,
-		DisableCache: c.DisableCache,
-		DisableBatch: c.DisableBatch,
+		K:           c.K,
+		Alpha:       c.Alpha,
+		Epsilon:     c.Epsilon,
+		MaxRounds:   c.MaxRounds,
+		Mode:        int(c.Mode),
+		Order:       int(c.Order),
+		Gamma:       c.Gamma,
+		RingMode:    int(c.RingMode),
+		LossRate:    c.LossRate,
+		LossRetries: c.LossRetries,
+		ArcSamples:  c.ArcSamples,
+		RingCap:     c.RingCap,
+		Seed:        c.Seed,
+		Workers:     c.Workers,
+		KeepRegions: c.KeepRegions,
 	}
 }
 
@@ -84,27 +82,26 @@ func ConfigToState(c Config) snapshot.ConfigState {
 // is left nil (default).
 func ConfigFromState(s snapshot.ConfigState) Config {
 	return Config{
-		K:            s.K,
-		Alpha:        s.Alpha,
-		Epsilon:      s.Epsilon,
-		MaxRounds:    s.MaxRounds,
-		Mode:         Mode(s.Mode),
-		Order:        UpdateOrder(s.Order),
-		Gamma:        s.Gamma,
-		RingMode:     wsn.RingQueryMode(s.RingMode),
-		LossRate:     s.LossRate,
-		LossRetries:  s.LossRetries,
-		ArcSamples:   s.ArcSamples,
-		RingCap:      s.RingCap,
-		Seed:         s.Seed,
-		Workers:      s.Workers,
-		KeepRegions:  s.KeepRegions,
-		DisableCache: s.DisableCache,
-		DisableBatch: s.DisableBatch,
+		K:           s.K,
+		Alpha:       s.Alpha,
+		Epsilon:     s.Epsilon,
+		MaxRounds:   s.MaxRounds,
+		Mode:        Mode(s.Mode),
+		Order:       UpdateOrder(s.Order),
+		Gamma:       s.Gamma,
+		RingMode:    wsn.RingQueryMode(s.RingMode),
+		LossRate:    s.LossRate,
+		LossRetries: s.LossRetries,
+		ArcSamples:  s.ArcSamples,
+		RingCap:     s.RingCap,
+		Seed:        s.Seed,
+		Workers:     s.Workers,
+		KeepRegions: s.KeepRegions,
 	}
 }
 
-func traceToState(trace []RoundStats) []snapshot.RoundState {
+// TraceToState converts a trace to its checkpoint form.
+func TraceToState(trace []RoundStats) []snapshot.RoundState {
 	out := make([]snapshot.RoundState, len(trace))
 	for i, tr := range trace {
 		out[i] = snapshot.RoundState{
@@ -120,7 +117,8 @@ func traceToState(trace []RoundStats) []snapshot.RoundState {
 	return out
 }
 
-func traceFromState(trace []snapshot.RoundState) []RoundStats {
+// TraceFromState rebuilds a trace from its checkpoint form.
+func TraceFromState(trace []snapshot.RoundState) []RoundStats {
 	out := make([]RoundStats, len(trace))
 	for i, tr := range trace {
 		out[i] = RoundStats{

@@ -7,7 +7,6 @@ import (
 	"laacad/internal/boundary"
 	"laacad/internal/geom"
 	"laacad/internal/region"
-	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
 )
 
@@ -72,12 +71,6 @@ func (st *Stepper) IndexGamma() float64 {
 // positions.
 func (st *Stepper) SetNetwork(net *wsn.Network) { st.eng.net = net }
 
-// NodeRNG returns the deterministic per-(seed, round, node) stream keying the
-// engine's message-loss sampling — exported for the sharded engine, which
-// must derive streams from global node IDs whatever a shard's local
-// numbering, or loss draws would depend on the partition.
-func NodeRNG(seed int64, round, node int) *rand.Rand { return nodeRNG(seed, round, node) }
-
 // FinalRoundTag returns the negative round tag Finalize and DebugRegions use
 // for their out-of-round region recomputation after the given number of
 // completed rounds — a domain separate from every Step round, so an
@@ -126,46 +119,17 @@ type StepOutcome struct {
 // StepNode computes node i's round outcome on the attached network. hint
 // warm-starts the Centralized expanding search (pass the node's last InvRad,
 // or 0). isBoundary and rng apply in Localized mode only: the boundary flag
-// as start-of-round truth, and the node's private loss stream (NodeRNG over
-// the global ID; nil when LossRate is 0). Localized searches charge the
-// attached network's counters for node i — callers measure a computation's
-// cost by diffing NodeMessages around the call.
+// as start-of-round truth, and the node's private loss stream (LossRNG over
+// the global ID). Localized searches charge the attached network's counters
+// for node i — callers measure a computation's cost by diffing NodeMessages
+// around the call.
 func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) StepOutcome {
 	e := st.eng
 	if e.cfg.Mode == Localized {
 		out, inv := e.stepNodeLocalized(i, isBoundary, rng, s)
 		return exportOutcome(out, inv, inv)
 	}
-	ui := e.net.Position(i)
-	var out nodeOutcome
-	var rho float64
-	if e.batchOn() {
-		refs, r, rhat := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
-		rho = r
-		if len(refs) == 0 {
-			out = nodeOutcome{next: ui, empty: true}
-		} else {
-			ci, ri := chebyshevOfRefs(s, refs)
-			out = nodeOutcome{next: ui, ri: ri, rhat: rhat}
-			if e.cfg.KeepRegions {
-				out.polys = voronoi.CompactRefs(&s.vor.Slab, refs)
-			}
-			e.finishMove(ui, ci, &out)
-		}
-	} else {
-		polys, r, rhat := centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
-		rho = r
-		if len(polys) == 0 {
-			out = nodeOutcome{next: ui, empty: true}
-		} else {
-			ci, ri := ChebyshevOfRegion(polys, s)
-			out = nodeOutcome{next: ui, ri: ri, rhat: rhat}
-			if e.cfg.KeepRegions {
-				out.polys = voronoi.CompactRegion(polys)
-			}
-			e.finishMove(ui, ci, &out)
-		}
-	}
+	out, rho := e.stepNodeCentralized(i, hint, s)
 	return exportOutcome(out, s.searchRho, rho)
 }
 
@@ -175,22 +139,19 @@ func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand
 // derives R̂ with voronoi.MaxDistFrom). rng must be the node's stream for
 // the negative FinalRoundTag round.
 func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	e := st.eng
-	if e.cfg.Mode == Localized {
-		if e.batchOn() {
-			refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
-			return voronoi.CompactRefs(&s.vor.Slab, refs), inv
-		}
-		polys, inv := e.localizedRegionOf(i, isBoundary, rng, s)
-		return voronoi.CompactRegion(polys), inv
-	}
-	if e.batchOn() {
-		refs, _, _ := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
-		return voronoi.CompactRefs(&s.vor.Slab, refs), s.searchRho
-	}
-	polys, _, _ := centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
-	return voronoi.CompactRegion(polys), s.searchRho
+	return st.eng.regionOf(i, hint, isBoundary, rng, s)
 }
+
+// CacheEnabled reports whether outcomes may be cached across rounds: always
+// in Centralized mode, and in Localized mode only without message loss
+// (loss draws are per-round randomness, so a lossy outcome is never
+// reusable).
+func (st *Stepper) CacheEnabled() bool { return st.eng.cacheEnabled() }
+
+// LossRNG returns the node's private message-loss stream for the given round —
+// keyed by the global node ID, so local numbering never leaks into
+// randomness — or nil when loss sampling is off.
+func (st *Stepper) LossRNG(round, node int) *rand.Rand { return st.eng.lossRNG(round, node) }
 
 // exportOutcome converts the internal outcome to the exported mirror.
 func exportOutcome(out nodeOutcome, readRad, invRad float64) StepOutcome {

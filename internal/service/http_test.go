@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"laacad/internal/metrics"
+	"laacad/internal/scenario"
+	"laacad/internal/snapshot"
 )
 
 // startHTTP serves the Server's API on a real loopback listener.
@@ -298,5 +300,40 @@ func TestHTTPErrorMapping(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("PUT /jobs = %d, want 405", r2.StatusCode)
+	}
+}
+
+// The kernel and cache switches are gone from the configuration schema, so
+// every strict decoder must reject a document still carrying one — naming
+// the field, never silently dropping it and never panicking: scenario JSON,
+// a resumable checkpoint, and a POST /jobs body (HTTP 400).
+func TestRemovedConfigFieldsRejected(t *testing.T) {
+	s := newTestServer(t, 1)
+	base := startHTTP(t, s)
+	for _, field := range []string{"disable_cache", "disable_batch"} {
+		config := fmt.Sprintf(`{"k": 2, "alpha": 0.5, "epsilon": 0.001, "max_rounds": 10, "seed": 1, %q: true}`, field)
+		sc := fmt.Sprintf(`{"name": "x", "region": "square", "placement": "uniform", "n": 10, "config": %s}`, config)
+
+		if _, err := scenario.ParseJSON([]byte(sc)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("scenario JSON with %s: err = %v, want one naming the field", field, err)
+		}
+
+		ckpt := fmt.Sprintf(`{"version": 1, "kind": "engine", "round": 0, "converged": false, "x": [0.5], "y": [0.5], "config": %s}`, config)
+		if _, err := snapshot.ReadState(strings.NewReader(ckpt)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("checkpoint with %s: err = %v, want one naming the field", field, err)
+		}
+
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(`{"scenario": `+sc+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Errorf("POST /jobs with %s = %d %s, want 400 naming the field", field, resp.StatusCode, body)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("rejected submissions created %d job(s)", len(jobs))
 	}
 }

@@ -116,9 +116,6 @@ type Recovery struct {
 	TornTail bool
 	// Quarantined counts corrupt or foreign items moved to quarantine/.
 	Quarantined int
-	// Migrated counts legacy whole-file spool records (*.json) imported into
-	// the journal.
-	Migrated int
 	// Warnings collects non-fatal recovery problems.
 	Warnings []error
 }
@@ -250,9 +247,9 @@ func scanSegment(data []byte) (payloads [][]byte, chunks []segmentChunk, keep in
 }
 
 // OpenJournal opens (or creates) the journal in dir, replaying every segment
-// to recover the job set. Legacy whole-file spool records (*.json, the
-// pre-journal format) are imported and removed; corrupt or foreign files and
-// damaged byte ranges are preserved under quarantine/. If recovery found
+// to recover the job set. Corrupt or foreign files (a stray *.json included)
+// and damaged byte ranges are preserved under quarantine/, never replayed;
+// each foreign file also raises a recovery warning. If recovery found
 // damage or stale segments, a compaction pass rewrites the journal into a
 // clean segment before new appends land.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, *Recovery, error) {
@@ -304,7 +301,6 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, *Recovery, error) {
 	}
 
 	var segs []int
-	var legacy []string
 	for _, name := range names {
 		switch {
 		case strings.HasSuffix(name, segSuffix):
@@ -319,11 +315,10 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, *Recovery, error) {
 			if err := fs.Remove(filepath.Join(dir, name)); err != nil {
 				rec.Warnings = append(rec.Warnings, fmt.Errorf("service: removing stale %s: %w", name, err))
 			}
-		case strings.HasSuffix(name, ".json"):
-			legacy = append(legacy, name)
 		default:
 			// Foreign file in the journal's directory: not ours, not skipped
 			// silently — preserved out of the replay path.
+			rec.Warnings = append(rec.Warnings, fmt.Errorf("service: quarantining foreign file %s", name))
 			quarantine(name, readOrEmpty(fs, filepath.Join(dir, name)), true)
 		}
 	}
@@ -394,35 +389,6 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, *Recovery, error) {
 		return nil, nil, fmt.Errorf("service: opening active segment: %w", err)
 	}
 	jl.active = f
-
-	// Import legacy whole-file spool records into the journal, so a PR-era
-	// spool directory upgrades in place on first open.
-	for _, name := range legacy {
-		data, err := fs.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			rec.Warnings = append(rec.Warnings, fmt.Errorf("service: reading legacy %s: %w", name, err))
-			continue
-		}
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil || j.ID == "" || j.ID+".json" != name {
-			quarantine(name, data, true)
-			continue
-		}
-		payload, err := json.Marshal(&j)
-		if err != nil {
-			rec.Warnings = append(rec.Warnings, fmt.Errorf("service: re-encoding legacy %s: %w", name, err))
-			continue
-		}
-		if err := jl.append(j.ID, payload); err != nil {
-			rec.Warnings = append(rec.Warnings, err)
-			continue
-		}
-		absorb(payload)
-		rec.Migrated++
-		if err := fs.Remove(filepath.Join(dir, name)); err != nil {
-			rec.Warnings = append(rec.Warnings, fmt.Errorf("service: removing migrated %s: %w", name, err))
-		}
-	}
 
 	// Order the recovered jobs by submission sequence for deterministic
 	// scheduler recovery.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -208,34 +209,42 @@ func TestJournalCorruptionQuarantinedWithResync(t *testing.T) {
 	}
 }
 
-func TestJournalMigratesLegacySpool(t *testing.T) {
+// A stray <id>.json in the journal directory — say, a whole-file job record
+// from an old spool — is a foreign file: quarantined with a warning, its
+// bytes preserved, and never replayed as a job.
+func TestJournalQuarantinesStrayJSON(t *testing.T) {
 	dir := t.TempDir()
-	// A pre-journal spool: one JSON file per job.
-	for i := 1; i <= 3; i++ {
-		id := fmt.Sprintf("job-%06d", i)
-		data, _ := json.Marshal(&Job{ID: id, Seq: uint64(i), State: StateQueued, Slot: -1})
-		if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jl, rec := mustOpen(t, dir, JournalOptions{})
-	if rec.Migrated != 3 || len(rec.Jobs) != 3 {
-		t.Fatalf("migrated = %d, jobs = %d, want 3 and 3", rec.Migrated, len(rec.Jobs))
-	}
-	jl.Close()
-	// The legacy files are gone; the journal alone carries the jobs now.
-	names, err := fault.OS{}.ReadDir(dir)
-	if err != nil {
+	const name = "job-000001.json"
+	data, _ := json.Marshal(&Job{ID: "job-000001", Seq: 1, State: StateQueued, Slot: -1})
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range names {
-		if strings.HasSuffix(n, ".json") {
-			t.Errorf("legacy file %s still present after migration", n)
-		}
+	jl, rec := mustOpen(t, dir, JournalOptions{})
+	jl.Close()
+	if len(rec.Jobs) != 0 {
+		t.Errorf("stray JSON replayed as %d job(s), want none", len(rec.Jobs))
 	}
+	if rec.Quarantined != 1 {
+		t.Errorf("quarantined = %d, want 1", rec.Quarantined)
+	}
+	warned := false
+	for _, w := range rec.Warnings {
+		warned = warned || strings.Contains(w.Error(), name)
+	}
+	if !warned {
+		t.Errorf("no recovery warning names %s: %v", name, rec.Warnings)
+	}
+	kept, err := os.ReadFile(filepath.Join(quarantineDir(dir), name))
+	if err != nil {
+		t.Fatalf("stray file not preserved under quarantine/: %v", err)
+	}
+	if !bytes.Equal(kept, data) {
+		t.Error("quarantined copy differs from the stray file")
+	}
+	// The journal itself never absorbed it: a reopen recovers nothing.
 	_, rec2 := mustOpen(t, dir, JournalOptions{})
-	if len(rec2.Jobs) != 3 || rec2.Migrated != 0 {
-		t.Fatalf("post-migration reopen: jobs = %d, migrated = %d", len(rec2.Jobs), rec2.Migrated)
+	if len(rec2.Jobs) != 0 || rec2.Quarantined != 0 {
+		t.Errorf("reopen: jobs = %d, quarantined = %d, want 0 and 0", len(rec2.Jobs), rec2.Quarantined)
 	}
 }
 

@@ -136,18 +136,7 @@ func Resume(reg *region.Region, st *snapshot.State, shards int) (*Engine, error)
 	e.round = st.Round
 	e.converged = st.Converged
 	e.msgBase = st.Messages
-	e.trace = make([]core.RoundStats, len(st.Trace))
-	for i, tr := range st.Trace {
-		e.trace[i] = core.RoundStats{
-			Round:           tr.Round,
-			MaxCircumradius: tr.MaxCircumradius,
-			MinCircumradius: tr.MinCircumradius,
-			MaxRhat:         tr.MaxRhat,
-			MaxMove:         tr.MaxMove,
-			Moved:           tr.Moved,
-			Messages:        tr.Messages,
-		}
-	}
+	e.trace = core.TraceFromState(st.Trace)
 	return e, nil
 }
 
@@ -567,18 +556,7 @@ func (e *Engine) Snapshot() (*snapshot.State, error) {
 	st.Round = e.round
 	st.Converged = e.converged
 	st.Messages = e.msgBase + e.roundMsgs
-	st.Trace = make([]snapshot.RoundState, len(e.trace))
-	for i, tr := range e.trace {
-		st.Trace[i] = snapshot.RoundState{
-			Round:           tr.Round,
-			MaxCircumradius: tr.MaxCircumradius,
-			MinCircumradius: tr.MinCircumradius,
-			MaxRhat:         tr.MaxRhat,
-			MaxMove:         tr.MaxMove,
-			Moved:           tr.Moved,
-			Messages:        tr.Messages,
-		}
-	}
+	st.Trace = core.TraceToState(e.trace)
 	st.Config = core.ConfigToState(e.cfg)
 	return st, nil
 }

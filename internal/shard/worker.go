@@ -2,7 +2,6 @@ package shard
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -667,27 +666,6 @@ func (w *worker) repairFlags() {
 	}
 }
 
-// lossRNG mirrors core.Engine.lossRNG: the node's private loss stream keyed
-// by the GLOBAL node ID — local numbering must never leak into randomness —
-// or nil when loss sampling is off.
-func lossRNG(cfg core.Config, round, g int) *rand.Rand {
-	if cfg.LossRate <= 0 {
-		return nil
-	}
-	return core.NodeRNG(cfg.Seed, round, g)
-}
-
-// cacheEnabled mirrors core.Engine.cacheEnabled.
-func (w *worker) cacheEnabled() bool {
-	if w.cfg.DisableCache {
-		return false
-	}
-	if w.cfg.Mode == core.Localized {
-		return w.cfg.LossRate == 0
-	}
-	return true
-}
-
 // tryNode computes (or serves from cache) node g's round outcome and reports
 // whether it is trusted. An untrusted attempt records the window the node
 // needs into the shared deficit. Safe for concurrent use across distinct g.
@@ -705,7 +683,7 @@ func (w *worker) tryNode(g, round int, s *core.Scratch, cacheOn bool) bool {
 	}
 	li := int(w.localOf[g])
 	before := w.net.NodeMessages(li)
-	out := w.st.StepNode(li, w.hint[g], w.flagVal[g], lossRNG(w.cfg, round, g), s)
+	out := w.st.StepNode(li, w.hint[g], w.flagVal[g], w.st.LossRNG(round, g), s)
 	cost := w.net.NodeMessages(li) - before
 	w.readRad[g] = out.ReadRad
 	if !w.trusted(g, out) {
@@ -782,7 +760,7 @@ func (w *worker) doComputeSync(round int, retry bool) reply {
 	}
 	w.pending = nil
 	w.defic = xband{}
-	cacheOn := w.cacheEnabled()
+	cacheOn := w.st.CacheEnabled()
 	workers := parallel.Workers(w.cfg.Workers)
 	w.ensurePool(workers)
 	parallel.ForWorker(len(targets), workers, func(wk, idx int) {
@@ -861,7 +839,7 @@ func (w *worker) doTurn(g, round int, retry bool) reply {
 	w.pending = w.pending[:0]
 	w.defic = xband{}
 	w.ensurePool(1)
-	if !w.tryNode(g, round, w.pool[0], w.cacheEnabled()) {
+	if !w.tryNode(g, round, w.pool[0], w.st.CacheEnabled()) {
 		return reply{shard: w.id, window: w.defic}
 	}
 	o := &w.outs[g]
@@ -942,7 +920,7 @@ func (w *worker) doFinalRecompute(roundTag int, retry bool) reply {
 		g := targets[idx]
 		s := w.pool[wk]
 		li := int(w.localOf[g])
-		rng := lossRNG(w.cfg, roundTag, g)
+		rng := w.st.LossRNG(roundTag, g)
 		before := w.net.NodeMessages(li)
 		// Hint 0, not the warm start: the engine's finalization recompute
 		// searches from the density fallback, and the probe sequence must

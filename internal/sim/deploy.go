@@ -11,7 +11,6 @@ import (
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/snapshot"
-	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
 )
 
@@ -134,10 +133,15 @@ type Deployment struct {
 	net *wsn.Network
 	cfg Config
 	rng *rand.Rand
-	// scr is the deployment's geometry workspace: the event loop is a
-	// single goroutine, so one scratch serves every activation and the
-	// dominating-region → Chebyshev pipeline runs allocation-free.
-	scr *core.Scratch
+	// step runs each activation's node step — dominating region, Chebyshev
+	// center, motion rule — exactly as the round engine does, over the
+	// deployment's network. The event loop is a single goroutine, so one
+	// scratch serves every activation and the pipeline runs allocation-free;
+	// hint holds each node's last exactness radius, warm-starting its next
+	// region search.
+	step *core.Stepper
+	scr  *core.Scratch
+	hint []float64
 
 	targets     []geom.Point
 	lastAdvance []float64
@@ -208,13 +212,20 @@ func NewDeployment(reg *region.Region, initial []geom.Point, cfg Config) (*Deplo
 	// Every position stays clamped inside reg, so region-seeded grid bounds
 	// absorb all mid-simulation moves without bounds-exit rebuilds.
 	net.SetBoundsHint(reg.BBox())
+	step, err := core.NewStepper(reg, len(pos), core.Config{K: cfg.K, Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, MaxRounds: 1})
+	if err != nil {
+		return nil, err
+	}
+	step.SetNetwork(net)
 	d := &Deployment{
 		sim:         &Sim{},
 		reg:         reg,
 		net:         net,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed + 11)),
+		step:        step,
 		scr:         core.NewScratch(),
+		hint:        make([]float64, len(initial)),
 		targets:     append([]geom.Point(nil), pos...),
 		lastAdvance: make([]float64, len(initial)),
 		stable:      make([]int, len(initial)),
@@ -271,30 +282,26 @@ func (d *Deployment) activate(i int) {
 	d.activations++
 	d.advance(i)
 
-	polys := core.CentralizedDominatingRegionScratch(d.net, d.reg, i, d.cfg.K, d.scr)
-	if len(polys) > 0 {
-		c, ri := core.ChebyshevOfRegion(polys, d.scr)
-		c = d.reg.ClampInside(c)
-		ui := d.net.Position(i)
-		if ri > d.acc.maxCR {
-			d.acc.maxCR = ri
+	out := d.step.StepNode(i, d.hint[i], false, nil, d.scr)
+	d.hint[i] = out.InvRad
+	if !out.Empty {
+		if out.Ri > d.acc.maxCR {
+			d.acc.maxCR = out.Ri
 		}
-		if ri < d.acc.minCR {
-			d.acc.minCR = ri
+		if out.Ri < d.acc.minCR {
+			d.acc.minCR = out.Ri
 		}
-		if rhat := voronoi.MaxDistFrom(ui, polys); rhat > d.acc.maxRhat {
-			d.acc.maxRhat = rhat
+		if out.Rhat > d.acc.maxRhat {
+			d.acc.maxRhat = out.Rhat
 		}
-		if ui.Dist(c) > d.cfg.Epsilon {
+		d.targets[i] = out.Next
+		if out.Moved {
 			d.acc.moved++
-			target := ui.Add(c.Sub(ui).Scale(d.cfg.Alpha))
-			d.targets[i] = d.reg.ClampInside(target)
 			if d.stable[i] >= d.cfg.StableActivations {
 				d.settled--
 			}
 			d.stable[i] = 0
 		} else {
-			d.targets[i] = ui
 			d.stable[i]++
 			if d.stable[i] == d.cfg.StableActivations {
 				d.settled++
@@ -351,8 +358,7 @@ func (d *Deployment) RunAsync(ctx context.Context) (*Result, error) {
 	n := d.net.Len()
 	radii := make([]float64, n)
 	for i := 0; i < n; i++ {
-		polys := core.CentralizedDominatingRegionScratch(d.net, d.reg, i, d.cfg.K, d.scr)
-		radii[i] = voronoi.MaxDistFrom(d.net.Position(i), polys)
+		radii[i] = d.step.StepNode(i, d.hint[i], false, nil, d.scr).Rhat
 	}
 	res := &Result{
 		Positions:   d.net.Positions(),
@@ -404,17 +410,7 @@ func (d *Deployment) Snapshot() (*snapshot.State, error) {
 	st.Time = d.baseTime + d.sim.Now()
 	st.Activations = d.baseActivations + d.activations
 	st.Travel = d.baseTravel + d.travel
-	st.Trace = make([]snapshot.RoundState, len(d.trace))
-	for i, tr := range d.trace {
-		st.Trace[i] = snapshot.RoundState{
-			Round:           tr.Round,
-			MaxCircumradius: tr.MaxCircumradius,
-			MinCircumradius: tr.MinCircumradius,
-			MaxRhat:         tr.MaxRhat,
-			MaxMove:         tr.MaxMove,
-			Moved:           tr.Moved,
-		}
-	}
+	st.Trace = core.TraceToState(d.trace)
 	st.Config = snapshot.ConfigState{
 		K:       d.cfg.K,
 		Alpha:   d.cfg.Alpha,
@@ -463,17 +459,7 @@ func Resume(reg *region.Region, st *snapshot.State) (*Deployment, error) {
 	d.baseActivations = st.Activations
 	d.baseTravel = st.Travel
 	d.epoch = st.Round
-	d.trace = make([]core.RoundStats, len(st.Trace))
-	for i, tr := range st.Trace {
-		d.trace[i] = core.RoundStats{
-			Round:           tr.Round,
-			MaxCircumradius: tr.MaxCircumradius,
-			MinCircumradius: tr.MinCircumradius,
-			MaxRhat:         tr.MaxRhat,
-			MaxMove:         tr.MaxMove,
-			Moved:           tr.Moved,
-		}
-	}
+	d.trace = core.TraceFromState(st.Trace)
 	return d, nil
 }
 

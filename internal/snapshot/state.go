@@ -51,15 +51,6 @@ type ConfigState struct {
 	Seed        int64   `json:"seed"`
 	Workers     int     `json:"workers,omitempty"`
 	KeepRegions bool    `json:"keep_regions,omitempty"`
-	// DisableCache disables the engine's incremental dirty-set. Recorded so
-	// a resumed run keeps the eager/cached choice of the original, even
-	// though the two are bit-identical by contract.
-	DisableCache bool `json:"disable_cache,omitempty"`
-	// DisableBatch routes region computation through the scalar kernel
-	// instead of the batch SoA kernel. Recorded for the same reason: the
-	// two are bit-identical by contract, but a resumed run keeps the
-	// original's choice.
-	DisableBatch bool `json:"disable_batch,omitempty"`
 
 	// Event-driven simulator fields (Kind == KindAsync).
 	Tau               float64 `json:"tau,omitempty"`

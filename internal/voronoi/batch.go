@@ -22,8 +22,8 @@ import (
 //
 // Every geometric operation routes through the same geom functions as the
 // scalar walk, in the same order, so the survivor polygons are bitwise equal
-// to the scalar kernel's — DominatingRegionScratch stays as the oracle and
-// the engine's bit-identity matrices gate both paths against each other.
+// to the scalar kernel's. The batch form is the only production path;
+// DominatingRegionScratch stays as the test oracle it is diffed against.
 
 // ResetRel clears the relevant-neighbor slabs for a new query site.
 func (s *Scratch) ResetRel() {
@@ -157,10 +157,9 @@ func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, s *Scratch) []ge
 }
 
 // DominatingRegionBatch is the self-contained batch entry: it rebuilds the
-// rel slabs from others and runs DominatingRegionSoA — the drop-in
-// replacement for DominatingRegionScratch when no incremental rel state is
-// being carried. The engine's expanding search uses the incremental API
-// directly.
+// rel slabs from others and runs DominatingRegionSoA, for callers that carry
+// no incremental rel state. The engine's expanding search uses the
+// incremental API directly.
 func DominatingRegionBatch(self Site, others []Site, k int, clip []geom.Polygon, s *Scratch) []geom.PolyRef {
 	s.ResetRel()
 	for _, o := range others {

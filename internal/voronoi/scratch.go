@@ -133,14 +133,14 @@ func quickSortRel(rel []relSite) {
 	}
 }
 
-// DominatingRegionScratch is the allocation-free form of DominatingRegion:
-// all intermediate polygons come from s's buffer arena and the returned
-// region reuses s's survivor storage, so a warmed-up Scratch computes a
-// region with zero heap allocations.
+// DominatingRegionScratch is the scalar form of the kernel: all
+// intermediate polygons come from s's buffer arena and the returned region
+// reuses s's survivor storage, so a warmed-up Scratch computes a region with
+// zero heap allocations. It has no production caller — it is the reference
+// the batch kernel (DominatingRegionBatch) is tested bit-identical against.
 //
-// The returned polygons are valid only until the next call on s. Callers
-// that keep the region (the round engine caches outcomes across rounds) must
-// copy it out with CompactRegion first.
+// The returned polygons are valid only until the next call on s; copy them
+// out with CompactRegion to keep them.
 func DominatingRegionScratch(self Site, others []Site, k int, clip []geom.Polygon, s *Scratch) []geom.Polygon {
 	if k < 1 {
 		panic("voronoi: DominatingRegionScratch needs k >= 1")
@@ -236,8 +236,8 @@ func splitByBudgetScratch(self Site, others []relSite, j, budget int, poly geom.
 
 // ClipToConvex clips each polygon in polys against the convex CCW polygon
 // clip (intersection of convex sets, one half-plane per clip edge), keeping
-// pieces with at least 3 vertices and non-negligible area — the localized
-// engine's search-ring closure, on the arena. polys may be (and typically
+// pieces with at least 3 vertices and non-negligible area — the scalar
+// reference of ClipToConvexSoA, on the arena. polys may be (and typically
 // is) the arena-owned result of a DominatingRegionScratch call on the same
 // s; the inputs are not mutated. The returned polygons are arena-owned and
 // valid only until the next DominatingRegionScratch or ClipToConvex call on

@@ -53,13 +53,15 @@ const coincidentTol = 1e-24
 //
 // The others slice may contain self's ID; it is ignored.
 //
-// DominatingRegion is the convenience form over a throwaway Scratch; hot
-// loops should hold a Scratch and call DominatingRegionScratch (plus
-// CompactRegion when the result must outlive the Scratch).
+// DominatingRegion is the convenience form of the production kernel
+// (DominatingRegionBatch) over a throwaway Scratch, returning owned
+// polygons; hot loops should hold a Scratch and call DominatingRegionBatch
+// (plus CompactRefs when the result must outlive the Scratch).
 //
-// The kernel walk lives in splitByBudgetScratch (scratch.go): it splits each
-// clip piece by one bisector at a time, tracking how many "closer"
-// generators the current branch may still tolerate. The neighbor list is
+// The kernel walk (splitByBudgetSoA in batch.go; its scalar reference is
+// splitByBudgetScratch in scratch.go) splits each clip piece by one bisector
+// at a time, tracking how many "closer" generators the current branch may
+// still tolerate. The neighbor list is
 // sorted by ascending distance to self, so once a neighbor's distance d
 // satisfies d ≥ 2·max_{v∈poly}‖v−self‖, every point of poly is at least as
 // close to self as to that neighbor (‖v−o‖ ≥ d − d/2 = d/2 ≥ ‖v−self‖) and
@@ -70,9 +72,7 @@ func DominatingRegion(self Site, others []Site, k int, clip []geom.Polygon) []ge
 		panic(fmt.Sprintf("voronoi: DominatingRegion needs k >= 1, got %d", k))
 	}
 	var s Scratch
-	// The Scratch is throwaway, so its arena-owned output needs no compact
-	// copy — nothing will ever recycle it.
-	return DominatingRegionScratch(self, others, k, clip, &s)
+	return CompactRefs(&s.Slab, DominatingRegionBatch(self, others, k, clip, &s))
 }
 
 // RegionArea returns the total area of a set of disjoint polygons; a

@@ -60,14 +60,14 @@
 // heap allocations in steady state), and the Centralized engine keeps an
 // incremental dirty-set: a node whose exactness neighborhood did not change
 // reuses its previous round outcome bit-for-bit, which collapses the
-// converged tail of a deployment. Config.DisableCache restores the eager
-// engine; results are identical either way. See README.md ("Performance")
-// for the design and the tracked benchmark baselines (BENCH_*.json,
-// cmd/bench).
+// converged tail of a deployment. The cache and the structure-of-arrays
+// region kernel are semantically invisible: the test suites diff them bit
+// for bit against the eager engine and the scalar reference kernel. See
+// README.md ("Performance") for the design and the tracked benchmark
+// baselines (BENCH_*.json, cmd/bench).
 package laacad
 
 import (
-	"context"
 	"math/rand"
 
 	"laacad/internal/asciiplot"
@@ -211,22 +211,6 @@ func NewEngine(reg *Region, initial []Point, cfg Config) (*Engine, error) {
 	return core.New(reg, initial, cfg)
 }
 
-// Deploy runs LAACAD to convergence (or cfg.MaxRounds) and returns the
-// result.
-//
-// Deprecated: Deploy predates the unified Scenario/Runner API and cannot
-// be cancelled, observed, or checkpointed. New code should call Run with a
-// Scenario (for explicit positions, build the Engine with NewEngine and
-// drive it via its Runner methods). Deploy remains as a thin wrapper over
-// the same engine path.
-func Deploy(reg *Region, initial []Point, cfg Config) (*Result, error) {
-	eng, err := core.New(reg, initial, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(context.Background())
-}
-
 // Coverage verification.
 
 // CoverageReport summarizes grid-based k-coverage verification.
@@ -334,21 +318,6 @@ type AsyncDeployment = sim.Deployment
 
 // DefaultAsyncConfig returns asynchronous defaults for coverage order k.
 func DefaultAsyncConfig(k int) AsyncConfig { return sim.DefaultConfig(k) }
-
-// DeployAsync runs LAACAD as a discrete-event asynchronous system: each
-// node acts on its own jittered τ-clock and moves with finite speed,
-// computing dominating regions from whatever (possibly in-flight) neighbor
-// positions it currently observes.
-//
-// Deprecated: DeployAsync predates the unified Scenario/Runner API and
-// cannot be cancelled, observed, or checkpointed. New code should call Run
-// with a Scenario whose Async flag is set; the async-specific measures
-// (simulated time, activations, travel) come from RunAsync on the
-// AsyncDeployment. DeployAsync remains as a thin wrapper over the same
-// simulator path.
-func DeployAsync(reg *Region, initial []Point, cfg AsyncConfig) (*AsyncResult, error) {
-	return sim.Deploy(reg, initial, cfg)
-}
 
 // RenderDeployment draws node positions over the region's bounding box as a
 // width×height ASCII grid — a quick visual check of a deployment.

@@ -1,6 +1,7 @@
 package laacad
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -18,7 +19,11 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Epsilon = 1e-3
 	cfg.MaxRounds = 250
-	res, err := Deploy(reg, start, cfg)
+	eng, err := NewEngine(reg, start, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,11 @@ func TestPublicLocalizedMode(t *testing.T) {
 	cfg.RingMode = RingHopLimited
 	cfg.Epsilon = 3e-3
 	cfg.MaxRounds = 100
-	res, err := Deploy(reg, benchStart(reg, 25, 4), cfg)
+	eng, err := NewEngine(reg, benchStart(reg, 25, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
