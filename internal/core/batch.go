@@ -123,9 +123,9 @@ func chebyshevOfRefs(s *Scratch, refs []geom.PolyRef) (geom.Point, float64) {
 // search's exactness radius ρ — the cache invalidation radius. The outcome is
 // a pure function of (positions within ρ of u_i, region, config): no RNG
 // stream is consumed.
-func (e *Engine) stepNodeCentralized(i int, hint float64, s *Scratch) (nodeOutcome, float64) {
-	refs, rho, rhat := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
-	return e.outcomeOf(i, refs, rhat, s), rho
+func (ns *nodeState) stepNodeCentralized(i int, hint float64, s *Scratch) (nodeOutcome, float64) {
+	refs, rho, rhat := centralizedRegionSoA(ns.net, ns.reg, i, ns.cfg.K, hint, s)
+	return ns.outcomeOf(i, refs, rhat, s), rho
 }
 
 // stepNodeLocalized computes node i's outcome with Algorithm 2. rng is the
@@ -135,10 +135,10 @@ func (e *Engine) stepNodeCentralized(i int, hint float64, s *Scratch) (nodeOutco
 // message cost are a pure function of the positions inside that ball plus
 // the boundary flag, which is what makes Localized outcomes cacheable
 // without falsifying the accounting.
-func (e *Engine) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s *Scratch) (nodeOutcome, float64) {
-	refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
-	rhat := voronoi.MaxDistFromRefs(e.net.Position(i), &s.vor.Slab, refs)
-	return e.outcomeOf(i, refs, rhat, s), inv
+func (ns *nodeState) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s *Scratch) (nodeOutcome, float64) {
+	refs, inv := ns.localizedRegionRefs(i, isBoundary, rng, s)
+	rhat := voronoi.MaxDistFromRefs(ns.net.Position(i), &s.vor.Slab, refs)
+	return ns.outcomeOf(i, refs, rhat, s), inv
 }
 
 // outcomeOf finishes a node's step from its region: the Chebyshev center and
@@ -147,30 +147,32 @@ func (e *Engine) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s *Sc
 // everything else any consumer needs is scalar, so by default no region is
 // materialized. An empty region (a node crowded out numerically) stands
 // still.
-func (e *Engine) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scratch) nodeOutcome {
-	ui := e.net.Position(i)
-	e.batchNodes.Add(1)
+func (ns *nodeState) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scratch) nodeOutcome {
+	ui := ns.net.Position(i)
+	ns.batchNodes.Add(1)
 	if len(refs) == 0 {
 		return nodeOutcome{next: ui, empty: true}
 	}
 	ci, ri := chebyshevOfRefs(s, refs)
 	out := nodeOutcome{next: ui, ri: ri, rhat: rhat}
-	if e.cfg.KeepRegions {
+	if ns.cfg.KeepRegions {
 		out.polys = voronoi.CompactRefs(&s.vor.Slab, refs)
 	}
-	e.finishMove(ui, ci, &out)
+	ns.finishMove(ui, ci, &out)
 	return out
 }
 
 // regionOf computes node i's dominating region at the current positions,
 // compacted, plus the radius of the ball the computation read positions
-// from (see StepOutcome.ReadRad) — the Finalize/DebugRegions recompute path.
-func (e *Engine) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	if e.cfg.Mode == Localized {
-		refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
+// from — the Finalize/DebugRegions recompute path. That read radius is, for
+// Centralized, the expanding search's final pre-tightening radius and, for
+// Localized, the search's invalidation radius.
+func (ns *nodeState) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
+	if ns.cfg.Mode == Localized {
+		refs, inv := ns.localizedRegionRefs(i, isBoundary, rng, s)
 		return voronoi.CompactRefs(&s.vor.Slab, refs), inv
 	}
-	refs, _, _ := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
+	refs, _, _ := centralizedRegionSoA(ns.net, ns.reg, i, ns.cfg.K, hint, s)
 	return voronoi.CompactRefs(&s.vor.Slab, refs), s.searchRho
 }
 
@@ -193,17 +195,17 @@ func (e *Engine) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, 
 // to the portion of the circle inside the network's coverage and close their
 // region with the search ring, which is what pushes them outward during the
 // expanding phase (Fig. 3 of the paper).
-func (e *Engine) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.PolyRef, float64) {
-	ui := e.net.Position(i)
-	nbrIDs, rho, clipToRing, invRad := e.localizedSearch(i, isBoundary, rng, s)
+func (ns *nodeState) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.PolyRef, float64) {
+	ui := ns.net.Position(i)
+	nbrIDs, rho, clipToRing, invRad := ns.localizedSearch(i, isBoundary, rng, s)
 	self := voronoi.Site{ID: i, Pos: ui}
 	s.vor.ResetRel()
 	for _, j := range nbrIDs {
-		pj := e.net.Position(j)
+		pj := ns.net.Position(j)
 		s.vor.AppendRel(self, voronoi.Site{ID: j, Pos: pj}, pj.Dist2(ui))
 	}
 	s.vor.SortRelTail(0)
-	refs := voronoi.DominatingRegionSoA(self, e.cfg.K, e.reg.Pieces(), &s.vor)
+	refs := voronoi.DominatingRegionSoA(self, ns.cfg.K, ns.reg.Pieces(), &s.vor)
 	if clipToRing {
 		refs = clipToDiskRefs(refs, geom.Circle{Center: ui, R: rho / 2}, s)
 	}

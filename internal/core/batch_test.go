@@ -80,7 +80,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 							hint = eng.rhoHint[i]
 						}
 						got := kernelStep(st, i, hint, b, kernelS)
-						want := scalarStep(st.eng, i, b, scalarS)
+						want := scalarStep(&st.nodeState, i, b, scalarS)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("round %d node %d: SoA kernel %+v, scalar oracle %+v",
 								eng.Round()+1, i, got, want)

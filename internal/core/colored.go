@@ -218,7 +218,7 @@ func (e *Engine) planLevelSchedule(workers int) {
 // recomputed serially at their turn) and entries somehow already valid are
 // dropped on pop — speculating them could overwrite committed state or leak
 // an escrow.
-func (e *Engine) speculateAt(i, round int, isBoundary []bool) {
+func (e *Engine) speculateAt(i, round int) {
 	if e.schedPos >= len(e.schedKeys) || int(e.schedKeys[e.schedPos]>>32) > i {
 		return
 	}
@@ -268,19 +268,19 @@ func (e *Engine) speculateAt(i, round int, isBoundary []bool) {
 		e.waveHook(i, sel)
 	}
 	if len(sel) == 1 {
-		e.computeEntry(sel[0], round, isBoundary, e.pool[0], true)
+		e.computeEntry(sel[0], round, e.pool[0], true)
 	} else {
 		e.net.Rebuild() // fan-out reads the index concurrently; build it once
 		if e.waveFn == nil {
 			e.waveFn = func(w, idx int) {
-				e.computeEntry(e.waveSel[idx], e.waveRound, e.waveBoundary, e.pool[w], true)
+				e.computeEntry(e.waveSel[idx], e.waveRound, e.pool[w], true)
 			}
 		}
-		e.waveRound, e.waveBoundary = round, isBoundary
+		e.waveRound = round
 		e.wavePool.Run(len(sel), e.waveFn)
 	}
 	e.counters.SpecComputed += uint64(len(sel))
-	if e.seqBoundsLive {
+	if e.boundsLive {
 		// The live per-cell ρ-bounds must upper-bound every valid entry or
 		// later inverse invalidation queries could miss a speculative one.
 		for _, j := range sel {

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"laacad/internal/boundary"
 	"laacad/internal/geom"
 	"laacad/internal/parallel"
 	"laacad/internal/region"
-	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
 )
 
@@ -34,6 +32,26 @@ type RoundStats struct {
 	// Messages is the number of link-level messages sent this round
 	// (Localized mode only).
 	Messages int64
+}
+
+// Merge folds p — the statistics of a disjoint set of nodes in the same
+// round — into s. Extrema and counts merge order-independently, so merging
+// per-partition folds is bitwise the single fold over all nodes.
+func (s *RoundStats) Merge(p RoundStats) {
+	if p.MaxCircumradius > s.MaxCircumradius {
+		s.MaxCircumradius = p.MaxCircumradius
+	}
+	if p.MinCircumradius < s.MinCircumradius {
+		s.MinCircumradius = p.MinCircumradius
+	}
+	if p.MaxRhat > s.MaxRhat {
+		s.MaxRhat = p.MaxRhat
+	}
+	if p.MaxMove > s.MaxMove {
+		s.MaxMove = p.MaxMove
+	}
+	s.Moved += p.Moved
+	s.Messages += p.Messages
 }
 
 // Result is the outcome of a deployment run.
@@ -89,16 +107,16 @@ func (r *Result) MinRadius() float64 {
 // Engine executes LAACAD rounds. Create with New, then call Step until
 // convergence or use Run. The Engine may be mutated between steps (e.g.
 // RemoveNode for failure injection); it re-validates node counts.
+//
+// Its per-node state is the embedded nodeState over the global network; the
+// Engine adds the round record, the colored Sequential sweep's speculation
+// waves and out-of-band write detection.
 type Engine struct {
-	cfg      Config
-	reg      *region.Region
-	net      *wsn.Network
-	detector boundary.Detector
+	nodeState
 
 	round     int
 	converged bool
 	trace     []RoundStats
-	regions   [][]geom.Polygon // last round's dominating regions
 	prevMsgs  int64
 	// msgBase is the message count carried over from before a Resume; the
 	// live network counter restarts at zero on every (re)construction.
@@ -114,46 +132,14 @@ type Engine struct {
 	// statistics (see SetObserver).
 	observer func(RoundStats) error
 
-	// pool holds one Scratch per worker slot so the per-node geometry
-	// pipeline runs without heap allocation; outs/nextBuf/movedBuf are the
-	// reusable per-round buffers.
-	pool     []*Scratch
-	outs     []nodeOutcome
-	nextBuf  []geom.Point
-	movedBuf []movedNode
+	// all is the identity node list (see every).
+	all []int
 
-	// cache is the incremental dirty-set: each entry holds a node's last
-	// computed outcome together with the exactness radius ρ of the search
-	// that produced it. The outcome is a pure function of the positions
-	// inside the ρ-ball around the node (see centralizedRegionSoA and
-	// localizedSearch), so it is reused verbatim until some position
-	// inside that ball changes — which collapses the long converged tail of
-	// a deployment to near-zero work per round. In Localized mode each entry
-	// additionally records the search's link-level message cost; a reuse
-	// re-charges that cost so the per-round accounting stays exactly what
-	// the eager protocol would have paid. cacheVer mirrors net.Version() so
-	// out-of-band position writes (anything other than the engine's own
-	// moves) invalidate — locally via the per-cell version diff when
-	// possible, wholesale otherwise.
-	cache    []nodeCache
+	// cacheVer mirrors net.Version() so out-of-band position writes
+	// (anything other than the engine's own moves) invalidate the cache —
+	// locally via the per-cell version diff when possible, wholesale
+	// otherwise.
 	cacheVer uint64
-	// rhoHint is each node's last known exactness radius, kept across
-	// invalidations — the interference-prediction input of the colored
-	// Sequential sweep (a stale hint only costs a wasted speculation, never
-	// correctness; see planWave).
-	rhoHint []float64
-	// lastRhat is each node's R̂ from the most recent round — the same
-	// max-vertex-distance a converged Finalize would measure over the node's
-	// last region at its (unchanged) position. It lets Finalize assign final
-	// radii without any region having been materialized (regions are only
-	// compacted and retained under Config.KeepRegions).
-	lastRhat []float64
-	// hits counts cache reuses; atomic because the Synchronous fan-out
-	// consults the cache from worker goroutines.
-	hits atomic.Uint64
-	// batchNodes counts dominating regions computed on the SoA batch kernel;
-	// atomic because batch step functions run from worker goroutines.
-	batchNodes atomic.Uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
 	// the round's speculation schedule — packed (trigger, node) keys sorted
@@ -182,12 +168,11 @@ type Engine struct {
 	// wavePool serves every speculation wave of a sweep from one set of
 	// parked goroutines (opened around the sweep, closed after it), and
 	// waveFn is the one persistent fan-out closure — together they make a
-	// wave launch allocation-free. waveRound/waveBoundary carry the
-	// per-round arguments the closure reads.
-	wavePool     parallel.Pool
-	waveFn       func(w, idx int)
-	waveRound    int
-	waveBoundary []bool
+	// wave launch allocation-free. waveRound carries the round the closure
+	// reads.
+	wavePool  parallel.Pool
+	waveFn    func(w, idx int)
+	waveRound int
 	// eager, when set (tests), turns the dirty-set cache off: every round
 	// recomputes every node. The cache is semantically invisible —
 	// trajectories, traces, results and message accounting are
@@ -198,22 +183,6 @@ type Engine struct {
 	// Sequential sweep completes — the mid-round observation point at which
 	// externally visible accounting must be exact and monotone.
 	commitHook func(i int)
-
-	// Incremental boundary flags (Localized mode with a PerNode detector and
-	// the cache on): flagVals holds each node's flag as of the start of the
-	// current round, flagValid marks entries whose γ-ball is provably
-	// untouched since they were computed ("ball unchanged ⇒ flag unchanged",
-	// the PerNode locality contract), and flagDirty lists the invalid ones so
-	// the per-round repair pass touches only what a move disturbed — never
-	// O(n). flagsLive marks rounds the cache is serving; flagScratch and
-	// flagPool keep the repair evaluations allocation-free (serial and
-	// parallel respectively).
-	flagVals    []bool
-	flagValid   []bool
-	flagDirty   []int
-	flagsLive   bool
-	flagScratch boundary.Scratch
-	flagPool    []*boundary.Scratch
 
 	// statsEpoch mirrors wsn.Network.StatsEpoch: an out-of-band ResetStats
 	// zeroes counters the cache's recorded costs and the per-round message
@@ -232,21 +201,6 @@ type Engine struct {
 	cellSnap    []uint32
 	cellSnapGen uint64
 	cellSnapOK  bool
-
-	// Grid-accelerated invalidation state. rhoBound[c] upper-bounds the
-	// exactness radius ρ of the valid cache entries whose nodes currently
-	// sit in grid cell c, and rhoMax is the global maximum — together they
-	// let an inverse range query around a moved endpoint prune cells that
-	// cannot possibly hold an affected entry. boundGen records the index
-	// geometry (wsn.GridShape.Gen) the bounds were computed for; a full grid
-	// rebuild invalidates the cell numbering, so a mismatch forces a bound
-	// recomputation. seqBoundsLive tracks whether the bounds are being kept
-	// current within a Sequential sweep (see invalidateAround).
-	rhoBound      []float64
-	rhoMax        float64
-	boundGen      uint64
-	seqBoundsLive bool
-	counters      CacheCounters
 }
 
 // CacheCounters reports the work performed by the incremental cache's
@@ -310,14 +264,6 @@ func batchSizeBucket(n int) int {
 	return b
 }
 
-// CacheCounters returns the cumulative invalidation-work counters.
-func (e *Engine) CacheCounters() CacheCounters {
-	c := e.counters
-	c.CacheHits = e.hits.Load()
-	c.BatchNodes = e.batchNodes.Load()
-	return c
-}
-
 // invalidationCounters returns only the counters that measure invalidation
 // and index work — the subset that must stay flat across converged rounds
 // (cache hits, by contrast, accumulate precisely then; kernel and scheduler
@@ -333,31 +279,6 @@ func (c CacheCounters) invalidationCounters() CacheCounters {
 	return c
 }
 
-// nodeCache is one node's cached round outcome plus the exactness radius
-// that bounds which position changes can invalidate it. Localized entries
-// carry the recorded message cost of the search that produced the outcome
-// (re-charged on every reuse) and the boundary flag it was computed under;
-// spec marks an entry written by a speculation wave this round, whose cost
-// sits in the node's wsn escrow — committed when the serial loop consumes
-// the entry, voided if it dies first, so public counters never go backwards.
-type nodeCache struct {
-	valid    bool
-	spec     bool
-	boundary bool
-	rho      float64
-	cost     int64
-	out      nodeOutcome
-}
-
-// movedNode records one move for application and cache invalidation: the ID
-// drives the incremental position write, and both endpoints matter for
-// invalidation, because a node entering an exactness ball invalidates it by
-// its new position and a node leaving it by its old one.
-type movedNode struct {
-	id       int
-	old, new geom.Point
-}
-
 // ErrStop is the sentinel an Observer returns to stop a run early and
 // cleanly: Run finalizes the deployment and returns the partial Result with
 // a nil error. Any other observer error also stops the run but is returned
@@ -367,45 +288,21 @@ var ErrStop = errors.New("core: observer stopped the run")
 // New creates an Engine deploying the given initial node positions over reg.
 // Initial positions outside the region are clamped inside.
 func New(reg *region.Region, initial []geom.Point, cfg Config) (*Engine, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("core: nil region")
-	}
-	if err := cfg.validate(len(initial)); err != nil {
+	e := &Engine{}
+	if err := e.init(reg, len(initial), cfg); err != nil {
 		return nil, err
-	}
-	if cfg.RingCap == 0 {
-		cfg.RingCap = reg.BBox().Diagonal() + cfg.Gamma
 	}
 	pos := make([]geom.Point, len(initial))
 	for i, p := range initial {
 		pos[i] = reg.ClampInside(p)
 	}
-	gamma := cfg.Gamma
-	if gamma <= 0 {
-		// Centralized mode has no radio range; gamma only floors the spatial
-		// index's cell side. Keep the floor far below the deployment scale so
-		// the index's occupancy-adaptive rule (cell ≈ span/√n) decides — at
-		// 10k+ nodes a diagonal-scale floor would put hundreds of nodes in
-		// every cell. Query answers are independent of cell geometry, so this
-		// is purely an indexing choice.
-		gamma = reg.BBox().Diagonal() * 1e-3
-	}
-	det := cfg.Detector
-	if det == nil {
-		det = boundary.AngularGap{}
-	}
-	net := wsn.New(pos, gamma)
+	e.net = wsn.New(pos, e.indexGamma())
 	// The engine clamps every position into reg, so the region's bounding
 	// box bounds the deployment for its whole lifetime: seeding the spatial
 	// index with it means expansion-phase moves (a corner pile spreading
 	// out) never exit the grid bounds and never force a rebuild.
-	net.SetBoundsHint(reg.BBox())
-	return &Engine{
-		cfg:      cfg,
-		reg:      reg,
-		net:      net,
-		detector: det,
-	}, nil
+	e.net.SetBoundsHint(reg.BBox())
+	return e, nil
 }
 
 // Config returns the engine's configuration.
@@ -427,134 +324,24 @@ func (e *Engine) Converged() bool { return e.converged }
 // Trace returns the per-round statistics collected so far.
 func (e *Engine) Trace() []RoundStats { return e.trace }
 
-// nodeOutcome is one node's contribution to a round. Each outcome depends
-// only on the positions at the start of the round (Synchronous order), so
-// outcomes can be computed independently and in any order; the round's
-// statistics are reduced from them in node order afterwards.
-type nodeOutcome struct {
-	polys    []geom.Polygon
-	next     geom.Point
-	ri       float64 // circumradius of the dominating region
-	rhat     float64 // max vertex distance from the current position
-	moveDist float64
-	moved    bool
-	empty    bool // pathological empty region: node stands still
-}
-
-// finishMove applies the motion rule (step α toward the clamped Chebyshev
-// center, stand still within ε) to an outcome under construction.
-func (e *Engine) finishMove(ui, ci geom.Point, out *nodeOutcome) {
-	ci = e.reg.ClampInside(ci)
-	if d := ui.Dist(ci); d > e.cfg.Epsilon {
-		target := ui.Add(ci.Sub(ui).Scale(e.cfg.Alpha))
-		target = e.reg.ClampInside(target)
-		out.next = target
-		out.moved = true
-		out.moveDist = ui.Dist(target)
-	}
-}
-
-// stepNodeAny dispatches one node's round computation, consulting the
-// dirty-set cache first when it is enabled. Cache entries are written only
-// by the worker that owns node i this round, so the fan-out needs no
-// locking.
-//
-// A Localized hit re-charges the entry's recorded message cost — reusing the
-// outcome must cost exactly what re-running the search would have, or
-// Result.Messages stops being faithful to the protocol. The exception is an
-// entry speculated earlier this same round (spec): its search already ran
-// with its charges deferred into the node's escrow, so consuming it commits
-// the escrow — the instant the eager serial sweep would have charged. A
-// Localized hit also requires the boundary flag the entry was computed under
-// to still hold; under the incremental flag cache that comparison always
-// passes for a valid entry — the entry's ρ-ball covers the γ-ball (ρ ≥ γ),
-// so a valid entry implies an unchanged flag — while global detectors
-// compare against the freshly computed round array.
-func (e *Engine) stepNodeAny(i, round int, isBoundary []bool, s *Scratch, cacheOn bool) nodeOutcome {
-	if e.cfg.Mode == Localized {
-		if cacheOn {
-			if c := &e.cache[i]; c.valid && c.boundary == isBoundary[i] {
-				e.hits.Add(1)
-				if c.spec {
-					c.spec = false
-					e.counters.SpecUsed++
-					e.net.CommitEscrow(i)
-				} else if c.cost != 0 {
-					e.net.Charge(i, c.cost)
-				}
-				return c.out
-			}
-			return e.computeEntry(i, round, isBoundary, s, false)
-		}
-		b := isBoundary != nil && isBoundary[i]
-		out, _ := e.stepNodeLocalized(i, b, e.lossRNG(round, i), s)
-		return out
-	}
-	if cacheOn {
-		if c := &e.cache[i]; c.valid {
-			e.hits.Add(1)
-			if c.spec {
-				c.spec = false
-				e.counters.SpecUsed++
-			}
-			return c.out
-		}
-		return e.computeEntry(i, round, isBoundary, s, false)
-	}
-	out, _ := e.stepNodeCentralized(i, e.rhoHint[i], s)
-	return out
-}
-
-// computeEntry computes node i's outcome from the current positions and
-// installs it as a cache entry (speculative when spec is set — the colored
-// sweep's waves write through here from worker goroutines; entry i is only
-// ever written by the worker owning i, so no locking). Localized entries
-// measure the search's link-level cost: a serial computation diffs the
-// node's own message counter around the search — every charge of an
-// expanding-ring search is attributed to the searching node, so the diff is
-// exact even while other workers charge their own searches concurrently — a
-// speculative one instead runs the search inside the node's wsn escrow, so
-// the cost is measured without ever reaching the public counters: an
-// external Stats read mid-wave sees only committed work, exact and monotone.
-func (e *Engine) computeEntry(i, round int, isBoundary []bool, s *Scratch, spec bool) nodeOutcome {
-	if e.cfg.Mode == Localized {
-		b := isBoundary[i]
-		var out nodeOutcome
-		var inv float64
-		var cost int64
-		if spec {
-			e.net.BeginEscrow(i)
-			out, inv = e.stepNodeLocalized(i, b, e.lossRNG(round, i), s)
-			cost = e.net.EndEscrow(i)
-		} else {
-			before := e.net.NodeMessages(i)
-			out, inv = e.stepNodeLocalized(i, b, e.lossRNG(round, i), s)
-			cost = e.net.NodeMessages(i) - before
-		}
-		e.cache[i] = nodeCache{valid: true, spec: spec, boundary: b, rho: inv, cost: cost, out: out}
-		e.rhoHint[i] = inv
-		return out
-	}
-	out, rho := e.stepNodeCentralized(i, e.rhoHint[i], s)
-	e.cache[i] = nodeCache{valid: true, spec: spec, rho: rho, out: out}
-	e.rhoHint[i] = rho
-	return out
-}
-
-// cacheEnabled reports whether the dirty-set cache applies. Centralized mode
-// always caches; Localized mode caches only when message loss is off — loss
-// draws are per-round randomness, so an outcome computed last round is not
-// the outcome this round's search would produce even over identical
-// positions. Lossy Localized runs therefore take the eager path, which the
-// equivalence suites also force through the eager hook.
+// cacheEnabled reports whether the dirty-set cache applies this round: the
+// state allows it (see cacheable) and the eager test hook is off. Lossy
+// Localized runs therefore take the eager path, which the equivalence suites
+// also force through the hook.
 func (e *Engine) cacheEnabled() bool {
-	if e.eager {
-		return false
+	return !e.eager && e.cacheable()
+}
+
+// every returns the node list 0..n-1 the state operations run over.
+func (e *Engine) every() []int {
+	n := e.net.Len()
+	if len(e.all) < n {
+		e.all = make([]int, n)
+		for i := range e.all {
+			e.all[i] = i
+		}
 	}
-	if e.cfg.Mode == Localized {
-		return e.cfg.LossRate == 0
-	}
-	return true
+	return e.all[:n]
 }
 
 // ensureBuffers sizes the per-round buffers and the dirty-set cache for n
@@ -564,10 +351,9 @@ func (e *Engine) cacheEnabled() bool {
 func (e *Engine) ensureBuffers(n int) {
 	if cap(e.outs) < n {
 		e.outs = make([]nodeOutcome, n)
-		e.nextBuf = make([]geom.Point, n)
+		e.movedIDs, e.movedPts = make([]int, 0, n), make([]geom.Point, 0, 2*n)
 	}
 	e.outs = e.outs[:n]
-	e.nextBuf = e.nextBuf[:n]
 	if cap(e.lastRhat) < n {
 		e.lastRhat = make([]float64, n)
 	}
@@ -580,98 +366,6 @@ func (e *Engine) ensureBuffers(n int) {
 		// occupancy; a node-count change makes it meaningless.
 		e.cellSnapOK = false
 	}
-}
-
-// ensurePool sizes the per-worker scratch pool.
-func (e *Engine) ensurePool(workers int) {
-	for len(e.pool) < workers {
-		e.pool = append(e.pool, NewScratch())
-	}
-}
-
-// repairFlags brings the incremental boundary-flag cache up to date with the
-// current (start-of-round) positions and returns the full flag array. Only
-// nodes on the dirty list — those whose γ-ball a move endpoint, an external
-// write, or a flush touched — are re-evaluated, so a converged round repairs
-// nothing and a few-movers round repairs O(disturbed), never O(n). A large
-// dirty set (first round, topology change) fans the evaluations out across
-// the worker pool; each evaluation reads only start-of-round positions, so
-// the result is independent of worker count and evaluation order.
-func (e *Engine) repairFlags(pn boundary.PerNode, n int) []bool {
-	if len(e.flagVals) != n {
-		// Node count changed (or first use): the indices belong to another
-		// numbering, so every flag is re-evaluated.
-		e.flagVals = make([]bool, n)
-		e.flagValid = make([]bool, n)
-		e.flagDirty = e.flagDirty[:0]
-		for i := 0; i < n; i++ {
-			e.flagDirty = append(e.flagDirty, i)
-		}
-	}
-	dirty := e.flagDirty
-	if len(dirty) == 0 {
-		return e.flagVals
-	}
-	e.net.Rebuild()
-	scratched, scratchOK := pn.(boundary.PerNodeScratch)
-	if workers := parallel.Workers(e.cfg.Workers); scratchOK && workers > 1 && len(dirty) >= 256 {
-		for len(e.flagPool) < workers {
-			e.flagPool = append(e.flagPool, &boundary.Scratch{})
-		}
-		parallel.ForWorker(len(dirty), workers, func(w, idx int) {
-			i := dirty[idx]
-			e.flagVals[i] = scratched.BoundaryNodeScratch(e.net, i, e.flagPool[w])
-			e.flagValid[i] = true
-		})
-	} else {
-		for _, i := range dirty {
-			if scratchOK {
-				e.flagVals[i] = scratched.BoundaryNodeScratch(e.net, i, &e.flagScratch)
-			} else {
-				e.flagVals[i] = pn.BoundaryNode(e.net, i)
-			}
-			e.flagValid[i] = true
-		}
-	}
-	e.counters.FlagEvals += uint64(len(dirty))
-	e.flagDirty = e.flagDirty[:0]
-	return e.flagVals
-}
-
-// markFlagsNear invalidates every cached boundary flag whose γ-ball,
-// inflated by slack, contains p — the flag-cache analogue of invalidateNear,
-// run for both endpoints of every move (a neighbor entering the ball changes
-// the flag input by its new position, one leaving it by its old one; the
-// mover itself is always within distance zero of its own new endpoint). The
-// invalidation radius is exactly the PerNode locality contract's γ, so a
-// flag left valid provably has an unchanged input set.
-func (e *Engine) markFlagsNear(p geom.Point, slack float64) {
-	if len(e.flagVals) != e.net.Len() {
-		return // no live flag cache (or stale numbering; repair resets it)
-	}
-	r := e.net.Gamma() + slack
-	r2 := r * r
-	if 2*e.net.CellWindowSize(r) >= len(e.flagVals) {
-		// Degenerate geometry: the window covers the grid, scan densely.
-		for j := range e.flagVals {
-			if e.flagValid[j] && e.net.Position(j).Dist2(p) <= r2 {
-				e.flagValid[j] = false
-				e.flagDirty = append(e.flagDirty, j)
-			}
-		}
-		return
-	}
-	e.net.VisitCellsWithin(p, r, func(ci int) {
-		if e.net.CellDist2(ci, p) > r2 {
-			return
-		}
-		for _, j := range e.net.CellNodes(ci) {
-			if e.flagValid[j] && e.net.Position(int(j)).Dist2(p) <= r2 {
-				e.flagValid[j] = false
-				e.flagDirty = append(e.flagDirty, int(j))
-			}
-		}
-	})
 }
 
 // flushCache invalidates every cache entry (and every cached boundary flag)
@@ -689,147 +383,6 @@ func (e *Engine) flushCache() {
 		}
 	}
 	e.cacheVer = e.net.Version()
-}
-
-// dropEntry invalidates node j's cache entry. An unconsumed speculative
-// entry dying here means its search ran for nothing: its escrowed message
-// cost is voided — the public counters never saw it, so the round's visible
-// accounting is exactly what the eager serial sweep would have charged, at
-// every instant, with no refund ever needed.
-func (e *Engine) dropEntry(j int) {
-	c := &e.cache[j]
-	if c.spec {
-		c.spec = false
-		e.counters.SpecWasted++
-		e.net.VoidEscrow(j)
-	}
-	c.valid = false
-}
-
-// invalidateMoved drops every cache entry whose exactness ball contains
-// either endpoint of a recorded move: a node entering the ball changes the
-// site set by its new position, a node leaving it by its old one, and any
-// move inside it changes a site's coordinates. Entries outside stay valid —
-// the expanding search provably never read those positions, so recomputing
-// would reproduce the cached outcome bit for bit.
-//
-// Strategy: the balls live in the same space as the spatial index, so each
-// moved endpoint runs an inverse range query against the grid — visit only
-// cells within the largest exactness radius, prune those whose per-cell
-// ρ-bound cannot reach the endpoint, and distance-test the survivors. That
-// makes invalidation O(moved × local). When the balls are so large that the
-// query window would cover the whole grid anyway (early rounds, sparse
-// neighborhoods), the dense O(valid × moved) pair-scan is cheaper and is
-// used as the fallback; both strategies invalidate exactly the same set.
-func (e *Engine) invalidateMoved() {
-	if len(e.movedBuf) == 0 {
-		return
-	}
-	valid := 0
-	rhoMax := 0.0
-	for i := range e.cache {
-		if c := &e.cache[i]; c.valid {
-			valid++
-			if c.rho > rhoMax {
-				rhoMax = c.rho
-			}
-		}
-	}
-	if valid == 0 {
-		return
-	}
-	if 2*e.net.CellWindowSize(rhoMax) >= valid {
-		e.pairScanMoved()
-		return
-	}
-	e.rebuildRhoBounds()
-	e.counters.InverseScans++
-	for _, m := range e.movedBuf {
-		e.invalidateNear(m.old, 0)
-		e.invalidateNear(m.new, 0)
-	}
-}
-
-// pairScanMoved is the dense invalidation fallback: every valid entry is
-// tested against every recorded move.
-func (e *Engine) pairScanMoved() {
-	e.counters.PairScans++
-	for i := range e.cache {
-		c := &e.cache[i]
-		if !c.valid {
-			continue
-		}
-		e.counters.PairVisits++
-		ui := e.net.Position(i) // unchanged: moved nodes were invalidated already
-		r2 := c.rho * c.rho
-		for _, m := range e.movedBuf {
-			if ui.Dist2(m.old) <= r2 || ui.Dist2(m.new) <= r2 {
-				e.dropEntry(i)
-				break
-			}
-		}
-	}
-}
-
-// rebuildRhoBounds recomputes the per-cell ρ-bound array (and rhoMax) from
-// the valid cache entries, in O(n + cells), and stamps it with the index
-// generation it was computed against.
-func (e *Engine) rebuildRhoBounds() {
-	shape := e.net.GridShape()
-	ncells := shape.NX * shape.NY
-	if cap(e.rhoBound) < ncells {
-		e.rhoBound = make([]float64, ncells)
-	}
-	e.rhoBound = e.rhoBound[:ncells]
-	clear(e.rhoBound)
-	e.rhoMax = 0
-	for i := range e.cache {
-		c := &e.cache[i]
-		if !c.valid {
-			continue
-		}
-		ci := e.net.CellOfNode(i)
-		if c.rho > e.rhoBound[ci] {
-			e.rhoBound[ci] = c.rho
-		}
-		if c.rho > e.rhoMax {
-			e.rhoMax = c.rho
-		}
-	}
-	e.boundGen = shape.Gen
-	e.counters.BoundRebuilds++
-}
-
-// invalidateNear runs one inverse range query: drop every valid cache entry
-// whose exactness ball, inflated by slack, contains p. The cell-window walk
-// itself lives with the index (wsn.VisitCellsWithin); here each visited cell
-// is pruned with the per-cell ρ-bound (an upper bound, so pruning can only
-// skip cells that provably hold no affected entry) and surviving candidates
-// get the exact distance test, which with slack 0 — the moved-endpoint case —
-// matches the pair-scan predicate bit for bit. A positive slack turns the
-// point test into "ball touches a square of half-diagonal slack around p",
-// the conservative form localFlush needs for changed grid cells.
-func (e *Engine) invalidateNear(p geom.Point, slack float64) {
-	e.net.VisitCellsWithin(p, e.rhoMax+slack, func(ci int) {
-		b := e.rhoBound[ci]
-		if b == 0 {
-			return
-		}
-		if r := b + slack; e.net.CellDist2(ci, p) > r*r {
-			return
-		}
-		e.counters.CellVisits++
-		for _, j := range e.net.CellNodes(ci) {
-			c := &e.cache[j]
-			if !c.valid {
-				continue
-			}
-			e.counters.CandidateVisits++
-			if r := c.rho + slack; e.net.Position(int(j)).Dist2(p) <= r*r {
-				e.dropEntry(int(j))
-			}
-		}
-	})
 }
 
 // localFlush attempts to absorb out-of-band position writes locally: diff
@@ -880,11 +433,8 @@ func (e *Engine) syncCellSnapshot() {
 		e.cellSnapOK = true
 		return
 	}
-	for _, m := range e.movedBuf {
-		if ci := e.net.CellIndex(m.old); ci >= 0 {
-			e.cellSnap[ci] = e.net.CellVersionAt(ci)
-		}
-		if ci := e.net.CellIndex(m.new); ci >= 0 {
+	for _, p := range e.movedPts {
+		if ci := e.net.CellIndex(p); ci >= 0 {
 			e.cellSnap[ci] = e.net.CellVersionAt(ci)
 		}
 	}
@@ -907,7 +457,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 		MinCircumradius: math.Inf(1),
 	}
 	e.ensureBuffers(n)
-	cacheOn := e.cacheEnabled()
+	e.cacheOn = e.cacheEnabled()
 	if ep := e.net.StatsEpoch(); ep != e.statsEpoch {
 		// An out-of-band ResetStats zeroed the counters this engine's
 		// accounting state was measured against. Re-base the per-round
@@ -917,11 +467,11 @@ func (e *Engine) Step() (RoundStats, bool) {
 		// so the cached engine recomputes and re-measures too.
 		e.statsEpoch = ep
 		e.prevMsgs = e.net.MessageCount()
-		if cacheOn && e.cfg.Mode == Localized {
+		if e.cacheOn && e.cfg.Mode == Localized {
 			e.flushCache()
 		}
 	}
-	if cacheOn && e.cacheVer != e.net.Version() {
+	if e.cacheOn && e.cacheVer != e.net.Version() {
 		// Positions were written behind the engine's back (direct Network
 		// mutation, resume restore). When the per-cell version diff can
 		// localize the damage, only the entries whose exactness ball touches
@@ -932,10 +482,10 @@ func (e *Engine) Step() (RoundStats, bool) {
 		}
 	}
 	sequential := e.cfg.Order == Sequential
-	var isBoundary []bool
+	e.boundary = nil
 	e.flagsLive = false
 	if e.cfg.Mode == Localized {
-		if pn, ok := e.detector.(boundary.PerNode); ok && cacheOn {
+		if pn, ok := e.detector.(boundary.PerNode); ok && e.cacheOn {
 			// Per-node-local detector + cache: serve this round's flags from
 			// the incremental cache, re-evaluating only nodes whose γ-ball a
 			// move (or out-of-band write) touched since their flag was last
@@ -945,25 +495,24 @@ func (e *Engine) Step() (RoundStats, bool) {
 			// wholesale Boundary pass would produce: a Sequential sweep's
 			// mid-round recomputes read the same start-of-round flags in
 			// both engines, so trajectories and accounting stay bit-equal.
-			isBoundary = e.repairFlags(pn, n)
+			e.boundary = e.repairFlags(pn, n)
 			e.flagsLive = true
 		} else {
-			isBoundary = e.detector.Boundary(e.net)
+			e.boundary = e.detector.Boundary(e.net)
 		}
 	}
-	outs := e.outs
-	e.movedBuf = e.movedBuf[:0]
+	e.movedIDs, e.movedPts = e.movedIDs[:0], e.movedPts[:0]
 	if sequential {
 		workers := parallel.Workers(e.cfg.Workers)
 		e.ensurePool(workers)
 		// The per-cell ρ-bounds are rebuilt lazily by the first move of the
-		// sweep and then kept current entry-by-entry (see invalidateAround),
+		// sweep and then kept current entry-by-entry (see invalidate),
 		// so a converged sweep pays nothing for them.
-		e.seqBoundsLive = false
+		e.boundsLive = false
 		e.waveBaseComputed = e.counters.SpecComputed
 		e.waveBaseWasted = e.counters.SpecWasted
 		e.schedOn = false
-		if cacheOn && workers > 1 {
+		if e.cacheOn && workers > 1 {
 			// Level-scheduled colored sweep: lay the round's dirty set out
 			// as an interference DAG once, then fill upcoming entries in
 			// parallel waves as the scan passes each node's trigger. The
@@ -979,27 +528,11 @@ func (e *Engine) Step() (RoundStats, bool) {
 		}
 		for i := 0; i < n; i++ {
 			if e.schedOn {
-				e.speculateAt(i, round, isBoundary)
+				e.speculateAt(i, round)
 			}
-			outs[i] = e.stepNodeAny(i, round, isBoundary, e.pool[0], cacheOn)
-			if cacheOn && e.seqBoundsLive {
-				if c := &e.cache[i]; c.valid {
-					e.noteRhoBound(i, c.rho)
-				}
-			}
-			if ui := e.net.Position(i); outs[i].next != ui {
-				e.net.SetPosition(i, outs[i].next)
-				e.movedBuf = append(e.movedBuf, movedNode{id: i, old: ui, new: outs[i].next})
-				if cacheOn {
-					e.invalidateAround(i, ui, outs[i].next)
-				}
-				if e.flagsLive {
-					// Flags whose γ-ball either endpoint disturbs repair at
-					// the start of the next round; the values this sweep is
-					// reading stay frozen at start-of-round truth.
-					e.markFlagsNear(ui, 0)
-					e.markFlagsNear(outs[i].next, 0)
-				}
+			if old, moved, _ := e.turn(i, round); moved {
+				e.movedIDs = append(e.movedIDs, i)
+				e.movedPts = append(e.movedPts, old, e.outs[i].next)
 				e.cacheVer = e.net.Version()
 			}
 			if e.commitHook != nil {
@@ -1008,160 +541,33 @@ func (e *Engine) Step() (RoundStats, bool) {
 		}
 		e.wavePool.Close()
 	} else {
-		e.net.Rebuild() // build the spatial index once, before the fan-out
-		workers := parallel.Workers(e.cfg.Workers)
-		e.ensurePool(workers)
-		parallel.ForWorker(n, workers, func(w, i int) {
-			outs[i] = e.stepNodeAny(i, round, isBoundary, e.pool[w], cacheOn)
-		})
+		e.stepAll(e.every(), round)
 	}
 
-	var polysPerNode [][]geom.Polygon
+	e.regions = nil
 	if e.cfg.KeepRegions {
-		polysPerNode = make([][]geom.Polygon, n)
+		e.regions = make([][]geom.Polygon, n)
 	}
-	moved := 0
-	for i := range outs {
-		o := &outs[i]
-		if polysPerNode != nil {
-			polysPerNode[i] = o.polys
-		}
-		e.lastRhat[i] = o.rhat
-		if o.empty {
-			continue
-		}
-		if o.ri > stats.MaxCircumradius {
-			stats.MaxCircumradius = o.ri
-		}
-		if o.ri < stats.MinCircumradius {
-			stats.MinCircumradius = o.ri
-		}
-		if o.rhat > stats.MaxRhat {
-			stats.MaxRhat = o.rhat
-		}
-		if o.moved {
-			moved++
-			if o.moveDist > stats.MaxMove {
-				stats.MaxMove = o.moveDist
-			}
-			if !sequential {
-				if cacheOn {
-					e.cache[i].valid = false // own position is about to change
-				}
-				e.movedBuf = append(e.movedBuf, movedNode{id: i, old: e.net.Position(i), new: o.next})
-			}
-		}
-	}
+	e.foldStats(&stats, e.every())
 	if math.IsInf(stats.MinCircumradius, 1) {
 		stats.MinCircumradius = 0
 	}
-	if !sequential && len(e.movedBuf) > 0 {
-		if len(e.movedBuf)*4 >= n {
-			// Most of the network moved (the active phase): one bulk write
-			// plus a CSR counting-sort rebuild has better constants than
-			// that many incremental bucket edits.
-			next := e.nextBuf
-			for i := range outs {
-				next[i] = outs[i].next
-			}
-			e.net.SetPositions(next)
-		} else {
-			// Apply only what moved: each write is an incremental index
-			// update (two cell buckets), so the converged tail writes
-			// nothing and a few movers cost O(moved), never an O(n) grid
-			// rebuild. Both branches leave the index answering queries
-			// identically, so the split is invisible to trajectories.
-			for _, m := range e.movedBuf {
-				e.net.SetPosition(m.id, m.new)
-			}
+	if !sequential {
+		e.commitMoves(e.every())
+		if len(e.movedIDs) > 0 {
+			e.cacheVer = e.net.Version()
 		}
-		if cacheOn {
-			e.invalidateMoved()
-		}
-		if e.flagsLive {
-			for _, m := range e.movedBuf {
-				e.markFlagsNear(m.old, 0)
-				e.markFlagsNear(m.new, 0)
-			}
-		}
-		e.cacheVer = e.net.Version()
 	}
-	if cacheOn {
+	if e.cacheOn {
 		e.syncCellSnapshot()
 	}
-	e.regions = polysPerNode
 	e.round++
-	stats.Moved = moved
 	cur := e.net.MessageCount()
 	stats.Messages = cur - e.prevMsgs
 	e.prevMsgs = cur
 	e.trace = append(e.trace, stats)
-	e.converged = moved == 0
+	e.converged = stats.Moved == 0
 	return stats, e.converged
-}
-
-// invalidateAround is the Sequential-order form of invalidateMoved: applied
-// immediately after each position change, so nodes processed later in the
-// same round see a cache that reflects every earlier move — exactly
-// mirroring what the eager Gauss–Seidel sweep would recompute. The first
-// move of a sweep builds the per-cell ρ-bounds; entries recomputed later in
-// the same sweep feed them via noteRhoBound, so the bounds stay upper bounds
-// throughout and the inverse queries never miss an affected entry.
-func (e *Engine) invalidateAround(i int, old, new geom.Point) {
-	e.dropEntry(i)
-	boundsStale := !e.seqBoundsLive || e.boundGen != e.net.GridShape().Gen
-	rhoMax := e.rhoMax
-	if boundsStale {
-		// A cheap O(valid) scan decides the strategy; the per-cell bound
-		// array is only built if the inverse branch is actually taken.
-		rhoMax = 0
-		for j := range e.cache {
-			if c := &e.cache[j]; c.valid && c.rho > rhoMax {
-				rhoMax = c.rho
-			}
-		}
-	}
-	if 2*e.net.CellWindowSize(rhoMax) >= len(e.cache) {
-		// Degenerate balls: the dense scan is cheaper than a whole-grid walk.
-		e.counters.PairScans++
-		for j := range e.cache {
-			c := &e.cache[j]
-			if !c.valid {
-				continue
-			}
-			e.counters.PairVisits++
-			uj := e.net.Position(j)
-			r2 := c.rho * c.rho
-			if uj.Dist2(old) <= r2 || uj.Dist2(new) <= r2 {
-				e.dropEntry(j)
-			}
-		}
-		return
-	}
-	if boundsStale {
-		e.rebuildRhoBounds()
-		e.seqBoundsLive = true
-	}
-	e.counters.InverseScans++
-	e.invalidateNear(old, 0)
-	e.invalidateNear(new, 0)
-}
-
-// noteRhoBound folds one freshly written cache entry into the live per-cell
-// ρ-bounds during a Sequential sweep. A grid rebuild between moves renumbers
-// the cells, in which case the bounds are recomputed wholesale.
-func (e *Engine) noteRhoBound(i int, rho float64) {
-	if e.boundGen != e.net.GridShape().Gen {
-		e.rebuildRhoBounds()
-		return
-	}
-	ci := e.net.CellOfNode(i)
-	if rho > e.rhoBound[ci] {
-		e.rhoBound[ci] = rho
-	}
-	if rho > e.rhoMax {
-		e.rhoMax = rho
-	}
 }
 
 // SetObserver installs a per-round callback invoked by Run after every
@@ -1185,29 +591,41 @@ func (e *Engine) SetObserver(fn func(RoundStats) error) { e.observer = fn }
 // completed one (err == nil). A Snapshot taken after an interrupted Run
 // resumes the remaining rounds bit-identically (see Snapshot/Resume).
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
-	for e.round < e.cfg.MaxRounds {
-		// Checked at the top (not after Step) so an engine that is already
-		// converged — e.g. resumed from a checkpoint of a finished run —
-		// executes no further rounds, and so that an observer's topology
-		// change (AddNode/RemoveNode), which resets convergence, keeps the
-		// run going.
-		if e.converged {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return e.finalizePartial(err)
-		}
-		stats, _ := e.Step()
-		if e.observer != nil {
-			if oerr := e.observer(stats); oerr != nil {
-				if errors.Is(oerr, ErrStop) {
-					return e.Finalize()
-				}
-				return e.finalizePartial(oerr)
-			}
-		}
+	if err := Drive(ctx, e, e.cfg.MaxRounds, e.observer); err != nil {
+		return e.finalizePartial(err)
 	}
 	return e.Finalize()
+}
+
+// Drive steps r until it converges or completes maxRounds rounds, ctx is
+// done, or observer — called after every round — returns an error. It
+// returns what interrupted the run: ctx's error or the observer's, nil for a
+// completed run or an ErrStop. Both engines' Run loops are this one.
+//
+// Convergence is checked before each round (not after Step), so an engine
+// that is already converged — e.g. resumed from a checkpoint of a finished
+// run — executes no further rounds, and an observer's topology change
+// (AddNode/RemoveNode), which resets convergence, keeps the run going.
+func Drive(ctx context.Context, r interface {
+	Round() int
+	Converged() bool
+	Step() (RoundStats, bool)
+}, maxRounds int, observer func(RoundStats) error) error {
+	for r.Round() < maxRounds && !r.Converged() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		stats, _ := r.Step()
+		if observer == nil {
+			continue
+		}
+		if err := observer(stats); errors.Is(err, ErrStop) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finalizePartial packages the current progress as a Result and attaches
@@ -1222,49 +640,48 @@ func (e *Engine) finalizePartial(cause error) (*Result, error) {
 
 // Finalize assigns final sensing ranges (line 7 of Algorithm 1) and packages
 // the Result. It can be called at any point, converged or not. When the run
-// has converged, the dominating regions from the last round are reused (no
-// node moved, so they are exact for the final positions); otherwise they are
-// recomputed, which in Localized mode costs additional messages beyond the
-// per-round trace.
+// has converged, each node's last-round R̂ (or retained region) is reused —
+// no node moved, so it is exact for the final positions; otherwise the
+// regions are recomputed, which in Localized mode costs additional messages
+// beyond the per-round trace.
 func (e *Engine) Finalize() (*Result, error) {
 	n := e.net.Len()
 	radii := make([]float64, n)
-	polysPerNode := e.regions
-	if e.converged && polysPerNode == nil && !e.cfg.KeepRegions && len(e.lastRhat) == n {
-		// Converged without region retention: each node's last-round R̂ is
-		// bitwise the max vertex distance Finalize would measure — same
-		// vertices, same position (nothing moved since), same fold.
-		copy(radii, e.lastRhat)
-	} else {
-		if !e.converged || polysPerNode == nil {
-			before := e.net.MessageCount()
-			polysPerNode = e.computeRegions()
-			e.finalMsgs += e.net.MessageCount() - before
-		}
-		for i := 0; i < n; i++ {
-			radii[i] = voronoi.MaxDistFrom(e.net.Position(i), polysPerNode[i])
-		}
+	var regions [][]geom.Polygon
+	if e.cfg.KeepRegions {
+		regions = make([][]geom.Polygon, n)
 	}
-	res := &Result{
+	// A round stepped by this engine at the current positions left R̂ for
+	// every node (and the regions, when kept); a resumed engine has neither.
+	reuse := e.converged && len(e.lastRhat) == n && (e.regions != nil) == e.cfg.KeepRegions
+	if !reuse && e.cfg.Mode == Localized {
+		e.boundary = e.detector.Boundary(e.net)
+	}
+	before := e.net.MessageCount()
+	e.finalRadii(e.every(), reuse, FinalRoundTag(e.round), radii, regions)
+	e.finalMsgs += e.net.MessageCount() - before
+	return &Result{
 		Positions: e.net.Positions(),
 		Radii:     radii,
 		Rounds:    e.round,
 		Converged: e.converged,
 		Trace:     append([]RoundStats(nil), e.trace...),
 		Messages:  e.msgBase + e.net.MessageCount(),
-	}
-	if e.cfg.KeepRegions {
-		res.Regions = polysPerNode
-	}
-	return res, nil
+		Regions:   regions,
+	}, nil
 }
 
 // DebugRegions computes and returns every node's dominating region at the
 // current positions without advancing the round counter. In Localized mode
 // this performs (and charges) real expanding-ring searches. Intended for
-// inspection, rendering and cross-validation.
+// inspection, rendering and cross-validation (see finalRadii).
 func (e *Engine) DebugRegions() [][]geom.Polygon {
-	return e.computeRegions()
+	out := make([][]geom.Polygon, e.net.Len())
+	if e.cfg.Mode == Localized {
+		e.boundary = e.detector.Boundary(e.net)
+	}
+	e.finalRadii(e.every(), false, FinalRoundTag(e.round), nil, out)
+	return out
 }
 
 // RemoveNode deletes node i from the deployment (failure injection). The
@@ -1296,31 +713,4 @@ func (e *Engine) AddNode(p geom.Point) {
 	// changed; ensureBuffers discards the old cache on the size mismatch,
 	// dropping it here just makes that explicit.
 	e.cache = nil
-}
-
-// computeRegions returns every node's dominating region at the current
-// positions, fanning the per-node computations across Config.Workers. In
-// Localized mode the searches run (and charge) under a negative round tag —
-// a domain separate from every Step round, so an inspection fan-out
-// (DebugRegions, Finalize) never replays the loss draws the next Step is
-// about to make.
-func (e *Engine) computeRegions() [][]geom.Polygon {
-	n := e.net.Len()
-	out := make([][]geom.Polygon, n)
-	var isBoundary []bool
-	if e.cfg.Mode == Localized {
-		isBoundary = e.detector.Boundary(e.net)
-	}
-	e.net.Rebuild()
-	round := FinalRoundTag(e.round)
-	workers := parallel.Workers(e.cfg.Workers)
-	e.ensurePool(workers)
-	parallel.ForWorker(n, workers, func(w, i int) {
-		if isBoundary == nil {
-			out[i], _ = e.regionOf(i, 0, false, nil, e.pool[w])
-			return
-		}
-		out[i], _ = e.regionOf(i, 0, isBoundary[i], e.lossRNG(round, i), e.pool[w])
-	})
-	return out
 }

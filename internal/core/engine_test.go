@@ -204,8 +204,8 @@ func TestLocalizedMatchesCentralizedForInteriorNodes(t *testing.T) {
 		return eng
 	}
 	cEng, lEng := mk(Centralized), mk(Localized)
-	cRegions := cEng.computeRegions()
-	lRegions := lEng.computeRegions()
+	cRegions := cEng.DebugRegions()
+	lRegions := lEng.DebugRegions()
 	isBoundary := (boundary.Hull{Tol: 0.18}).Boundary(cEng.Network())
 	checked := 0
 	for i := range cRegions {

@@ -8,16 +8,6 @@ import (
 	"laacad/internal/wsn"
 )
 
-// lossRNG returns node i's private message-loss stream for the given round,
-// or nil when loss sampling is off — the search consumes no randomness then,
-// so skipping the generator allocation is invisible to trajectories.
-func (e *Engine) lossRNG(round, i int) *rand.Rand {
-	if e.cfg.LossRate <= 0 {
-		return nil
-	}
-	return nodeRNG(e.cfg.Seed, round, i)
-}
-
 // localizedSearch runs the expanding-ring phase of Algorithm 2 for node i —
 // every message the node sends is charged here — and returns the gathered
 // neighbor IDs, the final ring radius ρ, whether the region must be closed
@@ -30,31 +20,31 @@ func (e *Engine) lossRNG(round, i int) *rand.Rand {
 // ⌈ρ/γ⌉ hops, whose reachable set can depend on relays up to ⌈ρ/γ⌉·γ out.
 // The scalar test oracle shares it, so the two assemblies are
 // message-identical by construction.
-func (e *Engine) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]int, float64, bool, float64) {
-	gamma := e.cfg.Gamma
+func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]int, float64, bool, float64) {
+	gamma := ns.cfg.Gamma
 	rho := 0.0
 	var nbrIDs []int
 	clipToRing := isBoundary
 	query := func(radius float64) []int {
-		if e.cfg.LossRate > 0 {
-			return e.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
-				LossRate: e.cfg.LossRate,
-				Retries:  e.cfg.LossRetries,
-				Mode:     e.cfg.RingMode,
+		if ns.cfg.LossRate > 0 {
+			return ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
+				LossRate: ns.cfg.LossRate,
+				Retries:  ns.cfg.LossRetries,
+				Mode:     ns.cfg.RingMode,
 			}, rng)
 		}
-		return e.net.RingQuery(i, radius, e.cfg.RingMode)
+		return ns.net.RingQuery(i, radius, ns.cfg.RingMode)
 	}
 	for {
 		rho += gamma
-		if rho >= e.cfg.RingCap {
-			rho = e.cfg.RingCap
+		if rho >= ns.cfg.RingCap {
+			rho = ns.cfg.RingCap
 			nbrIDs = query(rho)
 			clipToRing = true
 			break
 		}
 		nbrIDs = query(rho)
-		dominated, sampled := e.circleDominated(i, nbrIDs, rho/2, isBoundary, s)
+		dominated, sampled := ns.circleDominated(i, nbrIDs, rho/2, isBoundary, s)
 		if dominated {
 			if sampled == 0 {
 				// The whole check circle fell outside the region (or the
@@ -66,7 +56,7 @@ func (e *Engine) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scra
 		}
 	}
 	invRad := rho
-	if e.cfg.RingMode == wsn.RingHopLimited {
+	if ns.cfg.RingMode == wsn.RingHopLimited {
 		invRad = math.Ceil(rho/gamma) * gamma
 	}
 	if invRad < gamma {
@@ -85,24 +75,24 @@ func (e *Engine) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scra
 // for boundary nodes, samples outside the network's covered area are skipped
 // as well. The second return value is the number of samples actually
 // checked.
-func (e *Engine) circleDominated(i int, nbrIDs []int, r float64, isBoundary bool, s *Scratch) (bool, int) {
-	ui := e.net.Position(i)
-	k := e.cfg.K
+func (ns *nodeState) circleDominated(i int, nbrIDs []int, r float64, isBoundary bool, s *Scratch) (bool, int) {
+	ui := ns.net.Position(i)
+	k := ns.cfg.K
 	sampled := 0
 	// A small phase offset keeps samples off axis-aligned region boundaries.
-	s.ring = geom.AppendCirclePoints(s.ring[:0], geom.Circle{Center: ui, R: r}, e.cfg.ArcSamples, 1e-3)
+	s.ring = geom.AppendCirclePoints(s.ring[:0], geom.Circle{Center: ui, R: r}, ns.cfg.ArcSamples, 1e-3)
 	for _, v := range s.ring {
-		if !e.reg.Contains(v) {
+		if !ns.reg.Contains(v) {
 			continue
 		}
-		if isBoundary && !e.covered(v, i, nbrIDs) {
+		if isBoundary && !ns.covered(v, i, nbrIDs) {
 			continue
 		}
 		sampled++
 		closer := 0
 		d2 := ui.Dist2(v)
 		for _, j := range nbrIDs {
-			if e.net.Position(j).Dist2(v) < d2 {
+			if ns.net.Position(j).Dist2(v) < d2 {
 				closer++
 				if closer >= k {
 					break
@@ -120,13 +110,13 @@ func (e *Engine) circleDominated(i int, nbrIDs []int, r float64, isBoundary bool
 // area as known to node i: within γ of the node itself or of any gathered
 // neighbor. This approximates the coverage boundary (the green curve in the
 // paper's Fig. 3) from purely local information.
-func (e *Engine) covered(v geom.Point, i int, nbrIDs []int) bool {
-	g2 := e.cfg.Gamma * e.cfg.Gamma
-	if e.net.Position(i).Dist2(v) <= g2 {
+func (ns *nodeState) covered(v geom.Point, i int, nbrIDs []int) bool {
+	g2 := ns.cfg.Gamma * ns.cfg.Gamma
+	if ns.net.Position(i).Dist2(v) <= g2 {
 		return true
 	}
 	for _, j := range nbrIDs {
-		if e.net.Position(j).Dist2(v) <= g2 {
+		if ns.net.Position(j).Dist2(v) <= g2 {
 			return true
 		}
 	}

@@ -45,7 +45,7 @@ func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s 
 
 // localizedRegionOf is localizedRegionRefs on the scalar pipeline. The
 // expanding-ring search (and its message accounting) is the production one.
-func (e *Engine) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch) []geom.Polygon {
+func (e *nodeState) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch) []geom.Polygon {
 	ui := e.net.Position(i)
 	nbrIDs, rho, clipToRing, _ := e.localizedSearch(i, isBoundary, rng, s)
 	sites := make([]voronoi.Site, 0, len(nbrIDs))
@@ -83,7 +83,7 @@ type stepRecord struct {
 // scalarStep runs node i's step on the scalar reference pipeline from the
 // fallback start, with loss sampling off, measuring the Localized search's
 // message cost on the attached network.
-func scalarStep(e *Engine, i int, isBoundary bool, s *Scratch) stepRecord {
+func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
 	ui := e.net.Position(i)
 	before := e.net.NodeMessages(i)
 	var polys []geom.Polygon
@@ -112,7 +112,7 @@ func scalarStep(e *Engine, i int, isBoundary bool, s *Scratch) stepRecord {
 // (Stepper.StepNode, warm-started at hint) and records the same quantities.
 // The stepper must run with KeepRegions so the region comes back.
 func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) stepRecord {
-	net := st.eng.net
+	net := st.net
 	before := net.NodeMessages(i)
 	out := st.StepNode(i, hint, isBoundary, nil, s)
 	rec := stepRecord{

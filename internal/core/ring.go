@@ -35,7 +35,7 @@ func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, m
 	if ringCap == 0 {
 		ringCap = reg.BBox().Diagonal() + net.Gamma()
 	}
-	e := &Engine{
+	e := &nodeState{
 		cfg: Config{
 			K:          k,
 			Gamma:      net.Gamma(),

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/snapshot"
 	"laacad/internal/wsn"
@@ -25,17 +26,22 @@ import (
 // checkpoint. Call it only between Steps (e.g. from an Observer or after Run
 // returns); calling it concurrently with a Step would observe a torn round.
 func (e *Engine) Snapshot() (*snapshot.State, error) {
-	st := snapshot.NewState(snapshot.KindEngine, e.net.Positions())
-	st.Round = e.round
-	st.Converged = e.converged
 	// Exclude finalMsgs: a checkpoint is round-boundary state, and the
 	// resumed run performs its own final radius collection. Keeping the
 	// interrupted run's partial-result assembly in the count would make the
 	// resumed total exceed an uninterrupted run's by one extra collection.
-	st.Messages = e.msgBase + e.net.MessageCount() - e.finalMsgs
-	st.Trace = TraceToState(e.trace)
-	st.Config = ConfigToState(e.cfg)
-	return st, nil
+	msgs := e.msgBase + e.net.MessageCount() - e.finalMsgs
+	return Checkpoint(e.net.Positions(), e.cfg, e.round, e.converged, e.trace, msgs), nil
+}
+
+// Checkpoint builds the engine checkpoint at a round boundary — the one
+// encoding both engines write (and Resume reads): positions, completed
+// rounds, convergence, trace, message count and configuration.
+func Checkpoint(pos []geom.Point, cfg Config, round int, converged bool, trace []RoundStats, msgs int64) *snapshot.State {
+	st := snapshot.NewState(snapshot.KindEngine, pos)
+	st.Round, st.Converged, st.Messages = round, converged, msgs
+	st.Trace, st.Config = TraceToState(trace), ConfigToState(cfg)
+	return st
 }
 
 // Resume reconstructs an engine from a checkpoint over reg. The region must

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 
 	"laacad/internal/boundary"
 	"laacad/internal/geom"
@@ -10,66 +10,50 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Stepper is the shard-steppable extraction of the round engine: the per-node
-// computation of Engine.Step — dominating region, Chebyshev center, motion
-// rule, Localized message accounting — exposed over a caller-owned
-// wsn.Network, with the round number, the node's global identity and the
-// warm-start hint made explicit instead of read from engine state.
-//
-// The sharded engine (internal/shard) gives each shard a Stepper over a local
-// network holding only the shard's window of the deployment. Because every
-// arithmetic step routes through exactly the code the shared-memory engine
-// runs — same kernels, same search loops, same accounting — a locally
-// computed outcome whose read ball lies inside the window is bitwise the
-// outcome the global engine would have produced (see StepOutcome.ReadRad for
-// the trust radius).
+// Stepper is the per-node round state Engine runs on — cache, flag repair,
+// stats fold and finalize — over a caller-owned wsn.Network. The sharded
+// engine gives each shard one over its window network: Renumber carries the
+// state across a membership change, and the check installed with SetAdmit
+// rejects outcomes whose read ball left the window. Every step routes
+// through the code the shared-memory engine runs, so an admitted outcome is
+// bitwise the global one. StepNode and RegionPolys are stateless entry
+// points for one node (the asynchronous simulator and kernel replays).
 type Stepper struct {
-	eng *Engine
+	nodeState
 }
 
 // NewStepper validates cfg against the global node count n — applying exactly
-// the defaults Engine's constructor would (RingCap, detector, loss retries,
+// the defaults Engine's constructor does (RingCap, detector, loss retries,
 // arc samples) — and returns a stepper with no network attached yet. The
 // normalized configuration is readable via Config.
 func NewStepper(reg *region.Region, n int, cfg Config) (*Stepper, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("core: nil region")
-	}
-	if err := cfg.validate(n); err != nil {
+	st := &Stepper{}
+	if err := st.init(reg, n, cfg); err != nil {
 		return nil, err
 	}
-	if cfg.RingCap == 0 {
-		cfg.RingCap = reg.BBox().Diagonal() + cfg.Gamma
-	}
-	det := cfg.Detector
-	if det == nil {
-		det = boundary.AngularGap{}
-	}
-	return &Stepper{eng: &Engine{cfg: cfg, reg: reg, detector: det}}, nil
+	st.cacheOn = st.cacheable()
+	_, perNode := st.detector.(boundary.PerNode)
+	st.flagsLive = cfg.Mode == Localized && perNode
+	return st, nil
 }
 
 // Config returns the normalized configuration (defaults applied).
-func (st *Stepper) Config() Config { return st.eng.cfg }
+func (st *Stepper) Config() Config { return st.cfg }
 
 // Detector returns the boundary detector (the configured one, or the default
 // angular-gap detector).
-func (st *Stepper) Detector() boundary.Detector { return st.eng.detector }
+func (st *Stepper) Detector() boundary.Detector { return st.detector }
 
-// IndexGamma returns the cell-sizing gamma a local network must be
-// constructed with so its spatial index and radio range match the
-// shared-memory engine's (Localized queries and boundary detection read
-// net.Gamma(), so this is a correctness requirement, not a tuning choice).
-func (st *Stepper) IndexGamma() float64 {
-	if g := st.eng.cfg.Gamma; g > 0 {
-		return g
-	}
-	return st.eng.reg.BBox().Diagonal() * 1e-3
-}
+// IndexGamma returns the cell-sizing gamma a network must be constructed
+// with so its spatial index and radio range match the shared-memory
+// engine's (Localized queries and boundary detection read net.Gamma(), so
+// this is a correctness requirement, not a tuning choice).
+func (st *Stepper) IndexGamma() float64 { return st.indexGamma() }
 
-// SetNetwork attaches the network the next computations read (and, in
-// Localized mode, charge). The caller owns it; the stepper never mutates
-// positions.
-func (st *Stepper) SetNetwork(net *wsn.Network) { st.eng.net = net }
+// SetNetwork attaches the network the stateless entry points read (and, in
+// Localized mode, charge). The caller owns it; StepNode and RegionPolys
+// never mutate positions.
+func (st *Stepper) SetNetwork(net *wsn.Network) { st.net = net }
 
 // FinalRoundTag returns the negative round tag Finalize and DebugRegions use
 // for their out-of-round region recomputation after the given number of
@@ -77,8 +61,7 @@ func (st *Stepper) SetNetwork(net *wsn.Network) { st.eng.net = net }
 // inspection fan-out never replays the loss draws the next Step would make.
 func FinalRoundTag(rounds int) int { return -(rounds + 1) }
 
-// StepOutcome is one node's round computation with the locality facts a
-// sharded caller needs to decide whether to trust it.
+// StepOutcome is one node's round computation.
 type StepOutcome struct {
 	// Next is the node's position after the motion rule (unchanged when the
 	// node stands still).
@@ -96,65 +79,36 @@ type StepOutcome struct {
 	// Polys holds the compacted dominating region when Config.KeepRegions is
 	// set (nil otherwise).
 	Polys []geom.Polygon
-	// ReadRad is the radius of the ball around the node's position the
-	// computation actually read positions from: for Centralized, the
-	// expanding search's final pre-tightening radius; for Localized, the
-	// search's invalidation radius (hop-limited rings inflated to whole
-	// hops, floored at γ). If every position within ReadRad of the node is
-	// globally current in the attached network, the outcome is bitwise what
-	// the shared-memory engine computes — with one Centralized caveat: the
-	// expanding search may also exit by exhausting the local network
-	// ("len == n−1"), which reads the local node count, so a Centralized
-	// outcome is only trusted when additionally 2·Rhat ≤ ReadRad (the
-	// exactness exit, which depends on geometry alone) or the window spans
-	// the whole deployment.
-	ReadRad float64
 	// InvRad is the cache-invalidation radius: the outcome stays valid until
 	// some position within InvRad of the node changes. It doubles as the
-	// next search's warm-start hint. (Centralized tightens it below ReadRad;
-	// Localized reports ReadRad itself.)
+	// next search's warm-start hint.
 	InvRad float64
 }
 
 // StepNode computes node i's round outcome on the attached network. hint
 // warm-starts the Centralized expanding search (pass the node's last InvRad,
 // or 0). isBoundary and rng apply in Localized mode only: the boundary flag
-// as start-of-round truth, and the node's private loss stream (LossRNG over
-// the global ID). Localized searches charge the attached network's counters
-// for node i — callers measure a computation's cost by diffing NodeMessages
-// around the call.
+// as start-of-round truth, and the node's private loss stream. Localized
+// searches charge the attached network's counters for node i — callers
+// measure a computation's cost by diffing NodeMessages around the call.
 func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) StepOutcome {
-	e := st.eng
-	if e.cfg.Mode == Localized {
-		out, inv := e.stepNodeLocalized(i, isBoundary, rng, s)
-		return exportOutcome(out, inv, inv)
+	if st.cfg.Mode == Localized {
+		out, inv := st.stepNodeLocalized(i, isBoundary, rng, s)
+		return exportOutcome(out, inv)
 	}
-	out, rho := e.stepNodeCentralized(i, hint, s)
-	return exportOutcome(out, s.searchRho, rho)
+	return exportOutcome(st.stepNodeCentralized(i, hint, s))
 }
 
-// RegionPolys computes node i's dominating region at the current local
-// positions — the Finalize/DebugRegions recompute path — returning compacted
-// polygons plus the same ReadRad trust radius StepNode reports (the caller
-// derives R̂ with voronoi.MaxDistFrom). rng must be the node's stream for
-// the negative FinalRoundTag round.
+// RegionPolys computes node i's dominating region at the current positions —
+// the Finalize/DebugRegions recompute path — returning compacted polygons
+// plus the radius of the ball the computation read positions from. rng must
+// be the node's stream for the negative FinalRoundTag round.
 func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	return st.eng.regionOf(i, hint, isBoundary, rng, s)
+	return st.regionOf(i, hint, isBoundary, rng, s)
 }
-
-// CacheEnabled reports whether outcomes may be cached across rounds: always
-// in Centralized mode, and in Localized mode only without message loss
-// (loss draws are per-round randomness, so a lossy outcome is never
-// reusable).
-func (st *Stepper) CacheEnabled() bool { return st.eng.cacheEnabled() }
-
-// LossRNG returns the node's private message-loss stream for the given round —
-// keyed by the global node ID, so local numbering never leaks into
-// randomness — or nil when loss sampling is off.
-func (st *Stepper) LossRNG(round, node int) *rand.Rand { return st.eng.lossRNG(round, node) }
 
 // exportOutcome converts the internal outcome to the exported mirror.
-func exportOutcome(out nodeOutcome, readRad, invRad float64) StepOutcome {
+func exportOutcome(out nodeOutcome, invRad float64) StepOutcome {
 	return StepOutcome{
 		Next:     out.next,
 		Ri:       out.ri,
@@ -163,7 +117,128 @@ func exportOutcome(out nodeOutcome, readRad, invRad float64) StepOutcome {
 		Moved:    out.moved,
 		Empty:    out.empty,
 		Polys:    out.polys,
-		ReadRad:  readRad,
 		InvRad:   invRad,
 	}
+}
+
+// SetAdmit installs the admission check: fn(i, readRad, rhat) reports
+// whether node i's outcome — read from positions within readRad, with R̂
+// rhat — is exact. A rejected outcome is neither charged nor cached.
+func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.admit = fn }
+
+// Renumber attaches net — a rebuilt network over a new numbering of the
+// nodes — and carries every node's state across: from[i] is the previous
+// index of the node now at index i, or -1 for a node whose state starts
+// fresh, and ids maps the new indices to node IDs (the loss streams are
+// keyed by ID). Nothing is left pending
+// flag repair (the caller names the flags it needs repaired), and the
+// per-cell bounds are stale. The previous arrays become the spare half of
+// the double buffer, so a steady stream of renumberings allocates nothing.
+func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
+	cur, nxt := &st.nodeArrays, &st.spare
+	nxt.outs = permute(nxt.outs, cur.outs, from)
+	nxt.cache = permute(nxt.cache, cur.cache, from)
+	nxt.rhoHint = permute(nxt.rhoHint, cur.rhoHint, from)
+	nxt.lastRhat = permute(nxt.lastRhat, cur.lastRhat, from)
+	nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
+	nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
+	if st.cfg.KeepRegions {
+		nxt.regions = permute(nxt.regions, cur.regions, from)
+	}
+	st.nodeArrays, st.spare = st.spare, st.nodeArrays
+	st.net, st.ids, st.boundary = net, ids, st.flagVals
+	st.flagDirty = st.flagDirty[:0]
+	st.boundsLive = false
+}
+
+// permute fills dst (reusing its storage) with src rearranged by from; -1
+// entries get the zero value.
+func permute[T any](dst, src []T, from []int32) []T {
+	dst = slices.Grow(dst[:0], len(from))[:len(from)]
+	var zero T
+	for i, o := range from {
+		if o >= 0 {
+			dst[i] = src[o]
+		} else {
+			dst[i] = zero
+		}
+	}
+	return dst
+}
+
+// Hint returns node i's warm-start hint.
+func (st *Stepper) Hint(i int) float64 { return st.rhoHint[i] }
+
+// Reset starts node i afresh — no cache entry, its boundary flag due for
+// repair — with the given warm-start hint: all a node changing stepper
+// carries along.
+func (st *Stepper) Reset(i int, hint float64) {
+	st.dropEntry(i)
+	st.flagValid[i] = false
+	st.rhoHint[i] = hint
+}
+
+// RepairFlags brings the boundary flags of ids up to date at the current
+// positions, re-evaluating only those a position change disturbed since
+// their last evaluation (Localized mode with a per-node detector).
+func (st *Stepper) RepairFlags(ids []int) {
+	pn, ok := st.detector.(boundary.PerNode)
+	if !ok || !st.flagsLive {
+		return
+	}
+	st.flagDirty = st.flagDirty[:0]
+	for _, i := range ids {
+		if !st.flagValid[i] {
+			st.flagDirty = append(st.flagDirty, i)
+		}
+	}
+	st.repairFlags(pn, st.net.Len())
+}
+
+// StepAll steps every node of ids at once (Synchronous order).
+func (st *Stepper) StepAll(ids []int, round int) { st.stepAll(ids, round) }
+
+// Turn runs node i's Sequential turn, returning its position before and
+// after; ok is false when the outcome was not admitted.
+func (st *Stepper) Turn(i, round int) (old, next geom.Point, ok bool) {
+	old, _, ok = st.turn(i, round)
+	return old, st.net.Position(i), ok
+}
+
+// Commit applies the moves of ids not yet applied (Synchronous order), folds
+// their round outcomes into s (see RoundStats.Merge), and returns the moved
+// nodes with their (old, new) endpoint pairs, valid until the next commit.
+func (st *Stepper) Commit(ids []int, s *RoundStats) ([]int, []geom.Point) {
+	st.foldStats(s, ids)
+	st.commitMoves(ids)
+	return st.movedIDs, st.movedPts
+}
+
+// Invalidate applies position-change endpoints the stepper did not make.
+func (st *Stepper) Invalidate(pts []geom.Point) {
+	st.invalidate(pts, st.cfg.Order == Sequential)
+}
+
+// DropUnless drops the cache entry of every node of ids for which keep,
+// given the entry's invalidation radius, reports false.
+func (st *Stepper) DropUnless(ids []int, keep func(i int, rho float64) bool) {
+	for _, i := range ids {
+		if c := &st.cache[i]; c.valid && !keep(i, c.rho) {
+			st.dropEntry(i)
+		}
+	}
+}
+
+// FinalRadii collects the final radius (and kept region) of every node of
+// ids for reading with Final, and reports whether all were admitted.
+func (st *Stepper) FinalRadii(ids []int, reuse bool, tag int) bool {
+	return st.finalRadii(ids, reuse, tag, st.lastRhat, st.regions)
+}
+
+// Final returns node i's last collected radius and region.
+func (st *Stepper) Final(i int) (float64, []geom.Polygon) {
+	if st.regions == nil {
+		return st.lastRhat[i], nil
+	}
+	return st.lastRhat[i], st.regions[i]
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -32,10 +31,10 @@ type Engine struct {
 	reg  *region.Region
 	bbox geom.BBox
 	part Partition
-	// assign tracks node→shard ownership; re-derived from the position
-	// mirror at each round's migration point (the same pure function the
-	// shards apply, so orchestrator and shards never disagree).
-	assign *Assignment
+	// owner maps node→shard, re-derived from the position mirror at each
+	// round's migration point (the same pure function of x the shards
+	// apply, so orchestrator and shards never disagree).
+	owner []int
 	// fallbackRad is the expanding search's density guess — the first-round
 	// halo width prediction before any node has a read-radius history.
 	fallbackRad float64
@@ -82,13 +81,13 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		}
 	}
 	n := len(initial)
+	part := NewPartition(reg, shards)
 	pos := make([]geom.Point, n)
-	xs := make([]float64, n)
+	owner := make([]int, n)
 	for i, p := range initial {
 		pos[i] = reg.ClampInside(p)
-		xs[i] = pos[i].X
+		owner[i] = part.Shard(pos[i].X)
 	}
-	part := NewPartition(reg, shards)
 	S := part.Shards()
 	diag := reg.BBox().Diagonal()
 	e := &Engine{
@@ -96,7 +95,7 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		reg:         reg,
 		bbox:        reg.BBox(),
 		part:        part,
-		assign:      NewAssignment(part, xs),
+		owner:       owner,
 		fallbackRad: diag / math.Sqrt(float64(n)) * math.Sqrt(float64(4*cfg.K+4)),
 		pos:         pos,
 		windows:     make([]xband, S),
@@ -105,10 +104,6 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		replies:     make(chan reply, S),
 		inbox:       make([]chan dataMsg, S),
 	}
-	owners := make([]int, n)
-	for g := 0; g < n; g++ {
-		owners[g] = e.assign.Owner(g)
-	}
 	for s := 0; s < S; s++ {
 		e.cmds[s] = make(chan cmd, 1)
 		e.inbox[s] = make(chan dataMsg, n+4*S+64)
@@ -116,9 +111,7 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		if err != nil {
 			return nil, err
 		}
-		w := newWorker(s, e, st, n)
-		w.seed(pos, owners)
-		e.workers = append(e.workers, w)
+		e.workers = append(e.workers, newWorker(s, e, st, pos, owner))
 	}
 	return e, nil
 }
@@ -175,9 +168,10 @@ func (e *Engine) start() {
 	})
 }
 
-// shutdown closes the command channels, releasing the shard goroutines.
-// Terminal: the engine can only serve mirror reads afterwards.
-func (e *Engine) shutdown() {
+// Close releases the shard goroutines. Only needed by callers that drive
+// rounds through Step directly; Run shuts down on its own. Terminal: the
+// engine can only serve mirror reads afterwards.
+func (e *Engine) Close() {
 	if !e.started {
 		return
 	}
@@ -256,13 +250,9 @@ func (e *Engine) extendWindows(deficits []reply) {
 	newWins := make([]xband, S)
 	for _, r := range deficits {
 		s := r.shard
+		// A request the window already covers (an earlier cycle granted an
+		// overlapping deficit) still gets a merge-delta to clear its retry.
 		newWin := e.windows[s].union(r.window)
-		if newWin == e.windows[s] {
-			// Request already covered (e.g. two nodes raised overlapping
-			// deficits and an earlier cycle granted the union). The shard
-			// still needs a merge-delta to clear its retry cleanly.
-			newWin = e.windows[s]
-		}
 		bandsL[s], bandsR[s] = deltaBands(e.windows[s], newWin)
 		newWins[s] = newWin
 		grown = append(grown, s)
@@ -276,6 +266,26 @@ func (e *Engine) extendWindows(deficits []reply) {
 	e.collect(len(grown))
 }
 
+// settle broadcasts c and hands every reply to each, re-issuing c as a retry
+// after widening the windows of the shards that reported a deficit, until
+// none does. A retry reaches only the deficit shards' pending nodes; every
+// other shard no-ops.
+func (e *Engine) settle(c cmd, each func(reply)) {
+	for ; ; c.retry = true {
+		var deficits []reply
+		for _, r := range e.broadcast(c) {
+			each(r)
+			if r.window.ok {
+				deficits = append(deficits, r)
+			}
+		}
+		if len(deficits) == 0 {
+			return
+		}
+		e.extendWindows(deficits)
+	}
+}
+
 // refresh runs the round-start halo phases: migrate ownership of nodes that
 // left their stripe (re-deriving the orchestrator's ownership map from the
 // mirror — the same pure function of x the shards just applied), absorb and
@@ -285,7 +295,7 @@ func (e *Engine) refresh() {
 	S := e.part.Shards()
 	e.broadcast(cmd{op: opMigrate})
 	for g := range e.pos {
-		e.assign.Move(g, e.pos[g].X)
+		e.owner[g] = e.part.Shard(e.pos[g].X)
 	}
 	for _, r := range e.broadcast(cmd{op: opAbsorb}) {
 		e.windows[r.shard] = r.window
@@ -303,58 +313,23 @@ func (e *Engine) refresh() {
 // deployment converged — the sharded mirror of core.Engine.Step.
 func (e *Engine) Step() (core.RoundStats, bool) {
 	e.start()
-	return e.step()
-}
-
-// Close releases the shard goroutines. Only needed by callers that drive
-// rounds through Step directly; Run shuts down on its own. Terminal: the
-// engine can only serve mirror reads afterwards.
-func (e *Engine) Close() { e.shutdown() }
-
-// step executes one round — the sharded mirror of core.Engine.Step.
-func (e *Engine) step() (core.RoundStats, bool) {
 	round := e.round + 1
 
 	// Phases 1–4: migrate, absorb, serve, merge.
 	e.refresh()
 
-	// Phase 5: compute (+ deficit cycles), commit, fold.
-	stats := core.RoundStats{Round: round, MinCircumradius: math.Inf(1)}
+	// Phase 5: compute (+ deficit cycles), commit, fold. A Sequential sweep
+	// commits each move at its turn, leaving the commit phase nothing to move.
 	if e.cfg.Order == core.Sequential {
 		e.sequentialRound(round)
-		for _, r := range e.broadcast(cmd{op: opFold}) {
-			e.foldPartial(&stats, r.stats)
-		}
 	} else {
-		retry := false
-		for {
-			var deficits []reply
-			if retry {
-				// Only deficit shards have pending work; everyone else
-				// would no-op. They were recorded by the previous cycle.
-				for _, r := range e.broadcast(cmd{op: opComputeSync, round: round, retry: true}) {
-					if r.window.ok {
-						deficits = append(deficits, r)
-					}
-				}
-			} else {
-				for _, r := range e.broadcast(cmd{op: opComputeSync, round: round}) {
-					if r.window.ok {
-						deficits = append(deficits, r)
-					}
-				}
-			}
-			if len(deficits) == 0 {
-				break
-			}
-			e.extendWindows(deficits)
-			retry = true
-		}
-		for _, r := range e.broadcast(cmd{op: opCommitSync}) {
-			e.foldPartial(&stats, r.stats)
-			for _, m := range r.movedNodes {
-				e.pos[m.id] = m.new
-			}
+		e.settle(cmd{op: opComputeSync, round: round}, func(reply) {})
+	}
+	stats := core.RoundStats{Round: round, MinCircumradius: math.Inf(1)}
+	for _, r := range e.broadcast(cmd{op: opCommit}) {
+		stats.Merge(r.stats)
+		for _, m := range r.movedNodes {
+			e.pos[m.id] = m.new
 		}
 	}
 	if math.IsInf(stats.MinCircumradius, 1) {
@@ -375,7 +350,7 @@ func (e *Engine) step() (core.RoundStats, bool) {
 func (e *Engine) sequentialRound(round int) {
 	S := e.part.Shards()
 	for g := range e.pos {
-		owner := e.assign.Owner(g)
+		owner := e.owner[g]
 		for {
 			e.send(owner, cmd{op: opTurn, node: g, round: round})
 			r := <-e.replies
@@ -386,14 +361,12 @@ func (e *Engine) sequentialRound(round int) {
 				e.extendWindows([]reply{r})
 				continue
 			}
-			if r.moved {
-				e.pos[g] = r.new
+			for _, m := range r.movedNodes {
+				old := e.pos[g]
+				e.pos[g] = m.new
 				for s := 0; s < S; s++ {
-					if s == owner {
-						continue
-					}
-					if e.windows[s].contains(r.old.X) || e.windows[s].contains(r.new.X) {
-						e.inbox[s] <- posUpdateMsg{id: g, old: r.old, new: r.new}
+					if s != owner && (e.windows[s].contains(old.X) || e.windows[s].contains(m.new.X)) {
+						e.inbox[s] <- posUpdateMsg{id: g, old: old, new: m.new}
 						e.halo.posUpdate()
 						e.sent[s]++
 					}
@@ -404,52 +377,16 @@ func (e *Engine) sequentialRound(round int) {
 	}
 }
 
-// foldPartial merges one shard's partial statistics into the round's. The
-// per-shard folds ran over disjoint ID sets, and max/min/sum are
-// order-independent, so the merged result is bitwise the engine's single
-// ID-ordered fold.
-func (e *Engine) foldPartial(st *core.RoundStats, p partialStats) {
-	if p.maxCR > st.MaxCircumradius {
-		st.MaxCircumradius = p.maxCR
-	}
-	if p.minCR < st.MinCircumradius {
-		st.MinCircumradius = p.minCR
-	}
-	if p.maxRhat > st.MaxRhat {
-		st.MaxRhat = p.maxRhat
-	}
-	if p.maxMove > st.MaxMove {
-		st.MaxMove = p.maxMove
-	}
-	st.Moved += p.moved
-	st.Messages += p.messages
-}
-
 // Run executes rounds until convergence, MaxRounds, ctx cancellation, or an
-// observer stop — the same control flow as core.Engine.Run — then assigns
+// observer stop — core.Drive, the same loop as core.Engine.Run — then assigns
 // final radii and returns the Result. A clean completion releases the shard
 // goroutines; the Result and Snapshot stay available.
 func (e *Engine) Run(ctx context.Context) (*core.Result, error) {
 	if e.final != nil {
 		return e.final, nil
 	}
-	e.start()
-	for e.round < e.cfg.MaxRounds {
-		if e.converged {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return e.finalizePartial(err)
-		}
-		stats, _ := e.step()
-		if e.observer != nil {
-			if oerr := e.observer(stats); oerr != nil {
-				if errors.Is(oerr, core.ErrStop) {
-					return e.finishRun()
-				}
-				return e.finalizePartial(oerr)
-			}
-		}
+	if err := core.Drive(ctx, e, e.cfg.MaxRounds, e.observer); err != nil {
+		return e.finalizePartial(err)
 	}
 	return e.finishRun()
 }
@@ -462,7 +399,7 @@ func (e *Engine) finishRun() (*core.Result, error) {
 		return nil, err
 	}
 	e.final = res
-	e.shutdown()
+	e.Close()
 	return res, nil
 }
 
@@ -477,11 +414,10 @@ func (e *Engine) finalizePartial(cause error) (*core.Result, error) {
 	return res, cause
 }
 
-// finalize assigns final radii — the sharded mirror of core.Engine.Finalize,
-// with the same three paths: a converged run reuses the last round's R̂ (or
-// retained regions under KeepRegions); anything else recomputes regions at
-// the final positions under the negative round tag, charging finalization
-// messages.
+// finalize assigns final radii — the sharded mirror of core.Engine.Finalize:
+// each shard collects its owned nodes' radii through the same state
+// operation the engine runs, reusing the last round's for a converged run
+// this engine stepped and recomputing them otherwise.
 func (e *Engine) finalize() (*core.Result, error) {
 	e.start()
 	n := len(e.pos)
@@ -490,73 +426,37 @@ func (e *Engine) finalize() (*core.Result, error) {
 	if e.cfg.KeepRegions {
 		regions = make([][]geom.Polygon, n)
 	}
-	switch {
-	case e.converged && e.stepped && !e.cfg.KeepRegions:
-		for _, r := range e.broadcast(cmd{op: opFinalRhat}) {
-			for i, g := range r.ids {
-				radii[g] = r.vals[i]
-			}
-		}
-	case e.converged && e.stepped && e.cfg.KeepRegions:
-		for _, r := range e.broadcast(cmd{op: opFinalRegions}) {
-			for i, g := range r.ids {
-				radii[g] = r.vals[i]
-				regions[g] = r.polys[i]
-			}
-		}
-	default:
+	reuse := e.converged && e.stepped
+	if !reuse {
 		// The last committed round's remote moves were never served (a round
 		// refreshes windows at its start, and there is no next round), so the
 		// shards' non-owned copies are stale. Refresh first: the recompute
 		// must read exactly the final positions the engine's recompute reads.
 		e.refresh()
-		tag := core.FinalRoundTag(e.round)
-		retry := false
-		for {
-			var deficits []reply
-			for _, r := range e.broadcast(cmd{op: opFinalRecompute, round: tag, retry: retry}) {
-				e.finalMsgs += r.msgs
-				if r.window.ok {
-					deficits = append(deficits, r)
-					continue
-				}
-				for i, g := range r.ids {
-					radii[g] = r.vals[i]
-					if regions != nil {
-						regions[g] = r.polys[i]
-					}
-				}
-			}
-			if len(deficits) == 0 {
-				break
-			}
-			e.extendWindows(deficits)
-			retry = true
-		}
 	}
-	res := &core.Result{
+	e.settle(cmd{op: opFinal, round: core.FinalRoundTag(e.round), reuse: reuse}, func(r reply) {
+		e.finalMsgs += r.msgs
+		for i, g := range r.ids {
+			radii[g] = r.vals[i]
+			if regions != nil {
+				regions[g] = r.polys[i]
+			}
+		}
+	})
+	return &core.Result{
 		Positions: append([]geom.Point(nil), e.pos...),
 		Radii:     radii,
 		Rounds:    e.round,
 		Converged: e.converged,
 		Trace:     append([]core.RoundStats(nil), e.trace...),
 		Messages:  e.msgBase + e.roundMsgs + e.finalMsgs,
-	}
-	if e.cfg.KeepRegions {
-		res.Regions = regions
-	}
-	return res, nil
+		Regions:   regions,
+	}, nil
 }
 
 // Snapshot captures a resumable checkpoint — byte-identical to what the
 // shared-memory engine would write at the same round boundary (positions,
 // round, convergence, trace, config; finalization messages excluded).
 func (e *Engine) Snapshot() (*snapshot.State, error) {
-	st := snapshot.NewState(snapshot.KindEngine, e.pos)
-	st.Round = e.round
-	st.Converged = e.converged
-	st.Messages = e.msgBase + e.roundMsgs
-	st.Trace = core.TraceToState(e.trace)
-	st.Config = core.ConfigToState(e.cfg)
-	return st, nil
+	return core.Checkpoint(e.pos, e.cfg, e.round, e.converged, e.trace, e.msgBase+e.roundMsgs), nil
 }

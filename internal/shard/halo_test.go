@@ -29,14 +29,13 @@ func TestHaloTrafficRhoBallBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.start()
-	defer eng.shutdown()
+	defer eng.Close()
 	S := eng.Shards()
 	prev := eng.HaloStats()
 	prevMoved := 0
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		startPos := eng.Positions() // the truth the round's serves transmit
-		stats, done := eng.step()
+		stats, done := eng.Step()
 		cur := eng.HaloStats()
 		dMsgs := cur.Msgs - prev.Msgs
 		dBytes := cur.Bytes - prev.Bytes
@@ -51,7 +50,7 @@ func TestHaloTrafficRhoBallBound(t *testing.T) {
 		for s := 0; s < S; s++ {
 			win := eng.windows[s]
 			for g, p := range startPos {
-				if eng.assign.Owner(g) != s && win.contains(p.X) {
+				if eng.owner[g] != s && win.contains(p.X) {
 					perCycle++
 				}
 			}

@@ -47,21 +47,16 @@ const (
 	// opComputeSync: compute outcomes for all owned nodes (or the pending
 	// retry set) at start-of-round positions; reply with any halo deficit.
 	opComputeSync
-	// opCommitSync: apply the computed moves, fold partial round statistics.
-	opCommitSync
 	// opTurn: Sequential order — run one node's turn (compute, and commit if
 	// trusted); reply with the move or a halo deficit.
 	opTurn
-	// opFold: Sequential order — fold the round's partial statistics.
-	opFold
-	// opFinalRhat: reply with the owned nodes' last-round R̂ values.
-	opFinalRhat
-	// opFinalRegions: reply with radii (and polygons) measured from the
-	// retained last-round regions (converged KeepRegions runs).
-	opFinalRegions
-	// opFinalRecompute: out-of-round region recomputation at the final
-	// positions (unconverged runs); reply radii/polygons or a halo deficit.
-	opFinalRecompute
+	// opCommit: apply the computed moves not yet applied, fold partial round
+	// statistics.
+	opCommit
+	// opFinal: collect the owned nodes' final radii/polygons — the last
+	// round's (reuse) or an out-of-round recomputation at the final
+	// positions; reply them or a halo deficit.
+	opFinal
 )
 
 // cmd is one orchestrator command. expect is the data-message fence (see
@@ -69,7 +64,7 @@ const (
 type cmd struct {
 	op     op
 	expect int64
-	round  int // Step round (opCompute*/opTurn) or negative final tag
+	round  int // Step round (opCompute*/opTurn) or negative final tag (opFinal)
 	// bands[r] is the x-band shard r requested, for opServe (the issuing
 	// shard skips itself and empty bands).
 	bands []xband
@@ -77,9 +72,12 @@ type cmd struct {
 	window xband
 	// node is the global ID taking its turn (opTurn).
 	node int
-	// retry marks an opComputeSync/opTurn/opFinalRecompute re-issue after a
-	// deficit was served: only pending nodes recompute.
+	// retry marks an opComputeSync/opFinal re-issue after a deficit was
+	// served: only pending nodes recompute.
 	retry bool
+	// reuse marks an opFinal of a converged run whose last round ran on this
+	// engine (not before a Resume): the last round's radii are final.
+	reuse bool
 }
 
 // xband is a closed x-interval, clamped to the region's bounding box. ok
@@ -117,40 +115,26 @@ type reply struct {
 	// counters before issuing the next command to r.
 	sentTo []int64
 	// window is the shard's desired window (opAbsorb) or deficit request
-	// (opComputeSync/opTurn/opFinalRecompute when pending work remains).
+	// (opComputeSync/opTurn/opFinal when pending work remains).
 	window xband
-	// moved/old/new report a Sequential turn's committed move (opTurn).
-	moved    bool
-	old, new geom.Point
-	// stats is the shard's partial round fold (opCommitSync, opFold) and
-	// movedNodes the applied moves for the orchestrator's position mirror.
-	stats      partialStats
+	// stats is the shard's partial round fold (opCommit), and movedNodes
+	// the moves it applied (opCommit, opTurn) for the orchestrator's position
+	// mirror.
+	stats      core.RoundStats
 	movedNodes []movedPos
-	// ids/vals/polys carry the finalization payloads (opFinal*).
+	// ids/vals/polys carry the finalization payloads (opFinal).
 	ids   []int
 	vals  []float64
 	polys [][]geom.Polygon
 	// msgs is the message cost charged by finalization recomputes
-	// (opFinalRecompute).
+	// (opFinal).
 	msgs int64
 }
 
 // movedPos is one applied move, in global IDs.
 type movedPos struct {
-	id       int
-	old, new geom.Point
-}
-
-// partialStats is one shard's contribution to a round's RoundStats, folded
-// over its owned nodes in ascending global-ID order. Extrema and counts over
-// disjoint ID sets merge order-independently and bitwise-equal to the
-// engine's single fold.
-type partialStats struct {
-	maxCR, minCR float64 // minCR is +Inf when no non-empty outcome
-	maxRhat      float64
-	maxMove      float64
-	moved        int
-	messages     int64
+	id  int
+	new geom.Point
 }
 
 // dataMsg is a position batch delivered to a shard's inbox. Exactly three
@@ -160,9 +144,8 @@ type dataMsg interface{ isDataMsg() }
 // serveMsg carries the positions of the sender's owned nodes inside a
 // requested band — the ρ-halo exchange payload.
 type serveMsg struct {
-	from int
-	ids  []int // global IDs, ascending
-	pos  []geom.Point
+	ids []int // global IDs, ascending
+	pos []geom.Point
 }
 
 // migrateMsg hands ownership of nodes whose position left the sender's
@@ -172,7 +155,6 @@ type serveMsg struct {
 // ownership — a recompute started from a stale hint walks a different probe
 // sequence and breaks bit-identity in the last ulp.
 type migrateMsg struct {
-	from  int
 	ids   []int
 	pos   []geom.Point
 	hints []float64
@@ -222,18 +204,4 @@ func (h *haloCounters) snapshot() HaloStats {
 		Bytes:     h.bytes.Load(),
 		Exchanges: h.exchanges.Load(),
 	}
-}
-
-// entry is one node's cached round outcome on a shard, the shard-side mirror
-// of the engine's nodeCache. Validity invariant: the invalidation ball
-// (invRad around the node) has been inside the shard's window at every round
-// since the entry was computed, and no known position change touched it —
-// so recomputing would reproduce out bit for bit, and reusing it is exactly
-// the engine's cache hit.
-type entry struct {
-	valid bool
-	flag  bool // boundary flag the outcome was computed under (Localized)
-	inv   float64
-	cost  int64
-	out   core.StepOutcome
 }

@@ -1,11 +1,11 @@
-// Package shard implements stage 1 of the sharded LAACAD engine (ROADMAP
-// item 1): the deployment region is partitioned into vertical cell stripes,
-// each owned by a shard goroutine holding its own wsn.Network sub-index and
-// cache state; per round the shards exchange a ρ-halo of border positions
+// Package shard implements the sharded LAACAD engine: the deployment region
+// is partitioned into vertical cell stripes, each owned by a shard goroutine
+// that runs core's per-node state (core.Stepper) over its own window
+// wsn.Network; per round the shards exchange a ρ-halo of border positions
 // over explicit typed channels. The sharded engine is bit-identical to the
 // shared-memory core.Engine — Positions, Trace, Radii and Result.Messages —
 // for every shard count, worker count and update order, because every
-// per-node computation routes through the same core kernels over a local
+// per-node computation routes through the same core state over a local
 // window proven complete for the node's read ball (see worker.go for the
 // trust rule).
 package shard
@@ -86,52 +86,4 @@ func (p Partition) Bounds(s int) (lo, hi float64) { return p.Cut(s), p.Cut(s + 1
 // band requests (a ρ wider than one stripe spans several neighbors).
 func (p Partition) Overlapping(lo, hi float64) (first, last int) {
 	return p.Shard(lo), p.Shard(hi)
-}
-
-// Assignment tracks node→shard ownership as positions churn: the live
-// ownership map the orchestrator routes turns and migrations with. Because
-// ownership is a pure function of x, an assignment maintained incrementally
-// through AddNode/RemoveNode/Move is always identical to one rebuilt from
-// scratch over the current positions (the property test's invariant).
-type Assignment struct {
-	part  Partition
-	owner []int
-}
-
-// NewAssignment builds the ownership map for the given x-coordinates.
-func NewAssignment(p Partition, xs []float64) *Assignment {
-	a := &Assignment{part: p, owner: make([]int, len(xs))}
-	for i, x := range xs {
-		a.owner[i] = p.Shard(x)
-	}
-	return a
-}
-
-// Partition returns the underlying stripe geometry.
-func (a *Assignment) Partition() Partition { return a.part }
-
-// Len returns the number of tracked nodes.
-func (a *Assignment) Len() int { return len(a.owner) }
-
-// Owner returns node i's owning shard.
-func (a *Assignment) Owner(i int) int { return a.owner[i] }
-
-// Move reassigns node i after its x-coordinate changed and reports its
-// (possibly unchanged) owner.
-func (a *Assignment) Move(i int, x float64) int {
-	a.owner[i] = a.part.Shard(x)
-	return a.owner[i]
-}
-
-// AddNode appends a node at x and returns its ID (the next node number,
-// matching wsn.Network.AddNode).
-func (a *Assignment) AddNode(x float64) int {
-	a.owner = append(a.owner, a.part.Shard(x))
-	return len(a.owner) - 1
-}
-
-// RemoveNode deletes node i, renumbering every node above it downward —
-// the same renumbering wsn.Network.RemoveNode applies.
-func (a *Assignment) RemoveNode(i int) {
-	a.owner = append(a.owner[:i], a.owner[i+1:]...)
 }

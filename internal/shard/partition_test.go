@@ -93,52 +93,3 @@ func TestPartitionHaloSymmetry(t *testing.T) {
 		}
 	}
 }
-
-// TestAssignmentIncrementalMatchesScratch property-tests the live ownership
-// map: after any interleaving of AddNode, RemoveNode and Move, the
-// incrementally maintained Assignment is identical to one rebuilt from
-// scratch over the current coordinates.
-func TestAssignmentIncrementalMatchesScratch(t *testing.T) {
-	reg := region.UnitSquareKm()
-	rng := rand.New(rand.NewSource(3))
-	for _, s := range []int{1, 2, 4, 8} {
-		p := NewPartition(reg, s)
-		xmin, xmax := p.XRange()
-		randX := func() float64 { return xmin + rng.Float64()*(xmax-xmin) }
-		xs := make([]float64, 32)
-		for i := range xs {
-			xs[i] = randX()
-		}
-		a := NewAssignment(p, xs)
-		for op := 0; op < 3000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 2: // add
-				x := randX()
-				id := a.AddNode(x)
-				if id != len(xs) {
-					t.Fatalf("AddNode returned %d, want %d", id, len(xs))
-				}
-				xs = append(xs, x)
-			case r < 4 && len(xs) > 1: // remove (renumbers above)
-				i := rng.Intn(len(xs))
-				a.RemoveNode(i)
-				xs = append(xs[:i], xs[i+1:]...)
-			default: // move
-				i := rng.Intn(len(xs))
-				xs[i] = randX()
-				if got, want := a.Move(i, xs[i]), p.Shard(xs[i]); got != want {
-					t.Fatalf("Move returned %d, want %d", got, want)
-				}
-			}
-			if a.Len() != len(xs) {
-				t.Fatalf("op %d: Len %d, want %d", op, a.Len(), len(xs))
-			}
-		}
-		fresh := NewAssignment(p, xs)
-		for i := range xs {
-			if a.Owner(i) != fresh.Owner(i) {
-				t.Fatalf("s=%d: node %d incremental owner %d != from-scratch %d", s, i, a.Owner(i), fresh.Owner(i))
-			}
-		}
-	}
-}

@@ -625,47 +625,6 @@ func (n *Network) NeighborsWithinDistBuf(i int, rho float64, ids []int, d2s []fl
 	return ids, d2s
 }
 
-// AppendInXRange appends the IDs of every node whose x-coordinate lies in
-// [lo, hi] (inclusive, finite bounds) to out[:0], in ascending ID order, and
-// returns the buffer — the sub-range index view the sharded engine uses to
-// assemble halo bands and serve border requests. The grid walk visits only
-// the cell columns intersecting the band; a band whose column window would
-// touch more cells than there are nodes falls back to a linear scan (both
-// paths return the identical canonical answer).
-func (n *Network) AppendInXRange(lo, hi float64, out []int) []int {
-	out = out[:0]
-	if !(lo <= hi) || len(n.pos) == 0 {
-		return out
-	}
-	n.rebuild()
-	g := n.idx
-	x0 := max(int(math.Floor(lo/g.side)), g.ox)
-	x1 := min(int(math.Floor(hi/g.side)), g.ox+g.nx-1)
-	if x1 < x0 {
-		return out // the band misses the grid, and every node is on the grid
-	}
-	if (x1-x0+1)*g.ny > len(n.pos) {
-		for j, q := range n.pos {
-			if q.X >= lo && q.X <= hi {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for y := 0; y < g.ny; y++ {
-		row := y * g.nx
-		for x := x0; x <= x1; x++ {
-			for _, j := range g.cells[row+x-g.ox] {
-				if q := n.pos[j].X; q >= lo && q <= hi {
-					out = append(out, int(j))
-				}
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // OneHop returns node i's one-hop neighbors: nodes strictly within the
 // transmission range γ.
 func (n *Network) OneHop(i int) []int { return n.NeighborsWithin(i, n.gamma) }
