@@ -41,12 +41,10 @@ func TestRegionBoundsHintAvoidsExpansionRebuilds(t *testing.T) {
 	}
 }
 
-// The out-of-band localization satellite: one external SetPosition between
-// rounds of a converged large deployment invalidates only the entries whose
-// exactness ball touches the changed cells — not the whole cache — and the
-// engine records the local flush. Wholesale events (node removal, which
-// renumbers) still fall back to the global flush.
-func TestExternalWriteInvalidatesLocally(t *testing.T) {
+// MoveNode on a converged large deployment invalidates only the entries
+// whose exactness ball contains the old or the new position — not the whole
+// cache — so almost every outcome of the next round is served from it.
+func TestMoveNodeInvalidatesLocally(t *testing.T) {
 	n := 2500
 	start, pitch := wsn.UnitLattice(n, 0)
 	reg := region.UnitSquareKm()
@@ -65,39 +63,27 @@ func TestExternalWriteInvalidatesLocally(t *testing.T) {
 		t.Fatal("lattice deployment did not converge; cannot measure locality")
 	}
 
-	// Teleport one node across the region behind the engine's back.
-	eng.Network().SetPosition(7, geom.Pt(0.93, 0.91))
-	hitsBefore := eng.CacheCounters().CacheHits
-	eng.Step()
-	c := eng.CacheCounters()
-	if c.LocalFlushes != 1 {
-		t.Fatalf("external write was not absorbed locally: %d local flushes", c.LocalFlushes)
-	}
-	// Locality: almost every entry must have survived (the write disturbs
-	// two neighborhoods out of n nodes). Served-from-cache counts survivors.
-	hits := c.CacheHits - hitsBefore
-	if hits < uint64(n)*9/10 {
-		t.Errorf("only %d/%d outcomes survived the external write; invalidation was not local", hits, n)
-	}
-	if hits == uint64(n) {
-		t.Error("every entry survived; the rewritten neighborhoods were not invalidated")
-	}
-
-	// Renumbering keeps the wholesale path: RemoveNode drops the cache and
-	// the next step must not count another local flush.
-	if err := eng.RemoveNode(3); err != nil {
+	// Teleport one node across the region.
+	if err := eng.MoveNode(7, geom.Pt(0.93, 0.91)); err != nil {
 		t.Fatal(err)
 	}
+	hitsBefore := eng.CacheCounters().CacheHits
 	eng.Step()
-	if got := eng.CacheCounters().LocalFlushes; got != 1 {
-		t.Errorf("renumbering was treated as a local flush (%d total)", got)
+	// Locality: almost every entry must have survived (the move disturbs
+	// two neighborhoods out of n nodes). Served-from-cache counts survivors.
+	hits := eng.CacheCounters().CacheHits - hitsBefore
+	if hits < uint64(n)*9/10 {
+		t.Errorf("only %d/%d outcomes survived the move; invalidation was not local", hits, n)
+	}
+	if hits == uint64(n) {
+		t.Error("every entry survived; the disturbed neighborhoods were not invalidated")
 	}
 }
 
 // The locally-invalidated engine must still be bit-identical to an eager
-// engine subjected to the same external-write schedule — the existing
-// equivalence test covers small n; this pins the large-n diff path.
-func TestExternalWriteLocalFlushMatchesEager(t *testing.T) {
+// engine subjected to the same MoveNode schedule — the equivalence test
+// covers small n; this pins the large-n inverse-query path.
+func TestMoveNodeMatchesEagerAtScale(t *testing.T) {
 	n := 900
 	start, pitch := wsn.UnitLattice(n, 8)
 	reg := region.UnitSquareKm()
@@ -112,10 +98,14 @@ func TestExternalWriteLocalFlushMatchesEager(t *testing.T) {
 		eng.eager = disable
 		for r := 0; r < 12; r++ {
 			if r == 4 {
-				eng.Network().SetPosition(11, geom.Pt(0.52, 0.48))
+				if err := eng.MoveNode(11, geom.Pt(0.52, 0.48)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if r == 8 {
-				eng.Network().SetPosition(n-5, geom.Pt(0.05, 0.93))
+				if err := eng.MoveNode(n-5, geom.Pt(0.05, 0.93)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			eng.Step()
 		}
@@ -127,5 +117,5 @@ func TestExternalWriteLocalFlushMatchesEager(t *testing.T) {
 	}
 	eagerTrace, eagerRes := run(true)
 	cachedTrace, cachedRes := run(false)
-	assertIdentical(t, "local-flush", eagerTrace, cachedTrace, eagerRes, cachedRes)
+	assertIdentical(t, "move-node", eagerTrace, cachedTrace, eagerRes, cachedRes)
 }

@@ -160,6 +160,64 @@ func TestDirtySetSurvivesTopologyChange(t *testing.T) {
 	assertIdentical(t, "topology-change", eagerTrace, cachedTrace, eagerRes, cachedRes)
 }
 
+// What-if edits: a seeded MoveNode schedule — including edits before the
+// first round, when no cache exists yet — reaches the per-node state as
+// explicit endpoints and must leave the cached engine bit-identical to the
+// eager one (trace, positions, radii and messages) in both modes, both
+// orders and at 1 and 3 workers.
+func TestDirtySetMatchesEagerUnderMoveNode(t *testing.T) {
+	reg := region.UnitSquareKm()
+	start := region.PlaceUniform(reg, 50, rand.New(rand.NewSource(31)))
+	for _, mode := range []Mode{Centralized, Localized} {
+		for _, order := range []UpdateOrder{Synchronous, Sequential} {
+			for _, workers := range []int{1, 3} {
+				mode, order, workers := mode, order, workers
+				t.Run(fmt.Sprintf("%v/%v/workers=%d", mode, order, workers), func(t *testing.T) {
+					t.Parallel()
+					cfg := DefaultConfig(2)
+					cfg.Mode, cfg.Order, cfg.Workers = mode, order, workers
+					if mode == Localized {
+						cfg.Gamma = 0.25
+					}
+					cfg.Epsilon = 3e-2
+					cfg.MaxRounds = 24
+					cfg.Seed = 31
+					run := func(eager bool) ([]RoundStats, *Result) {
+						eng, err := New(reg, start, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						eng.eager = eager
+						rng := rand.New(rand.NewSource(31))
+						for r := 0; r < cfg.MaxRounds; r++ {
+							if r%4 == 0 {
+								for m := rng.Intn(3); m >= 0; m-- {
+									p := geom.Pt(rng.Float64(), rng.Float64())
+									if err := eng.MoveNode(rng.Intn(len(start)), p); err != nil {
+										t.Fatal(err)
+									}
+								}
+							}
+							eng.Step()
+						}
+						res, err := eng.Finalize()
+						if err != nil {
+							t.Fatal(err)
+						}
+						return eng.Trace(), res
+					}
+					eagerTrace, eagerRes := run(true)
+					cachedTrace, cachedRes := run(false)
+					assertIdentical(t, "move-node", eagerTrace, cachedTrace, eagerRes, cachedRes)
+					if mode == Localized {
+						assertSameMessages(t, "move-node", eagerRes, cachedRes)
+					}
+				})
+			}
+		}
+	}
+}
+
 // Regression: a paired RemoveNode+AddNode restores the node count AND can
 // collide on the fresh network's mutation version (both counters restart at
 // zero), so neither the length check nor the version check alone may be
@@ -203,9 +261,8 @@ func TestDirtySetFlushedByPairedTopologyChange(t *testing.T) {
 
 // Out-of-band position writes (direct Network mutation between Steps) must
 // invalidate every affected entry: the engine detects them via the network's
-// mutation version and localizes the damage with the per-cell version diff
-// (falling back to a wholesale flush), so a stale outcome can never leak
-// into the next round.
+// mutation version and flushes the cache wholesale, so a stale outcome can
+// never leak into the next round.
 func TestDirtySetFlushesOnExternalPositionWrite(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 40, rand.New(rand.NewSource(13)))

@@ -105,12 +105,13 @@ func (r *Result) MinRadius() float64 {
 }
 
 // Engine executes LAACAD rounds. Create with New, then call Step until
-// convergence or use Run. The Engine may be mutated between steps (e.g.
-// RemoveNode for failure injection); it re-validates node counts.
+// convergence or use Run. The Engine may be mutated between steps through
+// MoveNode, RemoveNode and AddNode (what-if edits, failure injection); it
+// re-validates node counts.
 //
 // Its per-node state is the embedded nodeState over the global network; the
 // Engine adds the round record, the colored Sequential sweep's speculation
-// waves and out-of-band write detection.
+// waves and the version stamp that catches writes made around it.
 type Engine struct {
 	nodeState
 
@@ -135,10 +136,11 @@ type Engine struct {
 	// all is the identity node list (see every).
 	all []int
 
-	// cacheVer mirrors net.Version() so out-of-band position writes
-	// (anything other than the engine's own moves) invalidate the cache —
-	// locally via the per-cell version diff when possible, wholesale
-	// otherwise.
+	// cacheVer is net.Version() as of the end of the last Step or MoveNode,
+	// the last time every position change reached the per-node state as
+	// explicit endpoints. A mismatch means a write went through Network():
+	// the next Step flushes the cache wholesale, and the converged flag no
+	// longer describes the current positions.
 	cacheVer uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
@@ -183,24 +185,6 @@ type Engine struct {
 	// Sequential sweep completes — the mid-round observation point at which
 	// externally visible accounting must be exact and monotone.
 	commitHook func(i int)
-
-	// statsEpoch mirrors wsn.Network.StatsEpoch: an out-of-band ResetStats
-	// zeroes counters the cache's recorded costs and the per-round message
-	// baseline were measured against, so the engine flushes and re-bases when
-	// the epochs diverge.
-	statsEpoch uint64
-
-	// Out-of-band write localization: a snapshot of the grid's per-cell
-	// mutation versions from the last time the cache was known in sync.
-	// When an external position write bumps net.Version between rounds, the
-	// engine diffs the live cell versions against this snapshot and
-	// invalidates only entries whose ρ-ball can touch a changed cell,
-	// instead of flushing wholesale (localFlush). The snapshot is patched
-	// with the engine's own move cells after every round and recopied after
-	// any full grid rebuild (its cell numbering belongs to one generation).
-	cellSnap    []uint32
-	cellSnapGen uint64
-	cellSnapOK  bool
 }
 
 // CacheCounters reports the work performed by the incremental cache's
@@ -235,9 +219,6 @@ type CacheCounters struct {
 	// steady-state rounds perform none — the counter-asserted contract that
 	// boundary detection is no longer an O(n)-per-round term.
 	FlagEvals uint64
-	// LocalFlushes counts out-of-band position writes absorbed by the
-	// per-cell version diff instead of a wholesale cache flush.
-	LocalFlushes uint64
 	// Levels and LevelWidthMax describe the level scheduler behind the
 	// Sequential waves: cumulative interference-DAG layers laid out across
 	// all planned rounds, and the widest single wave ever launched. A
@@ -308,7 +289,10 @@ func New(reg *region.Region, initial []geom.Point, cfg Config) (*Engine, error) 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Network exposes the underlying WSN substrate (positions, message stats).
+// Network exposes the underlying WSN substrate for reading (positions,
+// message stats, index counters). Edit positions with MoveNode: a position
+// written through the network directly stays correct, but the next Step
+// drops every cached outcome, and the run counts as unconverged until then.
 func (e *Engine) Network() *wsn.Network { return e.net }
 
 // Positions returns a copy of the current node positions.
@@ -318,8 +302,8 @@ func (e *Engine) Positions() []geom.Point { return e.net.Positions() }
 func (e *Engine) Round() int { return e.round }
 
 // Converged reports whether the last Step found every node within ε of its
-// Chebyshev center.
-func (e *Engine) Converged() bool { return e.converged }
+// Chebyshev center and no position has changed since.
+func (e *Engine) Converged() bool { return e.converged && e.cacheVer == e.net.Version() }
 
 // Trace returns the per-round statistics collected so far.
 func (e *Engine) Trace() []RoundStats { return e.trace }
@@ -362,9 +346,6 @@ func (e *Engine) ensureBuffers(n int) {
 		e.cache = make([]nodeCache, n)
 		e.rhoHint = make([]float64, n)
 		e.cacheVer = e.net.Version()
-		// The cell-version snapshot indexes entries by the old numbering's
-		// occupancy; a node-count change makes it meaningless.
-		e.cellSnapOK = false
 	}
 }
 
@@ -385,61 +366,6 @@ func (e *Engine) flushCache() {
 	e.cacheVer = e.net.Version()
 }
 
-// localFlush attempts to absorb out-of-band position writes locally: diff
-// the grid's per-cell mutation versions against the snapshot taken when the
-// cache was last in sync, and invalidate only entries whose exactness ball
-// (inflated by the cell half-diagonal) can touch a changed cell. Both
-// endpoints of any external move live in bumped cells, so every affected
-// entry is dropped; entries farther away provably never read the rewritten
-// positions and stay valid — which is what makes interactive what-if editing
-// of a converged deployment cheap. It reports false when localization is
-// impossible — no snapshot, a full rebuild renumbered the cells (node
-// removal, bulk rewrite, bounds exit), or so many cells changed that a
-// wholesale flush is the cheaper response — and the caller falls back to
-// flushCache.
-func (e *Engine) localFlush() bool {
-	if !e.cellSnapOK || e.cellSnapGen != e.net.GridShape().Gen {
-		return false
-	}
-	changed := e.waveCands[:0] // reuse: the wave buffer is idle between rounds
-	for ci := range e.cellSnap {
-		if e.net.CellVersionAt(ci) != e.cellSnap[ci] {
-			changed = append(changed, ci)
-		}
-	}
-	e.waveCands = changed[:0]
-	if len(changed)*8 >= len(e.cellSnap) {
-		return false
-	}
-	e.rebuildRhoBounds()
-	e.counters.LocalFlushes++
-	for _, ci := range changed {
-		center, slack := e.net.CellCenter(ci)
-		e.invalidateNear(center, slack)
-		e.markFlagsNear(center, slack)
-		e.cellSnap[ci] = e.net.CellVersionAt(ci)
-	}
-	e.cacheVer = e.net.Version()
-	return true
-}
-
-// syncCellSnapshot brings the per-cell version snapshot up to date with the
-// round's own writes. After a full rebuild the cell numbering is new, so the
-// snapshot is recopied wholesale (that round already paid O(n)); otherwise
-// only the movers' cells are patched, so a converged round patches nothing.
-func (e *Engine) syncCellSnapshot() {
-	if gen := e.net.GridShape().Gen; !e.cellSnapOK || gen != e.cellSnapGen {
-		e.cellSnapGen, e.cellSnap = e.net.AppendCellVersions(e.cellSnap)
-		e.cellSnapOK = true
-		return
-	}
-	for _, p := range e.movedPts {
-		if ci := e.net.CellIndex(p); ci >= 0 {
-			e.cellSnap[ci] = e.net.CellVersionAt(ci)
-		}
-	}
-}
-
 // Step executes one LAACAD round and returns its statistics. The returned
 // bool is true once the deployment has converged (no node needed to move
 // more than ε this round). With Config.Order == Synchronous all moves apply
@@ -458,28 +384,10 @@ func (e *Engine) Step() (RoundStats, bool) {
 	}
 	e.ensureBuffers(n)
 	e.cacheOn = e.cacheEnabled()
-	if ep := e.net.StatsEpoch(); ep != e.statsEpoch {
-		// An out-of-band ResetStats zeroed the counters this engine's
-		// accounting state was measured against. Re-base the per-round
-		// message baseline (or the first post-reset round would report a
-		// negative count), and in Localized mode drop the cached recorded
-		// costs: the eager protocol would re-run every search after a reset,
-		// so the cached engine recomputes and re-measures too.
-		e.statsEpoch = ep
-		e.prevMsgs = e.net.MessageCount()
-		if e.cacheOn && e.cfg.Mode == Localized {
-			e.flushCache()
-		}
-	}
 	if e.cacheOn && e.cacheVer != e.net.Version() {
-		// Positions were written behind the engine's back (direct Network
-		// mutation, resume restore). When the per-cell version diff can
-		// localize the damage, only the entries whose exactness ball touches
-		// a changed cell are dropped; otherwise (renumbering, rebuild,
-		// wholesale rewrites) nothing cached can be trusted.
-		if !e.localFlush() {
-			e.flushCache()
-		}
+		// Positions were written through Network(), so no endpoints say what
+		// changed: nothing cached can be trusted.
+		e.flushCache()
 	}
 	sequential := e.cfg.Order == Sequential
 	e.boundary = nil
@@ -488,8 +396,8 @@ func (e *Engine) Step() (RoundStats, bool) {
 		if pn, ok := e.detector.(boundary.PerNode); ok && e.cacheOn {
 			// Per-node-local detector + cache: serve this round's flags from
 			// the incremental cache, re-evaluating only nodes whose γ-ball a
-			// move (or out-of-band write) touched since their flag was last
-			// computed — "ball unchanged ⇒ flag unchanged" is the PerNode
+			// move endpoint touched (or a flush dirtied) since their flag was
+			// last computed — "ball unchanged ⇒ flag unchanged" is the PerNode
 			// locality contract. The repaired array holds start-of-round
 			// truth for every node, which is exactly what the eager engine's
 			// wholesale Boundary pass would produce: a Sequential sweep's
@@ -533,7 +441,6 @@ func (e *Engine) Step() (RoundStats, bool) {
 			if old, moved, _ := e.turn(i, round); moved {
 				e.movedIDs = append(e.movedIDs, i)
 				e.movedPts = append(e.movedPts, old, e.outs[i].next)
-				e.cacheVer = e.net.Version()
 			}
 			if e.commitHook != nil {
 				e.commitHook(i)
@@ -554,13 +461,8 @@ func (e *Engine) Step() (RoundStats, bool) {
 	}
 	if !sequential {
 		e.commitMoves(e.every())
-		if len(e.movedIDs) > 0 {
-			e.cacheVer = e.net.Version()
-		}
 	}
-	if e.cacheOn {
-		e.syncCellSnapshot()
-	}
+	e.cacheVer = e.net.Version()
 	e.round++
 	cur := e.net.MessageCount()
 	stats.Messages = cur - e.prevMsgs
@@ -604,8 +506,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 //
 // Convergence is checked before each round (not after Step), so an engine
 // that is already converged — e.g. resumed from a checkpoint of a finished
-// run — executes no further rounds, and an observer's topology change
-// (AddNode/RemoveNode), which resets convergence, keeps the run going.
+// run — executes no further rounds, and an observer's edit (MoveNode,
+// AddNode, RemoveNode), which resets convergence, keeps the run going.
 func Drive(ctx context.Context, r interface {
 	Round() int
 	Converged() bool
@@ -653,7 +555,8 @@ func (e *Engine) Finalize() (*Result, error) {
 	}
 	// A round stepped by this engine at the current positions left R̂ for
 	// every node (and the regions, when kept); a resumed engine has neither.
-	reuse := e.converged && len(e.lastRhat) == n && (e.regions != nil) == e.cfg.KeepRegions
+	converged := e.Converged()
+	reuse := converged && len(e.lastRhat) == n && (e.regions != nil) == e.cfg.KeepRegions
 	if !reuse && e.cfg.Mode == Localized {
 		e.boundary = e.detector.Boundary(e.net)
 	}
@@ -664,7 +567,7 @@ func (e *Engine) Finalize() (*Result, error) {
 		Positions: e.net.Positions(),
 		Radii:     radii,
 		Rounds:    e.round,
-		Converged: e.converged,
+		Converged: converged,
 		Trace:     append([]RoundStats(nil), e.trace...),
 		Messages:  e.msgBase + e.net.MessageCount(),
 		Regions:   regions,
@@ -682,6 +585,36 @@ func (e *Engine) DebugRegions() [][]geom.Polygon {
 	}
 	e.finalRadii(e.every(), false, FinalRoundTag(e.round), nil, out)
 	return out
+}
+
+// MoveNode moves node i to p (clamped into the region) between rounds: the
+// what-if edit of a live deployment. The move reaches the per-node state as
+// its two endpoints, exactly like the engine's own moves, so only the cached
+// outcomes and boundary flags whose balls contain the old or the new
+// position are dropped. Convergence state is reset.
+func (e *Engine) MoveNode(i int, p geom.Point) error {
+	n := e.net.Len()
+	if i < 0 || i >= n {
+		return fmt.Errorf("core: MoveNode index %d out of range [0,%d)", i, n)
+	}
+	old, p := e.net.Position(i), e.reg.ClampInside(p)
+	if p == old {
+		return nil
+	}
+	// With a Network() write still unabsorbed (or no cache for this node
+	// count yet), the stamp stays stale and the next Step flushes wholesale.
+	inSync := e.cacheVer == e.net.Version() && len(e.cache) == n
+	e.net.SetPosition(i, p)
+	e.converged = false
+	if inSync {
+		if e.cacheOn {
+			e.dropEntry(i)
+		}
+		ends := [2]geom.Point{old, p}
+		e.invalidate(ends[:], false)
+		e.cacheVer = e.net.Version()
+	}
+	return nil
 }
 
 // RemoveNode deletes node i from the deployment (failure injection). The

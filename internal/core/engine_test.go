@@ -11,6 +11,7 @@ import (
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/voronoi"
+	"laacad/internal/wsn"
 )
 
 func uniformStart(n int, seed int64) []geom.Point {
@@ -418,5 +419,57 @@ func TestStepBookkeeping(t *testing.T) {
 	}
 	if eng.Config().K != 1 {
 		t.Error("Config accessor broken")
+	}
+}
+
+// Regression: an edit after convergence must reopen the run. Run and
+// Finalize trusted the converged flag, so a second Run stepped no round and
+// returned the moved node's stale radius as converged, leaving points
+// covered fewer than k times. Both a write through Network() (the wholesale
+// fallback) and MoveNode (the explicit edit) must make Run step again.
+func TestEditAfterConvergenceStepsAgain(t *testing.T) {
+	start, pitch := wsn.UnitLattice(100, 0)
+	reg := region.UnitSquareKm()
+	target := geom.Pt(0.93, 0.91)
+	edits := []struct {
+		name string
+		edit func(*Engine) error
+	}{
+		{"network-write", func(e *Engine) error { e.Network().SetPosition(7, target); return nil }},
+		{"move-node", func(e *Engine) error { return e.MoveNode(7, target) }},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Epsilon = pitch / 10
+			eng, err := New(reg, start, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("first run did not converge in %d rounds", res.Rounds)
+			}
+			rounds := res.Rounds
+			if err := tc.edit(eng); err != nil {
+				t.Fatal(err)
+			}
+			if eng.Converged() {
+				t.Error("engine still reports convergence after the edit")
+			}
+			res, err = eng.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds == rounds {
+				t.Errorf("second Run stepped no round after the edit (Converged=%v)", res.Converged)
+			}
+			if rep := coverage.Verify(res.Positions, res.Radii, reg, 60); !rep.KCovered(cfg.K) {
+				t.Errorf("result after the edit is not %d-covered: %v", cfg.K, rep)
+			}
+		})
 	}
 }

@@ -236,9 +236,9 @@ func TestLocalizedCacheWithGlobalDetector(t *testing.T) {
 }
 
 // Out-of-band position writes must stay correct in Localized mode too: the
-// per-cell diff (or the wholesale flush it falls back to) drops every entry
-// whose search could have read the rewritten position, and the message
-// accounting still matches the eager run subjected to the same schedule.
+// wholesale flush drops every entry whose search could have read the
+// rewritten position, and the message accounting still matches the eager
+// run subjected to the same schedule.
 func TestLocalizedCacheSurvivesExternalWrite(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 60, rand.New(rand.NewSource(13)))

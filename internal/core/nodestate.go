@@ -500,8 +500,8 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 
 // repairFlags brings the incremental boundary-flag cache up to date with the
 // current (start-of-round) positions and returns the full flag array. Only
-// nodes on the dirty list — those whose γ-ball a move endpoint, an external
-// write, or a flush touched — are re-evaluated, so a converged round repairs
+// nodes on the dirty list — those whose γ-ball a move endpoint touched, or
+// that a flush dirtied — are re-evaluated, so a converged round repairs
 // nothing and a few-movers round repairs O(disturbed), never O(n). A large
 // dirty set (first round, topology change) fans the evaluations out across
 // the worker pool; each evaluation reads only start-of-round positions, so
@@ -547,18 +547,18 @@ func (ns *nodeState) repairFlags(pn boundary.PerNode, n int) []bool {
 	return ns.flagVals
 }
 
-// markFlagsNear invalidates every cached boundary flag whose γ-ball,
-// inflated by slack, contains p — the flag-cache analogue of invalidateNear,
-// run for both endpoints of every move (a neighbor entering the ball changes
-// the flag input by its new position, one leaving it by its old one; the
-// mover itself is always within distance zero of its own new endpoint). The
-// invalidation radius is exactly the PerNode locality contract's γ, so a
-// flag left valid provably has an unchanged input set.
-func (ns *nodeState) markFlagsNear(p geom.Point, slack float64) {
+// markFlagsNear invalidates every cached boundary flag whose γ-ball contains
+// p — the flag-cache analogue of invalidateNear, run for both endpoints of
+// every move (a neighbor entering the ball changes the flag input by its new
+// position, one leaving it by its old one; the mover itself is always within
+// distance zero of its own new endpoint). The invalidation radius is exactly
+// the PerNode locality contract's γ, so a flag left valid provably has an
+// unchanged input set.
+func (ns *nodeState) markFlagsNear(p geom.Point) {
 	if len(ns.flagVals) != ns.net.Len() {
 		return // no live flag cache (or stale numbering; repair resets it)
 	}
-	r := ns.net.Gamma() + slack
+	r := ns.net.Gamma()
 	r2 := r * r
 	if 2*ns.net.CellWindowSize(r) >= len(ns.flagVals) {
 		// Degenerate geometry: the window covers the grid, scan densely.
@@ -624,7 +624,7 @@ func (ns *nodeState) dropEntry(j int) {
 func (ns *nodeState) invalidate(pts []geom.Point, sweep bool) {
 	if ns.flagsLive {
 		for _, p := range pts {
-			ns.markFlagsNear(p, 0)
+			ns.markFlagsNear(p)
 		}
 	}
 	if !ns.cacheOn || len(pts) == 0 {
@@ -662,7 +662,7 @@ func (ns *nodeState) invalidate(pts []geom.Point, sweep bool) {
 	}
 	ns.counters.InverseScans++
 	for _, p := range pts {
-		ns.invalidateNear(p, 0)
+		ns.invalidateNear(p)
 	}
 }
 
@@ -734,21 +734,15 @@ func (ns *nodeState) noteRhoBound(i int, rho float64) {
 }
 
 // invalidateNear runs one inverse range query: drop every valid cache entry
-// whose exactness ball, inflated by slack, contains p. The cell-window walk
-// itself lives with the index (wsn.VisitCellsWithin); here each visited cell
-// is pruned with the per-cell ρ-bound (an upper bound, so pruning can only
-// skip cells that provably hold no affected entry) and surviving candidates
-// get the exact distance test, which with slack 0 — the moved-endpoint case —
-// matches the pair-scan predicate bit for bit. A positive slack turns the
-// point test into "ball touches a square of half-diagonal slack around p",
-// the conservative form localFlush needs for changed grid cells.
-func (ns *nodeState) invalidateNear(p geom.Point, slack float64) {
-	ns.net.VisitCellsWithin(p, ns.rhoMax+slack, func(ci int) {
+// whose exactness ball contains p. The cell-window walk itself lives with the
+// index (wsn.VisitCellsWithin); here each visited cell is pruned with the
+// per-cell ρ-bound (an upper bound, so pruning can only skip cells that
+// provably hold no affected entry) and surviving candidates get the exact
+// distance test, which matches the pair-scan predicate bit for bit.
+func (ns *nodeState) invalidateNear(p geom.Point) {
+	ns.net.VisitCellsWithin(p, ns.rhoMax, func(ci int) {
 		b := ns.rhoBound[ci]
-		if b == 0 {
-			return
-		}
-		if r := b + slack; ns.net.CellDist2(ci, p) > r*r {
+		if b == 0 || ns.net.CellDist2(ci, p) > b*b {
 			return
 		}
 		ns.counters.CellVisits++
@@ -758,7 +752,7 @@ func (ns *nodeState) invalidateNear(p geom.Point, slack float64) {
 				continue
 			}
 			ns.counters.CandidateVisits++
-			if r := c.rho + slack; ns.net.Position(int(j)).Dist2(p) <= r*r {
+			if ns.net.Position(int(j)).Dist2(p) <= c.rho*c.rho {
 				ns.dropEntry(int(j))
 			}
 		}

@@ -162,60 +162,6 @@ func TestMidRoundStatsUnderSynchronousFanout(t *testing.T) {
 	}
 }
 
-// An out-of-band ResetStats between rounds must not corrupt the cached
-// engine's accounting: the trace never reports a negative round total, and
-// the post-reset rounds charge exactly what the eager engine's post-reset
-// rounds charge (the eager protocol re-runs every search after a reset, so
-// the cached engine must recompute and re-measure too).
-func TestResetStatsMidRunStaysExact(t *testing.T) {
-	reg := region.UnitSquareKm()
-	start := region.PlaceUniform(reg, 50, rand.New(rand.NewSource(11)))
-	cfg := DefaultConfig(2)
-	cfg.Mode = Localized
-	cfg.Order = Sequential
-	cfg.Gamma = 0.25
-	cfg.Epsilon = 1e-3
-	cfg.Seed = 11
-
-	eager, err := New(reg, start, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager.eager = true
-	cached, err := New(reg, start, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func() (RoundStats, RoundStats) {
-		se, _ := eager.Step()
-		sc, _ := cached.Step()
-		return se, sc
-	}
-	for r := 0; r < 3; r++ {
-		step()
-	}
-	eager.Network().ResetStats()
-	cached.Network().ResetStats()
-	for r := 0; r < 4; r++ {
-		se, sc := step()
-		if sc.Messages < 0 {
-			t.Fatalf("post-reset round %d reports negative messages: %d", r, sc.Messages)
-		}
-		if se.Messages != sc.Messages {
-			t.Fatalf("post-reset round %d: cached charged %d, eager charged %d",
-				r, sc.Messages, se.Messages)
-		}
-	}
-	if got, want := cached.Network().MessageCount(), eager.Network().MessageCount(); got != want {
-		t.Fatalf("post-reset totals diverge: cached %d, eager %d", got, want)
-	}
-	for i, p := range cached.Positions() {
-		if p != eager.Positions()[i] {
-			t.Fatalf("trajectories diverged after reset at node %d", i)
-		}
-	}
-}
-
 // Steady-state rounds must not pay an O(n) boundary scan: the incremental
 // flag cache re-evaluates only nodes whose γ-ball a move disturbed. The
 // cold round evaluates everyone once; settled few-mover rounds evaluate

@@ -31,7 +31,7 @@ func (e *Engine) Snapshot() (*snapshot.State, error) {
 	// interrupted run's partial-result assembly in the count would make the
 	// resumed total exceed an uninterrupted run's by one extra collection.
 	msgs := e.msgBase + e.net.MessageCount() - e.finalMsgs
-	return Checkpoint(e.net.Positions(), e.cfg, e.round, e.converged, e.trace, msgs), nil
+	return Checkpoint(e.net.Positions(), e.cfg, e.round, e.Converged(), e.trace, msgs), nil
 }
 
 // Checkpoint builds the engine checkpoint at a round boundary — the one

@@ -76,7 +76,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 		"cache.candidate_visits": reg.Counter("cache.candidate_visits"),
 		"cache.pair_visits":      reg.Counter("cache.pair_visits"),
 		"cache.bound_rebuilds":   reg.Counter("cache.bound_rebuilds"),
-		"cache.local_flushes":    reg.Counter("cache.local_flushes"),
 		"spec.waves":             reg.Counter("spec.waves"),
 		"spec.computed":          reg.Counter("spec.computed"),
 		"spec.used":              reg.Counter("spec.used"),
@@ -111,7 +110,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 		counters["cache.candidate_visits"].Set(int64(cc.CandidateVisits))
 		counters["cache.pair_visits"].Set(int64(cc.PairVisits))
 		counters["cache.bound_rebuilds"].Set(int64(cc.BoundRebuilds))
-		counters["cache.local_flushes"].Set(int64(cc.LocalFlushes))
 		counters["spec.waves"].Set(int64(cc.Waves))
 		counters["spec.computed"].Set(int64(cc.SpecComputed))
 		counters["spec.used"].Set(int64(cc.SpecUsed))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -214,16 +215,25 @@ func TestChaosCrashRecovery(t *testing.T) {
 		}
 		acked := readAcks(t, base)
 
-		// Recover over the very journal the child was murdered on top of.
-		s, err := New(Config{SpoolDir: filepath.Join(base, "spool"), Pool: 2, Metrics: &metrics.Registry{}})
-		if err != nil {
-			t.Fatalf("trial %d (kill op %d): recovery: %v", trial, killOp, err)
+		// Count the jobs the journal already holds as done before New starts
+		// the recovered pool: a requeued job that pool finishes early must
+		// count as completed by this instance, not as done at recovery.
+		spool := filepath.Join(base, "spool")
+		journaled, err := LoadJobs(spool)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("trial %d (kill op %d): replay journal: %v", trial, killOp, err)
 		}
 		doneAtRecovery := 0
-		for _, st := range s.List() {
-			if st.State == StateDone {
+		for _, j := range journaled {
+			if j.State == StateDone {
 				doneAtRecovery++
 			}
+		}
+
+		// Recover over the very journal the child was murdered on top of.
+		s, err := New(Config{SpoolDir: spool, Pool: 2, Metrics: &metrics.Registry{}})
+		if err != nil {
+			t.Fatalf("trial %d (kill op %d): recovery: %v", trial, killOp, err)
 		}
 		// No acknowledged job may be lost: each one must come back under the
 		// same identity it was acked with.

@@ -82,30 +82,6 @@ func TestBeginEscrowPanicsOnUnresolvedBalance(t *testing.T) {
 	n.BeginEscrow(0)
 }
 
-func TestResetStatsDropsEscrowAndBumpsEpoch(t *testing.T) {
-	n := New(linePositions(3, 1), 1.5)
-	if n.StatsEpoch() != 0 {
-		t.Fatalf("fresh network StatsEpoch = %d, want 0", n.StatsEpoch())
-	}
-	n.Charge(0, 3)
-	n.BeginEscrow(1)
-	n.Charge(1, 5)
-	n.ResetStats()
-	if got := n.StatsEpoch(); got != 1 {
-		t.Fatalf("StatsEpoch after reset = %d, want 1", got)
-	}
-	if got := n.EscrowDepth(); got != 0 {
-		t.Fatalf("EscrowDepth after reset = %d, want 0", got)
-	}
-	n.EndEscrow(1)
-	if got := n.CommitEscrow(1); got != 0 {
-		t.Fatalf("commit of reset escrow moved %d messages, want 0", got)
-	}
-	if got := n.MessageCount(); got != 0 {
-		t.Fatalf("MessageCount after reset = %d, want 0", got)
-	}
-}
-
 func TestEscrowSurvivesAddNode(t *testing.T) {
 	n := New(linePositions(2, 1), 1.5)
 	id := n.AddNode(linePositions(3, 1)[2])

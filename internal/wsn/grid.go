@@ -21,17 +21,14 @@ import (
 //   - every bucket holds node IDs in ascending order, exactly what a full
 //     rebuild produces, so query answers are bit-identical whichever path
 //     built the index;
-//   - vers[c] increments on every mutation touching cell c (a reader can
-//     detect staleness of one neighborhood without any global flag), and gen
-//     increments on every full rebuild (the cell geometry itself changed, so
-//     cell indices from an older gen are meaningless).
+//   - gen increments on every full rebuild (the cell geometry itself
+//     changed, so cell indices from an older gen are meaningless).
 type gridIndex struct {
 	side   float64
 	ox, oy int // cell coordinate of cells[0]
 	nx, ny int
 
 	cells    [][]int32 // per-cell ID buckets, ascending; sliced from backing
-	vers     []uint32  // per-cell mutation versions
 	nodeCell []int32   // linear cell index of every node
 	gen      uint64    // full-rebuild generation
 }
@@ -104,7 +101,6 @@ func buildGrid(pos []geom.Point, gamma float64, prevGen uint64, hint *geom.BBox)
 	if n == 0 {
 		g.nx, g.ny = 1, 1
 		g.cells = make([][]int32, 1)
-		g.vers = make([]uint32, 1)
 		return g
 	}
 	b := geom.BBoxOf(pos)
@@ -166,7 +162,6 @@ func buildGrid(pos []geom.Point, gamma float64, prevGen uint64, hint *geom.BBox)
 		// segment reallocates alone instead of clobbering its neighbor.
 		g.cells[c] = backing[s:e:e]
 	}
-	g.vers = make([]uint32, ncells)
 	return g
 }
 
@@ -204,14 +199,10 @@ func (g *gridIndex) move(i int, p geom.Point) bool {
 	}
 	old := g.nodeCell[i]
 	if int32(ci) == old {
-		// Same bucket, but the position backing it changed.
-		g.vers[ci]++
-		return true
+		return true // same bucket; only the position backing it changed
 	}
 	g.cells[old] = removeID(g.cells[old], int32(i))
-	g.vers[old]++
 	g.cells[ci] = insertID(g.cells[ci], int32(i))
-	g.vers[ci]++
 	g.nodeCell[i] = int32(ci)
 	return true
 }
@@ -226,7 +217,6 @@ func (g *gridIndex) add(p geom.Point) bool {
 	id := int32(len(g.nodeCell))
 	g.nodeCell = append(g.nodeCell, int32(ci))
 	g.cells[ci] = insertID(g.cells[ci], id)
-	g.vers[ci]++
 	return true
 }
 

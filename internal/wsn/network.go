@@ -45,13 +45,10 @@ type Network struct {
 
 	// Deferred-charge escrow (see BeginEscrow): while deferred[i] is set,
 	// charges to node i accumulate in escrow[i] instead of the public
-	// counters, and escrowed tracks the total held back. statsEpoch counts
-	// ResetStats calls so consumers holding derived accounting state (the
-	// engine's recorded-cost cache) can detect a reset and re-base.
-	escrow     []atomic.Int64
-	deferred   []atomic.Bool
-	escrowed   atomic.Int64
-	statsEpoch atomic.Uint64
+	// counters, and escrowed tracks the total held back.
+	escrow   []atomic.Int64
+	deferred []atomic.Bool
+	escrowed atomic.Int64
 
 	// detached accumulates the message totals of removed nodes, so Stats can
 	// keep Messages == Detached + sum(ByNode) exact across topology changes.
@@ -296,27 +293,6 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes the communication counters, drops any escrowed charges,
-// and advances the stats epoch (see StatsEpoch).
-func (n *Network) ResetStats() {
-	n.msgs.Store(0)
-	for i := range n.byNode {
-		n.byNode[i].Store(0)
-	}
-	for i := range n.escrow {
-		n.escrow[i].Store(0)
-	}
-	n.escrowed.Store(0)
-	n.detached.Store(0)
-	n.statsEpoch.Add(1)
-}
-
-// StatsEpoch returns how many times ResetStats has run. Consumers holding
-// accounting state derived from the counters — the round engine's cache of
-// recorded search costs — compare epochs to detect an out-of-band reset and
-// re-base rather than re-charge stale costs against the zeroed counters.
-func (n *Network) StatsEpoch() uint64 { return n.statsEpoch.Load() }
-
 // Charge records m link-level transmissions attributed to node i. It is safe
 // for concurrent use. While node i is in escrow (BeginEscrow), the charge
 // accumulates privately instead of moving the public counters.
@@ -444,14 +420,6 @@ func (n *Network) GridShape() GridShape {
 	return GridShape{Side: g.side, OX: g.ox, OY: g.oy, NX: g.nx, NY: g.ny, Gen: g.gen}
 }
 
-// CellIndex returns the linear index of the grid cell containing p, or -1
-// when p lies outside the grid bounds (every node is always in bounds; an
-// arbitrary query point need not be).
-func (n *Network) CellIndex(p geom.Point) int {
-	n.rebuild()
-	return n.idx.cellIndex(p)
-}
-
 // CellOfNode returns the linear index of the grid cell node i occupies.
 func (n *Network) CellOfNode(i int) int {
 	n.rebuild()
@@ -489,52 +457,6 @@ func (n *Network) CellWindowSize(dist float64) int {
 func (n *Network) VisitCellsWithin(p geom.Point, dist float64, fn func(ci int)) {
 	n.rebuild()
 	n.idx.visitCells(p, dist, fn)
-}
-
-// CellVersion returns the rebuild generation and the mutation version of
-// the grid cell containing p. The version increments whenever a node enters,
-// leaves, or moves within that cell, so a reader caching state derived from
-// one neighborhood can detect staleness without any global dirty flag. A
-// point outside the grid bounds reports version 0.
-func (n *Network) CellVersion(p geom.Point) (gen uint64, ver uint32) {
-	n.rebuild()
-	ci := n.idx.cellIndex(p)
-	if ci < 0 {
-		return n.idx.gen, 0
-	}
-	return n.idx.gen, n.idx.vers[ci]
-}
-
-// CellVersionAt returns the mutation version of cell ci (see CellVersion).
-func (n *Network) CellVersionAt(ci int) uint32 {
-	n.rebuild()
-	return n.idx.vers[ci]
-}
-
-// AppendCellVersions copies every cell's mutation version into dst[:0]
-// (growing it as needed) and returns the rebuild generation the copy belongs
-// to plus the copy itself — the snapshot primitive for consumers that later
-// want to diff "which cells changed behind my back" (see the engine's
-// localized out-of-band invalidation). Cell indices in the copy are only
-// meaningful while the generation matches.
-func (n *Network) AppendCellVersions(dst []uint32) (uint64, []uint32) {
-	n.rebuild()
-	dst = append(dst[:0], n.idx.vers...)
-	return n.idx.gen, dst
-}
-
-// CellCenter returns the center point of grid cell ci, and the cell's
-// half-diagonal — the slack a consumer needs to turn "ball touches cell"
-// into a center-distance test.
-func (n *Network) CellCenter(ci int) (geom.Point, float64) {
-	n.rebuild()
-	g := n.idx
-	rx, ry := ci%g.nx, ci/g.nx
-	c := geom.Pt(
-		(float64(g.ox+rx)+0.5)*g.side,
-		(float64(g.oy+ry)+0.5)*g.side,
-	)
-	return c, g.side * math.Sqrt2 / 2
 }
 
 // NeighborsWithin returns the IDs of all nodes other than i strictly within

@@ -210,19 +210,6 @@ func TestRingQueryPanicsOnBadMode(t *testing.T) {
 	n.RingQuery(0, 1, RingQueryMode(99))
 }
 
-func TestResetStats(t *testing.T) {
-	n := New(linePositions(3, 1), 1.1)
-	n.RingQuery(0, 2, RingGeometric)
-	if n.Stats().Messages == 0 {
-		t.Fatal("expected nonzero messages")
-	}
-	n.ResetStats()
-	st := n.Stats()
-	if st.Messages != 0 || st.ByNode[0] != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
 func TestChargeAccumulates(t *testing.T) {
 	n := New(linePositions(2, 1), 1)
 	n.Charge(0, 3)
