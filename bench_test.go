@@ -336,7 +336,6 @@ func BenchmarkShardStep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

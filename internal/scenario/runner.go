@@ -74,11 +74,11 @@ func WithMaxRounds(n int) Option {
 }
 
 // WithShards runs the synchronous engine sharded: the region is partitioned
-// into n vertical stripes, each owned by one shard goroutine, exchanging
-// ρ-halos of border positions over typed channels. Positions, trace, radii
-// and message totals are bit-identical to the shared-memory engine for every
-// shard count. n ≤ 1 selects the shared-memory engine; async scenarios
-// ignore the option.
+// into n vertical stripes, each owned by one shard, and the shards compute
+// their rounds in parallel while exchanging ρ-halos of border positions.
+// Positions, trace, radii and message totals are bit-identical to the
+// shared-memory engine for every shard count. n ≤ 1 selects the
+// shared-memory engine; async scenarios ignore the option.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }

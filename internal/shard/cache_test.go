@@ -27,7 +27,6 @@ func TestShardCacheEngages(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer eng.Close()
 				for !eng.Converged() && eng.Round() < cfg.MaxRounds {
 					eng.Step()
 				}

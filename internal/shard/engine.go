@@ -4,28 +4,32 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"laacad/internal/boundary"
 	"laacad/internal/core"
 	"laacad/internal/geom"
+	"laacad/internal/parallel"
 	"laacad/internal/region"
 	"laacad/internal/snapshot"
 )
 
 // Engine is the sharded LAACAD engine: a drop-in Runner that executes the
 // same rounds as core.Engine, but with the deployment partitioned into
-// stripe-owned shards (one goroutine each) exchanging ρ-halos of border
-// positions over typed channels. Trajectories, trace, radii and message
-// totals are bit-identical to the shared-memory engine for every shard
-// count, worker count and update order — asserted by the bit-identity
-// matrix test.
+// stripe-owned shards, each computing its nodes over a window of positions
+// kept coherent by a ρ-halo exchange of border positions. Trajectories,
+// trace, radii and message totals are bit-identical to the shared-memory
+// engine for every shard count, worker count and update order — asserted by
+// the bit-identity matrix test.
 //
-// The orchestrator (this type) runs the round protocol: migrate ownership,
-// grant windows, drive the serve/merge halo exchange, fan computation out to
-// the shards, fold their partial statistics, and route Sequential mid-round
-// position updates. It keeps a global position mirror so Snapshot works at
-// any round boundary without consulting the shards.
+// The orchestrator (this type) runs the round protocol as phase calls on its
+// shards: migrate ownership, grant windows, drive the serve/merge halo
+// exchange, fan computation out to the shards, fold their partial
+// statistics, and route Sequential mid-round position updates. The sending
+// phases (migrate, serve) run shard by shard and append their batches to the
+// receivers' mailboxes; every other phase runs on all shards at once, and
+// its return is the barrier. It keeps a global position mirror so Snapshot
+// works at any round boundary without consulting the shards. An engine holds
+// no goroutine between calls, so a dropped engine releases everything.
 type Engine struct {
 	cfg  core.Config
 	reg  *region.Region
@@ -40,15 +44,9 @@ type Engine struct {
 	fallbackRad float64
 
 	workers []*worker
-	cmds    []chan cmd
-	replies chan reply
-	inbox   []chan dataMsg
-	started bool
-	once    sync.Once
 
 	pos       []geom.Point // global position mirror (current truth)
 	windows   []xband      // each shard's granted window
-	sent      []int64      // data messages ever sent to each shard (fences)
 	round     int
 	converged bool
 	stepped   bool // a round completed this session (finalization shortcuts)
@@ -99,14 +97,8 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		fallbackRad: diag / math.Sqrt(float64(n)) * math.Sqrt(float64(4*cfg.K+4)),
 		pos:         pos,
 		windows:     make([]xband, S),
-		sent:        make([]int64, S),
-		cmds:        make([]chan cmd, S),
-		replies:     make(chan reply, S),
-		inbox:       make([]chan dataMsg, S),
 	}
 	for s := 0; s < S; s++ {
-		e.cmds[s] = make(chan cmd, 1)
-		e.inbox[s] = make(chan dataMsg, n+4*S+64)
 		st, err := core.NewStepper(reg, n, cfg)
 		if err != nil {
 			return nil, err
@@ -159,59 +151,18 @@ func (e *Engine) HaloStats() HaloStats { return e.halo.snapshot() }
 // completed round (scenario.observable).
 func (e *Engine) SetObserver(fn func(core.RoundStats) error) { e.observer = fn }
 
-func (e *Engine) start() {
-	e.once.Do(func() {
-		for _, w := range e.workers {
-			go w.loop()
-		}
-		e.started = true
-	})
-}
-
-// Close releases the shard goroutines. Only needed by callers that drive
-// rounds through Step directly; Run shuts down on its own. Terminal: the
-// engine can only serve mirror reads afterwards.
-func (e *Engine) Close() {
-	if !e.started {
-		return
-	}
-	for _, c := range e.cmds {
-		close(c)
-	}
-	e.started = false
-}
-
-// send issues one command to shard s with the current data-message fence.
-func (e *Engine) send(s int, c cmd) {
-	c.expect = e.sent[s]
-	e.cmds[s] <- c
-}
-
-// collect gathers k replies, folding any send counts into the fences.
-func (e *Engine) collect(k int) []reply {
-	out := make([]reply, 0, k)
-	for i := 0; i < k; i++ {
-		r := <-e.replies
-		for t, c := range r.sentTo {
-			e.sent[t] += c
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// broadcast sends c to every shard and collects all replies.
-func (e *Engine) broadcast(c cmd) []reply {
-	S := e.part.Shards()
-	for s := 0; s < S; s++ {
-		e.send(s, c)
-	}
-	return e.collect(S)
+// each runs phase on every shard at once and returns when all are done —
+// the barrier between round phases. A phase touches only its own shard's
+// state, plus distinct per-node slots of shared outputs.
+func (e *Engine) each(phase func(w *worker)) {
+	S := len(e.workers)
+	parallel.For(S, S, func(s int) { phase(e.workers[s]) })
 }
 
 // serveCycle runs one halo serve: every shard serves each requested band
-// from its owned set. bands[r] is what shard r asked for; empty requests are
-// skipped. Counts one exchange when any request exists.
+// from its owned set into the requesters' mailboxes. bands[r] is what shard
+// r asked for; empty requests are skipped. Counts one exchange when any
+// request exists.
 func (e *Engine) serveCycle(bands []xband) {
 	any := false
 	for _, b := range bands {
@@ -224,7 +175,9 @@ func (e *Engine) serveCycle(bands []xband) {
 		return
 	}
 	e.halo.exchanges.Add(1)
-	e.broadcast(cmd{op: opServe, bands: bands})
+	for _, w := range e.workers {
+		w.doServe(bands)
+	}
 }
 
 // deltaBands splits the extension of old to new into the (≤ 2) bands not
@@ -239,50 +192,50 @@ func deltaBands(old, new xband) (left, right xband) {
 	return
 }
 
-// extendWindows grows the deficit shards' windows and serves the deltas:
-// one or two serve cycles (left and right extensions), then a merge-delta on
-// each grown shard.
-func (e *Engine) extendWindows(deficits []reply) {
+// extendWindows grows the windows of the shards with a deficit (defs[s].ok)
+// and serves the deltas: one or two serve cycles (left and right
+// extensions), then a merge-delta on each grown shard. It reports whether
+// any shard had a deficit.
+func (e *Engine) extendWindows(defs []xband) bool {
 	S := e.part.Shards()
 	bandsL := make([]xband, S)
 	bandsR := make([]xband, S)
-	grown := make([]int, 0, len(deficits))
-	newWins := make([]xband, S)
-	for _, r := range deficits {
-		s := r.shard
+	grown := false
+	for s, d := range defs {
+		if !d.ok {
+			continue
+		}
 		// A request the window already covers (an earlier cycle granted an
 		// overlapping deficit) still gets a merge-delta to clear its retry.
-		newWin := e.windows[s].union(r.window)
+		newWin := e.windows[s].union(d)
 		bandsL[s], bandsR[s] = deltaBands(e.windows[s], newWin)
-		newWins[s] = newWin
-		grown = append(grown, s)
+		e.windows[s] = newWin
+		grown = true
+	}
+	if !grown {
+		return false
 	}
 	e.serveCycle(bandsL)
 	e.serveCycle(bandsR)
-	for _, s := range grown {
-		e.windows[s] = newWins[s]
-		e.send(s, cmd{op: opMergeDelta, window: newWins[s]})
-	}
-	e.collect(len(grown))
+	e.each(func(w *worker) {
+		if defs[w.id].ok {
+			w.doMergeDelta(e.windows[w.id])
+		}
+	})
+	return true
 }
 
-// settle broadcasts c and hands every reply to each, re-issuing c as a retry
-// after widening the windows of the shards that reported a deficit, until
-// none does. A retry reaches only the deficit shards' pending nodes; every
-// other shard no-ops.
-func (e *Engine) settle(c cmd, each func(reply)) {
-	for ; ; c.retry = true {
-		var deficits []reply
-		for _, r := range e.broadcast(c) {
-			each(r)
-			if r.window.ok {
-				deficits = append(deficits, r)
-			}
-		}
-		if len(deficits) == 0 {
+// settle runs phase on every shard, re-running it as a retry after widening
+// the windows of the shards that reported a deficit, until none does. A
+// retry reaches only the deficit shards' pending nodes; every other shard
+// no-ops.
+func (e *Engine) settle(phase func(w *worker, retry bool) xband) {
+	defs := make([]xband, e.part.Shards())
+	for retry := false; ; retry = true {
+		e.each(func(w *worker) { defs[w.id] = phase(w, retry) })
+		if !e.extendWindows(defs) {
 			return
 		}
-		e.extendWindows(deficits)
 	}
 }
 
@@ -292,27 +245,20 @@ func (e *Engine) settle(c cmd, each func(reply)) {
 // predict windows, then serve and merge every window wholesale. After it
 // returns, every shard's window is complete at current truth.
 func (e *Engine) refresh() {
-	S := e.part.Shards()
-	e.broadcast(cmd{op: opMigrate})
+	for _, w := range e.workers {
+		w.doMigrate()
+	}
 	for g := range e.pos {
 		e.owner[g] = e.part.Shard(e.pos[g].X)
 	}
-	for _, r := range e.broadcast(cmd{op: opAbsorb}) {
-		e.windows[r.shard] = r.window
-	}
-	bands := make([]xband, S)
-	copy(bands, e.windows)
-	e.serveCycle(bands)
-	for s := 0; s < S; s++ {
-		e.send(s, cmd{op: opMergeRefresh, window: e.windows[s]})
-	}
-	e.collect(S)
+	e.each(func(w *worker) { e.windows[w.id] = w.doAbsorb() })
+	e.serveCycle(e.windows)
+	e.each(func(w *worker) { w.doMergeRefresh(e.windows[w.id]) })
 }
 
 // Step executes one round and reports its statistics and whether the
 // deployment converged — the sharded mirror of core.Engine.Step.
 func (e *Engine) Step() (core.RoundStats, bool) {
-	e.start()
 	round := e.round + 1
 
 	// Phases 1–4: migrate, absorb, serve, merge.
@@ -323,14 +269,13 @@ func (e *Engine) Step() (core.RoundStats, bool) {
 	if e.cfg.Order == core.Sequential {
 		e.sequentialRound(round)
 	} else {
-		e.settle(cmd{op: opComputeSync, round: round}, func(reply) {})
+		e.settle(func(w *worker, retry bool) xband { return w.doComputeSync(round, retry) })
 	}
+	parts := make([]core.RoundStats, e.part.Shards())
+	e.each(func(w *worker) { parts[w.id] = w.doCommit() })
 	stats := core.RoundStats{Round: round, MinCircumradius: math.Inf(1)}
-	for _, r := range e.broadcast(cmd{op: opCommit}) {
-		stats.Merge(r.stats)
-		for _, m := range r.movedNodes {
-			e.pos[m.id] = m.new
-		}
+	for _, p := range parts {
+		stats.Merge(p)
 	}
 	if math.IsInf(stats.MinCircumradius, 1) {
 		stats.MinCircumradius = 0
@@ -344,87 +289,68 @@ func (e *Engine) Step() (core.RoundStats, bool) {
 	return stats, e.converged
 }
 
-// sequentialRound drives the Gauss–Seidel sweep: every node's turn goes to
-// its owner in ascending global-ID order; committed moves are mirrored and
-// routed to every shard whose window sees either endpoint.
+// sequentialRound drives the Gauss–Seidel sweep: every node takes its turn
+// on its owner in ascending global-ID order; committed moves are mirrored
+// and routed to every other shard whose window sees either endpoint.
 func (e *Engine) sequentialRound(round int) {
-	S := e.part.Shards()
+	defs := make([]xband, e.part.Shards())
 	for g := range e.pos {
-		owner := e.owner[g]
+		w := e.workers[e.owner[g]]
 		for {
-			e.send(owner, cmd{op: opTurn, node: g, round: round})
-			r := <-e.replies
-			for t, c := range r.sentTo {
-				e.sent[t] += c
+			d := w.doTurn(g, round)
+			if !d.ok {
+				break
 			}
-			if r.window.ok {
-				e.extendWindows([]reply{r})
-				continue
+			defs[w.id] = d
+			e.extendWindows(defs)
+			defs[w.id] = xband{}
+		}
+		old, p := e.pos[g], w.pos[g]
+		if p == old {
+			continue
+		}
+		e.pos[g] = p
+		for s, peer := range e.workers {
+			if peer != w && (e.windows[s].contains(old.X) || e.windows[s].contains(p.X)) {
+				peer.applyPosUpdate(g, p)
+				e.halo.posUpdate()
 			}
-			for _, m := range r.movedNodes {
-				old := e.pos[g]
-				e.pos[g] = m.new
-				for s := 0; s < S; s++ {
-					if s != owner && (e.windows[s].contains(old.X) || e.windows[s].contains(m.new.X)) {
-						e.inbox[s] <- posUpdateMsg{id: g, old: old, new: m.new}
-						e.halo.posUpdate()
-						e.sent[s]++
-					}
-				}
-			}
-			break
 		}
 	}
 }
 
 // Run executes rounds until convergence, MaxRounds, ctx cancellation, or an
 // observer stop — core.Drive, the same loop as core.Engine.Run — then assigns
-// final radii and returns the Result. A clean completion releases the shard
-// goroutines; the Result and Snapshot stay available.
+// final radii and returns the Result. A clean completion caches its Result,
+// which later calls return; an interrupted run returns the cause with its
+// partial Result and can be resumed by calling Run again, as with
+// core.Engine.
 func (e *Engine) Run(ctx context.Context) (*core.Result, error) {
 	if e.final != nil {
 		return e.final, nil
 	}
 	if err := core.Drive(ctx, e, e.cfg.MaxRounds, e.observer); err != nil {
-		return e.finalizePartial(err)
+		return e.finalize(), err
 	}
-	return e.finishRun()
-}
-
-// finishRun finalizes a terminal run, caches the Result and releases the
-// shard goroutines.
-func (e *Engine) finishRun() (*core.Result, error) {
-	res, err := e.finalize()
-	if err != nil {
-		return nil, err
-	}
-	e.final = res
-	e.Close()
-	return res, nil
-}
-
-// finalizePartial finalizes an interrupted run: the shards stay alive so the
-// caller can Run again (core.Engine allows it), and the Result carries the
-// interruption cause.
-func (e *Engine) finalizePartial(cause error) (*core.Result, error) {
-	res, err := e.finalize()
-	if err != nil {
-		return nil, err
-	}
-	return res, cause
+	e.final = e.finalize()
+	return e.final, nil
 }
 
 // finalize assigns final radii — the sharded mirror of core.Engine.Finalize:
-// each shard collects its owned nodes' radii through the same state
-// operation the engine runs, reusing the last round's for a converged run
-// this engine stepped and recomputing them otherwise.
-func (e *Engine) finalize() (*core.Result, error) {
-	e.start()
+// each shard writes its owned nodes' radii through the same state operation
+// the engine runs, reusing the last round's for a converged run this engine
+// stepped and recomputing them otherwise.
+func (e *Engine) finalize() *core.Result {
 	n := len(e.pos)
-	radii := make([]float64, n)
-	var regions [][]geom.Polygon
+	res := &core.Result{
+		Positions: append([]geom.Point(nil), e.pos...),
+		Radii:     make([]float64, n),
+		Rounds:    e.round,
+		Converged: e.converged,
+		Trace:     append([]core.RoundStats(nil), e.trace...),
+	}
 	if e.cfg.KeepRegions {
-		regions = make([][]geom.Polygon, n)
+		res.Regions = make([][]geom.Polygon, n)
 	}
 	reuse := e.converged && e.stepped
 	if !reuse {
@@ -434,24 +360,14 @@ func (e *Engine) finalize() (*core.Result, error) {
 		// must read exactly the final positions the engine's recompute reads.
 		e.refresh()
 	}
-	e.settle(cmd{op: opFinal, round: core.FinalRoundTag(e.round), reuse: reuse}, func(r reply) {
-		e.finalMsgs += r.msgs
-		for i, g := range r.ids {
-			radii[g] = r.vals[i]
-			if regions != nil {
-				regions[g] = r.polys[i]
-			}
-		}
-	})
-	return &core.Result{
-		Positions: append([]geom.Point(nil), e.pos...),
-		Radii:     radii,
-		Rounds:    e.round,
-		Converged: e.converged,
-		Trace:     append([]core.RoundStats(nil), e.trace...),
-		Messages:  e.msgBase + e.roundMsgs + e.finalMsgs,
-		Regions:   regions,
-	}, nil
+	tag := core.FinalRoundTag(e.round)
+	e.settle(func(w *worker, retry bool) xband { return w.doFinal(res, reuse, tag, retry) })
+	for _, w := range e.workers {
+		e.finalMsgs += w.msgs
+		w.msgs = 0
+	}
+	res.Messages = e.msgBase + e.roundMsgs + e.finalMsgs
+	return res
 }
 
 // Snapshot captures a resumable checkpoint — byte-identical to what the

@@ -29,7 +29,6 @@ func TestHaloTrafficRhoBallBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	S := eng.Shards()
 	prev := eng.HaloStats()
 	prevMoved := 0

@@ -27,7 +27,6 @@ func TestLockstepRounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer eng.Close()
 				for r := 1; r <= tc.cfg.MaxRounds; r++ {
 					wstats, wdone := ref.Step()
 					gstats, gdone := eng.Step()

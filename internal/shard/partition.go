@@ -1,13 +1,13 @@
 // Package shard implements the sharded LAACAD engine: the deployment region
-// is partitioned into vertical cell stripes, each owned by a shard goroutine
-// that runs core's per-node state (core.Stepper) over its own window
-// wsn.Network; per round the shards exchange a ρ-halo of border positions
-// over explicit typed channels. The sharded engine is bit-identical to the
-// shared-memory core.Engine — Positions, Trace, Radii and Result.Messages —
-// for every shard count, worker count and update order, because every
-// per-node computation routes through the same core state over a local
-// window proven complete for the node's read ball (see worker.go for the
-// trust rule).
+// is partitioned into vertical cell stripes, each owned by a shard that runs
+// core's per-node state (core.Stepper) over its own window wsn.Network; per
+// round the orchestrator calls its shards phase by phase, and the sending
+// phases deliver a ρ-halo of border positions into the receivers'
+// mailboxes. The sharded engine is bit-identical to the shared-memory
+// core.Engine — Positions, Trace, Radii and Result.Messages — for every
+// shard count, worker count and update order, because every per-node
+// computation routes through the same core state over a local window proven
+// complete for the node's read ball (see worker.go for the trust rule).
 package shard
 
 import (
@@ -80,10 +80,3 @@ func (p Partition) Cut(i int) float64 {
 
 // Bounds returns stripe s's x-interval [Cut(s), Cut(s+1)].
 func (p Partition) Bounds(s int) (lo, hi float64) { return p.Cut(s), p.Cut(s + 1) }
-
-// Overlapping returns the inclusive range [first, last] of stripes whose
-// interval intersects the band [lo, hi] — the routing primitive for halo
-// band requests (a ρ wider than one stripe spans several neighbors).
-func (p Partition) Overlapping(lo, hi float64) (first, last int) {
-	return p.Shard(lo), p.Shard(hi)
-}

@@ -79,15 +79,6 @@ func TestPartitionHaloSymmetry(t *testing.T) {
 					if ij != ji {
 						t.Fatalf("s=%d w=%v: halo reach asymmetric between stripes %d and %d", s, w, i, j)
 					}
-					// Overlapping must cover every strictly-reachable stripe
-					// (strict: exact cut-point grazes are ownership-dependent).
-					if jlo < ihi+w && jhi > ilo-w {
-						first, last := p.Overlapping(ilo-w, ihi+w)
-						if j < first || j > last {
-							t.Fatalf("s=%d w=%v: stripe %d reachable from %d but outside Overlapping=[%d,%d]",
-								s, w, j, i, first, last)
-						}
-					}
 				}
 			}
 		}

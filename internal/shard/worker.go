@@ -92,14 +92,11 @@ type worker struct {
 	pending   []int        // owned nodes whose last attempt was untrusted
 	targets   []int        // local indices of the retry set
 	changes   []geom.Point // position-change endpoints not yet invalidated
-	msgs      int64        // the round's message charges so far
-	moved     []movedPos   // the last reply's moves (read before the next command)
+	msgs      int64        // the round's (or finalization's) message charges so far
 	mark      []uint32     // serve-mark generations (refresh sweep)
 	markGen   uint32
-	rxServe   []serveMsg
-	rxMigrate []migrateMsg
-
-	seen int64 // data messages drained so far
+	rxServe   []serveMsg   // mailbox: serve batches for the next merge
+	rxMigrate []migrateMsg // mailbox: migrated-in nodes for the next absorb
 
 	pendMu sync.Mutex // guards pending/deficit under the compute fan-out
 	defic  xband
@@ -146,54 +143,6 @@ func newWorker(id int, eng *Engine, st *core.Stepper, pos []geom.Point, owner []
 	}
 	st.SetAdmit(w.admit)
 	return w
-}
-
-// loop is the shard goroutine: drain the inbox to the command's fence, then
-// execute it and reply.
-func (w *worker) loop() {
-	for c := range w.eng.cmds[w.id] {
-		for ; w.seen < c.expect; w.seen++ {
-			w.apply(<-w.eng.inbox[w.id])
-		}
-		w.eng.replies <- w.execute(c)
-	}
-}
-
-// apply buffers serve/migrate batches for the phase handlers and applies
-// position updates immediately (they are self-contained).
-func (w *worker) apply(m dataMsg) {
-	switch m := m.(type) {
-	case serveMsg:
-		w.rxServe = append(w.rxServe, m)
-	case migrateMsg:
-		w.rxMigrate = append(w.rxMigrate, m)
-	case posUpdateMsg:
-		w.applyPosUpdate(m)
-	}
-}
-
-func (w *worker) execute(c cmd) reply {
-	switch c.op {
-	case opMigrate:
-		return w.doMigrate()
-	case opAbsorb:
-		return w.doAbsorb()
-	case opServe:
-		return w.doServe(c.bands)
-	case opMergeRefresh:
-		return w.doMergeRefresh(c.window)
-	case opMergeDelta:
-		return w.doMergeDelta(c.window)
-	case opComputeSync:
-		return w.doComputeSync(c.round, c.retry)
-	case opTurn:
-		return w.doTurn(c.node, c.round)
-	case opCommit:
-		return w.doCommit()
-	case opFinal:
-		return w.doFinal(c.reuse, c.round, c.retry)
-	}
-	return reply{shard: w.id}
 }
 
 // ---- membership -----------------------------------------------------------
@@ -354,12 +303,11 @@ func (w *worker) spansAll() bool {
 
 // ---- phase handlers -------------------------------------------------------
 
-// doMigrate hands off owned nodes whose position left the stripe. Ownership
-// follows Partition.Shard(x) — the same pure function every shard applies —
-// so no two shards ever claim a node.
-func (w *worker) doMigrate() reply {
-	S := w.eng.part.Shards()
-	out := make([]migrateMsg, S)
+// doMigrate hands off owned nodes whose position left the stripe to their
+// new owners' mailboxes. Ownership follows Partition.Shard(x) — the same
+// pure function every shard applies — so no two shards ever claim a node.
+func (w *worker) doMigrate() {
+	out := make([]migrateMsg, w.eng.part.Shards())
 	kept := w.ownedID[:0]
 	for _, g := range w.ownedID {
 		t := w.eng.part.Shard(w.pos[g].X)
@@ -378,20 +326,18 @@ func (w *worker) doMigrate() reply {
 		w.ownStale = true
 	}
 	w.ownedID = kept
-	sent := make([]int64, S)
 	for t, m := range out {
 		if len(m.ids) > 0 {
-			w.eng.inbox[t] <- m
+			rx := w.eng.workers[t]
+			rx.rxMigrate = append(rx.rxMigrate, m)
 			w.eng.halo.batch(len(m.ids))
-			sent[t]++
 		}
 	}
-	return reply{shard: w.id, sentTo: sent}
 }
 
 // doAbsorb takes ownership of migrated-in nodes and predicts the halo width
-// the coming round needs, replying with the desired window.
-func (w *worker) doAbsorb() reply {
+// the coming round needs, returning the desired window.
+func (w *worker) doAbsorb() xband {
 	for _, m := range w.rxMigrate {
 		for i, g := range m.ids {
 			w.owned[g] = true
@@ -413,7 +359,7 @@ func (w *worker) doAbsorb() reply {
 		}
 	}
 	w.rxMigrate = w.rxMigrate[:0]
-	return reply{shard: w.id, window: w.desiredWindow()}
+	return w.desiredWindow()
 }
 
 // insertSorted inserts g into the ascending list s.
@@ -455,11 +401,9 @@ func (w *worker) desiredWindow() xband {
 }
 
 // doServe sends each requesting shard the current positions of owned nodes
-// inside its band.
-func (w *worker) doServe(bands []xband) reply {
-	S := w.eng.part.Shards()
-	sent := make([]int64, S)
-	for t := 0; t < S; t++ {
+// inside its band, into the requester's mailbox.
+func (w *worker) doServe(bands []xband) {
+	for t, rx := range w.eng.workers {
 		if t == w.id || !bands[t].ok {
 			continue
 		}
@@ -474,11 +418,9 @@ func (w *worker) doServe(bands []xband) reply {
 		if len(ids) == 0 {
 			continue
 		}
-		w.eng.inbox[t] <- serveMsg{ids: ids, pos: ps}
+		rx.rxServe = append(rx.rxServe, serveMsg{ids: ids, pos: ps})
 		w.eng.halo.batch(len(ids))
-		sent[t]++
 	}
-	return reply{shard: w.id, sentTo: sent}
 }
 
 // doMergeRefresh reconciles the buffered round-start serves against the
@@ -486,7 +428,7 @@ func (w *worker) doServe(bands []xband) reply {
 // sweep proves have left the window (their owner did not re-serve them),
 // enforce the cache validity invariant against the new window, and repair
 // the owned boundary flags.
-func (w *worker) doMergeRefresh(win xband) reply {
+func (w *worker) doMergeRefresh(win xband) {
 	w.window = w.clampBand(win)
 	w.markGen++
 	for _, m := range w.rxServe {
@@ -514,13 +456,12 @@ func (w *worker) doMergeRefresh(win xband) reply {
 	// of the round reads start-of-round flag truth, exactly like the engine:
 	// mid-round moves mark flags dirty for the NEXT round's repair.
 	w.st.RepairFlags(w.ownedLocal)
-	return reply{shard: w.id}
 }
 
 // doMergeDelta incorporates serves for a window extension: adds and updates
 // only (no removal sweep — the extension adds coverage, it does not replace
 // it), then widens the window.
-func (w *worker) doMergeDelta(win xband) reply {
+func (w *worker) doMergeDelta(win xband) {
 	w.window = w.window.union(w.clampBand(win))
 	for _, m := range w.rxServe {
 		for i, g := range m.ids {
@@ -529,25 +470,24 @@ func (w *worker) doMergeDelta(win xband) reply {
 	}
 	w.rxServe = w.rxServe[:0]
 	w.syncNet()
-	return reply{shard: w.id}
 }
 
-// applyPosUpdate incorporates one Sequential mid-round move. Membership
-// follows the window: a node moving in becomes a member, one moving out is
-// dropped (a stale copy inside the window would be unsound).
-func (w *worker) applyPosUpdate(m posUpdateMsg) {
-	switch inWin := w.window.contains(m.new.X); {
-	case w.member[m.id] && !inWin && !w.owned[m.id]:
-		w.changes = append(w.changes, w.pos[m.id])
-		w.memberRemove(m.id)
-	case w.member[m.id] || inWin:
-		w.learn(m.id, m.new)
+// applyPosUpdate incorporates one Sequential mid-round move of node g to p.
+// Membership follows the window: a node moving in becomes a member, one
+// moving out is dropped (a stale copy inside the window would be unsound).
+func (w *worker) applyPosUpdate(g int, p geom.Point) {
+	switch inWin := w.window.contains(p.X); {
+	case w.member[g] && !inWin && !w.owned[g]:
+		w.changes = append(w.changes, w.pos[g])
+		w.memberRemove(g)
+	case w.member[g] || inWin:
+		w.learn(g, p)
 	}
 }
 
 // ---- compute --------------------------------------------------------------
 
-// beginAttempt prepares a compute command: the network is synced and the
+// beginAttempt prepares a compute phase: the network is synced and the
 // targets are the owned set, or the pending retry set.
 func (w *worker) beginAttempt(retry bool) []int {
 	w.syncNet()
@@ -565,76 +505,75 @@ func (w *worker) beginAttempt(retry bool) []int {
 }
 
 // doComputeSync computes outcomes for the owned set (or the pending retry
-// set) at start-of-round positions. Replies with the union deficit when any
-// node needs a wider window.
-func (w *worker) doComputeSync(round int, retry bool) reply {
+// set) at start-of-round positions. Returns the union deficit when any node
+// needs a wider window.
+func (w *worker) doComputeSync(round int, retry bool) xband {
 	targets := w.beginAttempt(retry)
 	before := w.net.MessageCount()
 	w.st.StepAll(targets, round)
 	w.msgs += w.net.MessageCount() - before
-	return reply{shard: w.id, window: w.defic}
+	return w.defic
 }
 
 // doCommit applies the round's moves (a Sequential sweep made its own at
-// each turn), folds the shard's partial statistics, and reports the moves
-// for the orchestrator's position mirror.
-func (w *worker) doCommit() reply {
+// each turn), writes them to the orchestrator's position mirror (owned
+// nodes only, so shards write distinct slots) and returns the shard's
+// partial statistics.
+func (w *worker) doCommit() core.RoundStats {
 	w.syncNet()
 	st := core.RoundStats{MinCircumradius: math.Inf(1)}
 	ids, pts := w.st.Commit(w.ownedLocal, &st)
 	st.Messages, w.msgs = w.msgs, 0
-	w.moved = w.moved[:0]
 	for k, li := range ids {
 		g := w.members[li]
 		w.pos[g] = pts[2*k+1]
-		w.moved = append(w.moved, movedPos{id: g, new: pts[2*k+1]})
+		w.eng.pos[g] = pts[2*k+1]
 	}
-	return reply{shard: w.id, stats: st, movedNodes: w.moved}
+	return st
 }
 
 // doTurn runs one node's Sequential turn: compute at current (mid-round)
 // truth, and commit immediately when trusted — later turns must see the
-// move, exactly the Gauss–Seidel contract.
-func (w *worker) doTurn(g, round int) reply {
+// move, exactly the Gauss–Seidel contract. Returns the deficit when the
+// outcome was untrusted.
+func (w *worker) doTurn(g, round int) xband {
 	w.beginAttempt(false)
 	before := w.net.MessageCount()
-	old, next, ok := w.st.Turn(int(w.localOf[g]), round)
+	_, next, ok := w.st.Turn(int(w.localOf[g]), round)
 	w.msgs += w.net.MessageCount() - before
 	if !ok {
-		return reply{shard: w.id, window: w.defic}
+		return w.defic
 	}
-	w.moved = w.moved[:0]
-	if next != old {
-		w.pos[g] = next
-		w.moved = append(w.moved, movedPos{id: g, new: next})
-	}
-	return reply{shard: w.id, movedNodes: w.moved}
+	w.pos[g] = next
+	return xband{}
 }
 
 // ---- finalization ---------------------------------------------------------
 
-// doFinal collects the owned nodes' final radii (and regions): the last
-// round's values when reuse is set, otherwise a recompute at the final
+// doFinal writes the owned nodes' final radii (and regions) into res: the
+// last round's values when reuse is set, otherwise a recompute at the final
 // positions under the negative round tag with the same trust/deficit loop
-// as a round. Charges are reported as finalization messages.
-func (w *worker) doFinal(reuse bool, tag int, retry bool) reply {
+// as a round. Returns the deficit, writing nothing, while any node needs a
+// wider window; shards own distinct nodes, so they write distinct slots.
+// Charges accrue to msgs as finalization messages.
+func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xband {
 	targets := w.beginAttempt(retry)
 	if !reuse {
 		w.st.RepairFlags(w.ownedLocal)
 	}
 	before := w.net.MessageCount()
 	ok := w.st.FinalRadii(targets, reuse, tag)
-	r := reply{shard: w.id, msgs: w.net.MessageCount() - before}
+	w.msgs += w.net.MessageCount() - before
 	if !ok {
-		r.window = w.defic
-		return r
+		return w.defic
 	}
-	r.ids = make([]int, len(w.ownedLocal))
-	r.vals = make([]float64, len(w.ownedLocal))
-	r.polys = make([][]geom.Polygon, len(w.ownedLocal))
-	for k, li := range w.ownedLocal {
-		r.ids[k] = w.members[li]
-		r.vals[k], r.polys[k] = w.st.Final(li)
+	for _, li := range w.ownedLocal {
+		g := w.members[li]
+		r, polys := w.st.Final(li)
+		res.Radii[g] = r
+		if res.Regions != nil {
+			res.Regions[g] = polys
+		}
 	}
-	return r
+	return xband{}
 }

@@ -101,11 +101,12 @@ func WithWorkers(n int) RunOption { return scenario.WithWorkers(n) }
 func WithMaxRounds(n int) RunOption { return scenario.WithMaxRounds(n) }
 
 // WithShards runs the synchronous engine sharded across n stripe-partitioned
-// shard goroutines exchanging ρ-halos of border positions. Positions, trace,
-// radii and message totals are bit-identical to the shared-memory engine for
-// every shard count; halo traffic is observable via WithMetrics
-// ("shard.halo_msgs", "shard.halo_bytes", "shard.exchanges"). n ≤ 1 selects
-// the shared-memory engine; async scenarios ignore the option.
+// shards that compute their rounds in parallel and exchange ρ-halos of
+// border positions. Positions, trace, radii and message totals are
+// bit-identical to the shared-memory engine for every shard count; halo
+// traffic is observable via WithMetrics ("shard.halo_msgs",
+// "shard.halo_bytes", "shard.exchanges"). n ≤ 1 selects the shared-memory
+// engine; async scenarios ignore the option.
 func WithShards(n int) RunOption { return scenario.WithShards(n) }
 
 // WithSnapshotEvery checkpoints the run every `every` rounds into sink —
