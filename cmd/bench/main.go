@@ -187,7 +187,7 @@ var modeBench = map[string]string{
 	"synchronous": "StepParallel|ScaleStepFewMovers|Fig6Convergence|Table1MinNode2Coverage|Table2LensComparison",
 	// Sequential (Gauss–Seidel) rounds: the level-scheduled parallel sweep,
 	// including its mover-heavy layering surface and its hardest accounting
-	// cell (Localized escrow under waves).
+	// cell (Localized message accounting under waves).
 	"sequential": "SeqStepFewMovers|SeqStepActive|SeqStepLevels|SeqLocalizedFewMovers",
 	// Localized Algorithm 2: the message-faithful cached rounds, the
 	// expanding-ring probe, and the incremental boundary detector.

@@ -35,16 +35,16 @@ import (
 //
 // Correctness never depends on the interference prediction: a mispredicted
 // wave member is just a wasted speculation, dropped by the same machinery
-// that drops stale cross-round entries. A Localized speculation runs its
-// search with every charge deferred into the node's wsn escrow, so waste is
-// simply voided (see dropEntry) — the public counters never saw the cost,
-// and no refund exists anywhere in the system. An entry that survives to its
-// node's turn is bit-identical to what the serial sweep would compute there —
+// that drops stale cross-round entries. A Localized speculation's ring
+// search only meters its cost into the entry and charges nothing, so waste
+// costs nothing (see dropEntry) — the public counters never saw it, and no
+// refund exists anywhere in the system. An entry that survives to its node's
+// turn is bit-identical to what the serial sweep would compute there —
 // every position its search read is unchanged since it ran — so consuming it
-// commits the escrow at exactly the instant the eager sweep would have
-// charged: the schedule's fixed point, trace and message accounting
-// (including any mid-round Stats snapshot) equal the one-worker sweep's
-// exactly, for any worker count.
+// charges its cost at exactly the instant the eager sweep would have: the
+// schedule's fixed point, trace and message accounting (including any
+// mid-round Stats snapshot) equal the one-worker sweep's exactly, for any
+// worker count.
 
 const (
 	// waveMinCandidates is the dirty-node count below which planning a
@@ -216,8 +216,7 @@ func (e *Engine) planLevelSchedule(workers int) {
 // and a being popped at scan i implies a ≥ i (stale entries are discarded),
 // so trigger(b) > i and b stays queued. Entries the scan has passed (id < i,
 // recomputed serially at their turn) and entries somehow already valid are
-// dropped on pop — speculating them could overwrite committed state or leak
-// an escrow.
+// dropped on pop — speculating them could overwrite committed state.
 func (e *Engine) speculateAt(i, round int) {
 	if e.schedPos >= len(e.schedKeys) || int(e.schedKeys[e.schedPos]>>32) > i {
 		return

@@ -225,8 +225,8 @@ func TestSeqLevelsEngageMoverHeavy(t *testing.T) {
 
 // The perf mechanism must actually engage and pay off: in the few-movers
 // regime the waves precompute the dirty set and the serial loop consumes
-// almost all of it; every speculated entry is either consumed (escrow
-// committed) or voided — the accounting identity the Localized message
+// almost all of it; every speculated entry is either consumed (and charged)
+// or dropped uncharged — the accounting identity the Localized message
 // faithfulness rests on.
 func TestSequentialSpeculationEngages(t *testing.T) {
 	n := 2500
@@ -262,25 +262,58 @@ func TestSequentialSpeculationEngages(t *testing.T) {
 // ignored Workers outright; the invariant is the same, the mechanism is now
 // speculation + validation instead of ignoring the knob.)
 func TestSequentialMessageAccountingUnderWaves(t *testing.T) {
-	// Localized + Sequential + waves is the hardest cell: speculative ring
-	// searches charge into escrow and only commit when consumed, so Messages
-	// must come out exactly equal to the serial sweep's, per round and in
-	// total.
+	// Localized + Sequential + waves is the hardest cell: a speculative
+	// entry's ring-search cost is charged only when its node's turn consumes
+	// it, so Messages must come out exactly equal to the serial sweep's, per
+	// round and in total. The second cell is dense enough that waves launch
+	// and drop entries; it asserts so, or it would test nothing.
 	reg := region.UnitSquareKm()
-	start := region.PlaceUniform(reg, 80, rand.New(rand.NewSource(41)))
-	cfg := DefaultConfig(2)
-	cfg.Order = Sequential
-	cfg.Mode = Localized
-	cfg.Gamma = 0.25
-	cfg.Epsilon = 1e-3
-	cfg.MaxRounds = 12
-	cfg.Seed = 41
-	trace1, res1 := runWorkers(t, reg, start, cfg, 1)
-	for _, w := range []int{2, 4, 8} {
-		traceW, resW := runWorkers(t, reg, start, cfg, w)
-		assertIdentical(t, fmt.Sprintf("workers=%d", w), trace1, traceW, res1, resW)
-		if res1.Messages != resW.Messages {
-			t.Errorf("workers=%d: message totals differ: %d vs %d", w, res1.Messages, resW.Messages)
+	cells := []struct {
+		n          int
+		seed       int64
+		gamma      float64
+		rounds     int
+		workers    []int
+		speculates bool
+	}{
+		{n: 80, seed: 41, gamma: 0.25, rounds: 12, workers: []int{2, 4, 8}},
+		{n: 200, seed: 3, gamma: 0.1, rounds: 6, workers: []int{4}, speculates: true},
+	}
+	for _, cell := range cells {
+		start := region.PlaceUniform(reg, cell.n, rand.New(rand.NewSource(cell.seed)))
+		cfg := DefaultConfig(2)
+		cfg.Order = Sequential
+		cfg.Mode = Localized
+		cfg.Gamma = cell.gamma
+		cfg.Epsilon = 1e-3
+		cfg.MaxRounds = cell.rounds
+		cfg.Seed = cell.seed
+		trace1, res1 := runWorkers(t, reg, start, cfg, 1)
+		for _, w := range cell.workers {
+			label := fmt.Sprintf("n=%d/workers=%d", cell.n, w)
+			wcfg := cfg
+			wcfg.Workers = w
+			eng, err := New(reg, start, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < cfg.MaxRounds; r++ {
+				if _, done := eng.Step(); done {
+					break
+				}
+			}
+			resW, err := eng.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, label, trace1, eng.Trace(), res1, resW)
+			if res1.Messages != resW.Messages {
+				t.Errorf("%s: message totals differ: %d vs %d", label, res1.Messages, resW.Messages)
+			}
+			if c := eng.CacheCounters(); cell.speculates && (c.Waves == 0 || c.SpecWasted == 0) {
+				t.Errorf("%s: cell no longer speculates: Waves=%d SpecComputed=%d SpecWasted=%d",
+					label, c.Waves, c.SpecComputed, c.SpecWasted)
+			}
 		}
 	}
 }

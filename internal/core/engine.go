@@ -211,8 +211,7 @@ type CacheCounters struct {
 	// Sequential sweep: parallel speculation waves planned, entries computed
 	// by them, entries consumed at their node's turn, and entries that a
 	// committed move invalidated before use (wasted work; a Localized wasted
-	// speculation voids its escrowed message cost, which the public counters
-	// never saw — see wsn.BeginEscrow).
+	// speculation is never charged — its search only metered the cost).
 	Waves, SpecComputed, SpecUsed, SpecWasted uint64
 	// FlagEvals counts per-node boundary-flag evaluations performed by the
 	// incremental flag cache (Localized mode, PerNode detectors). Converged
@@ -352,7 +351,7 @@ func (e *Engine) ensureBuffers(n int) {
 // flushCache invalidates every cache entry (and every cached boundary flag)
 // and re-syncs with the network's mutation counter. It runs only between
 // rounds, when no speculative entry can exist (waves live and die within one
-// sweep), so no escrow is outstanding.
+// sweep).
 func (e *Engine) flushCache() {
 	for i := range e.cache {
 		e.cache[i].valid = false

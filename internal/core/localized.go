@@ -9,13 +9,14 @@ import (
 )
 
 // localizedSearch runs the expanding-ring phase of Algorithm 2 for node i —
-// every message the node sends is charged here — and returns the gathered
-// neighbor IDs, the final ring radius ρ, whether the region must be closed
-// with the ρ/2 ring, and the search's invalidation radius: the whole
-// computation — every ring probe, the domination sampling, the coverage
-// check and the region construction — read only positions within that
-// distance of u_i, so the result (and its exact message cost) is
-// reproducible bit for bit until some position inside that ball changes.
+// metering every message the node sends into s.msgs, charging none — and
+// returns the gathered neighbor IDs, the final ring radius ρ, whether the
+// region must be closed with the ρ/2 ring, and the search's invalidation
+// radius: the whole computation — every ring probe, the domination
+// sampling, the coverage check and the region construction — read only
+// positions within that distance of u_i, so the result (and its exact
+// message cost) is reproducible bit for bit until some position inside that
+// ball changes.
 // For geometric rings that radius is the final ρ; hop-limited rings flood
 // ⌈ρ/γ⌉ hops, whose reachable set can depend on relays up to ⌈ρ/γ⌉·γ out.
 // The scalar test oracle shares it, so the two assemblies are
@@ -25,15 +26,21 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 	rho := 0.0
 	var nbrIDs []int
 	clipToRing := isBoundary
+	s.msgs = 0
 	query := func(radius float64) []int {
+		var ids []int
+		var cost int64
 		if ns.cfg.LossRate > 0 {
-			return ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
+			ids, cost = ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
 				LossRate: ns.cfg.LossRate,
 				Retries:  ns.cfg.LossRetries,
 				Mode:     ns.cfg.RingMode,
 			}, rng)
+		} else {
+			ids, cost = ns.net.RingQuery(i, radius, ns.cfg.RingMode)
 		}
-		return ns.net.RingQuery(i, radius, ns.cfg.RingMode)
+		s.msgs += cost
+		return ids
 	}
 	for {
 		rho += gamma

@@ -102,8 +102,8 @@ type nodeArrays struct {
 	// inside that ball changes — which collapses the long converged tail of
 	// a deployment to near-zero work per round. In Localized mode each entry
 	// additionally records the search's link-level message cost; a reuse
-	// re-charges that cost so the per-round accounting stays exactly what
-	// the eager protocol would have paid.
+	// charges that cost so the per-round accounting stays exactly what the
+	// eager protocol would have paid.
 	cache []nodeCache
 	// rhoHint is each node's last known exactness radius, kept across
 	// invalidations — the warm start of the Centralized search and the
@@ -121,11 +121,10 @@ type nodeArrays struct {
 
 // nodeCache is one node's cached round outcome plus the exactness radius
 // that bounds which position changes can invalidate it. Localized entries
-// carry the recorded message cost of the search that produced the outcome
-// (re-charged on every reuse) and the boundary flag it was computed under;
-// spec marks an entry written by a speculation wave this round, whose cost
-// sits in the node's wsn escrow — committed when the serial loop consumes
-// the entry, voided if it dies first, so public counters never go backwards.
+// carry the metered message cost of the search that produced the outcome
+// (charged on every use) and the boundary flag it was computed under; spec
+// marks an entry written by a speculation wave this round and not yet
+// consumed, so nothing has been charged for it yet.
 type nodeCache struct {
 	valid    bool
 	spec     bool
@@ -238,17 +237,16 @@ func (ns *nodeState) finishMove(ui, ci geom.Point, out *nodeOutcome) {
 // admitted. Cache entries are written only by the worker that owns node i
 // this round, so a fan-out needs no locking.
 //
-// A Localized hit re-charges the entry's recorded message cost — reusing the
+// A Localized hit charges the entry's recorded message cost — reusing the
 // outcome must cost exactly what re-running the search would have, or
-// Result.Messages stops being faithful to the protocol. The exception is an
-// entry speculated earlier this same round (spec): its search already ran
-// with its charges deferred into the node's escrow, so consuming it commits
-// the escrow — the instant the eager serial sweep would have charged. A
-// Localized hit also requires the boundary flag the entry was computed under
-// to still hold; under the incremental flag cache that comparison always
-// passes for a valid entry — the entry's ρ-ball covers the γ-ball (ρ ≥ γ),
-// so a valid entry implies an unchanged flag — while global detectors
-// compare against the freshly computed round array.
+// Result.Messages stops being faithful to the protocol. An entry speculated
+// earlier this same round is no exception: its search charged nothing when
+// it ran, so consuming it charges at the instant the eager serial sweep
+// would have. A Localized hit also requires the boundary flag the entry was
+// computed under to still hold; under the incremental flag cache that
+// comparison always passes for a valid entry — the entry's ρ-ball covers the
+// γ-ball (ρ ≥ γ), so a valid entry implies an unchanged flag — while global
+// detectors compare against the freshly computed round array.
 func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 	if ns.cacheOn {
 		if c := &ns.cache[i]; c.valid && (ns.cfg.Mode != Localized || c.boundary == ns.boundary[i]) {
@@ -256,12 +254,8 @@ func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 			if c.spec {
 				c.spec = false
 				ns.counters.SpecUsed++
-				if c.cost != 0 {
-					ns.net.CommitEscrow(i)
-				}
-			} else if c.cost != 0 {
-				ns.net.Charge(i, c.cost)
 			}
+			ns.charge(i, c.cost)
 			ns.outs[i] = c.out
 			return true
 		}
@@ -278,55 +272,55 @@ func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 // set — the colored sweep's waves write through here from worker goroutines;
 // entry i is only ever written by the worker owning i, so no locking). It
 // reports false when admit rejected the outcome, which is then neither
-// charged nor installed.
-//
-// Localized entries measure the search's link-level cost: a plain serial
-// computation diffs the node's own message counter around the search —
-// every charge of an expanding-ring search is attributed to the searching
-// node, so the diff is exact even while other workers charge their own
-// searches concurrently — while a speculative or admission-checked one runs
-// the search inside the node's wsn escrow, so the cost is measured without
-// reaching the public counters until it is committed: an external Stats read
-// mid-wave sees only committed work, exact and monotone.
+// charged nor installed. An admitted plain computation charges its search's
+// metered cost at once; a speculative one charges nothing until its entry is
+// consumed (see stepNode), so an external Stats read mid-wave sees only
+// what the eager sweep has paid, exact and monotone.
 func (ns *nodeState) computeEntry(i, round int, s *Scratch, spec bool) (nodeOutcome, bool) {
 	var out nodeOutcome
 	var rho, readRad float64
-	var cost int64
 	flag := false
 	if ns.cfg.Mode == Localized {
 		flag = ns.boundary[i]
-		escrow := spec || ns.admit != nil
-		var before int64
-		if escrow {
-			ns.net.BeginEscrow(i)
-		} else {
-			before = ns.net.NodeMessages(i)
-		}
 		out, rho = ns.stepNodeLocalized(i, flag, ns.lossRNG(round, i), s)
 		readRad = rho
-		if escrow {
-			cost = ns.net.EndEscrow(i)
-		} else {
-			cost = ns.net.NodeMessages(i) - before
-		}
 	} else {
 		out, rho = ns.stepNodeCentralized(i, ns.rhoHint[i], s)
 		readRad = s.searchRho
 	}
-	if ns.admit != nil {
-		if !ns.admit(i, readRad, out.rhat) {
-			ns.net.VoidEscrow(i)
-			return out, false
-		}
-		if !spec {
-			ns.net.CommitEscrow(i)
-		}
+	if ns.admit != nil && !ns.admit(i, readRad, out.rhat) {
+		return out, false
+	}
+	cost := ns.searchCost(s)
+	if !spec {
+		ns.charge(i, cost)
 	}
 	if ns.cacheOn {
 		ns.cache[i] = nodeCache{valid: true, spec: spec, boundary: flag, rho: rho, cost: cost, out: out}
 		ns.rhoHint[i] = rho
 	}
 	return out, true
+}
+
+// searchCost is the metered message cost of the search last run on s: the
+// Localized ring search's (see localizedSearch). A Centralized search sends
+// no messages.
+func (ns *nodeState) searchCost(s *Scratch) int64 {
+	if ns.cfg.Mode != Localized {
+		return 0
+	}
+	return s.msgs
+}
+
+// charge pays node i's message cost into the network's counters — the only
+// place a search's cost reaches them. It runs at the node's turn: for an
+// admitted computation, for a consumed cache entry and for an admitted
+// finalization recompute; never for a rejected outcome or a dropped
+// speculation.
+func (ns *nodeState) charge(i int, cost int64) {
+	if cost != 0 {
+		ns.net.Charge(i, cost)
+	}
 }
 
 // stepAll steps every node of ids at the start-of-round positions, fanning
@@ -468,26 +462,19 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 	ns.ensurePool(workers)
 	var rejected atomic.Bool
 	parallel.ForWorker(len(ids), workers, func(w, k int) {
-		i := ids[k]
+		i, s := ids[k], ns.pool[w]
 		var flag bool
 		var rng *rand.Rand
 		if ns.cfg.Mode == Localized {
 			flag, rng = ns.boundary[i], ns.lossRNG(tag, i)
 		}
-		if ns.admit != nil {
-			ns.net.BeginEscrow(i)
-		}
-		polys, readRad := ns.regionOf(i, 0, flag, rng, ns.pool[w])
+		polys, readRad := ns.regionOf(i, 0, flag, rng, s)
 		rhat := voronoi.MaxDistFrom(ns.net.Position(i), polys)
-		if ns.admit != nil {
-			ns.net.EndEscrow(i)
-			if !ns.admit(i, readRad, rhat) {
-				ns.net.VoidEscrow(i)
-				rejected.Store(true)
-				return
-			}
-			ns.net.CommitEscrow(i)
+		if ns.admit != nil && !ns.admit(i, readRad, rhat) {
+			rejected.Store(true)
+			return
 		}
+		ns.charge(i, ns.searchCost(s))
 		if radii != nil {
 			radii[i] = rhat
 		}
@@ -584,16 +571,14 @@ func (ns *nodeState) markFlagsNear(p geom.Point) {
 }
 
 // dropEntry invalidates node j's cache entry. An unconsumed speculative
-// entry dying here means its search ran for nothing: its escrowed message
-// cost is voided — the public counters never saw it, so the round's visible
-// accounting is exactly what the eager serial sweep would have charged, at
-// every instant, with no refund ever needed.
+// entry dying here means its search ran for nothing; it was never charged,
+// so the round's visible accounting is exactly what the eager serial sweep
+// would have charged, at every instant, with no refund ever needed.
 func (ns *nodeState) dropEntry(j int) {
 	c := &ns.cache[j]
 	if c.spec {
 		c.spec = false
 		ns.counters.SpecWasted++
-		ns.net.VoidEscrow(j)
 	}
 	c.valid = false
 }

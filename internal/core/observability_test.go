@@ -29,22 +29,37 @@ func statsIdentity(t *testing.T, s wsn.Stats) int64 {
 // the engine has — the externally visible message total must equal the
 // eager (cache-off, serial) engine's total at the same commit, be
 // self-consistent, and never decrease. This is the end-to-end contract of
-// the deferred-charge ledger: speculation and caching are invisible not
-// just at round boundaries but at every instant in between.
+// metered searches charged at the node's turn: speculation and caching are
+// invisible not just at round boundaries but at every instant in between.
 func TestMidRoundAccountingExactness(t *testing.T) {
 	reg := region.UnitSquareKm()
-	for _, seed := range []int64{1, 42} {
-		start := region.PlaceUniform(reg, 60, rand.New(rand.NewSource(seed)))
+	cells := []struct {
+		n       int
+		seed    int64
+		gamma   float64
+		rounds  int
+		workers []int
+		// speculates marks a cell dense enough that the colored sweep
+		// launches waves and drops some of their entries. The cell asserts
+		// it, so it cannot silently stop exercising the speculative path.
+		speculates bool
+	}{
+		{n: 60, seed: 1, gamma: 0.25, rounds: 8, workers: []int{1, 2, 8}},
+		{n: 60, seed: 42, gamma: 0.25, rounds: 8, workers: []int{1, 2, 8}},
+		{n: 200, seed: 3, gamma: 0.1, rounds: 6, workers: []int{4}, speculates: true},
+	}
+	for _, cell := range cells {
+		start := region.PlaceUniform(reg, cell.n, rand.New(rand.NewSource(cell.seed)))
 		cfg := DefaultConfig(2)
 		cfg.Mode = Localized
 		cfg.Order = Sequential
-		cfg.Gamma = 0.25
+		cfg.Gamma = cell.gamma
 		cfg.Epsilon = 1e-3
-		cfg.MaxRounds = 8
-		cfg.Seed = seed
+		cfg.MaxRounds = cell.rounds
+		cfg.Seed = cell.seed
 
-		// Eager reference: serial, cache off, charges published the moment
-		// each search runs. Record the message prefix after every commit.
+		// Eager reference: serial, cache off, each search charged the moment
+		// it runs. Record the message prefix after every commit.
 		eager, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -61,8 +76,8 @@ func TestMidRoundAccountingExactness(t *testing.T) {
 			cur = nil
 		}
 
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+		for _, workers := range cell.workers {
+			t.Run(fmt.Sprintf("seed=%d/workers=%d", cell.seed, workers), func(t *testing.T) {
 				wcfg := cfg
 				wcfg.Workers = workers
 				eng, err := New(reg, start, wcfg)
@@ -86,9 +101,10 @@ func TestMidRoundAccountingExactness(t *testing.T) {
 				for r := 0; r < cfg.MaxRounds; r++ {
 					round = r
 					eng.Step()
-					if depth := eng.Network().EscrowDepth(); depth != 0 {
-						t.Fatalf("round %d left %d messages in escrow", r+1, depth)
-					}
+				}
+				if c := eng.CacheCounters(); cell.speculates && (c.Waves == 0 || c.SpecWasted == 0) {
+					t.Fatalf("cell no longer speculates: Waves=%d SpecComputed=%d SpecWasted=%d",
+						c.Waves, c.SpecComputed, c.SpecWasted)
 				}
 			})
 		}

@@ -81,11 +81,10 @@ type stepRecord struct {
 }
 
 // scalarStep runs node i's step on the scalar reference pipeline from the
-// fallback start, with loss sampling off, measuring the Localized search's
-// message cost on the attached network.
+// fallback start, with loss sampling off, reading the Localized search's
+// metered message cost.
 func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
 	ui := e.net.Position(i)
-	before := e.net.NodeMessages(i)
 	var polys []geom.Polygon
 	var rhat float64
 	if e.cfg.Mode == Localized {
@@ -94,7 +93,7 @@ func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
 	} else {
 		polys, rhat = centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
 	}
-	rec := stepRecord{Next: ui, MessageCost: e.net.NodeMessages(i) - before}
+	rec := stepRecord{Next: ui, MessageCost: e.searchCost(s)}
 	if len(polys) == 0 {
 		rec.Empty = true
 		return rec
@@ -113,7 +112,7 @@ func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
 // The stepper must run with KeepRegions so the region comes back.
 func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) stepRecord {
 	net := st.net
-	before := net.NodeMessages(i)
+	before := net.MessageCount()
 	out := st.StepNode(i, hint, isBoundary, nil, s)
 	rec := stepRecord{
 		Polys:       out.Polys,
@@ -122,7 +121,7 @@ func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) s
 		Next:        out.Next,
 		Moved:       out.Moved,
 		Empty:       out.Empty,
-		MessageCost: net.NodeMessages(i) - before,
+		MessageCost: net.MessageCount() - before,
 	}
 	if !out.Empty {
 		rec.Center, _ = ChebyshevOfRegion(out.Polys, s)

@@ -12,22 +12,23 @@ import (
 // paper's Fig. 2 (how many hops a node needs to compute its k-order
 // dominating region).
 type RingProbe struct {
-	// Hops is the final ring radius in units of γ (ρ = Hops·γ).
+	// Hops is the final ring radius in units of γ (ρ ≈ Hops·γ; rounded when
+	// ringCap clamps ρ).
 	Hops int
 	// Neighbors is the number of nodes inside the final ring.
 	Neighbors int
-	// Messages is the link-level message cost charged for the search.
+	// Messages is the link-level message cost of the search.
 	Messages int64
 	// Region is the resulting dominating region.
 	Region []geom.Polygon
 }
 
 // ExpandingRing runs Algorithm 2 for node i over the network as it stands
-// and returns the probe result. The search expands in increments of γ until
-// the circle of radius ρ/2 around the node is fully non-dominated (sampled
-// with arcSamples points, skipping samples outside reg), exactly as the
-// Localized engine does for interior nodes. ringCap bounds ρ; pass 0 for the
-// region diagonal.
+// and returns the probe result. The search is the Localized engine's own
+// (localizedSearch) for an interior node: it expands in increments of γ
+// until the circle of radius ρ/2 around the node is fully non-dominated
+// (sampled with arcSamples points, skipping samples outside reg). ringCap
+// bounds ρ; pass 0 for the region diagonal. The network is not charged.
 func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, mode wsn.RingQueryMode, ringCap float64) RingProbe {
 	if arcSamples < 8 {
 		arcSamples = 64
@@ -47,30 +48,16 @@ func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, m
 		net: net,
 	}
 	s := NewScratch()
-	before := net.MessageCount()
-	gamma := net.Gamma()
-	rho := 0.0
-	var nbrIDs []int
-	for {
-		rho += gamma
-		if rho >= ringCap {
-			nbrIDs = net.RingQuery(i, ringCap, mode)
-			break
-		}
-		nbrIDs = net.RingQuery(i, rho, mode)
-		if dominated, _ := e.circleDominated(i, nbrIDs, rho/2, false, s); dominated {
-			break
-		}
-	}
+	nbrIDs, rho, _, _ := e.localizedSearch(i, false, nil, s)
 	sites := make([]voronoi.Site, 0, len(nbrIDs))
 	for _, j := range nbrIDs {
 		sites = append(sites, voronoi.Site{ID: j, Pos: net.Position(j)})
 	}
 	polys := voronoi.DominatingRegion(voronoi.Site{ID: i, Pos: net.Position(i)}, sites, k, reg.Pieces())
 	return RingProbe{
-		Hops:      int(rho/gamma + 0.5),
+		Hops:      int(rho/net.Gamma() + 0.5),
 		Neighbors: len(nbrIDs),
-		Messages:  net.MessageCount() - before,
+		Messages:  s.msgs,
 		Region:    polys,
 	}
 }

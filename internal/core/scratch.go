@@ -24,6 +24,11 @@ type Scratch struct {
 	// radius when deciding whether a locally computed outcome can be trusted
 	// (the tightened return value under-reports what was gathered).
 	searchRho float64
+
+	// msgs is the link-level message cost of the last Localized expanding-
+	// ring search (see localizedSearch). The search charges nothing itself;
+	// the node's turn charges this cost once the outcome counts.
+	msgs int64
 }
 
 // NewScratch returns an empty workspace. Buffers grow on first use and are

@@ -88,12 +88,13 @@ type StepOutcome struct {
 // StepNode computes node i's round outcome on the attached network. hint
 // warm-starts the Centralized expanding search (pass the node's last InvRad,
 // or 0). isBoundary and rng apply in Localized mode only: the boundary flag
-// as start-of-round truth, and the node's private loss stream. Localized
-// searches charge the attached network's counters for node i — callers
-// measure a computation's cost by diffing NodeMessages around the call.
+// as start-of-round truth, and the node's private loss stream. A Localized
+// step charges its search's message cost to node i on the attached network
+// before it returns, as the eager protocol pays it.
 func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) StepOutcome {
 	if st.cfg.Mode == Localized {
 		out, inv := st.stepNodeLocalized(i, isBoundary, rng, s)
+		st.charge(i, s.msgs)
 		return exportOutcome(out, inv)
 	}
 	return exportOutcome(st.stepNodeCentralized(i, hint, s))
@@ -102,9 +103,12 @@ func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand
 // RegionPolys computes node i's dominating region at the current positions —
 // the Finalize/DebugRegions recompute path — returning compacted polygons
 // plus the radius of the ball the computation read positions from. rng must
-// be the node's stream for the negative FinalRoundTag round.
+// be the node's stream for the negative FinalRoundTag round. Like StepNode,
+// a Localized recompute charges its search's cost to node i.
 func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	return st.regionOf(i, hint, isBoundary, rng, s)
+	polys, readRad := st.regionOf(i, hint, isBoundary, rng, s)
+	st.charge(i, st.searchCost(s))
+	return polys, readRad
 }
 
 // exportOutcome converts the internal outcome to the exported mirror.

@@ -6,7 +6,7 @@
 //
 //   - Inject wraps an FS and applies Rules: fail the Nth matching operation
 //     with an error, tear a write after k bytes, or crash the whole process
-//     (a real self-delivered SIGKILL, so no deferred cleanup or buffered
+//     (a real self-delivered SIGKILL, so no cleanup handler or buffered
 //     flush softens the landing) at a named operation — which is exactly the
 //     adversarial instant a crash-consistency test wants to own.
 //   - Manual is a hand-advanced clock, so retry/backoff and deadline policy

@@ -12,8 +12,8 @@
 //
 //   - Gauge: a read-time callback returning the current value. Gauges are
 //     registered only over sources that are themselves safe for concurrent
-//     reads (true atomics: the WSN's committed message total, the escrow
-//     depth), so sampling a gauge mid-round is exact, never torn.
+//     reads (true atomics: the WSN's message total, the halo-traffic
+//     totals), so sampling a gauge mid-round is exact, never torn.
 //
 // The registry serializes to a flat JSON object with sorted keys
 // (WriteJSON), and implements http.Handler so a live process can expose it

@@ -7,12 +7,11 @@ import (
 
 // WithMetrics publishes the run's observability surface into reg:
 //
-//   - Live gauges over the WSN's concurrency-safe counters — the committed
-//     message total ("wsn.messages") and the speculative escrow depth
-//     ("wsn.escrow_depth"). These read true atomics, so a scrape taken in
-//     the middle of a round (even mid-wave) is exact and monotone: the
-//     deferred-charge ledger guarantees the committed total never includes
-//     speculative work and never moves backwards.
+//   - A live gauge over the WSN's concurrency-safe message total
+//     ("wsn.messages"). It reads a true atomic, so a scrape taken in the
+//     middle of a round (even mid-wave) is exact and monotone: ring searches
+//     only meter their cost, and a node pays it at its own turn, so the
+//     total never includes speculative work and never moves backwards.
 //
 //   - Per-round counters snapshotted by an internal observer after every
 //     completed round: the engine's cumulative cache/invalidation work
@@ -67,7 +66,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 	}
 	net := eng.Network()
 	reg.Gauge("wsn.messages", net.MessageCount)
-	reg.Gauge("wsn.escrow_depth", net.EscrowDepth)
 	counters := map[string]*metrics.Counter{
 		"cache.hits":             reg.Counter("cache.hits"),
 		"cache.inverse_scans":    reg.Counter("cache.inverse_scans"),

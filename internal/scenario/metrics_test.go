@@ -54,9 +54,6 @@ func TestWithMetricsPublishesEngineSurface(t *testing.T) {
 			t.Errorf("counter %q not registered", name)
 		}
 	}
-	if got := snap["wsn.escrow_depth"]; got != 0 {
-		t.Errorf("escrow depth nonzero between rounds: %d", got)
-	}
 	if snap["wsn.rebuilds"] == 0 {
 		t.Error("wsn.rebuilds never published")
 	}

@@ -73,11 +73,11 @@ func TestIncrementalGridMatchesRebuildUnderChurn(t *testing.T) {
 				t.Fatalf("trial %d op %d: NeighborsWithin(%d, %v) incremental %v != rebuild %v",
 					trial, op, i, rho, got, want)
 			}
-			gotRing := inc.RingQuery(i, rho, RingGeometric)
-			wantRing := fresh.RingQuery(i, rho, RingGeometric)
-			if !reflect.DeepEqual(gotRing, wantRing) {
-				t.Fatalf("trial %d op %d: RingQuery(%d, %v) incremental %v != rebuild %v",
-					trial, op, i, rho, gotRing, wantRing)
+			gotRing, gotCost := inc.RingQuery(i, rho, RingGeometric)
+			wantRing, wantCost := fresh.RingQuery(i, rho, RingGeometric)
+			if !reflect.DeepEqual(gotRing, wantRing) || gotCost != wantCost {
+				t.Fatalf("trial %d op %d: RingQuery(%d, %v) incremental %v (cost %d) != rebuild %v (cost %d)",
+					trial, op, i, rho, gotRing, gotCost, wantRing, wantCost)
 			}
 			gotHop := inc.HopNeighborhood(i, 2)
 			wantHop := fresh.HopNeighborhood(i, 2)

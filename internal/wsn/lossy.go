@@ -19,35 +19,37 @@ type LossyRingConfig struct {
 }
 
 // RingQueryLossy performs an expanding-ring query over an unreliable link
-// layer. A discovered node's reply must survive its hop-count transmissions
+// layer and returns the nodes heard from with the query's total message
+// cost. A discovered node's reply must survive its hop-count transmissions
 // (each lost with probability cfg.LossRate); nodes whose replies are lost
-// are retried up to cfg.Retries times. Every attempt is charged like a
-// normal ring query restricted to the still-missing nodes.
+// are retried up to cfg.Retries times. Every attempt costs like a normal
+// ring query restricted to the still-missing nodes. Like RingQuery, it
+// charges nothing.
 //
 // The returned set is the subset of the ideal query result whose replies
 // got through — under loss, a node may compute its dominating region from
 // incomplete information, which enlarges the region (fewer known "closer"
 // nodes) but never breaks coverage: the true region is always a subset of
 // the computed one.
-func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *rand.Rand) []int {
+func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *rand.Rand) ([]int, int64) {
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		panic(fmt.Sprintf("wsn: loss rate must be in [0, 1), got %v", cfg.LossRate))
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
-	// The ideal result (charged as one normal query).
-	ideal := n.RingQuery(i, rho, cfg.Mode)
+	// The ideal result, costed as one normal query.
+	ideal, cost := n.RingQuery(i, rho, cfg.Mode)
 	if cfg.LossRate == 0 {
-		return ideal
+		return ideal, cost
 	}
 	heard := make(map[int]bool, len(ideal))
 	missing := ideal
 	for attempt := 0; attempt <= cfg.Retries && len(missing) > 0; attempt++ {
 		if attempt > 0 {
-			// A retry floods the ring again: charge the rebroadcasts plus
-			// the replies we are about to receive.
-			n.Charge(i, 1+int64(len(missing)))
+			// A retry floods the ring again: the rebroadcasts plus the
+			// replies we are about to receive.
+			cost += 1 + int64(len(missing))
 		}
 		var still []int
 		for _, j := range missing {
@@ -61,7 +63,7 @@ func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *r
 			}
 			if delivered {
 				heard[j] = true
-				n.Charge(i, int64(hops))
+				cost += int64(hops)
 			} else {
 				still = append(still, j)
 			}
@@ -74,7 +76,7 @@ func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *r
 			out = append(out, j)
 		}
 	}
-	return out
+	return out, cost
 }
 
 // replyHops estimates the hop count of j's reply to i.

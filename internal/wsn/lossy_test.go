@@ -10,7 +10,7 @@ import (
 
 func TestRingQueryLossyZeroLossMatchesIdeal(t *testing.T) {
 	n := New(linePositions(5, 1), 1.1)
-	got := n.RingQueryLossy(2, 1.5, LossyRingConfig{LossRate: 0}, nil)
+	got, _ := n.RingQueryLossy(2, 1.5, LossyRingConfig{LossRate: 0}, nil)
 	sort.Ints(got)
 	if !equal(got, []int{1, 3}) {
 		t.Errorf("got %v", got)
@@ -39,10 +39,11 @@ func TestRingQueryLossyReturnsSubsetOfIdeal(t *testing.T) {
 	}
 	n := New(pts, 0.15)
 	ideal := map[int]bool{}
-	for _, j := range n.RingQuery(0, 0.5, RingGeometric) {
+	found, _ := n.RingQuery(0, 0.5, RingGeometric)
+	for _, j := range found {
 		ideal[j] = true
 	}
-	got := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.5, Retries: 0, Mode: RingGeometric},
+	got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.5, Retries: 0, Mode: RingGeometric},
 		rand.New(rand.NewSource(9)))
 	for _, j := range got {
 		if !ideal[j] {
@@ -61,12 +62,13 @@ func TestRingQueryLossyRetriesRecover(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	n := New(pts, 0.2)
-	ideal := len(n.RingQuery(0, 0.4, RingGeometric))
+	found, _ := n.RingQuery(0, 0.4, RingGeometric)
+	ideal := len(found)
 	if ideal == 0 {
 		t.Skip("degenerate instance")
 	}
 	// With aggressive retries nearly everything gets through.
-	got := n.RingQueryLossy(0, 0.4, LossyRingConfig{LossRate: 0.3, Retries: 10, Mode: RingGeometric},
+	got, _ := n.RingQueryLossy(0, 0.4, LossyRingConfig{LossRate: 0.3, Retries: 10, Mode: RingGeometric},
 		rand.New(rand.NewSource(10)))
 	if len(got) < ideal {
 		t.Errorf("10 retries at 30%% loss should recover all %d, got %d", ideal, len(got))
@@ -80,10 +82,9 @@ func TestRingQueryLossyChargesRetries(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	mk := func(loss float64, retries int, seed int64) int64 {
-		n := New(pts, 0.3)
-		n.RingQueryLossy(0, 0.6, LossyRingConfig{LossRate: loss, Retries: retries, Mode: RingGeometric},
+		_, cost := New(pts, 0.3).RingQueryLossy(0, 0.6, LossyRingConfig{LossRate: loss, Retries: retries, Mode: RingGeometric},
 			rand.New(rand.NewSource(seed)))
-		return n.Stats().Messages
+		return cost
 	}
 	clean := mk(0, 0, 1)
 	lossy := mk(0.4, 5, 1)
@@ -100,7 +101,7 @@ func TestRingQueryLossyDeterministic(t *testing.T) {
 	}
 	run := func() []int {
 		n := New(pts, 0.2)
-		got := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.3, Retries: 1, Mode: RingGeometric},
+		got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.3, Retries: 1, Mode: RingGeometric},
 			rand.New(rand.NewSource(42)))
 		sort.Ints(got)
 		return got

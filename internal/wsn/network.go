@@ -28,7 +28,8 @@ import (
 // NeighborsWithin, RingQuery and HopNeighborhood may fan out across
 // goroutines between mutations. Callers doing so should invoke Rebuild
 // first so the grid is built once up front rather than contended on first
-// query.
+// query. Queries charge nothing: RingQuery returns its message cost, and the
+// caller charges it when the protocol would.
 type Network struct {
 	pos   []geom.Point
 	gamma float64
@@ -42,13 +43,6 @@ type Network struct {
 	// 8-byte alignment Charge needs is guaranteed on 32-bit platforms too.
 	msgs   atomic.Int64
 	byNode []atomic.Int64
-
-	// Deferred-charge escrow (see BeginEscrow): while deferred[i] is set,
-	// charges to node i accumulate in escrow[i] instead of the public
-	// counters, and escrowed tracks the total held back.
-	escrow   []atomic.Int64
-	deferred []atomic.Bool
-	escrowed atomic.Int64
 
 	// detached accumulates the message totals of removed nodes, so Stats can
 	// keep Messages == Detached + sum(ByNode) exact across topology changes.
@@ -99,11 +93,9 @@ func New(pos []geom.Point, gamma float64) *Network {
 		panic(fmt.Sprintf("wsn: transmission range must be positive, got %v", gamma))
 	}
 	n := &Network{
-		pos:      append([]geom.Point(nil), pos...),
-		gamma:    gamma,
-		byNode:   make([]atomic.Int64, len(pos)),
-		escrow:   make([]atomic.Int64, len(pos)),
-		deferred: make([]atomic.Bool, len(pos)),
+		pos:    append([]geom.Point(nil), pos...),
+		gamma:  gamma,
+		byNode: make([]atomic.Int64, len(pos)),
 	}
 	n.dirty.Store(true)
 	return n
@@ -180,9 +172,7 @@ func (n *Network) SetPositions(pos []geom.Point) {
 func (n *Network) AddNode(p geom.Point) int {
 	id := len(n.pos)
 	n.pos = append(n.pos, p)
-	n.byNode = resizeCounters(n.byNode, len(n.pos), len(n.pos))
-	n.escrow = resizeCounters(n.escrow, len(n.pos), len(n.pos))
-	n.deferred = make([]atomic.Bool, len(n.pos)) // escrow is empty between mutations
+	n.byNode = resizeCounters(n.byNode, len(n.pos))
 	n.version.Add(1)
 	if !n.dirty.Load() {
 		if n.idx.add(p) {
@@ -214,20 +204,15 @@ func (n *Network) RemoveNode(i int) {
 		byNode[j].Store(n.byNode[src].Load())
 	}
 	n.byNode = byNode
-	n.escrow = make([]atomic.Int64, len(n.pos))
-	n.deferred = make([]atomic.Bool, len(n.pos))
 	n.markDirty()
 }
 
 // resizeCounters returns a fresh counter slice of the given length carrying
-// over the first keep values. atomic.Int64 must not be copied by assignment,
-// so the values are moved Load/Store-wise (mutation is single-threaded).
-func resizeCounters(old []atomic.Int64, length, keep int) []atomic.Int64 {
+// over old's values. atomic.Int64 must not be copied by assignment, so the
+// values are moved Load/Store-wise (mutation is single-threaded).
+func resizeCounters(old []atomic.Int64, length int) []atomic.Int64 {
 	out := make([]atomic.Int64, length)
-	if keep > len(old) {
-		keep = len(old)
-	}
-	for i := 0; i < keep; i++ {
+	for i := 0; i < min(len(old), length); i++ {
 		out[i].Store(old[i].Load())
 	}
 	return out
@@ -267,12 +252,6 @@ func (n *Network) Version() uint64 { return n.version.Load() }
 // loops.
 func (n *Network) MessageCount() int64 { return n.msgs.Load() }
 
-// NodeMessages returns the link-level messages attributed to node i so far.
-// It is safe for concurrent use; a worker measuring the cost of one node's
-// own query sequence (ring searches charge to the searching node) can diff
-// it around the computation without materializing Stats.
-func (n *Network) NodeMessages(i int) int64 { return n.byNode[i].Load() }
-
 // Stats returns a snapshot of the accumulated communication statistics. The
 // snapshot is self-consistent: Messages is computed as Detached plus the sum
 // of the ByNode values it carries, so `Messages == Detached + sum(ByNode)`
@@ -294,67 +273,11 @@ func (n *Network) Stats() Stats {
 }
 
 // Charge records m link-level transmissions attributed to node i. It is safe
-// for concurrent use. While node i is in escrow (BeginEscrow), the charge
-// accumulates privately instead of moving the public counters.
+// for concurrent use.
 func (n *Network) Charge(i int, m int64) {
-	if n.deferred[i].Load() {
-		n.escrow[i].Add(m)
-		n.escrowed.Add(m)
-		return
-	}
 	n.msgs.Add(m)
 	n.byNode[i].Add(m)
 }
-
-// BeginEscrow opens node i's deferred-charge escrow: until EndEscrow,
-// charges attributed to i accumulate in a private escrow account invisible
-// to MessageCount/Stats/NodeMessages. The speculation machinery wraps each
-// speculative expanding-ring search in an escrow so externally visible
-// counters stay exact and monotone at every instant — a wave that dies voids
-// its escrow instead of refunding published charges. Only node i's own
-// charge path is redirected; it must not race with i's Commit/VoidEscrow.
-func (n *Network) BeginEscrow(i int) {
-	if n.escrow[i].Load() != 0 {
-		panic(fmt.Sprintf("wsn: BeginEscrow(%d) with unresolved escrow", i))
-	}
-	n.deferred[i].Store(true)
-}
-
-// EndEscrow closes node i's escrow and returns the balance accumulated while
-// it was open. The balance stays held back until CommitEscrow publishes it
-// or VoidEscrow discards it.
-func (n *Network) EndEscrow(i int) int64 {
-	n.deferred[i].Store(false)
-	return n.escrow[i].Load()
-}
-
-// CommitEscrow publishes node i's escrowed charges to the public counters in
-// one step and returns the amount committed.
-func (n *Network) CommitEscrow(i int) int64 {
-	m := n.escrow[i].Swap(0)
-	if m != 0 {
-		n.escrowed.Add(-m)
-		n.msgs.Add(m)
-		n.byNode[i].Add(m)
-	}
-	return m
-}
-
-// VoidEscrow discards node i's escrowed charges — the fate of a speculative
-// computation whose wave died — and returns the amount dropped. The public
-// counters never saw the charges, so no refund happens anywhere.
-func (n *Network) VoidEscrow(i int) int64 {
-	m := n.escrow[i].Swap(0)
-	if m != 0 {
-		n.escrowed.Add(-m)
-	}
-	return m
-}
-
-// EscrowDepth returns the total charges currently held in escrow across all
-// nodes — a live gauge of in-flight speculation; zero whenever no wave is in
-// progress.
-func (n *Network) EscrowDepth() int64 { return n.escrowed.Load() }
 
 // Rebuild brings the spatial index up to date with the current positions if
 // a full rebuild is pending (bulk write, node-count change, or a move that
@@ -590,13 +513,14 @@ const (
 )
 
 // RingQuery performs one expanding-ring neighborhood query of radius rho for
-// node i and charges its communication cost: a flood to h = ⌈ρ/γ⌉ hops costs
-// one broadcast per already-reached node, and each discovered node's reply
-// is forwarded back over its hop distance. Results are in ascending node-ID
-// order in both modes; callers consume them positionally (e.g.
-// RingQueryLossy assigns per-reply loss draws down the list), so the order
-// is part of the determinism contract.
-func (n *Network) RingQuery(i int, rho float64, mode RingQueryMode) []int {
+// node i and returns the nodes found with the query's communication cost: a
+// flood to h = ⌈ρ/γ⌉ hops costs one broadcast per already-reached node, and
+// each discovered node's reply is forwarded back over its hop distance. The
+// query charges nothing; the caller decides when the cost is paid (see
+// Charge). Results are in ascending node-ID order in both modes; callers
+// consume them positionally (e.g. RingQueryLossy assigns per-reply loss
+// draws down the list), so the order is part of the determinism contract.
+func (n *Network) RingQuery(i int, rho float64, mode RingQueryMode) ([]int, int64) {
 	hops := int(math.Ceil(rho / n.gamma))
 	if hops < 1 {
 		hops = 1
@@ -635,8 +559,7 @@ func (n *Network) RingQuery(i int, rho float64, mode RingQueryMode) []int {
 	default:
 		panic(fmt.Sprintf("wsn: unknown ring query mode %d", mode))
 	}
-	n.Charge(i, cost)
-	return found
+	return found, cost
 }
 
 // Connected reports whether the unit-disk graph is connected. An empty

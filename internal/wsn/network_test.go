@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"laacad/internal/geom"
@@ -163,19 +164,19 @@ func TestDegreeStats(t *testing.T) {
 
 func TestRingQueryGeometric(t *testing.T) {
 	n := New(linePositions(5, 1), 1.1)
-	found := n.RingQuery(2, 1.5, RingGeometric)
+	found, cost := n.RingQuery(2, 1.5, RingGeometric)
 	sort.Ints(found)
 	if !equal(found, []int{1, 3}) {
 		t.Errorf("found = %v", found)
 	}
-	st := n.Stats()
-	if st.Messages == 0 || st.ByNode[2] != st.Messages {
-		t.Errorf("stats = %+v", st)
+	// The query returns its cost and charges nothing.
+	if st := n.Stats(); st.Messages != 0 || st.ByNode[2] != 0 {
+		t.Errorf("query charged the network: stats = %+v", st)
 	}
 	// Cost: 1 + 2 rebroadcasts + 2 replies of 1 hop + ... deterministic:
 	// 1 + 2 + (1 + 1) = 5.
-	if st.Messages != 5 {
-		t.Errorf("messages = %d, want 5", st.Messages)
+	if cost != 5 {
+		t.Errorf("cost = %d, want 5", cost)
 	}
 }
 
@@ -183,7 +184,7 @@ func TestRingQueryHopLimited(t *testing.T) {
 	// A gap in the line: node 3 is at x=10, unreachable.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(10, 0)}
 	n := New(pts, 1.1)
-	found := n.RingQuery(0, 3, RingHopLimited)
+	found, _ := n.RingQuery(0, 3, RingHopLimited)
 	sort.Ints(found)
 	if !equal(found, []int{1, 2}) {
 		t.Errorf("found = %v", found)
@@ -192,10 +193,10 @@ func TestRingQueryHopLimited(t *testing.T) {
 	// but with a reachable-but-far topology they differ:
 	pts2 := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0)} // within rho=3 but > gamma
 	n2 := New(pts2, 1.1)
-	if got := n2.RingQuery(0, 3, RingHopLimited); len(got) != 0 {
+	if got, _ := n2.RingQuery(0, 3, RingHopLimited); len(got) != 0 {
 		t.Errorf("hop-limited should not reach isolated node, got %v", got)
 	}
-	if got := n2.RingQuery(0, 3, RingGeometric); len(got) != 1 {
+	if got, _ := n2.RingQuery(0, 3, RingGeometric); len(got) != 1 {
 		t.Errorf("geometric should see the node, got %v", got)
 	}
 }
@@ -303,5 +304,55 @@ func TestVersionCountsMutations(t *testing.T) {
 	}
 	if n.MessageCount() != n.Stats().Messages {
 		t.Error("MessageCount disagrees with Stats().Messages")
+	}
+}
+
+// TestStatsSelfConsistentUnderConcurrentCharges is the regression test for
+// the torn Stats snapshot: with chargers running concurrently, every
+// snapshot must satisfy sum(ByNode) == Messages and successive snapshots
+// must be monotone. Run under -race this also exercises the atomics.
+func TestStatsSelfConsistentUnderConcurrentCharges(t *testing.T) {
+	n := New(linePositions(8, 1), 1.5)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					n.Charge(id, 3)
+					n.Charge(id+4, 1)
+				}
+			}
+		}(w)
+	}
+	prev := int64(-1)
+	for i := 0; i < 5000; i++ {
+		s := n.Stats()
+		var sum int64
+		for _, v := range s.ByNode {
+			sum += v
+		}
+		if sum != s.Messages {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("torn snapshot: sum(ByNode)=%d, Messages=%d", sum, s.Messages)
+		}
+		if s.Messages < prev {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("non-monotone snapshot: %d after %d", s.Messages, prev)
+		}
+		prev = s.Messages
+	}
+	close(stop)
+	wg.Wait()
+	// At quiescence the cheap total agrees with the snapshot.
+	if got, want := n.MessageCount(), n.Stats().Messages; got != want {
+		t.Fatalf("MessageCount=%d != Stats().Messages=%d at quiescence", got, want)
 	}
 }

@@ -125,9 +125,9 @@ func WithSnapshotEvery(every int, sink func(*Checkpoint) error) RunOption {
 //	res, err := laacad.Run(ctx, sc, laacad.WithMetrics(&reg))
 type MetricsRegistry = metrics.Registry
 
-// WithMetrics publishes the run's observability surface into reg: live
-// gauges ("wsn.messages", "wsn.escrow_depth") that are exact and monotone
-// even when sampled mid-round, and per-round counters ("engine.*",
+// WithMetrics publishes the run's observability surface into reg: a live
+// gauge ("wsn.messages") that is exact and monotone even when sampled
+// mid-round, and per-round counters ("engine.*",
 // "cache.*", "spec.*", "flags.evals", "wsn.rebuilds",
 // "wsn.incremental_moves") published after every completed round.
 func WithMetrics(reg *MetricsRegistry) RunOption { return scenario.WithMetrics(reg) }
