@@ -34,6 +34,19 @@ import (
 //     (asserted by TestHintStartMatchesFallbackStart; the per-state oracle
 //     check diffs the warm-started kernel against the scalar pipeline from
 //     the fallback start).
+//
+//   - Pieces no branch can reach are never walked. A non-convex region is a
+//     list of convex pieces (85 for campus), and a node's dominating region
+//     touches only the few near it. The callers pass the region's per-piece
+//     bounding boxes (Region.PieceBoxes, computed once in region.New), and
+//     DominatingRegionSoA skips a piece when k rel generators each place the
+//     whole piece on their closer side, clear of the clip tolerance band. The
+//     skip is exact: every polygon the walk derives from the piece lies inside
+//     it, so each such generator either consumes one unit of every branch's
+//     budget or clips the branch away, and after k of them nothing survives.
+//     The surviving pieces and their order are unchanged, and the scalar
+//     oracle, which walks every piece, is what the per-state check diffs
+//     against.
 
 // centralizedRegionSoA computes node i's dominating region over the
 // network's current positions from global knowledge, using an
@@ -56,7 +69,7 @@ func centralizedRegionSoA(net *wsn.Network, reg *region.Region, i, k int, startR
 	// probe sequence and its floating-point evaluation order — matches the
 	// shared-memory engine bit for bit.
 	n := net.SearchLen()
-	pieces := reg.Pieces()
+	pieces, boxes := reg.Pieces(), reg.PieceBoxes()
 	diag := reg.BBox().Diagonal()
 	ui := net.Position(i)
 	self := voronoi.Site{ID: i, Pos: ui}
@@ -84,7 +97,7 @@ func centralizedRegionSoA(net *wsn.Network, reg *region.Region, i, k int, startR
 			s.vor.AppendRel(self, voronoi.Site{ID: j, Pos: net.Position(j)}, d2)
 		}
 		s.vor.SortRelTail(relStart)
-		refs := voronoi.DominatingRegionSoA(self, k, pieces, &s.vor)
+		refs := voronoi.DominatingRegionSoA(self, k, pieces, boxes, &s.vor)
 		rhat := voronoi.MaxDistFromRefs(ui, &s.vor.Slab, refs)
 		if 2*rhat <= rho || len(s.nbrs) == n-1 || rho > 4*diag {
 			s.searchRho = rho // pre-tightening: the radius actually read
@@ -205,7 +218,7 @@ func (ns *nodeState) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand,
 		s.vor.AppendRel(self, voronoi.Site{ID: j, Pos: pj}, pj.Dist2(ui))
 	}
 	s.vor.SortRelTail(0)
-	refs := voronoi.DominatingRegionSoA(self, ns.cfg.K, ns.reg.Pieces(), &s.vor)
+	refs := voronoi.DominatingRegionSoA(self, ns.cfg.K, ns.reg.Pieces(), ns.reg.PieceBoxes(), &s.vor)
 	if clipToRing {
 		refs = clipToDiskRefs(refs, geom.Circle{Center: ui, R: rho / 2}, s)
 	}

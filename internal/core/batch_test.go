@@ -21,7 +21,7 @@ import (
 // fallback start. The region polygons, Chebyshev center, Ri, R̂, next
 // position and Localized message cost must agree bit for bit.
 func TestBatchKernelMatchesScalarEngine(t *testing.T) {
-	reg := region.UnitSquareKm()
+	square, obstacles := region.UnitSquareKm(), region.SquareWithTwoObstacles()
 	cells := []struct {
 		seed int64
 		n, k int
@@ -29,7 +29,11 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 		// makes the Centralized search double past its first radius, which
 		// exercises the incremental rel-slab appends.
 		corner bool
-	}{{1, 60, 2, false}, {2, 150, 3, false}, {3, 90, 1, false}, {4, 80, 2, true}}
+		// obstacles runs on the 44-piece two-obstacle square instead of the
+		// 2-piece unit square, so the kernel culls k-dominated pieces that
+		// the scalar oracle walks.
+		obstacles bool
+	}{{1, 60, 2, false, false}, {2, 150, 3, false, false}, {3, 90, 1, false, false}, {4, 80, 2, true, false}, {5, 120, 2, false, true}}
 	modes := []Mode{Centralized, Localized}
 	orders := []UpdateOrder{Synchronous, Sequential}
 	if testing.Short() {
@@ -42,6 +46,11 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 				name := fmt.Sprintf("seed=%d/n=%d/k=%d", cell.seed, cell.n, cell.k)
 				if cell.corner {
 					name += "-corner"
+				}
+				reg := square
+				if cell.obstacles {
+					name += "-obstacles"
+					reg = obstacles
 				}
 				t.Run(fmt.Sprintf("%s/%v/%v", name, mode, order), func(t *testing.T) {
 					t.Parallel()

@@ -263,6 +263,42 @@ func (b BBox) MaxCornerNorm() float64 {
 	return math.Sqrt(mx*mx + my*my)
 }
 
+// outsideMargin is the clear-of-the-band margin of the fast clip screens:
+// twice the largest per-vertex classification tolerance any point of a box
+// with corner norm ≤ mN can get against a half-plane with |N| = nNorm. A
+// point evaluating above it is outside h in every clip, whatever its exact
+// tolerance.
+func outsideMargin(nNorm, mN float64) float64 {
+	return 2 * (Eps * (1 + nNorm*(1+mN)))
+}
+
+// ClearlyOutside reports whether the convex polygon p lies entirely outside
+// the half-plane h, clear of the clip tolerance band by the same margin as
+// ClipSplitFast's outside screen: the fast clips classify every vertex of p,
+// and of any convex polygon inside p, as outside h. nNorm is h.N.Norm() and
+// bb is p's bounding box. The box decides in O(1) when it lies wholly beyond
+// the margin or wholly short of it; otherwise every vertex is tested, which
+// is exact for a convex polygon because h.Eval is linear.
+func (p Polygon) ClearlyOutside(h HalfPlane, nNorm float64, bb BBox) bool {
+	hi := bbMaxEval(h, bb)
+	if hi <= 0 {
+		return false // no point of bb is outside h at all
+	}
+	margin := outsideMargin(nNorm, bb.MaxCornerNorm())
+	if hi <= margin {
+		return false // no vertex can clear the margin
+	}
+	if bbMinEval(h, bb) > margin {
+		return true
+	}
+	for _, v := range p {
+		if h.Eval(v) <= margin {
+			return false
+		}
+	}
+	return true
+}
+
 // bbMaxEval returns h.Eval at the bounding-box corner that maximizes it;
 // no point inside bb evaluates (meaningfully) higher. bbMinEval likewise.
 func bbMaxEval(h HalfPlane, bb BBox) float64 {
@@ -408,8 +444,7 @@ func (s *PolySlab) ClipHalfPlaneFast(r PolyRef, h HalfPlane, nNorm float64, bb B
 	}
 	// Screen 2: every bb point is outside h by at least twice the maximum
 	// vertex tolerance — the clip keeps nothing.
-	tolMax := Eps * (1 + nNorm*(1+mN))
-	if bbMinEval(h, bb) > 2*tolMax {
+	if bbMinEval(h, bb) > outsideMargin(nNorm, mN) {
 		return PolyRef{Off: len(s.XS)}, false
 	}
 	allIn, allOut, _, _ := s.classify(r, h, nNorm)
@@ -439,8 +474,8 @@ func (s *PolySlab) ClipHalfPlaneFast(r PolyRef, h HalfPlane, nNorm float64, bb B
 // the scalar pipeline goes on to area-test — only polygons clear of the
 // whole tolerance band may skip that.
 func (s *PolySlab) ClipSplitFast(r PolyRef, h HalfPlane, nNorm float64, bb BBox, mN float64, trusted bool) (kept, closer PolyRef, keptSame bool) {
-	tolMax := Eps * (1 + nNorm*(1+mN))
-	if bbMaxEval(h, bb) < -2*tolMax {
+	margin := outsideMargin(nNorm, mN)
+	if bbMaxEval(h, bb) < -margin {
 		// Strictly inside h, clear of the band: kept is r, closer is empty.
 		closer = PolyRef{Off: len(s.XS)}
 		if trusted {
@@ -449,7 +484,7 @@ func (s *PolySlab) ClipSplitFast(r PolyRef, h HalfPlane, nNorm float64, bb BBox,
 		kept, same := s.copyDedupe(r, bb)
 		return kept, PolyRef{Off: len(s.XS)}, same
 	}
-	if bbMinEval(h, bb) > 2*tolMax {
+	if bbMinEval(h, bb) > margin {
 		// Strictly outside h: kept is empty, closer is r.
 		if trusted {
 			return PolyRef{Off: len(s.XS)}, r, false

@@ -279,3 +279,64 @@ func TestClipFastTrustedMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestClearlyOutsideEmptiesClips: ClearlyOutside agrees with its per-vertex
+// definition whichever box shortcut decides it, and a polygon it accepts —
+// or any convex piece of one — clips to nothing against h and passes whole
+// to h's complement. The half-planes are placed so their lines run within a
+// few tolerance bands of the polygon, where the shortcuts are tightest.
+func TestClearlyOutsideEmptiesClips(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	accepted := 0
+	for trial := 0; trial < 5000; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(4)-2))
+		c := Point{scale * (rng.Float64() - 0.5), scale * (rng.Float64() - 0.5)}
+		p := RegularPolygon(Circle{Center: c, R: scale * (0.1 + rng.Float64())}, 3+rng.Intn(6), rng.Float64())
+		bb := p.BBox()
+		ang := 2 * math.Pi * rng.Float64()
+		n := Point{math.Cos(ang), math.Sin(ang)}.Scale(scale * (0.5 + rng.Float64()))
+		nNorm := n.Norm()
+		margin := outsideMargin(nNorm, bb.MaxCornerNorm())
+		lo := math.Inf(1)
+		for _, v := range p {
+			lo = math.Min(lo, n.Dot(v))
+		}
+		// Put the line at lo − δ, with δ spanning a few margins either side
+		// of the band, or well clear of it.
+		delta := margin * (6*rng.Float64() - 3)
+		if trial%4 == 0 {
+			delta = scale * scale * rng.Float64()
+		}
+		h := HalfPlane{N: n, C: lo - delta}
+
+		want := true
+		for _, v := range p {
+			if h.Eval(v) <= margin {
+				want = false
+			}
+		}
+		got := p.ClearlyOutside(h, nNorm, bb)
+		if got != want {
+			t.Fatalf("trial %d: ClearlyOutside = %v, per-vertex test %v", trial, got, want)
+		}
+		if !got {
+			continue
+		}
+		accepted++
+		piece := p
+		if cut := p.ClipHalfPlaneInto(nil, Bisector(c, p[0])); len(cut) >= 3 {
+			piece = cut // a convex polygon inside p
+		}
+		for _, q := range []Polygon{p, piece} {
+			if kept := q.ClipHalfPlaneInto(nil, h); len(kept) >= 3 {
+				t.Fatalf("trial %d: clip of an accepted polygon kept %d vertices", trial, len(kept))
+			}
+			if closer := q.ClipHalfPlaneInto(nil, h.Complement()); len(closer) != len(q) {
+				t.Fatalf("trial %d: complement clip changed %d vertices to %d", trial, len(q), len(closer))
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no polygon was accepted")
+	}
+}

@@ -25,6 +25,7 @@ type Region struct {
 	outer  geom.Polygon
 	holes  []geom.Polygon
 	pieces []geom.Polygon // disjoint convex decomposition of outer − holes
+	boxes  []geom.BBox    // boxes[i] is the bounding box of pieces[i]
 	bbox   geom.BBox
 	area   float64
 }
@@ -60,13 +61,16 @@ func New(outer geom.Polygon, holes ...geom.Polygon) (*Region, error) {
 		pieces = subtractConvex(pieces, hc)
 	}
 	var area float64
-	for _, p := range pieces {
+	boxes := make([]geom.BBox, len(pieces))
+	for i, p := range pieces {
 		area += p.Area()
+		boxes[i] = p.BBox()
 	}
 	r := &Region{
 		outer:  o,
 		holes:  normHoles,
 		pieces: pieces,
+		boxes:  boxes,
 		bbox:   o.BBox(),
 		area:   area,
 	}
@@ -103,6 +107,10 @@ func (r *Region) Holes() []geom.Polygon { return r.holes }
 // must not modify the returned polygons.
 func (r *Region) Pieces() []geom.Polygon { return r.pieces }
 
+// PieceBoxes returns the bounding boxes of the pieces, index-aligned with
+// Pieces. Callers must not modify the returned slice.
+func (r *Region) PieceBoxes() []geom.BBox { return r.boxes }
+
 // BBox returns the bounding box of the outer polygon.
 func (r *Region) BBox() geom.BBox { return r.bbox }
 
@@ -136,8 +144,8 @@ func (r *Region) ClipConvex(cell geom.Polygon) []geom.Polygon {
 	}
 	cb := cell.BBox()
 	var out []geom.Polygon
-	for _, piece := range r.pieces {
-		pb := piece.BBox()
+	for i, piece := range r.pieces {
+		pb := r.boxes[i]
 		if cb.Min.X > pb.Max.X || cb.Max.X < pb.Min.X ||
 			cb.Min.Y > pb.Max.Y || cb.Max.Y < pb.Min.Y {
 			continue

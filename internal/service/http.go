@@ -11,7 +11,8 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /jobs             submit a JobSpec; 200 → JobStatus
+//	POST   /jobs             submit a JobSpec; 200 → JobStatus (413 for a
+//	                         body over MaxJobSpecBytes)
 //	GET    /jobs             list all jobs
 //	GET    /jobs/{id}        one job's status
 //	DELETE /jobs/{id}        cancel (idempotent)
@@ -61,14 +62,27 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// MaxJobSpecBytes caps the body of POST /jobs. A job spec names a registered
+// region and placement and carries a handful of scalars, well under a
+// kilobyte, so 1 MiB is generous; a larger body is refused with 413 after at
+// most this many bytes are read.
+const MaxJobSpecBytes = 1 << 20
+
 // handleJobs serves the /jobs collection: submit and list.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobSpecBytes))
 		dec.DisallowUnknownFields()
 		var spec JobSpec
 		if err := dec.Decode(&spec); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+					"error": fmt.Sprintf("service: job spec exceeds the %d-byte limit", MaxJobSpecBytes),
+				})
+				return
+			}
 			writeError(w, fmt.Errorf("service: decoding job spec: %w", err))
 			return
 		}

@@ -337,3 +337,27 @@ func TestRemovedConfigFieldsRejected(t *testing.T) {
 		t.Errorf("rejected submissions created %d job(s)", len(jobs))
 	}
 }
+
+// TestOversizedJobSpecRejected: POST /jobs reads at most MaxJobSpecBytes of
+// body. A larger one is answered 413 with an error naming the limit, and
+// creates no job.
+func TestOversizedJobSpecRejected(t *testing.T) {
+	s := newTestServer(t, 1)
+	base := startHTTP(t, s)
+	body := `{"scenario": {"name": "` + strings.Repeat("a", MaxJobSpecBytes) + `"}}`
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec = %d, want 413", resp.StatusCode)
+	}
+	if !strings.Contains(string(got), fmt.Sprint(MaxJobSpecBytes)) {
+		t.Errorf("413 error should name the %d-byte limit, got: %s", MaxJobSpecBytes, got)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("oversized submission created %d job(s)", len(jobs))
+	}
+}

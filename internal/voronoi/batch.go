@@ -136,16 +136,34 @@ func quickSortRelSlab(d2 []float64, val []int64, lo, hi int) {
 
 // DominatingRegionSoA runs the dominating-region walk for self over the
 // prepared rel slabs (ResetRel / AppendRel / SortRelTail), clipping to the
-// given pieces, and returns the survivor polygons as refs into s.Slab. The
-// refs are valid until the next DominatingRegionSoA call on s; callers that
-// keep the region must copy it out with CompactRefs first.
-func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, s *Scratch) []geom.PolyRef {
+// given pieces, and returns the survivor polygons as refs into s.Slab. boxes
+// holds the bounding box of each piece, index-aligned with clip. The refs
+// are valid until the next DominatingRegionSoA call on s; callers that keep
+// the region must copy it out with CompactRefs first.
+//
+// A piece is skipped without a walk when k rel generators each place the
+// whole piece clear of their bisector's tolerance band on the generator's
+// side (see dominated). That is exact: every polygon the walk derives from a
+// piece lies inside the piece, up to rounding far below the band, so at each
+// such generator every recursion branch is clipped wholly to its closer side
+// — it consumes one budget unit, or is clipped away at budget 0 — and after k
+// of them no branch survives. The surviving pieces, their vertices and their
+// order are the same as the full walk's; DominatingRegionScratch, the scalar
+// oracle, walks every piece.
+func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, boxes []geom.BBox, s *Scratch) []geom.PolyRef {
 	if k < 1 {
 		panic("voronoi: DominatingRegionSoA needs k >= 1")
 	}
+	if len(boxes) != len(clip) {
+		panic("voronoi: DominatingRegionSoA needs one box per clip piece")
+	}
 	s.Slab.Reset()
 	s.refs = s.refs[:0]
-	for _, piece := range clip {
+	for pi, piece := range clip {
+		if s.dominated(self, k, piece, boxes[pi]) {
+			s.culled++
+			continue
+		}
 		poly := s.Slab.Append(piece)
 		area, bb := s.Slab.AreaBBox(poly)
 		// Entry pieces come from outside the kernel and are not known to be
@@ -156,11 +174,65 @@ func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, s *Scratch) []ge
 	return s.refs
 }
 
+// dominated reports whether k rel generators each place the whole convex
+// piece (bounding box bb) on their closer side, clear of the tolerance band
+// (geom.Polygon.ClearlyOutside of the bisector half-plane). Such a generator
+// g is closer than self at every point p of the piece, so
+// ‖g−self‖ ≤ ‖g−p‖ + ‖p−self‖ < 2‖p−self‖ for every p, and in particular
+// below twice self's distance to the box: the scan, in the rel list's sorted
+// order, stops there. A piece whose box holds self has distance 0 and is
+// never scanned — no generator is closer than self at self.
+//
+// The scan never calls geom.Bisector where the walk would not. Coincident
+// entries (d² < coincidentTol) are tie-broken by the walk, not cut, and are
+// passed over. An unmemoized generator within Point.Eq of self would make
+// Bisector panic, so the scan stops there and the piece is walked: the walk
+// then panics, or not, exactly as the scalar walk does. Bisectors the scan
+// computes fill the same memo the walk reads, with the same values.
+func (s *Scratch) dominated(self Site, k int, piece geom.Polygon, bb geom.BBox) bool {
+	dx := math.Max(math.Max(bb.Min.X-self.Pos.X, self.Pos.X-bb.Max.X), 0)
+	dy := math.Max(math.Max(bb.Min.Y-self.Pos.Y, self.Pos.Y-bb.Max.Y), 0)
+	stop := 4 * (dx*dx + dy*dy)
+	for j := 0; j < len(s.relD2); j++ {
+		d2 := s.relD2[j]
+		if d2 >= stop {
+			return false
+		}
+		if d2 < coincidentTol {
+			continue
+		}
+		slot := int(s.relVal[j] & 0xffffffff)
+		if math.IsNaN(s.relHc[slot]) {
+			g := geom.Point{X: s.relHx[slot], Y: s.relHy[slot]}
+			if g.Eq(self.Pos) {
+				return false
+			}
+			s.memoBisector(self, slot)
+		}
+		h := geom.HalfPlane{N: geom.Point{X: s.relHx[slot], Y: s.relHy[slot]}, C: s.relHc[slot]}
+		if piece.ClearlyOutside(h, s.relHn[slot], bb) {
+			if k--; k == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// memoBisector fills the bisector memo of rel slot from the generator
+// position it holds while unset — the same geom.Bisector call the scalar
+// walk makes, including its coincident-generator panic.
+func (s *Scratch) memoBisector(self Site, slot int) {
+	b := geom.Bisector(self.Pos, geom.Point{X: s.relHx[slot], Y: s.relHy[slot]})
+	s.relHx[slot], s.relHy[slot], s.relHc[slot] = b.N.X, b.N.Y, b.C
+	s.relHn[slot] = b.N.Norm()
+}
+
 // DominatingRegionBatch is the self-contained batch entry: it rebuilds the
 // rel slabs from others and runs DominatingRegionSoA, for callers that carry
 // no incremental rel state. The engine's expanding search uses the
 // incremental API directly.
-func DominatingRegionBatch(self Site, others []Site, k int, clip []geom.Polygon, s *Scratch) []geom.PolyRef {
+func DominatingRegionBatch(self Site, others []Site, k int, clip []geom.Polygon, boxes []geom.BBox, s *Scratch) []geom.PolyRef {
 	s.ResetRel()
 	for _, o := range others {
 		if o.ID == self.ID {
@@ -169,7 +241,7 @@ func DominatingRegionBatch(self Site, others []Site, k int, clip []geom.Polygon,
 		s.AppendRel(self, o, o.Pos.Dist2(self.Pos))
 	}
 	s.SortRelTail(0)
-	return DominatingRegionSoA(self, k, clip, s)
+	return DominatingRegionSoA(self, k, clip, boxes, s)
 }
 
 // splitByBudgetSoA is splitByBudgetScratch on the slabs: identical control
@@ -213,12 +285,7 @@ func (s *Scratch) splitByBudgetSoA(self Site, j, budget int, poly geom.PolyRef, 
 		}
 		slot := int(s.relVal[j] & 0xffffffff)
 		if math.IsNaN(s.relHc[slot]) {
-			// First visit: the same geom.Bisector call the scalar walk makes
-			// (including its coincident-generator panic), memoized for
-			// recursion-branch revisits.
-			b := geom.Bisector(self.Pos, geom.Point{X: s.relHx[slot], Y: s.relHy[slot]})
-			s.relHx[slot], s.relHy[slot], s.relHc[slot] = b.N.X, b.N.Y, b.C
-			s.relHn[slot] = b.N.Norm()
+			s.memoBisector(self, slot) // first visit, memoized for revisits
 		}
 		h := geom.HalfPlane{N: geom.Point{X: s.relHx[slot], Y: s.relHy[slot]}, C: s.relHc[slot]}
 		nNorm := s.relHn[slot]

@@ -50,7 +50,7 @@ func TestDominatingRegionBatchMatchesScalar(t *testing.T) {
 			for _, k := range []int{1, 2, 4} {
 				for _, self := range sites {
 					want := DominatingRegionScratch(self, sites, k, reg.Pieces(), &sc)
-					got := DominatingRegionBatch(self, sites, k, reg.Pieces(), &sb)
+					got := DominatingRegionBatch(self, sites, k, reg.Pieces(), reg.PieceBoxes(), &sb)
 					refsEqualBits(t, want, &sb.Slab, got)
 				}
 			}
@@ -68,7 +68,7 @@ func TestDominatingRegionBatchWithHoles(t *testing.T) {
 	var sc, sb Scratch
 	for _, self := range sites {
 		want := DominatingRegionScratch(self, sites, 3, reg.Pieces(), &sc)
-		got := DominatingRegionBatch(self, sites, 3, reg.Pieces(), &sb)
+		got := DominatingRegionBatch(self, sites, 3, reg.Pieces(), reg.PieceBoxes(), &sb)
 		refsEqualBits(t, want, &sb.Slab, got)
 	}
 }
@@ -102,7 +102,7 @@ func TestIncrementalRelMatchesRebuild(t *testing.T) {
 			sb.SortRelTail(start)
 			prevRho2 = rho2
 		}
-		got := DominatingRegionSoA(self, k, reg.Pieces(), &sb)
+		got := DominatingRegionSoA(self, k, reg.Pieces(), reg.PieceBoxes(), &sb)
 
 		// Oracle: scalar kernel over the same final neighbor set.
 		final := sites[:0:0]
@@ -116,6 +116,93 @@ func TestIncrementalRelMatchesRebuild(t *testing.T) {
 	}
 }
 
+// cullRegions are the obstacle regions of the scenarios: many convex pieces,
+// most of them far from any one node, so the batch kernel's k-dominance cull
+// skips pieces that the scalar oracle walks in full.
+var cullRegions = []struct {
+	name string
+	reg  func() *region.Region
+}{
+	{"campus", region.Campus},
+	{"obstacles2", region.SquareWithTwoObstacles},
+}
+
+// regionSites places n sites uniformly inside reg (off the obstacles).
+func regionSites(reg *region.Region, n int, seed int64) []Site {
+	pts := region.PlaceUniform(reg, n, rand.New(rand.NewSource(seed)))
+	sites := make([]Site, n)
+	for i, p := range pts {
+		sites[i] = Site{ID: i, Pos: p}
+	}
+	return sites
+}
+
+// TestDominatingRegionBatchCullMatchesScalar diffs the culled batch kernel
+// against the un-culled scalar oracle on the multi-piece regions, with dense
+// sites and every query site, and requires the cull to have fired — so the
+// comparison covers culled pieces, not only walked ones.
+func TestDominatingRegionBatchCullMatchesScalar(t *testing.T) {
+	for _, rc := range cullRegions {
+		reg := rc.reg()
+		sites := regionSites(reg, 400, 5)
+		var sc, sb Scratch
+		for _, k := range []int{1, 2, 3} {
+			before := culledPieces(&sb)
+			for _, self := range sites {
+				want := DominatingRegionScratch(self, sites, k, reg.Pieces(), &sc)
+				got := DominatingRegionBatch(self, sites, k, reg.Pieces(), reg.PieceBoxes(), &sb)
+				refsEqualBits(t, want, &sb.Slab, got)
+			}
+			if culledPieces(&sb) == before {
+				t.Fatalf("%s k=%d: no piece culled over %d sites", rc.name, k, len(sites))
+			}
+		}
+	}
+}
+
+// TestIncrementalRelCullMatchesScalar is the engine's expanding-search
+// pattern on the multi-piece regions: the rel slabs grow radius by radius
+// and the kernel runs after each growth, so a cull on a short list memoizes
+// bisectors a later, longer walk reuses. Every intermediate region must be
+// bitwise equal to the scalar oracle over the same neighbor set.
+func TestIncrementalRelCullMatchesScalar(t *testing.T) {
+	for _, rc := range cullRegions {
+		reg := rc.reg()
+		sites := regionSites(reg, 400, 9)
+		var sc, sb Scratch
+		culled := culledPieces(&sb)
+		for _, k := range []int{1, 2, 3} {
+			for si := k; si < len(sites); si += 7 {
+				self := sites[si]
+				sb.ResetRel()
+				prevRho2 := 0.0
+				for _, rho := range []float64{0.06, 0.12, 0.24, 1.6} {
+					rho2 := rho * rho
+					start := sb.RelLen()
+					final := sites[:0:0]
+					for _, o := range sites {
+						d2 := o.Pos.Dist2(self.Pos)
+						if d2 < rho2 && d2 >= prevRho2 {
+							sb.AppendRel(self, o, d2)
+						}
+						if d2 < rho2 {
+							final = append(final, o)
+						}
+					}
+					sb.SortRelTail(start)
+					prevRho2 = rho2
+					got := DominatingRegionSoA(self, k, reg.Pieces(), reg.PieceBoxes(), &sb)
+					want := DominatingRegionScratch(self, final, k, reg.Pieces(), &sc)
+					refsEqualBits(t, want, &sb.Slab, got)
+				}
+			}
+		}
+		if culledPieces(&sb) == culled {
+			t.Fatalf("%s: no piece culled", rc.name)
+		}
+	}
+}
+
 // TestClipToConvexSoAMatchesScalar checks the edge-major ring closure against
 // the scalar ClipToConvex, bitwise.
 func TestClipToConvexSoAMatchesScalar(t *testing.T) {
@@ -126,7 +213,7 @@ func TestClipToConvexSoAMatchesScalar(t *testing.T) {
 	for _, self := range sites {
 		polys := DominatingRegionScratch(self, sites, 2, reg.Pieces(), &sc)
 		want := sc.ClipToConvex(polys, ring)
-		refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), &sb)
+		refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
 		got := sb.ClipToConvexSoA(refs, ring)
 		refsEqualBits(t, want, &sb.Slab, got)
 	}
@@ -138,7 +225,7 @@ func TestCompactRefs(t *testing.T) {
 	sites := scratchSites(25, 9)
 	var sc, sb Scratch
 	want := CompactRegion(DominatingRegionScratch(sites[0], sites, 3, reg.Pieces(), &sc))
-	refs := DominatingRegionBatch(sites[0], sites, 3, reg.Pieces(), &sb)
+	refs := DominatingRegionBatch(sites[0], sites, 3, reg.Pieces(), reg.PieceBoxes(), &sb)
 	compact := CompactRefs(&sb.Slab, refs)
 	if !reflect.DeepEqual(asValues(compact), asValues(want)) {
 		t.Fatal("CompactRefs differs from CompactRegion of the scalar result")
@@ -157,7 +244,7 @@ func TestCompactRefs(t *testing.T) {
 	// Mutating the scratch afterwards must not disturb the compacted copy.
 	before := asValues(compact)
 	for _, self := range sites {
-		DominatingRegionBatch(self, sites, 3, reg.Pieces(), &sb)
+		DominatingRegionBatch(self, sites, 3, reg.Pieces(), reg.PieceBoxes(), &sb)
 	}
 	if !reflect.DeepEqual(asValues(compact), before) {
 		t.Error("compacted region aliases slab storage")
@@ -172,7 +259,7 @@ func TestRefHelpersMatchScalar(t *testing.T) {
 	var sc, sb Scratch
 	self := sites[0]
 	polys := DominatingRegionScratch(self, sites, 2, reg.Pieces(), &sc)
-	refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), &sb)
+	refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
 	wantD := MaxDistFrom(self.Pos, polys)
 	gotD := MaxDistFromRefs(self.Pos, &sb.Slab, refs)
 	if math.Float64bits(wantD) != math.Float64bits(gotD) {
@@ -189,12 +276,10 @@ func TestRefHelpersMatchScalar(t *testing.T) {
 // TestBatchCoincidentPanicParity: generators inside the Bisector Eq tolerance
 // but outside the index tie-break band make the scalar walk panic; the batch
 // walk must reproduce it (and not panic any earlier than the walk reaches the
-// offending generator).
+// offending generator). The campus cases run on a multi-piece region, where
+// the cull scans the rel list before each walk: it must neither compute the
+// offending bisector itself nor cull away a piece whose walk would reach it.
 func TestBatchCoincidentPanicParity(t *testing.T) {
-	reg := region.UnitSquareKm()
-	self := Site{ID: 0, Pos: geom.Pt(0.5, 0.5)}
-	near := Site{ID: 1, Pos: geom.Pt(0.5+4e-10, 0.5)} // within Eq, above coincidentTol
-	others := []Site{self, near, {ID: 2, Pos: geom.Pt(0.2, 0.8)}}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -204,48 +289,77 @@ func TestBatchCoincidentPanicParity(t *testing.T) {
 		}()
 		f()
 	}
+	reg := region.UnitSquareKm()
+	self := Site{ID: 0, Pos: geom.Pt(0.5, 0.5)}
+	near := Site{ID: 1, Pos: geom.Pt(0.5+4e-10, 0.5)} // within Eq, above coincidentTol
+	others := []Site{self, near, {ID: 2, Pos: geom.Pt(0.2, 0.8)}}
 	var sc, sb Scratch
 	mustPanic("scalar", func() { DominatingRegionScratch(self, others, 1, reg.Pieces(), &sc) })
-	mustPanic("batch", func() { DominatingRegionBatch(self, others, 1, reg.Pieces(), &sb) })
+	mustPanic("batch", func() { DominatingRegionBatch(self, others, 1, reg.Pieces(), reg.PieceBoxes(), &sb) })
+
+	// Campus: dense generators, so most pieces have k dominators in the rel
+	// list behind the offending generator.
+	campus := region.Campus()
+	self = Site{ID: 3, Pos: geom.Pt(0.5, 0.5)}
+	near = Site{ID: 4, Pos: geom.Pt(0.5+4e-10, 0.5)}
+	dense := append(regionSites(campus, 200, 3)[10:], self, near)
+	for _, k := range []int{1, 2} {
+		mustPanic("campus scalar", func() { DominatingRegionScratch(self, dense, k, campus.Pieces(), &sc) })
+		mustPanic("campus batch", func() { DominatingRegionBatch(self, dense, k, campus.Pieces(), campus.PieceBoxes(), &sb) })
+	}
+	// A coincident generator with a lower ID (inside the tie-break band)
+	// exhausts k=1 before the walk reaches the offending one: neither kernel
+	// may panic, and both return the same (empty) region.
+	tie := Site{ID: 0, Pos: self.Pos}
+	withTie := append(dense[:len(dense):len(dense)], tie)
+	want := DominatingRegionScratch(self, withTie, 1, campus.Pieces(), &sc)
+	got := DominatingRegionBatch(self, withTie, 1, campus.Pieces(), campus.PieceBoxes(), &sb)
+	refsEqualBits(t, want, &sb.Slab, got)
 }
 
 // TestDominatingRegionBatchZeroAllocs: a warmed batch scratch computes
-// regions with zero heap allocations, like the scalar kernel.
+// regions with zero heap allocations, like the scalar kernel — on the
+// two-piece square and on the 85-piece campus, where the cull runs.
 func TestDominatingRegionBatchZeroAllocs(t *testing.T) {
-	reg := region.UnitSquareKm()
-	sites := scratchSites(60, 3)
-	s := &Scratch{}
-	pieces := reg.Pieces()
-	for _, self := range sites {
-		DominatingRegionBatch(self, sites, 2, pieces, s)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, self := range sites {
-			DominatingRegionBatch(self, sites, 2, pieces, s)
+	campus := region.Campus()
+	for _, reg := range []*region.Region{region.UnitSquareKm(), campus} {
+		sites := scratchSites(60, 3)
+		if reg == campus {
+			sites = regionSites(campus, 60, 3)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("warmed DominatingRegionBatch allocates %v/run over %d sites, want 0", allocs, len(sites))
+		s := &Scratch{}
+		pieces, boxes := reg.Pieces(), reg.PieceBoxes()
+		for _, self := range sites {
+			DominatingRegionBatch(self, sites, 2, pieces, boxes, s)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, self := range sites {
+				DominatingRegionBatch(self, sites, 2, pieces, boxes, s)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d pieces: warmed DominatingRegionBatch allocates %v/run over %d sites, want 0", len(pieces), allocs, len(sites))
+		}
 	}
 }
 
 // BenchmarkBatchKernelDominatingRegion compares the batch and scalar kernels
-// on the same workload: every site's dominating region over a uniform field.
+// on the same workload: every site's dominating region over a uniform field —
+// on the two-piece square, and at n=400 on the multi-piece obstacle regions,
+// where the batch kernel culls the pieces no branch can reach.
 func BenchmarkBatchKernelDominatingRegion(b *testing.B) {
-	reg := region.UnitSquareKm()
-	pieces := reg.Pieces()
-	for _, n := range []int{100, 400} {
-		sites := scratchSites(n, 3)
-		b.Run(benchName("batch", n), func(b *testing.B) {
+	run := func(prefix string, reg *region.Region, sites []Site) {
+		pieces, boxes := reg.Pieces(), reg.PieceBoxes()
+		b.Run(prefix+benchName("batch", len(sites)), func(b *testing.B) {
 			s := &Scratch{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, self := range sites {
-					DominatingRegionBatch(self, sites, 2, pieces, s)
+					DominatingRegionBatch(self, sites, 2, pieces, boxes, s)
 				}
 			}
 		})
-		b.Run(benchName("scalar", n), func(b *testing.B) {
+		b.Run(prefix+benchName("scalar", len(sites)), func(b *testing.B) {
 			s := &Scratch{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -255,13 +369,20 @@ func BenchmarkBatchKernelDominatingRegion(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{100, 400} {
+		run("", region.UnitSquareKm(), scratchSites(n, 3))
+	}
+	for _, rc := range cullRegions {
+		reg := rc.reg()
+		run(rc.name+"/", reg, regionSites(reg, 400, 3))
+	}
 }
 
 // BenchmarkBatchKernelClipToConvex compares the edge-major slab ring closure
 // against the scalar per-piece path.
 func BenchmarkBatchKernelClipToConvex(b *testing.B) {
 	reg := region.UnitSquareKm()
-	pieces := reg.Pieces()
+	pieces, boxes := reg.Pieces(), reg.PieceBoxes()
 	sites := scratchSites(100, 5)
 	ring := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.3}, 48, 0.065)
 	b.Run("batch", func(b *testing.B) {
@@ -269,7 +390,7 @@ func BenchmarkBatchKernelClipToConvex(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, self := range sites {
-				refs := DominatingRegionBatch(self, sites, 2, pieces, s)
+				refs := DominatingRegionBatch(self, sites, 2, pieces, boxes, s)
 				s.ClipToConvexSoA(refs, ring)
 			}
 		}

@@ -43,6 +43,7 @@ type Scratch struct {
 	relHn  []float64      // by slot: bisector normal magnitude |N|
 	refs   []geom.PolyRef // survivors of the current batch walk
 	refs2  []geom.PolyRef // ClipToConvexSoA survivors
+	culled int            // pieces DominatingRegionSoA skipped as dominated
 }
 
 // relSite pairs a generator with its precomputed squared distance to the

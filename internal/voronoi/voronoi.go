@@ -71,8 +71,12 @@ func DominatingRegion(self Site, others []Site, k int, clip []geom.Polygon) []ge
 	if k < 1 {
 		panic(fmt.Sprintf("voronoi: DominatingRegion needs k >= 1, got %d", k))
 	}
+	boxes := make([]geom.BBox, len(clip))
+	for i, p := range clip {
+		boxes[i] = p.BBox()
+	}
 	var s Scratch
-	return CompactRefs(&s.Slab, DominatingRegionBatch(self, others, k, clip, &s))
+	return CompactRefs(&s.Slab, DominatingRegionBatch(self, others, k, clip, boxes, &s))
 }
 
 // RegionArea returns the total area of a set of disjoint polygons; a
