@@ -64,17 +64,6 @@ func TriangularCover(reg *region.Region, r float64) []geom.Point {
 	return pts
 }
 
-// StackedK replicates each position k times — the trivial lift of a
-// 1-coverage deployment to k-coverage by co-locating k nodes (the paper
-// notes co-location is in fact optimal for the 3-nodes/3-coverage extreme).
-func StackedK(pts []geom.Point, k int) []geom.Point {
-	out := make([]geom.Point, 0, len(pts)*k)
-	for i := 0; i < k; i++ {
-		out = append(out, pts...)
-	}
-	return out
-}
-
 // MinNodesResult is the outcome of the min-node search.
 type MinNodesResult struct {
 	// N is the smallest node count found whose converged LAACAD deployment

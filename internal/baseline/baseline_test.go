@@ -65,25 +65,6 @@ func TestTriangularCoverOneCovers(t *testing.T) {
 	}
 }
 
-func TestStackedK(t *testing.T) {
-	reg := region.UnitSquareKm()
-	r := 0.15
-	base := TriangularCover(reg, r)
-	k := 3
-	stacked := StackedK(base, k)
-	if len(stacked) != k*len(base) {
-		t.Fatalf("len = %d, want %d", len(stacked), k*len(base))
-	}
-	radii := make([]float64, len(stacked))
-	for i := range radii {
-		radii[i] = r
-	}
-	rep := coverage.Verify(stacked, radii, reg, 60)
-	if !rep.KCovered(k) {
-		t.Errorf("stacked lattice does not %d-cover: %v", k, rep)
-	}
-}
-
 func TestMinNodesRejectsBadRange(t *testing.T) {
 	if _, err := MinNodes(region.UnitSquareKm(), 0, core.DefaultConfig(1), 1); err == nil {
 		t.Error("rs=0 should error")

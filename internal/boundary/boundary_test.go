@@ -120,7 +120,12 @@ func TestBoundaryNodeScratchZeroAllocs(t *testing.T) {
 }
 
 func TestHullDetector(t *testing.T) {
-	pts := wsn.SquareLattice(5, 5, 1)
+	var pts []geom.Point // 5×5 grid, pitch 1
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 5; c++ {
+			pts = append(pts, geom.Pt(float64(c), float64(r)))
+		}
+	}
 	net := wsn.New(pts, 1.5)
 	got := Hull{Tol: 0.1}.Boundary(net)
 	// Exactly the outer ring (16 nodes of 25) is within 0.1 of the hull.

@@ -14,10 +14,10 @@ import (
 // through it the sharded engine and the asynchronous simulator) computes runs
 // on the structure-of-arrays kernel: voronoi.DominatingRegionSoA over
 // slab-resident rel lists and polygon vertices. The scalar clip pipeline
-// (voronoi.DominatingRegionScratch) survives only as the test oracle, and the
-// two are bit-identical by contract — the SoA walk routes every arithmetic
-// step through the same geom functions in the same order. Two properties
-// shape the hot path:
+// (package laacad/internal/voronoi/oracle, which no production package
+// imports) survives only as the test oracle, and the two are bit-identical by
+// contract — the SoA walk routes every arithmetic step through the same geom
+// functions in the same order. Three properties shape the hot path:
 //
 //   - The expanding-radius exactness search keeps its relevant-neighbor
 //     slabs across ρ-doublings. Each doubling appends only the newly gathered

@@ -8,6 +8,7 @@ import (
 
 	"laacad/internal/region"
 	"laacad/internal/voronoi"
+	"laacad/internal/voronoi/oracle"
 	"laacad/internal/wsn"
 )
 
@@ -79,6 +80,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 					net := wsn.New(eng.Positions(), eng.Network().Gamma())
 					st.SetNetwork(net)
 					kernelS, scalarS := NewScratch(), NewScratch()
+					var ref oracle.Scratch
 					var flags []bool
 					states := 0
 					check := func(i int) {
@@ -89,7 +91,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 							hint = eng.rhoHint[i]
 						}
 						got := kernelStep(st, i, hint, b, kernelS)
-						want := scalarStep(&st.nodeState, i, b, scalarS)
+						want := scalarStep(&st.nodeState, i, b, scalarS, &ref)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("round %d node %d: SoA kernel %+v, scalar oracle %+v",
 								eng.Round()+1, i, got, want)

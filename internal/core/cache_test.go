@@ -381,6 +381,21 @@ func TestConvergedStepDoesNoSpatialWork(t *testing.T) {
 	}
 }
 
+// invalidationCounters returns only the counters that measure invalidation
+// and index work — the subset that must stay flat across converged rounds
+// (cache hits, by contrast, accumulate precisely then; kernel and scheduler
+// counters track computation volume, not invalidation work).
+func (c CacheCounters) invalidationCounters() CacheCounters {
+	c.CacheHits = 0
+	c.SpecUsed = 0
+	c.Levels = 0
+	c.LevelWidthMax = 0
+	c.BatchCalls = 0
+	c.BatchNodes = 0
+	c.BatchSizeHist = [6]uint64{}
+	return c
+}
+
 // The incremental index must be semantically invisible, end to end: a run
 // whose grid is forced through a full from-scratch rebuild (and cache flush)
 // before every round is bit-identical to the incrementally maintained run,

@@ -244,21 +244,6 @@ func batchSizeBucket(n int) int {
 	return b
 }
 
-// invalidationCounters returns only the counters that measure invalidation
-// and index work — the subset that must stay flat across converged rounds
-// (cache hits, by contrast, accumulate precisely then; kernel and scheduler
-// counters track computation volume, not invalidation work).
-func (c CacheCounters) invalidationCounters() CacheCounters {
-	c.CacheHits = 0
-	c.SpecUsed = 0
-	c.Levels = 0
-	c.LevelWidthMax = 0
-	c.BatchCalls = 0
-	c.BatchNodes = 0
-	c.BatchSizeHist = [6]uint64{}
-	return c
-}
-
 // ErrStop is the sentinel an Observer returns to stop a run early and
 // cleanly: Run finalizes the deployment and returns the partial Result with
 // a nil error. Any other observer error also stops the run but is returned

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,10 +160,63 @@ func TestFixedPointCondition(t *testing.T) {
 		if len(polys) == 0 {
 			continue
 		}
-		c, _ := geom.ChebyshevCenter(voronoi.Vertices(polys))
+		c, _ := geom.ChebyshevCenterInPlace(voronoi.VerticesInto(nil, polys))
 		c = reg.ClampInside(c)
 		if d := res.Positions[i].Dist(c); d > cfg.Epsilon*1.5 {
 			t.Errorf("node %d is %v from its Chebyshev center (eps=%v)", i, d, cfg.Epsilon)
+		}
+	}
+}
+
+// The paper's invariants on engine results, not only on diagrams built from
+// raw sites: after a run, the dominating regions at the final positions
+// tile the region exactly k times (every point has exactly k nodes among
+// its k nearest, so Σ|V^k_i| = k·|A|), and each reported radius is the
+// circumradius R̂ of its node's region about the node, bit for bit.
+func TestEngineRegionsTileKFold(t *testing.T) {
+	regions := []struct {
+		name string
+		reg  func() *region.Region
+	}{
+		{"square", region.UnitSquareKm},
+		{"obstacles2", region.SquareWithTwoObstacles},
+		{"campus", region.Campus},
+	}
+	for _, rc := range regions {
+		reg := rc.reg()
+		for _, order := range []UpdateOrder{Synchronous, Sequential} {
+			for k := 1; k <= 3; k++ {
+				rc, reg, order, k := rc, reg, order, k
+				t.Run(fmt.Sprintf("%s/%v/k=%d", rc.name, order, k), func(t *testing.T) {
+					t.Parallel()
+					start := region.PlaceUniform(reg, 80, rand.New(rand.NewSource(int64(k))))
+					cfg := DefaultConfig(k)
+					cfg.Order = order
+					cfg.MaxRounds = 60
+					cfg.Seed = int64(k)
+					eng, err := New(reg, start, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := eng.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					polys := eng.DebugRegions()
+					var total float64
+					for i, p := range polys {
+						total += voronoi.RegionArea(p)
+						want := voronoi.MaxDistFrom(res.Positions[i], p)
+						if math.Float64bits(res.Radii[i]) != math.Float64bits(want) {
+							t.Errorf("node %d: radius %v, region circumradius %v", i, res.Radii[i], want)
+						}
+					}
+					want := float64(k) * reg.Area()
+					if rel := math.Abs(total-want) / want; rel > 1e-12 {
+						t.Errorf("regions sum to %v, want k·|A| = %v (relative error %.3g)", total, want, rel)
+					}
+				})
+			}
 		}
 	}
 }

@@ -7,34 +7,36 @@ import (
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/voronoi"
+	"laacad/internal/voronoi/oracle"
 	"laacad/internal/wsn"
 )
 
 // The scalar reference pipeline: the dominating-region assembly the SoA
 // kernel replaced, kept only as the oracle the production kernel is diffed
 // against. It rebuilds and re-sorts the whole site list on every ρ-doubling,
-// always starts from the fallback radius, and clips on
-// voronoi.DominatingRegionScratch — so a match cross-checks the kernel, the
-// incremental rel lists and the warm start at once.
+// always starts from the fallback radius, and clips on the scalar kernel in
+// package oracle (on its own oracle.Scratch, next to the core Scratch that
+// holds the neighbor and ring buffers) — so a match cross-checks the kernel,
+// the incremental rel lists and the warm start at once.
 
 // centralizedRegionScratch is centralizedRegionSoA on the scalar pipeline,
-// from the fallback start. It returns the region (arena-owned by s) and its
-// circumradius R̂ about u_i.
-func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s *Scratch) ([]geom.Polygon, float64) {
+// from the fallback start. It returns the region (arena-owned by ref) and
+// its circumradius R̂ about u_i.
+func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s *Scratch, ref *oracle.Scratch) ([]geom.Polygon, float64) {
 	n := net.SearchLen()
 	pieces := reg.Pieces()
 	diag := reg.BBox().Diagonal()
 	ui := net.Position(i)
-	self := voronoi.Site{ID: i, Pos: ui}
+	self := oracle.Site{ID: i, Pos: ui}
 	rho := diag / math.Sqrt(float64(n)) * math.Sqrt(float64(4*k+4))
-	var sites []voronoi.Site
+	var sites []oracle.Site
 	for {
 		s.nbrs = net.NeighborsWithinBuf(i, rho, s.nbrs)
 		sites = sites[:0]
 		for _, j := range s.nbrs {
-			sites = append(sites, voronoi.Site{ID: j, Pos: net.Position(j)})
+			sites = append(sites, oracle.Site{ID: j, Pos: net.Position(j)})
 		}
-		polys := voronoi.DominatingRegionScratch(self, sites, k, pieces, &s.vor)
+		polys := oracle.DominatingRegion(self, sites, k, pieces, ref)
 		rhat := voronoi.MaxDistFrom(ui, polys)
 		if 2*rhat <= rho || len(s.nbrs) == n-1 || rho > 4*diag {
 			return polys, rhat
@@ -45,27 +47,27 @@ func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s 
 
 // localizedRegionOf is localizedRegionRefs on the scalar pipeline. The
 // expanding-ring search (and its message accounting) is the production one.
-func (e *nodeState) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch) []geom.Polygon {
+func (e *nodeState) localizedRegionOf(i int, isBoundary bool, rng *rand.Rand, s *Scratch, ref *oracle.Scratch) []geom.Polygon {
 	ui := e.net.Position(i)
 	nbrIDs, rho, clipToRing, _ := e.localizedSearch(i, isBoundary, rng, s)
-	sites := make([]voronoi.Site, 0, len(nbrIDs))
+	sites := make([]oracle.Site, 0, len(nbrIDs))
 	for _, j := range nbrIDs {
-		sites = append(sites, voronoi.Site{ID: j, Pos: e.net.Position(j)})
+		sites = append(sites, oracle.Site{ID: j, Pos: e.net.Position(j)})
 	}
-	polys := voronoi.DominatingRegionScratch(voronoi.Site{ID: i, Pos: ui}, sites, e.cfg.K, e.reg.Pieces(), &s.vor)
+	polys := oracle.DominatingRegion(oracle.Site{ID: i, Pos: ui}, sites, e.cfg.K, e.reg.Pieces(), ref)
 	if clipToRing {
-		polys = clipToDisk(polys, geom.Circle{Center: ui, R: rho / 2}, s)
+		polys = clipToDisk(polys, geom.Circle{Center: ui, R: rho / 2}, s, ref)
 	}
 	return polys
 }
 
 // clipToDisk is clipToDiskRefs on the scalar pipeline.
-func clipToDisk(polys []geom.Polygon, disk geom.Circle, s *Scratch) []geom.Polygon {
+func clipToDisk(polys []geom.Polygon, disk geom.Circle, s *Scratch, ref *oracle.Scratch) []geom.Polygon {
 	if disk.R <= 0 {
 		return nil
 	}
 	s.ring = geom.AppendCirclePoints(s.ring[:0], disk, 48, math.Pi/48)
-	return s.vor.ClipToConvex(polys, geom.Polygon(s.ring))
+	return ref.ClipToConvex(polys, geom.Polygon(s.ring))
 }
 
 // stepRecord is everything one node's step derives from a state, for bitwise
@@ -83,15 +85,15 @@ type stepRecord struct {
 // scalarStep runs node i's step on the scalar reference pipeline from the
 // fallback start, with loss sampling off, reading the Localized search's
 // metered message cost.
-func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
+func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch, ref *oracle.Scratch) stepRecord {
 	ui := e.net.Position(i)
 	var polys []geom.Polygon
 	var rhat float64
 	if e.cfg.Mode == Localized {
-		polys = e.localizedRegionOf(i, isBoundary, nil, s)
+		polys = e.localizedRegionOf(i, isBoundary, nil, s, ref)
 		rhat = voronoi.MaxDistFrom(ui, polys)
 	} else {
-		polys, rhat = centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
+		polys, rhat = centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s, ref)
 	}
 	rec := stepRecord{Next: ui, MessageCost: e.searchCost(s)}
 	if len(polys) == 0 {
@@ -101,7 +103,7 @@ func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch) stepRecord {
 	ci, ri := ChebyshevOfRegion(polys, s)
 	out := nodeOutcome{next: ui, ri: ri, rhat: rhat}
 	e.finishMove(ui, ci, &out)
-	rec.Polys = voronoi.CompactRegion(polys)
+	rec.Polys = oracle.CompactRegion(polys)
 	rec.Center, rec.Ri, rec.Rhat = ci, out.ri, out.rhat
 	rec.Next, rec.Moved = out.next, out.moved
 	return rec

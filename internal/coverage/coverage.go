@@ -157,16 +157,3 @@ func VerifyWorkers(positions []geom.Point, radii []float64, reg *region.Region, 
 	rep.MeanDepth = float64(totalDepth) / float64(rep.Samples)
 	return rep
 }
-
-// UniformRadius returns the common sensing range that would replace the
-// per-node radii without losing coverage: the maximum radius (the paper's
-// min-node comparison assigns R* to every node).
-func UniformRadius(radii []float64) float64 {
-	var m float64
-	for _, r := range radii {
-		if r > m {
-			m = r
-		}
-	}
-	return m
-}

@@ -131,15 +131,6 @@ func TestFracAtLeastEmpty(t *testing.T) {
 	}
 }
 
-func TestUniformRadius(t *testing.T) {
-	if got := UniformRadius([]float64{0.1, 0.5, 0.3}); got != 0.5 {
-		t.Errorf("got %v", got)
-	}
-	if got := UniformRadius(nil); got != 0 {
-		t.Errorf("empty: got %v", got)
-	}
-}
-
 func TestReportString(t *testing.T) {
 	rep := Report{Samples: 5, MinDepth: 1, MaxDepth: 3, MeanDepth: 2}
 	if rep.String() == "" {

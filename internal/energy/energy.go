@@ -39,15 +39,6 @@ func (m Power) Cost(r float64) float64 {
 	return c * math.Pow(r, p)
 }
 
-// Loads returns each node's energy cost under the model.
-func Loads(radii []float64, m Model) []float64 {
-	out := make([]float64, len(radii))
-	for i, r := range radii {
-		out[i] = m.Cost(r)
-	}
-	return out
-}
-
 // MaxLoad returns max_i E(r_i) — the paper's "maximum sensing load".
 func MaxLoad(radii []float64, m Model) float64 {
 	var mx float64
@@ -84,15 +75,4 @@ func JainIndex(loads []float64) float64 {
 		return 1 // all-zero loads are trivially balanced
 	}
 	return sum * sum / (float64(len(loads)) * sum2)
-}
-
-// Lifetime returns the network lifetime under a per-node energy budget B:
-// the time until the most loaded node exhausts its budget, B / max-load.
-// It returns +Inf when the maximum load is zero.
-func Lifetime(radii []float64, m Model, budget float64) float64 {
-	mx := MaxLoad(radii, m)
-	if mx == 0 {
-		return math.Inf(1)
-	}
-	return budget / mx
 }

@@ -34,10 +34,6 @@ func TestPowerDefaults(t *testing.T) {
 func TestLoadsMaxTotal(t *testing.T) {
 	radii := []float64{1, 2, 3}
 	m := Power{} // r²
-	loads := Loads(radii, m)
-	if len(loads) != 3 || loads[2] != 9 {
-		t.Errorf("loads = %v", loads)
-	}
 	if MaxLoad(radii, m) != 9 {
 		t.Errorf("MaxLoad = %v", MaxLoad(radii, m))
 	}
@@ -85,17 +81,6 @@ func TestJainIndexProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLifetime(t *testing.T) {
-	radii := []float64{1, 2}
-	m := Power{} // loads 1, 4
-	if got := Lifetime(radii, m, 100); math.Abs(got-25) > 1e-12 {
-		t.Errorf("lifetime = %v, want 25", got)
-	}
-	if !math.IsInf(Lifetime(nil, m, 100), 1) {
-		t.Error("zero load should give infinite lifetime")
 	}
 }
 

@@ -140,12 +140,6 @@ func Names() []string {
 	return out
 }
 
-// Get returns the runner registered under name.
-func Get(name string) (Runner, bool) {
-	r, ok := registry[name]
-	return r, ok
-}
-
 // Run executes the named experiment.
 func Run(name string, cfg RunConfig) (*Output, error) {
 	r, ok := registry[name]

@@ -31,12 +31,6 @@ func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run("nope", quickCfg()); err == nil {
 		t.Error("unknown experiment should error")
 	}
-	if _, ok := Get("nope"); ok {
-		t.Error("Get should miss")
-	}
-	if _, ok := Get("fig1"); !ok {
-		t.Error("Get should find fig1")
-	}
 }
 
 // slowRunners are the runners dominated by full deployments; they are

@@ -72,30 +72,6 @@ func CircleFrom3(a, b, c Point) Circle {
 	return Circle{Center: center, R: center.Dist(a)}
 }
 
-// CirclePolygonIntersectionArea approximates the area of the intersection
-// between circle c and convex polygon poly by clipping a fine regular
-// polygonal approximation of the circle against poly. n controls the number
-// of circle segments (n ≥ 8; larger is more accurate).
-func CirclePolygonIntersectionArea(c Circle, poly Polygon, n int) float64 {
-	if n < 8 {
-		n = 8
-	}
-	approx := make(Polygon, 0, n)
-	for i := 0; i < n; i++ {
-		th := 2 * math.Pi * float64(i) / float64(n)
-		approx = append(approx, Point{
-			X: c.Center.X + c.R*math.Cos(th),
-			Y: c.Center.Y + c.R*math.Sin(th),
-		})
-	}
-	clipped := approx
-	for i := 0; i < len(poly) && len(clipped) > 0; i++ {
-		a, b := poly[i], poly[(i+1)%len(poly)]
-		clipped = clipped.ClipHalfPlane(HalfPlaneFromEdge(a, b))
-	}
-	return clipped.Area()
-}
-
 // SamplePointsOnCircle returns n points evenly spaced on the circle boundary
 // starting at angle phase (radians).
 func SamplePointsOnCircle(c Circle, n int, phase float64) []Point {

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // HalfPlane represents the closed half-plane {p : N·p ≤ C}, i.e. the set of
 // points on the non-positive side of the directed line N·p = C. N need not
@@ -17,12 +14,6 @@ type HalfPlane struct {
 // String implements fmt.Stringer.
 func (h HalfPlane) String() string {
 	return fmt.Sprintf("halfplane{%.6g·x + %.6g·y ≤ %.6g}", h.N.X, h.N.Y, h.C)
-}
-
-// Contains reports whether p lies in the closed half-plane, within a
-// tolerance scaled by the normal's magnitude.
-func (h HalfPlane) Contains(p Point) bool {
-	return h.N.Dot(p)-h.C <= Eps*(1+h.N.Norm()*(1+p.Norm()))
 }
 
 // Eval returns the signed value N·p − C (negative inside, positive outside).
@@ -57,17 +48,4 @@ func Bisector(a, b Point) HalfPlane {
 	// ‖p−a‖² ≤ ‖p−b‖²  ⇔  2(b−a)·p ≤ ‖b‖² − ‖a‖²
 	n := b.Sub(a).Scale(2)
 	return HalfPlane{N: n, C: b.Norm2() - a.Norm2()}
-}
-
-// LineIntersection returns the intersection point of the boundary lines of
-// h1 and h2 and ok=false if the lines are (nearly) parallel.
-func LineIntersection(h1, h2 HalfPlane) (Point, bool) {
-	det := h1.N.Cross(h2.N)
-	scale := h1.N.Norm()*h2.N.Norm() + 1
-	if math.Abs(det) <= Eps*scale {
-		return Point{}, false
-	}
-	x := (h1.C*h2.N.Y - h2.C*h1.N.Y) / det
-	y := (h1.N.X*h2.C - h2.N.X*h1.C) / det
-	return Point{x, y}, true
 }

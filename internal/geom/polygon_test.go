@@ -185,19 +185,6 @@ func TestHalfPlaneFromEdge(t *testing.T) {
 	}
 }
 
-func TestLineIntersection(t *testing.T) {
-	h1 := HalfPlane{N: Pt(1, 0), C: 1} // x = 1
-	h2 := HalfPlane{N: Pt(0, 1), C: 2} // y = 2
-	p, ok := LineIntersection(h1, h2)
-	if !ok || !p.Eq(Pt(1, 2)) {
-		t.Errorf("intersection = %v ok=%v", p, ok)
-	}
-	_, ok = LineIntersection(h1, HalfPlane{N: Pt(2, 0), C: 5})
-	if ok {
-		t.Error("parallel lines should not intersect")
-	}
-}
-
 func TestSegmentIntersection(t *testing.T) {
 	tests := []struct {
 		name           string

@@ -41,9 +41,6 @@ func (s *PolySlab) Reset() {
 	s.YS = s.YS[:0]
 }
 
-// Len returns the current number of vertices stored in the slab.
-func (s *PolySlab) Len() int { return len(s.XS) }
-
 // Vertex returns vertex i of the polygon r.
 func (s *PolySlab) Vertex(r PolyRef, i int) Point {
 	return Point{s.XS[r.Off+i], s.YS[r.Off+i]}

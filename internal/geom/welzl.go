@@ -114,18 +114,14 @@ func secWithTwoPoints(pts []Point, q1, q2 Point) Circle {
 	return c
 }
 
-// ChebyshevCenter returns the Chebyshev center (Definition 2 in the paper)
-// of the point set pts — the point minimizing the maximum distance to any
-// point of the set — together with that maximum distance. It is the center
-// and radius of the smallest enclosing circle, and like
-// SmallestEnclosingCircle it is a pure, deterministic function of pts.
-func ChebyshevCenter(pts []Point) (Point, float64) {
-	c := SmallestEnclosingCircle(pts)
-	return c.Center, c.R
-}
-
-// ChebyshevCenterInPlace is ChebyshevCenter without the defensive copy: pts
-// is permuted in place. Use when pts is already a scratch buffer.
+// ChebyshevCenterInPlace returns the Chebyshev center (Definition 2 in the
+// paper) of the point set pts — the point minimizing the maximum distance to
+// any point of the set — together with that maximum distance. It is the
+// center and radius of the smallest enclosing circle, computed by
+// SmallestEnclosingCircleInPlace: pts is permuted in place, so pass a
+// scratch buffer (callers copy a region's vertices into one with
+// voronoi.VerticesInto). Like SmallestEnclosingCircle it is a pure,
+// deterministic function of the point set.
 func ChebyshevCenterInPlace(pts []Point) (Point, float64) {
 	c := SmallestEnclosingCircleInPlace(pts)
 	return c.Center, c.R

@@ -119,7 +119,7 @@ func bruteForceSEC(pts []Point) Circle {
 
 func TestChebyshevCenterMatchesSEC(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(4, 0), Pt(4, 3), Pt(0, 3)}
-	center, r := ChebyshevCenter(pts)
+	center, r := ChebyshevCenterInPlace(append([]Point(nil), pts...))
 	if !center.EqTol(Pt(2, 1.5), 1e-9) {
 		t.Errorf("center = %v", center)
 	}
@@ -226,27 +226,6 @@ func TestConvexHullContainment(t *testing.T) {
 				t.Fatalf("trial %d: hull vertex %v not an input point", trial, v)
 			}
 		}
-	}
-}
-
-func TestCirclePolygonIntersectionArea(t *testing.T) {
-	// Circle fully inside polygon: area ≈ πr².
-	big := RectPolygon(BBox{Min: Pt(-10, -10), Max: Pt(10, 10)})
-	c := Circle{Center: Pt(0, 0), R: 1}
-	got := CirclePolygonIntersectionArea(c, big, 256)
-	if math.Abs(got-math.Pi) > 0.01 {
-		t.Errorf("inside: got %v, want ~pi", got)
-	}
-	// Circle centered on an edge: half the disk.
-	half := RectPolygon(BBox{Min: Pt(0, -10), Max: Pt(10, 10)})
-	got = CirclePolygonIntersectionArea(c, half, 256)
-	if math.Abs(got-math.Pi/2) > 0.01 {
-		t.Errorf("half: got %v, want ~pi/2", got)
-	}
-	// Circle fully outside.
-	got = CirclePolygonIntersectionArea(Circle{Center: Pt(-5, 0), R: 1}, half, 64)
-	if got > 1e-9 {
-		t.Errorf("outside: got %v, want 0", got)
 	}
 }
 

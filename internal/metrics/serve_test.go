@@ -41,3 +41,19 @@ func TestListenAndServeRejectsBadAddr(t *testing.T) {
 		t.Error("unusable address should fail")
 	}
 }
+
+// The shared server drops clients that stall in their headers or idle on a
+// keep-alive connection, but never bounds a response's duration: the
+// daemon's event stream lives as long as its job.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(Mux(&Registry{}))
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; streamed responses need both unset", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}

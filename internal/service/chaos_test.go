@@ -295,7 +295,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 		}
 		// No double-completion: this server instance completed exactly the
 		// jobs that were not already done when it recovered the journal.
-		snap := s.Metrics().Snapshot()
+		snap := s.reg.Snapshot()
 		if got, want := snap["service.jobs_completed"], int64(len(specs)-doneAtRecovery); got != want {
 			t.Fatalf("trial %d (kill op %d): jobs_completed = %d, want %d (%d were already done at recovery)",
 				trial, killOp, got, want, doneAtRecovery)

@@ -565,9 +565,6 @@ func (jl *Journal) compactLocked() error {
 	return nil
 }
 
-// Barrier waits for any in-flight background compaction to finish.
-func (jl *Journal) Barrier() { jl.compactWG.Wait() }
-
 // Close waits for background work and closes the active segment.
 func (jl *Journal) Close() error {
 	jl.compactWG.Wait()

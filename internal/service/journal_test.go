@@ -12,6 +12,10 @@ import (
 	"laacad/internal/fault"
 )
 
+// Barrier waits for any in-flight background compaction to finish, so a
+// test can read compaction results deterministically.
+func (jl *Journal) Barrier() { jl.compactWG.Wait() }
+
 // jobPayload builds a minimal valid job record for journal-level tests.
 func jobPayload(t *testing.T, id string, seq uint64, state JobState) []byte {
 	t.Helper()

@@ -56,7 +56,7 @@ func TestIdempotentSubmit(t *testing.T) {
 	if len(s.List()) != 1 {
 		t.Fatalf("jobs = %d, want 1", len(s.List()))
 	}
-	if got := s.Metrics().Snapshot()["service.jobs_accepted"]; got != 1 {
+	if got := s.reg.Snapshot()["service.jobs_accepted"]; got != 1 {
 		t.Fatalf("jobs_accepted = %d, want 1", got)
 	}
 	waitFor(t, 30*time.Second, "job done", func() bool { return state(t, s, a.ID) == StateDone })
@@ -157,7 +157,7 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 
 	advancePolicy(t, clock, time.Second)
 	waitFor(t, 30*time.Second, "job done after retries", func() bool { return state(t, s, st.ID) == StateDone })
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.jobs_retried"] != 2 {
 		t.Errorf("jobs_retried = %d, want 2", snap["service.jobs_retried"])
 	}
@@ -186,7 +186,7 @@ func TestRetryExhaustedFails(t *testing.T) {
 	if js.Error != boom.Error() {
 		t.Errorf("terminal error = %q, want %q", js.Error, boom.Error())
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.jobs_retried"] != 2 || snap["service.jobs_failed"] != 1 {
 		t.Errorf("retried = %d, failed = %d, want 2 and 1", snap["service.jobs_retried"], snap["service.jobs_failed"])
 	}
@@ -215,7 +215,7 @@ func TestDeadlineExceededQueued(t *testing.T) {
 	if js.Error != errDeadlineExceeded {
 		t.Errorf("error = %q, want %q", js.Error, errDeadlineExceeded)
 	}
-	if got := s.Metrics().Snapshot()["service.jobs_deadline_exceeded"]; got != 1 {
+	if got := s.reg.Snapshot()["service.jobs_deadline_exceeded"]; got != 1 {
 		t.Errorf("jobs_deadline_exceeded = %d, want 1", got)
 	}
 	if _, err := s.Cancel(long.ID); err != nil {
@@ -238,7 +238,7 @@ func TestDeadlineExceededRunning(t *testing.T) {
 	if js.Error != errDeadlineExceeded {
 		t.Errorf("error = %q, want %q", js.Error, errDeadlineExceeded)
 	}
-	if got := s.Metrics().Snapshot()["service.jobs_deadline_exceeded"]; got != 1 {
+	if got := s.reg.Snapshot()["service.jobs_deadline_exceeded"]; got != 1 {
 		t.Errorf("jobs_deadline_exceeded = %d, want 1", got)
 	}
 }

@@ -279,9 +279,6 @@ func coreTrace(st *snapshot.State) []core.RoundStats {
 	return out
 }
 
-// Metrics returns the server's registry (service.* counters and gauges).
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
 // Warnings returns journal-recovery and journal-write problems collected so
 // far.
 func (s *Server) Warnings() []error {
@@ -290,9 +287,6 @@ func (s *Server) Warnings() []error {
 	s.warns = append(s.warns, s.journal.Warnings()...)
 	return append([]error(nil), s.warns...)
 }
-
-// Journal exposes the server's job journal (stats for tests and tools).
-func (s *Server) Journal() *Journal { return s.journal }
 
 // Submit validates spec, durably journals it as a new queued job, and
 // dispatches. The scheduler may preempt lower-priority running work to make
@@ -431,19 +425,6 @@ func (s *Server) Events(id string, after int) ([]Event, <-chan struct{}, bool, e
 		after = len(j.events)
 	}
 	return j.events[after:], j.notify, j.State.Terminal(), nil
-}
-
-// Idle reports whether no job is runnable or running — the queue is fully
-// drained.
-func (s *Server) Idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		if !j.State.Terminal() {
-			return false
-		}
-	}
-	return true
 }
 
 // Shutdown drains the server for a restart: no new submissions, every

@@ -59,6 +59,19 @@ func newTestServer(t *testing.T, pool int) *Server {
 	return s
 }
 
+// Idle reports whether no job is runnable or running — the queue is fully
+// drained.
+func (s *Server) Idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		if !j.State.Terminal() {
+			return false
+		}
+	}
+	return true
+}
+
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -97,7 +110,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 	if want := soloRun(t, sc); !reflect.DeepEqual(res, want) {
 		t.Errorf("service result differs from solo run")
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	for name, want := range map[string]int64{
 		"service.jobs_accepted":  1,
 		"service.jobs_completed": 1,
@@ -162,7 +175,7 @@ func TestCancelLifecycle(t *testing.T) {
 	if _, err := s.Cancel("job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("cancel unknown = %v, want ErrUnknownJob", err)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.jobs_cancelled"] != 2 || snap["service.jobs_completed"] != 0 {
 		t.Errorf("cancelled=%d completed=%d, want 2/0",
 			snap["service.jobs_cancelled"], snap["service.jobs_completed"])
@@ -215,7 +228,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 		t.Errorf("preempted+resumed result differs from uninterrupted run:\n got rounds=%d msgs=%d\nwant rounds=%d msgs=%d",
 			res.Rounds, res.Messages, want.Rounds, want.Messages)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.jobs_preempted"] != 1 || snap["service.jobs_resumed"] != 1 {
 		t.Errorf("preempted=%d resumed=%d, want 1/1",
 			snap["service.jobs_preempted"], snap["service.jobs_resumed"])
@@ -289,7 +302,7 @@ func TestDrainThousandJobs(t *testing.T) {
 	}
 	waitFor(t, 300*time.Second, "queue drained", s.Idle)
 
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.jobs_accepted"] != total {
 		t.Errorf("accepted = %d, want %d", snap["service.jobs_accepted"], total)
 	}
@@ -306,8 +319,8 @@ func TestDrainThousandJobs(t *testing.T) {
 			t.Errorf("%s still %s after drain", id, st)
 		}
 	}
-	s.Journal().Barrier()
-	stats := s.Journal().Stats()
+	s.journal.Barrier()
+	stats := s.journal.Stats()
 	if stats.Compactions == 0 {
 		t.Errorf("journal never compacted across %d appends (%d records, %d live)",
 			stats.Appends, stats.Records, stats.Live)

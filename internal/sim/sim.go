@@ -45,15 +45,11 @@ type Sim struct {
 	pq   eventHeap
 	now  float64
 	seq  int64
-	done int64
 	halt bool
 }
 
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
-
-// Processed returns the number of events executed so far.
-func (s *Sim) Processed() int64 { return s.done }
 
 // Schedule runs fn after delay seconds of simulated time. Negative delays
 // are clamped to zero (run at the current time, after already-queued events
@@ -95,7 +91,6 @@ func (s *Sim) Run(until float64) int64 {
 		s.now = head.at
 		head.fn()
 		count++
-		s.done++
 	}
 	if s.now < until && !s.halt {
 		s.now = until

@@ -1,6 +1,7 @@
 // Package snapshot serializes deployments to JSON so experiment outcomes
-// can be archived, diffed across code versions, and re-verified without
-// re-running the (potentially long) deployment.
+// can be archived, diffed across code versions, and re-verified
+// (coverage.Verify over Positions and R) without re-running the
+// (potentially long) deployment.
 package snapshot
 
 import (
@@ -9,9 +10,7 @@ import (
 	"io"
 	"os"
 
-	"laacad/internal/coverage"
 	"laacad/internal/geom"
-	"laacad/internal/region"
 )
 
 // Version identifies the snapshot schema.
@@ -64,11 +63,6 @@ func (s *Snapshot) Positions() []geom.Point {
 	return out
 }
 
-// Verify re-checks k-coverage of the stored deployment over reg.
-func (s *Snapshot) Verify(reg *region.Region, resolution int) coverage.Report {
-	return coverage.Verify(s.Positions(), s.R, reg, resolution)
-}
-
 // Write serializes the snapshot as indented JSON.
 func (s *Snapshot) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -108,14 +102,4 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: invalid k=%d", s.K)
 	}
 	return &s, nil
-}
-
-// ReadFile parses the snapshot at path.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
 }

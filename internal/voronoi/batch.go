@@ -8,8 +8,8 @@ import (
 
 // Batch (structure-of-arrays) form of the dominating-region kernel.
 //
-// The scalar kernel (DominatingRegionScratch) re-derives everything per
-// call: it rebuilds and re-sorts the whole relevant-neighbor list, computes
+// The scalar kernel (oracle.DominatingRegion, in package
+// laacad/internal/voronoi/oracle) re-derives everything per call: it rebuilds and re-sorts the whole relevant-neighbor list, computes
 // each bisector's coefficients at every recursion visit, and ping-pongs
 // vertices through a free-list of scattered []Point buffers. The batch form
 // keeps the neighbor list as parallel slabs that survive across the
@@ -22,8 +22,9 @@ import (
 //
 // Every geometric operation routes through the same geom functions as the
 // scalar walk, in the same order, so the survivor polygons are bitwise equal
-// to the scalar kernel's. The batch form is the only production path;
-// DominatingRegionScratch stays as the test oracle it is diffed against.
+// to the scalar kernel's. The batch form is the only production path; the
+// scalar kernel lives in the oracle package as the reference tests diff it
+// against, and no production package imports it.
 
 // ResetRel clears the relevant-neighbor slabs for a new query site.
 func (s *Scratch) ResetRel() {
@@ -38,12 +39,9 @@ func (s *Scratch) ResetRel() {
 // RelLen returns the number of entries in the relevant-neighbor slabs.
 func (s *Scratch) RelLen() int { return len(s.relD2) }
 
-// RelD2 returns the squared distance of rel entry i.
-func (s *Scratch) RelD2(i int) float64 { return s.relD2[i] }
-
 // AppendRel appends one generator with its precomputed squared distance to
 // the query site self. Entries with o.ID == self.ID are ignored (same filter
-// as the scalar kernel). The bisector memo starts unset — (relHx, relHy)
+// as the scalar oracle). The bisector memo starts unset — (relHx, relHy)
 // carry the generator position, relHc the NaN sentinel; the walk fills the
 // memo on first visit, so generators beyond the pruning bound never pay for
 // a bisector. IDs must be non-negative and fit 32 bits (node indices), so
@@ -90,9 +88,9 @@ func relSlabSwap(d2 []float64, val []int64, i, j int) {
 	val[i], val[j] = val[j], val[i]
 }
 
-// quickSortRelSlab sorts the index range [lo, hi) of the rel key slabs — the
-// same median-of-three quicksort with insertion-sort tail as quickSortRel,
-// over parallel arrays instead of an AoS slice. (d², ID) is a total order
+// quickSortRelSlab sorts the index range [lo, hi) of the rel key slabs — a
+// median-of-three quicksort with an insertion-sort tail, over parallel
+// arrays (the oracle sorts an AoS slice the same way). (d², ID) is a total order
 // with unique IDs, so any comparison sort yields the same sequence. The
 // slabs are passed as locals so the hot compare/swap paths never reload
 // slice headers through the Scratch pointer.
@@ -148,8 +146,8 @@ func quickSortRelSlab(d2 []float64, val []int64, lo, hi int) {
 // such generator every recursion branch is clipped wholly to its closer side
 // — it consumes one budget unit, or is clipped away at budget 0 — and after k
 // of them no branch survives. The surviving pieces, their vertices and their
-// order are the same as the full walk's; DominatingRegionScratch, the scalar
-// oracle, walks every piece.
+// order are the same as the full walk's; oracle.DominatingRegion, the scalar
+// reference, walks every piece.
 func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, boxes []geom.BBox, s *Scratch) []geom.PolyRef {
 	if k < 1 {
 		panic("voronoi: DominatingRegionSoA needs k >= 1")
@@ -244,8 +242,8 @@ func DominatingRegionBatch(self Site, others []Site, k int, clip []geom.Polygon,
 	return DominatingRegionSoA(self, k, clip, boxes, s)
 }
 
-// splitByBudgetSoA is splitByBudgetScratch on the slabs: identical control
-// flow, identical predicates, bitwise-identical survivors. The bisector
+// splitByBudgetSoA is the oracle package's scalar walk on the slabs:
+// identical control flow, identical predicates, bitwise-identical survivors. The bisector
 // coefficients come from the same geom.Bisector call the scalar walk makes
 // (computed on first visit, memoized for revisits along with |N|), and the
 // clips run through the fast entries (geom.PolySlab.ClipHalfPlaneFast /
@@ -321,9 +319,9 @@ func (s *Scratch) splitByBudgetSoA(self Site, j, budget int, poly geom.PolyRef, 
 }
 
 // ClipToConvexSoA clips each survivor ref against the convex CCW polygon
-// clip — the batch form of Scratch.ClipToConvex, edge-major through
-// geom.PolySlab.ClipHalfPlaneBatch so each clipping round's output stays
-// contiguous in the slab. refs is mutated in place as working storage; the
+// clip — the batch form of the oracle's Scratch.ClipToConvex, edge-major
+// through geom.PolySlab.ClipHalfPlaneBatch so each clipping round's output
+// stays contiguous in the slab. refs is mutated in place as working storage; the
 // returned refs (the pieces with ≥ 3 vertices and non-negligible area, in
 // input order) are valid until the next DominatingRegionSoA call on s.
 func (s *Scratch) ClipToConvexSoA(refs []geom.PolyRef, clip geom.Polygon) []geom.PolyRef {
@@ -343,7 +341,8 @@ func (s *Scratch) ClipToConvexSoA(refs []geom.PolyRef, clip geom.Polygon) []geom
 
 // CompactRefs copies the referenced polygons out of the slab into freshly
 // allocated minimal storage — one backing vertex array plus one header
-// slice, two allocations total — the ref-space analogue of CompactRegion.
+// slice, two allocations total — the ref-space analogue of
+// oracle.CompactRegion.
 // An empty region compacts to nil.
 func CompactRefs(slab *geom.PolySlab, refs []geom.PolyRef) []geom.Polygon {
 	if len(refs) == 0 {

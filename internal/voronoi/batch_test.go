@@ -8,7 +8,27 @@ import (
 
 	"laacad/internal/geom"
 	"laacad/internal/region"
+	"laacad/internal/voronoi/oracle"
 )
+
+// oracleSites converts sites to the oracle's Site type, which has the same
+// layout. Call it once per site set, outside any allocation-measured loop.
+func oracleSites(sites []Site) []oracle.Site {
+	out := make([]oracle.Site, len(sites))
+	for i, s := range sites {
+		out[i] = oracle.Site(s)
+	}
+	return out
+}
+
+// TestCoincidentTolMatchesOracle pins the oracle's copy of the coincidence
+// tolerance to the kernel's: the bitwise comparisons below assume both walks
+// tie-break the same generators.
+func TestCoincidentTolMatchesOracle(t *testing.T) {
+	if coincidentTol != oracle.CoincidentTol {
+		t.Fatalf("coincidentTol %v, oracle.CoincidentTol %v", coincidentTol, oracle.CoincidentTol)
+	}
+}
 
 // refsEqualBits fails unless the referenced slab polygons are bitwise equal
 // to the scalar region — piece count, vertex counts, and every coordinate.
@@ -34,11 +54,12 @@ func refsEqualBits(t *testing.T, want []geom.Polygon, slab *geom.PolySlab, got [
 
 // TestDominatingRegionBatchMatchesScalar sweeps random site sets, coverage
 // orders and every query site, requiring the batch kernel to be bitwise equal
-// to the scalar scratch kernel — including with coincident site clusters that
+// to the scalar oracle kernel — including with coincident site clusters that
 // exercise the index tie-break.
 func TestDominatingRegionBatchMatchesScalar(t *testing.T) {
 	reg := region.UnitSquareKm()
-	var sc, sb Scratch
+	var sc oracle.Scratch
+	var sb Scratch
 	for _, seed := range []int64{1, 7, 42} {
 		for _, n := range []int{5, 30, 80} {
 			sites := scratchSites(n, seed)
@@ -47,9 +68,10 @@ func TestDominatingRegionBatchMatchesScalar(t *testing.T) {
 				sites[4].Pos = sites[2].Pos
 				sites[6].Pos = sites[2].Pos
 			}
+			osites := oracleSites(sites)
 			for _, k := range []int{1, 2, 4} {
 				for _, self := range sites {
-					want := DominatingRegionScratch(self, sites, k, reg.Pieces(), &sc)
+					want := oracle.DominatingRegion(oracle.Site(self), osites, k, reg.Pieces(), &sc)
 					got := DominatingRegionBatch(self, sites, k, reg.Pieces(), reg.PieceBoxes(), &sb)
 					refsEqualBits(t, want, &sb.Slab, got)
 				}
@@ -65,9 +87,11 @@ func TestDominatingRegionBatchWithHoles(t *testing.T) {
 	hole := geom.RectPolygon(geom.BBox{Min: geom.Pt(0.4, 0.4), Max: geom.Pt(0.6, 0.6)})
 	reg := region.MustNew(geom.RectPolygon(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}), hole)
 	sites := scratchSites(40, 13)
-	var sc, sb Scratch
+	osites := oracleSites(sites)
+	var sc oracle.Scratch
+	var sb Scratch
 	for _, self := range sites {
-		want := DominatingRegionScratch(self, sites, 3, reg.Pieces(), &sc)
+		want := oracle.DominatingRegion(oracle.Site(self), osites, 3, reg.Pieces(), &sc)
 		got := DominatingRegionBatch(self, sites, 3, reg.Pieces(), reg.PieceBoxes(), &sb)
 		refsEqualBits(t, want, &sb.Slab, got)
 	}
@@ -80,7 +104,8 @@ func TestDominatingRegionBatchWithHoles(t *testing.T) {
 func TestIncrementalRelMatchesRebuild(t *testing.T) {
 	reg := region.UnitSquareKm()
 	rng := rand.New(rand.NewSource(23))
-	var sc, sb Scratch
+	var sc oracle.Scratch
+	var sb Scratch
 	for trial := 0; trial < 30; trial++ {
 		sites := scratchSites(60, int64(trial))
 		self := sites[rng.Intn(len(sites))]
@@ -111,7 +136,7 @@ func TestIncrementalRelMatchesRebuild(t *testing.T) {
 				final = append(final, o)
 			}
 		}
-		want := DominatingRegionScratch(self, final, k, reg.Pieces(), &sc)
+		want := oracle.DominatingRegion(oracle.Site(self), oracleSites(final), k, reg.Pieces(), &sc)
 		refsEqualBits(t, want, &sb.Slab, got)
 	}
 }
@@ -145,11 +170,13 @@ func TestDominatingRegionBatchCullMatchesScalar(t *testing.T) {
 	for _, rc := range cullRegions {
 		reg := rc.reg()
 		sites := regionSites(reg, 400, 5)
-		var sc, sb Scratch
+		osites := oracleSites(sites)
+		var sc oracle.Scratch
+		var sb Scratch
 		for _, k := range []int{1, 2, 3} {
 			before := culledPieces(&sb)
 			for _, self := range sites {
-				want := DominatingRegionScratch(self, sites, k, reg.Pieces(), &sc)
+				want := oracle.DominatingRegion(oracle.Site(self), osites, k, reg.Pieces(), &sc)
 				got := DominatingRegionBatch(self, sites, k, reg.Pieces(), reg.PieceBoxes(), &sb)
 				refsEqualBits(t, want, &sb.Slab, got)
 			}
@@ -169,7 +196,8 @@ func TestIncrementalRelCullMatchesScalar(t *testing.T) {
 	for _, rc := range cullRegions {
 		reg := rc.reg()
 		sites := regionSites(reg, 400, 9)
-		var sc, sb Scratch
+		var sc oracle.Scratch
+		var sb Scratch
 		culled := culledPieces(&sb)
 		for _, k := range []int{1, 2, 3} {
 			for si := k; si < len(sites); si += 7 {
@@ -192,7 +220,7 @@ func TestIncrementalRelCullMatchesScalar(t *testing.T) {
 					sb.SortRelTail(start)
 					prevRho2 = rho2
 					got := DominatingRegionSoA(self, k, reg.Pieces(), reg.PieceBoxes(), &sb)
-					want := DominatingRegionScratch(self, final, k, reg.Pieces(), &sc)
+					want := oracle.DominatingRegion(oracle.Site(self), oracleSites(final), k, reg.Pieces(), &sc)
 					refsEqualBits(t, want, &sb.Slab, got)
 				}
 			}
@@ -204,14 +232,16 @@ func TestIncrementalRelCullMatchesScalar(t *testing.T) {
 }
 
 // TestClipToConvexSoAMatchesScalar checks the edge-major ring closure against
-// the scalar ClipToConvex, bitwise.
+// the oracle's scalar ClipToConvex, bitwise.
 func TestClipToConvexSoAMatchesScalar(t *testing.T) {
 	reg := region.UnitSquareKm()
 	sites := scratchSites(20, 5)
+	osites := oracleSites(sites)
 	ring := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.3}, 48, 0.065)
-	var sc, sb Scratch
+	var sc oracle.Scratch
+	var sb Scratch
 	for _, self := range sites {
-		polys := DominatingRegionScratch(self, sites, 2, reg.Pieces(), &sc)
+		polys := oracle.DominatingRegion(oracle.Site(self), osites, 2, reg.Pieces(), &sc)
 		want := sc.ClipToConvex(polys, ring)
 		refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
 		got := sb.ClipToConvexSoA(refs, ring)
@@ -223,8 +253,9 @@ func TestClipToConvexSoAMatchesScalar(t *testing.T) {
 func TestCompactRefs(t *testing.T) {
 	reg := region.UnitSquareKm()
 	sites := scratchSites(25, 9)
-	var sc, sb Scratch
-	want := CompactRegion(DominatingRegionScratch(sites[0], sites, 3, reg.Pieces(), &sc))
+	var sc oracle.Scratch
+	var sb Scratch
+	want := oracle.CompactRegion(oracle.DominatingRegion(oracle.Site(sites[0]), oracleSites(sites), 3, reg.Pieces(), &sc))
 	refs := DominatingRegionBatch(sites[0], sites, 3, reg.Pieces(), reg.PieceBoxes(), &sb)
 	compact := CompactRefs(&sb.Slab, refs)
 	if !reflect.DeepEqual(asValues(compact), asValues(want)) {
@@ -256,9 +287,10 @@ func TestCompactRefs(t *testing.T) {
 func TestRefHelpersMatchScalar(t *testing.T) {
 	reg := region.UnitSquareKm()
 	sites := scratchSites(15, 11)
-	var sc, sb Scratch
+	var sc oracle.Scratch
+	var sb Scratch
 	self := sites[0]
-	polys := DominatingRegionScratch(self, sites, 2, reg.Pieces(), &sc)
+	polys := oracle.DominatingRegion(oracle.Site(self), oracleSites(sites), 2, reg.Pieces(), &sc)
 	refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
 	wantD := MaxDistFrom(self.Pos, polys)
 	gotD := MaxDistFromRefs(self.Pos, &sb.Slab, refs)
@@ -293,8 +325,9 @@ func TestBatchCoincidentPanicParity(t *testing.T) {
 	self := Site{ID: 0, Pos: geom.Pt(0.5, 0.5)}
 	near := Site{ID: 1, Pos: geom.Pt(0.5+4e-10, 0.5)} // within Eq, above coincidentTol
 	others := []Site{self, near, {ID: 2, Pos: geom.Pt(0.2, 0.8)}}
-	var sc, sb Scratch
-	mustPanic("scalar", func() { DominatingRegionScratch(self, others, 1, reg.Pieces(), &sc) })
+	var sc oracle.Scratch
+	var sb Scratch
+	mustPanic("scalar", func() { oracle.DominatingRegion(oracle.Site(self), oracleSites(others), 1, reg.Pieces(), &sc) })
 	mustPanic("batch", func() { DominatingRegionBatch(self, others, 1, reg.Pieces(), reg.PieceBoxes(), &sb) })
 
 	// Campus: dense generators, so most pieces have k dominators in the rel
@@ -303,8 +336,9 @@ func TestBatchCoincidentPanicParity(t *testing.T) {
 	self = Site{ID: 3, Pos: geom.Pt(0.5, 0.5)}
 	near = Site{ID: 4, Pos: geom.Pt(0.5+4e-10, 0.5)}
 	dense := append(regionSites(campus, 200, 3)[10:], self, near)
+	odense := oracleSites(dense)
 	for _, k := range []int{1, 2} {
-		mustPanic("campus scalar", func() { DominatingRegionScratch(self, dense, k, campus.Pieces(), &sc) })
+		mustPanic("campus scalar", func() { oracle.DominatingRegion(oracle.Site(self), odense, k, campus.Pieces(), &sc) })
 		mustPanic("campus batch", func() { DominatingRegionBatch(self, dense, k, campus.Pieces(), campus.PieceBoxes(), &sb) })
 	}
 	// A coincident generator with a lower ID (inside the tie-break band)
@@ -312,7 +346,7 @@ func TestBatchCoincidentPanicParity(t *testing.T) {
 	// may panic, and both return the same (empty) region.
 	tie := Site{ID: 0, Pos: self.Pos}
 	withTie := append(dense[:len(dense):len(dense)], tie)
-	want := DominatingRegionScratch(self, withTie, 1, campus.Pieces(), &sc)
+	want := oracle.DominatingRegion(oracle.Site(self), oracleSites(withTie), 1, campus.Pieces(), &sc)
 	got := DominatingRegionBatch(self, withTie, 1, campus.Pieces(), campus.PieceBoxes(), &sb)
 	refsEqualBits(t, want, &sb.Slab, got)
 }
@@ -350,6 +384,7 @@ func TestDominatingRegionBatchZeroAllocs(t *testing.T) {
 func BenchmarkBatchKernelDominatingRegion(b *testing.B) {
 	run := func(prefix string, reg *region.Region, sites []Site) {
 		pieces, boxes := reg.Pieces(), reg.PieceBoxes()
+		osites := oracleSites(sites)
 		b.Run(prefix+benchName("batch", len(sites)), func(b *testing.B) {
 			s := &Scratch{}
 			b.ReportAllocs()
@@ -360,11 +395,11 @@ func BenchmarkBatchKernelDominatingRegion(b *testing.B) {
 			}
 		})
 		b.Run(prefix+benchName("scalar", len(sites)), func(b *testing.B) {
-			s := &Scratch{}
+			s := &oracle.Scratch{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, self := range sites {
-					DominatingRegionScratch(self, sites, 2, pieces, s)
+				for _, self := range osites {
+					oracle.DominatingRegion(self, osites, 2, pieces, s)
 				}
 			}
 		})
@@ -384,6 +419,7 @@ func BenchmarkBatchKernelClipToConvex(b *testing.B) {
 	reg := region.UnitSquareKm()
 	pieces, boxes := reg.Pieces(), reg.PieceBoxes()
 	sites := scratchSites(100, 5)
+	osites := oracleSites(sites)
 	ring := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.3}, 48, 0.065)
 	b.Run("batch", func(b *testing.B) {
 		s := &Scratch{}
@@ -396,11 +432,11 @@ func BenchmarkBatchKernelClipToConvex(b *testing.B) {
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
-		s := &Scratch{}
+		s := &oracle.Scratch{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, self := range sites {
-				polys := DominatingRegionScratch(self, sites, 2, pieces, s)
+			for _, self := range osites {
+				polys := oracle.DominatingRegion(self, osites, 2, pieces, s)
 				s.ClipToConvex(polys, ring)
 			}
 		}

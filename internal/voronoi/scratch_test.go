@@ -8,6 +8,7 @@ import (
 
 	"laacad/internal/geom"
 	"laacad/internal/region"
+	"laacad/internal/voronoi/oracle"
 )
 
 func scratchSites(n int, seed int64) []Site {
@@ -19,19 +20,21 @@ func scratchSites(n int, seed int64) []Site {
 	return sites
 }
 
-// The scratch kernel must produce bit-identical regions to the convenience
-// wrapper, for every site and coverage order, with the Scratch reused
-// (dirty) across calls — reuse must not leak state between computations.
+// The scalar oracle must produce bit-identical regions to the convenience
+// wrapper, for every site and coverage order, with the oracle's Scratch
+// reused (dirty) across calls — reuse must not leak state between
+// computations.
 func TestDominatingRegionScratchMatchesWrapper(t *testing.T) {
 	reg := region.UnitSquareKm()
-	var s Scratch
+	var s oracle.Scratch
 	for _, seed := range []int64{1, 7, 42} {
 		sites := scratchSites(30, seed)
+		osites := oracleSites(sites)
 		for _, k := range []int{1, 2, 4} {
 			for _, self := range sites {
 				want := DominatingRegion(self, sites, k, reg.Pieces())
-				got := DominatingRegionScratch(self, sites, k, reg.Pieces(), &s)
-				if !reflect.DeepEqual(CompactRegion(got), CompactRegion(want)) {
+				got := oracle.DominatingRegion(oracle.Site(self), osites, k, reg.Pieces(), &s)
+				if !reflect.DeepEqual(oracle.CompactRegion(got), oracle.CompactRegion(want)) {
 					t.Fatalf("seed=%d k=%d site=%d: scratch result differs", seed, k, self.ID)
 				}
 			}
@@ -39,38 +42,38 @@ func TestDominatingRegionScratchMatchesWrapper(t *testing.T) {
 	}
 }
 
-// A warmed-up Scratch computes dominating regions with zero heap
-// allocations — the kernel's core guarantee.
+// A warmed-up oracle Scratch computes dominating regions with zero heap
+// allocations, like the production kernel.
 func TestDominatingRegionScratchZeroAllocs(t *testing.T) {
 	reg := region.UnitSquareKm()
-	sites := scratchSites(60, 3)
-	s := &Scratch{}
+	sites := oracleSites(scratchSites(60, 3))
+	s := &oracle.Scratch{}
 	pieces := reg.Pieces()
 	// Warm up every buffer (all sites, so the arena high-water mark is hit).
 	for _, self := range sites {
-		DominatingRegionScratch(self, sites, 2, pieces, s)
+		oracle.DominatingRegion(self, sites, 2, pieces, s)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, self := range sites {
-			DominatingRegionScratch(self, sites, 2, pieces, s)
+			oracle.DominatingRegion(self, sites, 2, pieces, s)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("warmed DominatingRegionScratch allocates %v/run over %d sites, want 0", allocs, len(sites))
+		t.Errorf("warmed oracle.DominatingRegion allocates %v/run over %d sites, want 0", allocs, len(sites))
 	}
 }
 
-// CompactRegion preserves values exactly, shares one backing array across
-// pieces, and costs at most two allocations.
+// oracle.CompactRegion preserves values exactly, shares one backing array
+// across pieces, and costs at most two allocations.
 func TestCompactRegion(t *testing.T) {
 	reg := region.UnitSquareKm()
-	sites := scratchSites(25, 9)
-	var s Scratch
-	polys := DominatingRegionScratch(sites[0], sites, 3, reg.Pieces(), &s)
+	sites := oracleSites(scratchSites(25, 9))
+	var s oracle.Scratch
+	polys := oracle.DominatingRegion(sites[0], sites, 3, reg.Pieces(), &s)
 	if len(polys) == 0 {
 		t.Fatal("expected a non-empty region")
 	}
-	compact := CompactRegion(polys)
+	compact := oracle.CompactRegion(polys)
 	if !reflect.DeepEqual(asValues(compact), asValues(polys)) {
 		t.Fatal("compacted region changed vertex values")
 	}
@@ -79,17 +82,17 @@ func TestCompactRegion(t *testing.T) {
 			t.Errorf("piece %d: cap %d != len %d (not minimal)", i, cap(p), len(p))
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() { CompactRegion(polys) })
+	allocs := testing.AllocsPerRun(100, func() { oracle.CompactRegion(polys) })
 	if allocs > 2 {
 		t.Errorf("CompactRegion allocates %v/op, want <= 2", allocs)
 	}
-	if CompactRegion(nil) != nil {
+	if oracle.CompactRegion(nil) != nil {
 		t.Error("CompactRegion(nil) should be nil")
 	}
 	// Mutating the scratch afterwards must not disturb the compacted copy.
 	before := asValues(compact)
 	for _, self := range sites {
-		DominatingRegionScratch(self, sites, 3, reg.Pieces(), &s)
+		oracle.DominatingRegion(self, sites, 3, reg.Pieces(), &s)
 	}
 	if !reflect.DeepEqual(asValues(compact), before) {
 		t.Error("compacted region aliases scratch storage")
@@ -104,14 +107,14 @@ func asValues(polys []geom.Polygon) [][]geom.Point {
 	return out
 }
 
-// ClipToConvex must agree with the allocating ClipConvex path.
+// The oracle's ClipToConvex must agree with the allocating ClipConvex path.
 func TestClipToConvexMatchesClipConvex(t *testing.T) {
 	reg := region.UnitSquareKm()
-	sites := scratchSites(20, 5)
+	sites := oracleSites(scratchSites(20, 5))
 	ring := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.3}, 48, 0.065)
-	var s Scratch
+	var s oracle.Scratch
 	for _, self := range sites {
-		polys := DominatingRegionScratch(self, sites, 2, reg.Pieces(), &s)
+		polys := oracle.DominatingRegion(self, sites, 2, reg.Pieces(), &s)
 		var want []geom.Polygon
 		for _, p := range polys {
 			if c := p.ClipConvex(ring); len(c) >= 3 && c.Area() > 1e-16 {
@@ -125,16 +128,19 @@ func TestClipToConvexMatchesClipConvex(t *testing.T) {
 	}
 }
 
-// VerticesInto matches Vertices and reuses the buffer.
+// VerticesInto lists every piece's vertices in order and reuses the buffer.
 func TestVerticesInto(t *testing.T) {
 	reg := region.UnitSquareKm()
 	sites := scratchSites(15, 11)
 	polys := DominatingRegion(sites[0], sites, 2, reg.Pieces())
-	want := Vertices(polys)
+	var want []geom.Point
+	for _, p := range polys {
+		want = append(want, p...)
+	}
 	buf := make([]geom.Point, 0, len(want))
 	got := VerticesInto(buf[:0], polys)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("VerticesInto differs from Vertices")
+		t.Fatal("VerticesInto differs from the concatenated pieces")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { VerticesInto(buf[:0], polys) }); allocs > 0 {
 		t.Errorf("VerticesInto with sufficient capacity allocates %v/op", allocs)

@@ -10,7 +10,10 @@
 //     one bisector at a time, tracking the remaining "closer" budget — a
 //     depth-bounded half-plane arrangement walk whose output is a set of
 //     disjoint convex polygons. This is what the distributed algorithm runs,
-//     since it needs only the node's own neighborhood.
+//     since it needs only the node's own neighborhood. The walk runs on a
+//     structure-of-arrays Scratch (batch.go); its scalar reference, which
+//     tests diff it against bit for bit, is package
+//     laacad/internal/voronoi/oracle.
 //
 //   - KOrderDiagram computes the full k-order Voronoi partition of the
 //     region by Lee-style iterative refinement: the order-(j+1) diagram is
@@ -59,9 +62,9 @@ const coincidentTol = 1e-24
 // (plus CompactRefs when the result must outlive the Scratch).
 //
 // The kernel walk (splitByBudgetSoA in batch.go; its scalar reference is
-// splitByBudgetScratch in scratch.go) splits each clip piece by one bisector
-// at a time, tracking how many "closer" generators the current branch may
-// still tolerate. The neighbor list is
+// oracle.DominatingRegion in laacad/internal/voronoi/oracle) splits each
+// clip piece by one bisector at a time, tracking how many "closer"
+// generators the current branch may still tolerate. The neighbor list is
 // sorted by ascending distance to self, so once a neighbor's distance d
 // satisfies d ≥ 2·max_{v∈poly}‖v−self‖, every point of poly is at least as
 // close to self as to that neighbor (‖v−o‖ ≥ d − d/2 = d/2 ≥ ‖v−self‖) and
@@ -87,21 +90,6 @@ func RegionArea(polys []geom.Polygon) float64 {
 		a += p.Area()
 	}
 	return a
-}
-
-// Vertices returns all vertices of the given polygons concatenated. The
-// Chebyshev center of a dominating region is the smallest-enclosing-circle
-// center of these points.
-func Vertices(polys []geom.Polygon) []geom.Point {
-	var n int
-	for _, p := range polys {
-		n += len(p)
-	}
-	out := make([]geom.Point, 0, n)
-	for _, p := range polys {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // MaxDistFrom returns the farthest distance from q to any vertex of the
@@ -281,51 +269,4 @@ func (d *Diagram) TotalArea() float64 {
 		a += c.Area()
 	}
 	return a
-}
-
-// KNearest returns the IDs of the k generators nearest to v, using the same
-// index tie-breaking as the diagram construction. It keeps a bounded
-// selection buffer of the k best candidates instead of sorting all n sites —
-// O(n·k) worst case but O(n + k²) on typical inputs, versus O(n log n) for
-// the full sort, and it never materializes an n-sized scratch array.
-func KNearest(sites []Site, v geom.Point, k int) []int {
-	if k > len(sites) {
-		k = len(sites)
-	}
-	if k <= 0 {
-		return []int{}
-	}
-	type ds struct {
-		d  float64
-		id int
-	}
-	less := func(a, b ds) bool {
-		if a.d != b.d {
-			return a.d < b.d
-		}
-		return a.id < b.id
-	}
-	best := make([]ds, 0, k)
-	for _, s := range sites {
-		c := ds{d: s.Pos.Dist2(v), id: s.ID}
-		if len(best) == k && !less(c, best[k-1]) {
-			continue
-		}
-		// Insert c at its sorted position, dropping the current worst when
-		// the buffer is full.
-		if len(best) < k {
-			best = append(best, c)
-		} else {
-			best[k-1] = c
-		}
-		for i := len(best) - 1; i > 0 && less(best[i], best[i-1]); i-- {
-			best[i], best[i-1] = best[i-1], best[i]
-		}
-	}
-	out := make([]int, len(best))
-	for i, b := range best {
-		out[i] = b.id
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,6 +3,7 @@ package voronoi
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"laacad/internal/geom"
@@ -327,7 +328,7 @@ func TestVerticesAndMaxDist(t *testing.T) {
 		{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)},
 		{geom.Pt(2, 2), geom.Pt(3, 2), geom.Pt(2, 3)},
 	}
-	vs := Vertices(polys)
+	vs := VerticesInto(nil, polys)
 	if len(vs) != 6 {
 		t.Fatalf("len = %d", len(vs))
 	}
@@ -337,6 +338,53 @@ func TestVerticesAndMaxDist(t *testing.T) {
 	if MaxDistFrom(geom.Pt(0, 0), nil) != 0 {
 		t.Error("empty polys should give 0")
 	}
+}
+
+// KNearest returns the IDs of the k generators nearest to v, using the same
+// index tie-breaking as the diagram construction — the reference the k-order
+// cells are checked against. It keeps a bounded selection buffer of the k
+// best candidates instead of sorting all n sites — O(n·k) worst case but
+// O(n + k²) on typical inputs, versus O(n log n) for the full sort.
+func KNearest(sites []Site, v geom.Point, k int) []int {
+	if k > len(sites) {
+		k = len(sites)
+	}
+	if k <= 0 {
+		return []int{}
+	}
+	type ds struct {
+		d  float64
+		id int
+	}
+	less := func(a, b ds) bool {
+		if a.d != b.d {
+			return a.d < b.d
+		}
+		return a.id < b.id
+	}
+	best := make([]ds, 0, k)
+	for _, s := range sites {
+		c := ds{d: s.Pos.Dist2(v), id: s.ID}
+		if len(best) == k && !less(c, best[k-1]) {
+			continue
+		}
+		// Insert c at its sorted position, dropping the current worst when
+		// the buffer is full.
+		if len(best) < k {
+			best = append(best, c)
+		} else {
+			best[k-1] = c
+		}
+		for i := len(best) - 1; i > 0 && less(best[i], best[i-1]); i-- {
+			best[i], best[i-1] = best[i-1], best[i]
+		}
+	}
+	out := make([]int, len(best))
+	for i, b := range best {
+		out[i] = b.id
+	}
+	sort.Ints(out)
+	return out
 }
 
 func TestKNearest(t *testing.T) {

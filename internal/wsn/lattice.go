@@ -26,17 +26,6 @@ func HexLattice(rows, cols int, pitch float64) []geom.Point {
 	return pts
 }
 
-// SquareLattice returns a rows×cols grid with the given pitch.
-func SquareLattice(rows, cols int, pitch float64) []geom.Point {
-	pts := make([]geom.Point, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			pts = append(pts, geom.Pt(float64(c)*pitch, float64(r)*pitch))
-		}
-	}
-	return pts
-}
-
 // UnitLattice returns n points on a ⌈√n⌉×⌈√n⌉ cell-centered lattice over
 // the unit square, with `displaced` of them (evenly strided through the
 // node IDs) pulled toward the center by half a pitch, plus the lattice
