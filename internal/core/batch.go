@@ -204,7 +204,7 @@ func (ns *nodeState) regionOf(i int, hint float64, isBoundary bool, rng *rand.Ra
 // the ρ/2 disk, where the local computation is exact: any node beating u_i
 // at a point within ρ/2 of u_i must itself lie within ρ of u_i.
 //
-// Boundary nodes (per the configured detector) restrict the domination check
+// Boundary nodes (per the angular-gap detector) restrict the domination check
 // to the portion of the circle inside the network's coverage and close their
 // region with the search ring, which is what pushes them outward during the
 // expanding phase (Fig. 3 of the paper).

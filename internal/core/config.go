@@ -15,16 +15,14 @@
 //     expanding-ring search over the WSN substrate in increments of the
 //     transmission range γ, stops expanding once the circle of radius ρ/2
 //     around it is fully non-dominated, and computes the region from local
-//     information only. Message costs are accounted. Boundary nodes (per a
-//     pluggable detector) restrict the domination check to the covered part
-//     of the circle and close their region with the search ring.
+//     information only. Message costs are accounted. Boundary nodes (per the
+//     angular-gap detector) restrict the domination check to the covered
+//     part of the circle and close their region with the search ring.
 package core
 
 import (
 	"fmt"
-	"math"
 
-	"laacad/internal/boundary"
 	"laacad/internal/wsn"
 )
 
@@ -118,9 +116,6 @@ type Config struct {
 	// RingCap bounds the expanding-ring radius. Zero means the region
 	// bounding-box diagonal plus γ (effectively global).
 	RingCap float64
-	// Detector flags boundary nodes in Localized mode. Nil means the
-	// angular-gap detector with its default threshold.
-	Detector boundary.Detector
 	// Seed drives Localized-mode message-loss sampling (the one remaining
 	// randomized component; Chebyshev centers are computed by a fully
 	// deterministic Welzl that needs no seed).
@@ -159,47 +154,41 @@ func DefaultConfig(k int) Config {
 	}
 }
 
-// validate normalizes defaults and rejects invalid settings.
-func (c *Config) validate(n int) error {
-	if c.K < 1 {
-		return fmt.Errorf("core: K must be >= 1, got %d", c.K)
+// Validate reports the first setting a run over n nodes cannot use, naming
+// the field by its wire (JSON) name. Zero LossRetries, ArcSamples and
+// RingCap select their defaults and are valid. Validate is the one check
+// both the engines and the scenario layer apply, so a configuration that
+// passes it at submit time also constructs an engine.
+func (c Config) Validate(n int) error {
+	switch {
+	case c.K < 1:
+		return fmt.Errorf("core: k must be >= 1, got %d", c.K)
+	case n < c.K:
+		return fmt.Errorf("core: need at least k=%d nodes, got %d", c.K, n)
+	case !(c.Alpha > 0 && c.Alpha <= 1): // also rejects NaN
+		return fmt.Errorf("core: alpha must be in (0, 1], got %v", c.Alpha)
+	case !(c.Epsilon > 0):
+		return fmt.Errorf("core: epsilon must be positive, got %v", c.Epsilon)
+	case c.MaxRounds < 1:
+		return fmt.Errorf("core: max_rounds must be >= 1, got %d", c.MaxRounds)
+	case c.Mode != Centralized && c.Mode != Localized:
+		return fmt.Errorf("core: unknown mode %d (0 = centralized, 1 = localized)", int(c.Mode))
+	case c.Order != Synchronous && c.Order != Sequential:
+		return fmt.Errorf("core: unknown order %d (0 = synchronous, 1 = sequential)", int(c.Order))
+	case c.Mode == Localized && !(c.Gamma > 0):
+		return fmt.Errorf("core: localized mode needs gamma > 0, got %v", c.Gamma)
+	case c.RingMode != wsn.RingGeometric && c.RingMode != wsn.RingHopLimited:
+		return fmt.Errorf("core: unknown ring_mode %d (0 = geometric, 1 = hop-limited)", int(c.RingMode))
+	case !(c.LossRate >= 0 && c.LossRate < 1):
+		return fmt.Errorf("core: loss_rate must be in [0, 1), got %v", c.LossRate)
+	case c.LossRate > 0 && c.Mode != Localized:
+		return fmt.Errorf("core: loss_rate %v needs localized mode (message loss models the expanding-ring query's link layer)", c.LossRate)
+	case c.LossRetries < 0:
+		return fmt.Errorf("core: loss_retries must be >= 0, got %d", c.LossRetries)
+	case c.ArcSamples != 0 && c.ArcSamples < 8:
+		return fmt.Errorf("core: arc_samples must be 0 (default 64) or >= 8, got %d", c.ArcSamples)
+	case !(c.RingCap >= 0):
+		return fmt.Errorf("core: ring_cap must be >= 0, got %v", c.RingCap)
 	}
-	if n < c.K {
-		return fmt.Errorf("core: need at least K=%d nodes, got %d", c.K, n)
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("core: Alpha must be in (0, 1], got %v", c.Alpha)
-	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("core: Epsilon must be positive, got %v", c.Epsilon)
-	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("core: MaxRounds must be >= 1, got %d", c.MaxRounds)
-	}
-	if c.Mode == Localized && c.Gamma <= 0 {
-		return fmt.Errorf("core: Localized mode requires positive Gamma, got %v", c.Gamma)
-	}
-	if c.Mode != Localized && c.Mode != Centralized {
-		return fmt.Errorf("core: unknown mode %d", int(c.Mode))
-	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
-		return fmt.Errorf("core: LossRate must be in [0, 1), got %v", c.LossRate)
-	}
-	if c.LossRetries == 0 {
-		c.LossRetries = 2
-	}
-	if c.ArcSamples == 0 {
-		c.ArcSamples = 64
-	}
-	if c.ArcSamples < 8 {
-		return fmt.Errorf("core: ArcSamples must be >= 8, got %d", c.ArcSamples)
-	}
-	if math.IsNaN(c.Epsilon) || math.IsNaN(c.Alpha) {
-		return fmt.Errorf("core: NaN parameter")
-	}
-	// Workers is deliberately not normalized here: the -1 "all CPUs"
-	// sentinel must survive in the Config so a recorded run replays
-	// portably across machines with different core counts; the engine
-	// resolves it per fan-out via parallel.Workers.
 	return nil
 }

@@ -214,9 +214,9 @@ type CacheCounters struct {
 	// speculation is never charged — its search only metered the cost).
 	Waves, SpecComputed, SpecUsed, SpecWasted uint64
 	// FlagEvals counts per-node boundary-flag evaluations performed by the
-	// incremental flag cache (Localized mode, PerNode detectors). Converged
-	// steady-state rounds perform none — the counter-asserted contract that
-	// boundary detection is no longer an O(n)-per-round term.
+	// incremental flag cache (Localized mode). Converged steady-state rounds
+	// perform none — the counter-asserted contract that boundary detection
+	// is no longer an O(n)-per-round term.
 	FlagEvals uint64
 	// Levels and LevelWidthMax describe the level scheduler behind the
 	// Sequential waves: cumulative interference-DAG layers laid out across
@@ -315,7 +315,9 @@ func (e *Engine) every() []int {
 // ensureBuffers sizes the per-round buffers and the dirty-set cache for n
 // nodes. A node-count change (AddNode/RemoveNode, which also drop the cache
 // explicitly) discards the cache wholesale here too: its indices belong to
-// the old numbering.
+// the old numbering. The version stamp is left stale, so the boundary flags
+// are flushed as well — a RemoveNode followed by an AddNode keeps the node
+// count but renumbers the nodes under the flags.
 func (e *Engine) ensureBuffers(n int) {
 	if cap(e.outs) < n {
 		e.outs = make([]nodeOutcome, n)
@@ -329,7 +331,6 @@ func (e *Engine) ensureBuffers(n int) {
 	if len(e.cache) != n {
 		e.cache = make([]nodeCache, n)
 		e.rhoHint = make([]float64, n)
-		e.cacheVer = e.net.Version()
 	}
 }
 
@@ -368,30 +369,22 @@ func (e *Engine) Step() (RoundStats, bool) {
 	}
 	e.ensureBuffers(n)
 	e.cacheOn = e.cacheEnabled()
-	if e.cacheOn && e.cacheVer != e.net.Version() {
+	if e.cacheVer != e.net.Version() {
 		// Positions were written through Network(), so no endpoints say what
 		// changed: nothing cached can be trusted.
 		e.flushCache()
 	}
 	sequential := e.cfg.Order == Sequential
 	e.boundary = nil
-	e.flagsLive = false
 	if e.cfg.Mode == Localized {
-		if pn, ok := e.detector.(boundary.PerNode); ok && e.cacheOn {
-			// Per-node-local detector + cache: serve this round's flags from
-			// the incremental cache, re-evaluating only nodes whose γ-ball a
-			// move endpoint touched (or a flush dirtied) since their flag was
-			// last computed — "ball unchanged ⇒ flag unchanged" is the PerNode
-			// locality contract. The repaired array holds start-of-round
-			// truth for every node, which is exactly what the eager engine's
-			// wholesale Boundary pass would produce: a Sequential sweep's
-			// mid-round recomputes read the same start-of-round flags in
-			// both engines, so trajectories and accounting stay bit-equal.
-			e.boundary = e.repairFlags(pn, n)
-			e.flagsLive = true
-		} else {
-			e.boundary = e.detector.Boundary(e.net)
-		}
+		// Serve this round's flags from the incremental flag cache,
+		// re-evaluating only nodes whose γ-ball a move endpoint touched (or a
+		// flush dirtied) since their flag was last computed — "ball unchanged
+		// ⇒ flag unchanged", the angular-gap detector's locality. The
+		// repaired array holds start-of-round truth for every node, exactly
+		// what a wholesale Boundary pass would produce, so a Sequential
+		// sweep's mid-round recomputes read start-of-round flags.
+		e.boundary = e.repairFlags(n)
 	}
 	e.movedIDs, e.movedPts = e.movedIDs[:0], e.movedPts[:0]
 	if sequential {
@@ -542,7 +535,7 @@ func (e *Engine) Finalize() (*Result, error) {
 	converged := e.Converged()
 	reuse := converged && len(e.lastRhat) == n && (e.regions != nil) == e.cfg.KeepRegions
 	if !reuse && e.cfg.Mode == Localized {
-		e.boundary = e.detector.Boundary(e.net)
+		e.boundary = boundary.AngularGap{}.Boundary(e.net)
 	}
 	before := e.net.MessageCount()
 	e.finalRadii(e.every(), reuse, FinalRoundTag(e.round), radii, regions)
@@ -565,7 +558,7 @@ func (e *Engine) Finalize() (*Result, error) {
 func (e *Engine) DebugRegions() [][]geom.Polygon {
 	out := make([][]geom.Polygon, e.net.Len())
 	if e.cfg.Mode == Localized {
-		e.boundary = e.detector.Boundary(e.net)
+		e.boundary = boundary.AngularGap{}.Boundary(e.net)
 	}
 	e.finalRadii(e.every(), false, FinalRoundTag(e.round), nil, out)
 	return out

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"laacad/internal/boundary"
@@ -27,20 +28,31 @@ func uniformStart(n int, seed int64) []geom.Point {
 func TestConfigValidation(t *testing.T) {
 	reg := region.UnitSquareKm()
 	pts := uniformStart(5, 1)
-	bad := []Config{
-		{K: 0, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10},
-		{K: 6, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10},                  // K > n
-		{K: 1, Alpha: 0, Epsilon: 1e-3, MaxRounds: 10},                    // bad alpha
-		{K: 1, Alpha: 1.5, Epsilon: 1e-3, MaxRounds: 10},                  // bad alpha
-		{K: 1, Alpha: 0.5, Epsilon: 0, MaxRounds: 10},                     // bad epsilon
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 0},                   // bad rounds
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Localized}, // no gamma
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, ArcSamples: 4},   // too few samples
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Mode(9)},   // unknown mode
+	// Each rejection names the offending field by its wire name.
+	bad := []struct {
+		field string
+		cfg   Config
+	}{
+		{"k", Config{K: 0, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10}},
+		{"k=6", Config{K: 6, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10}},
+		{"alpha", Config{K: 1, Alpha: 0, Epsilon: 1e-3, MaxRounds: 10}},
+		{"alpha", Config{K: 1, Alpha: 1.5, Epsilon: 1e-3, MaxRounds: 10}},
+		{"alpha", Config{K: 1, Alpha: math.NaN(), Epsilon: 1e-3, MaxRounds: 10}},
+		{"epsilon", Config{K: 1, Alpha: 0.5, Epsilon: 0, MaxRounds: 10}},
+		{"epsilon", Config{K: 1, Alpha: 0.5, Epsilon: math.NaN(), MaxRounds: 10}},
+		{"max_rounds", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 0}},
+		{"gamma", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Localized}},
+		{"arc_samples", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, ArcSamples: 4}},
+		{"mode", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Mode(9)}},
+		{"order", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Order: UpdateOrder(4)}},
+		{"ring_mode", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, RingMode: wsn.RingQueryMode(5)}},
+		{"ring_cap", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, RingCap: -1}},
+		{"loss_retries", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Localized, Gamma: 0.3, LossRetries: -1}},
+		{"loss_rate", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, LossRate: 0.1}}, // centralized
 	}
-	for i, cfg := range bad {
-		if _, err := New(reg, pts, cfg); err == nil {
-			t.Errorf("config %d should be rejected: %+v", i, cfg)
+	for _, c := range bad {
+		if _, err := New(reg, pts, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a rejection naming %q", c.field, err, c.field)
 		}
 	}
 	if _, err := New(nil, pts, DefaultConfig(1)); err == nil {
@@ -277,7 +289,7 @@ func TestLocalizedMatchesCentralizedForInteriorNodes(t *testing.T) {
 	if checked < 5 {
 		t.Fatalf("only %d interior nodes checked; test too weak", checked)
 	}
-	if lEng.Network().Stats().Messages == 0 {
+	if lEng.Network().MessageCount() == 0 {
 		t.Error("localized mode should account messages")
 	}
 }

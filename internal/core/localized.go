@@ -68,8 +68,8 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 	}
 	if invRad < gamma {
 		// Possible only when RingCap < γ clamps the very first probe. The
-		// cached entry's boundary flag reads the full γ-ball (the PerNode
-		// locality contract), so the invalidation ball must cover it.
+		// entry's boundary flag reads the full γ-ball (the angular-gap
+		// detector's locality), so the invalidation ball must cover it.
 		invRad = gamma
 	}
 	return nbrIDs, rho, clipToRing, invRad

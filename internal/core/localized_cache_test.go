@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"laacad/internal/boundary"
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/wsn"
@@ -137,7 +136,7 @@ func TestLocalizedCacheReusesAndRecharges(t *testing.T) {
 // own read radius is smaller than the γ-ball the boundary flag is derived
 // from; the invalidation radius must be floored at γ or a neighbor moving
 // inside (RingCap, γ) could flip a node's boundary status without touching
-// its cached entry — and the lazy PerNode path skips the flag comparison.
+// its cached entry — and a cache hit never re-checks the flag.
 func TestLocalizedCacheTinyRingCapMatchesEager(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceCorner(reg, 50, 0.2, rand.New(rand.NewSource(19)))
@@ -211,28 +210,6 @@ func TestLocalizedLossDisablesCache(t *testing.T) {
 	if hits := eng.CacheCounters().CacheHits; hits != 0 {
 		t.Errorf("lossy localized run served %d outcomes from cache; loss draws were skipped", hits)
 	}
-}
-
-// A global (non-PerNode) detector forces eager flag evaluation each round;
-// the cached engine must then compare flags and recompute any node whose
-// boundary status changed, staying bit-identical to the eager run.
-func TestLocalizedCacheWithGlobalDetector(t *testing.T) {
-	reg := region.UnitSquareKm()
-	start := region.PlaceCorner(reg, 50, 0.2, rand.New(rand.NewSource(11)))
-	run := func(disable bool) ([]RoundStats, *Result) {
-		cfg := DefaultConfig(2)
-		cfg.Mode = Localized
-		cfg.Gamma = 0.3
-		cfg.Detector = boundary.Hull{}
-		cfg.Epsilon = 1e-3
-		cfg.MaxRounds = 15
-		cfg.Seed = 11
-		return runEngine(t, reg, start, cfg, disable)
-	}
-	eagerTrace, eagerRes := run(true)
-	cachedTrace, cachedRes := run(false)
-	assertIdentical(t, "hull-detector", eagerTrace, cachedTrace, eagerRes, cachedRes)
-	assertSameMessages(t, "hull-detector", eagerRes, cachedRes)
 }
 
 // Out-of-band position writes must stay correct in Localized mode too: the

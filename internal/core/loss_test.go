@@ -69,7 +69,7 @@ func TestLossCostsMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Step()
-		return eng.Network().Stats().Messages
+		return eng.Network().MessageCount()
 	}
 	clean := run(0)
 	lossy := run(0.3)

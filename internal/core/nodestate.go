@@ -23,10 +23,9 @@ import (
 // runs the state over the global network, a shard (through Stepper) over
 // its window network in its own numbering.
 type nodeState struct {
-	cfg      Config
-	reg      *region.Region
-	net      *wsn.Network
-	detector boundary.Detector
+	cfg Config
+	reg *region.Region
+	net *wsn.Network
 
 	// ids maps network index to node ID for the loss streams (nil: the
 	// identity). admit, when set, decides whether an outcome computed over
@@ -63,15 +62,13 @@ type nodeState struct {
 	batchNodes atomic.Uint64
 	counters   CacheCounters
 
-	// Incremental boundary flags (Localized mode with a PerNode detector):
-	// flagValid marks entries whose γ-ball is provably untouched since they
-	// were computed ("ball unchanged ⇒ flag unchanged", the PerNode locality
-	// contract), and flagDirty lists the invalid ones so the repair pass
-	// touches only what a move disturbed — never O(n). flagsLive marks that
-	// the flag cache is serving; flagScratch and flagPool keep the repair
-	// evaluations allocation-free (serial and parallel respectively).
+	// Incremental boundary flags (Localized mode): flagValid marks entries
+	// whose γ-ball is provably untouched since they were computed ("ball
+	// unchanged ⇒ flag unchanged", the angular-gap detector's locality), and
+	// flagDirty lists the invalid ones so the repair pass touches only what
+	// a move disturbed — never O(n). flagScratch and flagPool keep the
+	// repair evaluations allocation-free (serial and parallel respectively).
 	flagDirty   []int
-	flagsLive   bool
 	flagScratch boundary.Scratch
 	flagPool    []*boundary.Scratch
 
@@ -122,16 +119,14 @@ type nodeArrays struct {
 // nodeCache is one node's cached round outcome plus the exactness radius
 // that bounds which position changes can invalidate it. Localized entries
 // carry the metered message cost of the search that produced the outcome
-// (charged on every use) and the boundary flag it was computed under; spec
-// marks an entry written by a speculation wave this round and not yet
-// consumed, so nothing has been charged for it yet.
+// (charged on every use); spec marks an entry written by a speculation wave
+// this round and not yet consumed, so nothing has been charged for it yet.
 type nodeCache struct {
-	valid    bool
-	spec     bool
-	boundary bool
-	rho      float64
-	cost     int64
-	out      nodeOutcome
+	valid bool
+	spec  bool
+	rho   float64
+	cost  int64
+	out   nodeOutcome
 }
 
 // nodeOutcome is one node's contribution to a round. Each outcome depends
@@ -149,21 +144,27 @@ type nodeOutcome struct {
 }
 
 // init validates cfg against the node count n and installs it over reg with
-// the defaults applied (RingCap, detector, loss retries, arc samples).
+// the defaults applied (RingCap, loss retries, arc samples). Workers is
+// deliberately left as given: the -1 "all CPUs" sentinel must survive in the
+// Config so a recorded run replays portably across machines with different
+// core counts; the engine resolves it per fan-out via parallel.Workers.
 func (ns *nodeState) init(reg *region.Region, n int, cfg Config) error {
 	if reg == nil {
 		return fmt.Errorf("core: nil region")
 	}
-	if err := cfg.validate(n); err != nil {
+	if err := cfg.Validate(n); err != nil {
 		return err
 	}
 	if cfg.RingCap == 0 {
 		cfg.RingCap = reg.BBox().Diagonal() + cfg.Gamma
 	}
-	ns.cfg, ns.reg, ns.detector = cfg, reg, cfg.Detector
-	if ns.detector == nil {
-		ns.detector = boundary.AngularGap{}
+	if cfg.LossRetries == 0 {
+		cfg.LossRetries = 2
 	}
+	if cfg.ArcSamples == 0 {
+		cfg.ArcSamples = 64
+	}
+	ns.cfg, ns.reg = cfg, reg
 	return nil
 }
 
@@ -242,20 +243,18 @@ func (ns *nodeState) finishMove(ui, ci geom.Point, out *nodeOutcome) {
 // Result.Messages stops being faithful to the protocol. An entry speculated
 // earlier this same round is no exception: its search charged nothing when
 // it ran, so consuming it charges at the instant the eager serial sweep
-// would have. A Localized hit also requires the boundary flag the entry was
-// computed under to still hold; under the incremental flag cache that
-// comparison always passes for a valid entry — the entry's ρ-ball covers the
-// γ-ball (ρ ≥ γ), so a valid entry implies an unchanged flag — while global
-// detectors compare against the freshly computed round array.
+// would have. A valid Localized entry was also computed under the node's
+// current boundary flag: the entry's ρ-ball covers the flag's γ-ball (ρ ≥ γ),
+// so any move that could change the flag has dropped the entry.
 func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 	if ns.cacheOn {
-		if c := &ns.cache[i]; c.valid && (ns.cfg.Mode != Localized || c.boundary == ns.boundary[i]) {
+		if c := &ns.cache[i]; c.valid {
 			ns.hits.Add(1)
 			if c.spec {
 				c.spec = false
 				ns.counters.SpecUsed++
 			}
-			ns.charge(i, c.cost)
+			ns.charge(c.cost)
 			ns.outs[i] = c.out
 			return true
 		}
@@ -274,15 +273,13 @@ func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 // reports false when admit rejected the outcome, which is then neither
 // charged nor installed. An admitted plain computation charges its search's
 // metered cost at once; a speculative one charges nothing until its entry is
-// consumed (see stepNode), so an external Stats read mid-wave sees only
-// what the eager sweep has paid, exact and monotone.
+// consumed (see stepNode), so an external MessageCount read mid-wave sees
+// only what the eager sweep has paid, exact and monotone.
 func (ns *nodeState) computeEntry(i, round int, s *Scratch, spec bool) (nodeOutcome, bool) {
 	var out nodeOutcome
 	var rho, readRad float64
-	flag := false
 	if ns.cfg.Mode == Localized {
-		flag = ns.boundary[i]
-		out, rho = ns.stepNodeLocalized(i, flag, ns.lossRNG(round, i), s)
+		out, rho = ns.stepNodeLocalized(i, ns.boundary[i], ns.lossRNG(round, i), s)
 		readRad = rho
 	} else {
 		out, rho = ns.stepNodeCentralized(i, ns.rhoHint[i], s)
@@ -293,10 +290,10 @@ func (ns *nodeState) computeEntry(i, round int, s *Scratch, spec bool) (nodeOutc
 	}
 	cost := ns.searchCost(s)
 	if !spec {
-		ns.charge(i, cost)
+		ns.charge(cost)
 	}
 	if ns.cacheOn {
-		ns.cache[i] = nodeCache{valid: true, spec: spec, boundary: flag, rho: rho, cost: cost, out: out}
+		ns.cache[i] = nodeCache{valid: true, spec: spec, rho: rho, cost: cost, out: out}
 		ns.rhoHint[i] = rho
 	}
 	return out, true
@@ -312,14 +309,14 @@ func (ns *nodeState) searchCost(s *Scratch) int64 {
 	return s.msgs
 }
 
-// charge pays node i's message cost into the network's counters — the only
-// place a search's cost reaches them. It runs at the node's turn: for an
+// charge pays a node's message cost into the network's counter — the only
+// place a search's cost reaches it. It runs at the node's turn: for an
 // admitted computation, for a consumed cache entry and for an admitted
 // finalization recompute; never for a rejected outcome or a dropped
 // speculation.
-func (ns *nodeState) charge(i int, cost int64) {
+func (ns *nodeState) charge(cost int64) {
 	if cost != 0 {
-		ns.net.Charge(i, cost)
+		ns.net.Charge(cost)
 	}
 }
 
@@ -474,7 +471,7 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 			rejected.Store(true)
 			return
 		}
-		ns.charge(i, ns.searchCost(s))
+		ns.charge(ns.searchCost(s))
 		if radii != nil {
 			radii[i] = rhat
 		}
@@ -493,7 +490,7 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 // dirty set (first round, topology change) fans the evaluations out across
 // the worker pool; each evaluation reads only start-of-round positions, so
 // the result is independent of worker count and evaluation order.
-func (ns *nodeState) repairFlags(pn boundary.PerNode, n int) []bool {
+func (ns *nodeState) repairFlags(n int) []bool {
 	if len(ns.flagVals) != n {
 		// Node count changed (or first use): the indices belong to another
 		// numbering, so every flag is re-evaluated.
@@ -509,23 +506,19 @@ func (ns *nodeState) repairFlags(pn boundary.PerNode, n int) []bool {
 		return ns.flagVals
 	}
 	ns.net.Rebuild()
-	scratched, scratchOK := pn.(boundary.PerNodeScratch)
-	if workers := parallel.Workers(ns.cfg.Workers); scratchOK && workers > 1 && len(dirty) >= 256 {
+	var det boundary.AngularGap
+	if workers := parallel.Workers(ns.cfg.Workers); workers > 1 && len(dirty) >= 256 {
 		for len(ns.flagPool) < workers {
 			ns.flagPool = append(ns.flagPool, &boundary.Scratch{})
 		}
 		parallel.ForWorker(len(dirty), workers, func(w, idx int) {
 			i := dirty[idx]
-			ns.flagVals[i] = scratched.BoundaryNodeScratch(ns.net, i, ns.flagPool[w])
+			ns.flagVals[i] = det.BoundaryNodeScratch(ns.net, i, ns.flagPool[w])
 			ns.flagValid[i] = true
 		})
 	} else {
 		for _, i := range dirty {
-			if scratchOK {
-				ns.flagVals[i] = scratched.BoundaryNodeScratch(ns.net, i, &ns.flagScratch)
-			} else {
-				ns.flagVals[i] = pn.BoundaryNode(ns.net, i)
-			}
+			ns.flagVals[i] = det.BoundaryNodeScratch(ns.net, i, &ns.flagScratch)
 			ns.flagValid[i] = true
 		}
 	}
@@ -539,7 +532,7 @@ func (ns *nodeState) repairFlags(pn boundary.PerNode, n int) []bool {
 // every move (a neighbor entering the ball changes the flag input by its new
 // position, one leaving it by its old one; the mover itself is always within
 // distance zero of its own new endpoint). The invalidation radius is exactly
-// the PerNode locality contract's γ, so a flag left valid provably has an
+// the γ the angular-gap detector reads, so a flag left valid provably has an
 // unchanged input set.
 func (ns *nodeState) markFlagsNear(p geom.Point) {
 	if len(ns.flagVals) != ns.net.Len() {
@@ -584,7 +577,7 @@ func (ns *nodeState) dropEntry(j int) {
 }
 
 // invalidate applies position-change endpoints: every boundary flag whose
-// γ-ball contains one of pts is marked for repair (flag cache live), and
+// γ-ball contains one of pts is marked for repair (Localized mode), and
 // every cache entry whose exactness ball does is dropped (cache on): a node
 // entering the ball changes the site set by its new position,
 // a node leaving it by its old one, and any move inside it changes a site's
@@ -607,7 +600,7 @@ func (ns *nodeState) dropEntry(j int) {
 // sweep feed them via noteRhoBound, so they stay upper bounds throughout and
 // the inverse queries never miss an affected entry.
 func (ns *nodeState) invalidate(pts []geom.Point, sweep bool) {
-	if ns.flagsLive {
+	if ns.cfg.Mode == Localized {
 		for _, p := range pts {
 			ns.markFlagsNear(p)
 		}

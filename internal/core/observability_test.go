@@ -3,32 +3,21 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"laacad/internal/boundary"
+	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/wsn"
 )
 
-// statsIdentity asserts a snapshot's self-consistency invariant
-// (Messages == Detached + sum(ByNode)) and returns the total.
-func statsIdentity(t *testing.T, s wsn.Stats) int64 {
-	t.Helper()
-	sum := s.Detached
-	for _, v := range s.ByNode {
-		sum += v
-	}
-	if sum != s.Messages {
-		t.Fatalf("torn snapshot: Detached+sum(ByNode)=%d, Messages=%d", sum, s.Messages)
-	}
-	return s.Messages
-}
-
 // The exactness matrix for mid-round observability: at EVERY serial commit
 // of a Sequential Localized sweep — the finest-grained observation points
 // the engine has — the externally visible message total must equal the
-// eager (cache-off, serial) engine's total at the same commit, be
-// self-consistent, and never decrease. This is the end-to-end contract of
+// eager (cache-off, serial) engine's total at the same commit and never
+// decrease. This is the end-to-end contract of
 // metered searches charged at the node's turn: speculation and caching are
 // invisible not just at round boundaries but at every instant in between.
 func TestMidRoundAccountingExactness(t *testing.T) {
@@ -87,7 +76,7 @@ func TestMidRoundAccountingExactness(t *testing.T) {
 				round := 0
 				prev := int64(-1)
 				eng.commitHook = func(i int) {
-					got := statsIdentity(t, eng.Network().Stats())
+					got := eng.Network().MessageCount()
 					if got < prev {
 						t.Fatalf("round %d commit %d: total went backwards (%d after %d)",
 							round+1, i, got, prev)
@@ -112,8 +101,8 @@ func TestMidRoundAccountingExactness(t *testing.T) {
 }
 
 // The Synchronous Localized fan-out charges from worker goroutines
-// concurrently; a sampler hammering Stats during the run must only ever see
-// self-consistent, monotone snapshots (run under -race in CI).
+// concurrently; a sampler hammering MessageCount during the run must only
+// ever see a monotone total (run under -race in CI).
 func TestMidRoundStatsUnderSynchronousFanout(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 120, rand.New(rand.NewSource(7)))
@@ -141,26 +130,15 @@ func TestMidRoundStatsUnderSynchronousFanout(t *testing.T) {
 				return
 			default:
 			}
-			s := eng.Network().Stats()
-			sum := s.Detached
-			for _, v := range s.ByNode {
-				sum += v
-			}
-			if sum != s.Messages {
+			got := eng.Network().MessageCount()
+			if got < prev {
 				select {
-				case errs <- fmt.Sprintf("torn snapshot: %d vs %d", sum, s.Messages):
+				case errs <- fmt.Sprintf("non-monotone: %d after %d", got, prev):
 				default:
 				}
 				return
 			}
-			if s.Messages < prev {
-				select {
-				case errs <- fmt.Sprintf("non-monotone: %d after %d", s.Messages, prev):
-				default:
-				}
-				return
-			}
-			prev = s.Messages
+			prev = got
 		}
 	}()
 	for r := 0; r < 6; r++ {
@@ -244,10 +222,10 @@ func TestSteadyStateRoundsSkipBoundaryScan(t *testing.T) {
 	}
 }
 
-// The incremental flag cache must be semantically invisible: a PerNode
-// detector served through the cache and the same detector evaluated
-// wholesale every round (cache disabled) walk identical trajectories with
-// identical accounting.
+// The incremental flag cache must be semantically invisible: every round's
+// flags equal a wholesale evaluation of the detector at the start-of-round
+// positions, and the cached engine walks the eager (cache-off) engine's
+// trajectory with identical accounting.
 func TestFlagCacheMatchesWholesaleDetection(t *testing.T) {
 	reg := region.UnitSquareKm()
 	for _, order := range []UpdateOrder{Sequential, Synchronous} {
@@ -270,8 +248,12 @@ func TestFlagCacheMatchesWholesaleDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < cfg.MaxRounds; r++ {
+			want := boundary.AngularGap{}.Boundary(cached.Network())
 			se, de := eager.Step()
 			sc, dc := cached.Step()
+			if !slices.Equal(cached.boundary, want) {
+				t.Fatalf("order %v round %d: cached flags differ from a wholesale evaluation", order, r+1)
+			}
 			if se != sc || de != dc {
 				t.Fatalf("order %v round %d: stats diverge\neager:  %+v\ncached: %+v", order, r+1, se, sc)
 			}
@@ -281,5 +263,35 @@ func TestFlagCacheMatchesWholesaleDetection(t *testing.T) {
 				t.Fatalf("order %v: trajectories diverged at node %d", order, i)
 			}
 		}
+	}
+}
+
+// A RemoveNode followed by an AddNode keeps the node count but renumbers the
+// nodes, so no cached boundary flag may survive the pair: the next round's
+// flags must equal a wholesale evaluation.
+func TestFlagCacheAfterRemoveAdd(t *testing.T) {
+	reg := region.UnitSquareKm()
+	start := region.PlaceUniform(reg, 80, rand.New(rand.NewSource(5)))
+	cfg := DefaultConfig(2)
+	cfg.Mode = Localized
+	cfg.Gamma = 0.25
+	cfg.Epsilon = 2e-2
+	eng, err := New(reg, start, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < cfg.MaxRounds; r++ {
+		if _, done := eng.Step(); done {
+			break
+		}
+	}
+	if err := eng.RemoveNode(0); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddNode(geom.Pt(0.01, 0.01))
+	want := boundary.AngularGap{}.Boundary(eng.Network())
+	eng.Step()
+	if !slices.Equal(eng.boundary, want) {
+		t.Fatal("boundary flags after RemoveNode+AddNode differ from a wholesale evaluation")
 	}
 }

@@ -17,10 +17,6 @@ import (
 // needs to be captured. A run resumed from a Snapshot therefore replays the
 // remaining rounds bit-identically to the uninterrupted run — the PR 1
 // determinism contract extended to interrupted runs.
-//
-// The one non-serializable Config field is the Detector interface: a resumed
-// run gets the default angular-gap detector. Runs using a custom detector
-// must re-install it on the resumed engine before stepping.
 
 // Snapshot captures the engine's state between rounds as a resumable
 // checkpoint. Call it only between Steps (e.g. from an Observer or after Run
@@ -84,8 +80,7 @@ func ConfigToState(c Config) snapshot.ConfigState {
 	}
 }
 
-// ConfigFromState rebuilds a Config from its serialized form. The Detector
-// is left nil (default).
+// ConfigFromState rebuilds a Config from its serialized form.
 func ConfigFromState(s snapshot.ConfigState) Config {
 	return Config{
 		K:           s.K,

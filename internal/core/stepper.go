@@ -23,8 +23,8 @@ type Stepper struct {
 }
 
 // NewStepper validates cfg against the global node count n — applying exactly
-// the defaults Engine's constructor does (RingCap, detector, loss retries,
-// arc samples) — and returns a stepper with no network attached yet. The
+// the defaults Engine's constructor does (RingCap, loss retries, arc
+// samples) — and returns a stepper with no network attached yet. The
 // normalized configuration is readable via Config.
 func NewStepper(reg *region.Region, n int, cfg Config) (*Stepper, error) {
 	st := &Stepper{}
@@ -32,17 +32,14 @@ func NewStepper(reg *region.Region, n int, cfg Config) (*Stepper, error) {
 		return nil, err
 	}
 	st.cacheOn = st.cacheable()
-	_, perNode := st.detector.(boundary.PerNode)
-	st.flagsLive = cfg.Mode == Localized && perNode
 	return st, nil
 }
 
 // Config returns the normalized configuration (defaults applied).
 func (st *Stepper) Config() Config { return st.cfg }
 
-// Detector returns the boundary detector (the configured one, or the default
-// angular-gap detector).
-func (st *Stepper) Detector() boundary.Detector { return st.detector }
+// Detector returns the boundary detector the stepper's flags come from.
+func (st *Stepper) Detector() boundary.AngularGap { return boundary.AngularGap{} }
 
 // IndexGamma returns the cell-sizing gamma a network must be constructed
 // with so its spatial index and radio range match the shared-memory
@@ -89,12 +86,12 @@ type StepOutcome struct {
 // warm-starts the Centralized expanding search (pass the node's last InvRad,
 // or 0). isBoundary and rng apply in Localized mode only: the boundary flag
 // as start-of-round truth, and the node's private loss stream. A Localized
-// step charges its search's message cost to node i on the attached network
-// before it returns, as the eager protocol pays it.
+// step charges its search's message cost to the attached network before it
+// returns, as the eager protocol pays it.
 func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) StepOutcome {
 	if st.cfg.Mode == Localized {
 		out, inv := st.stepNodeLocalized(i, isBoundary, rng, s)
-		st.charge(i, s.msgs)
+		st.charge(s.msgs)
 		return exportOutcome(out, inv)
 	}
 	return exportOutcome(st.stepNodeCentralized(i, hint, s))
@@ -104,10 +101,10 @@ func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand
 // the Finalize/DebugRegions recompute path — returning compacted polygons
 // plus the radius of the ball the computation read positions from. rng must
 // be the node's stream for the negative FinalRoundTag round. Like StepNode,
-// a Localized recompute charges its search's cost to node i.
+// a Localized recompute charges its search's cost.
 func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
 	polys, readRad := st.regionOf(i, hint, isBoundary, rng, s)
-	st.charge(i, st.searchCost(s))
+	st.charge(st.searchCost(s))
 	return polys, readRad
 }
 
@@ -184,10 +181,9 @@ func (st *Stepper) Reset(i int, hint float64) {
 
 // RepairFlags brings the boundary flags of ids up to date at the current
 // positions, re-evaluating only those a position change disturbed since
-// their last evaluation (Localized mode with a per-node detector).
+// their last evaluation (Localized mode).
 func (st *Stepper) RepairFlags(ids []int) {
-	pn, ok := st.detector.(boundary.PerNode)
-	if !ok || !st.flagsLive {
+	if st.cfg.Mode != Localized {
 		return
 	}
 	st.flagDirty = st.flagDirty[:0]
@@ -196,7 +192,7 @@ func (st *Stepper) RepairFlags(ids []int) {
 			st.flagDirty = append(st.flagDirty, i)
 		}
 	}
-	st.repairFlags(pn, st.net.Len())
+	st.repairFlags(st.net.Len())
 }
 
 // StepAll steps every node of ids at once (Synchronous order).

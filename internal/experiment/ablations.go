@@ -143,7 +143,6 @@ func runAblationLocalized(cfg RunConfig) (*Output, error) {
 	}
 	cRep := coverage.VerifyWorkers(cRes.Positions, cRes.Radii, reg, 60, cfg.Workers)
 	lRep := coverage.VerifyWorkers(lRes.Positions, lRes.Radii, reg, 60, cfg.Workers)
-	_ = boundary.AngularGap{} // detector exercised inside the localized engine
 
 	out := &Output{
 		Name:  "ablation-localized",
@@ -229,7 +228,7 @@ func runAblationArcSamples(cfg RunConfig) (*Output, error) {
 				bad++
 			}
 		}
-		msgs := lEng.Network().Stats().Messages
+		msgs := lEng.Network().MessageCount()
 		mismatches = append(mismatches, bad)
 		rows = append(rows, []string{fmt.Sprint(s), fmt.Sprint(interior),
 			fmt.Sprint(bad), fmt.Sprint(msgs)})

@@ -149,23 +149,6 @@ func Run(name string, cfg RunConfig) (*Output, error) {
 	return r(cfg)
 }
 
-// RunAll executes every registered experiment in name order, stopping at
-// the first cancellation of cfg.Ctx.
-func RunAll(cfg RunConfig) ([]*Output, error) {
-	var outs []*Output
-	for _, n := range Names() {
-		if err := cfg.Context().Err(); err != nil {
-			return outs, err
-		}
-		o, err := Run(n, cfg)
-		if err != nil {
-			return outs, fmt.Errorf("experiment %s: %w", n, err)
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}
-
 // resolve returns the named region and placement from the scenario
 // registry; the harness resolves all geometry by name, the same way the
 // CLIs do, instead of hand-wiring constructors.

@@ -99,19 +99,3 @@ func TestOutputFailedAndSummary(t *testing.T) {
 		t.Errorf("summary:\n%s", s)
 	}
 }
-
-func TestRunAllQuickSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll repeats every runner; TestRunnersQuick already covers them")
-	}
-	// RunAll over the full registry is exercised by cmd/experiments; here we
-	// just validate the error path and the happy path on one runner by
-	// temporarily consulting the registry.
-	outs, err := RunAll(RunConfig{Quick: true, Seed: 2})
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(outs) != len(Names()) {
-		t.Errorf("got %d outputs, want %d", len(outs), len(Names()))
-	}
-}

@@ -50,9 +50,6 @@ type Inject struct {
 	mu    sync.Mutex
 	rules []*injectRule
 	ops   int64
-	// Trace, if set, observes every operation (after counting, before any
-	// fault fires). Guarded by mu during calls.
-	trace func(op, path string)
 }
 
 type injectRule struct {
@@ -71,13 +68,6 @@ func NewInject(inner FS, rules ...Rule) *Inject {
 	return in
 }
 
-// SetTrace installs an operation observer (op name + path).
-func (in *Inject) SetTrace(fn func(op, path string)) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.trace = fn
-}
-
 // Ops returns the number of operations that have reached the layer.
 func (in *Inject) Ops() int64 {
 	in.mu.Lock()
@@ -89,13 +79,10 @@ func (in *Inject) Ops() int64 {
 // err != nil to fail, tearTo >= 0 to truncate the payload to tearTo bytes
 // first, crash to die after writing. payload is the operation's write size
 // (0 for non-writing ops).
-func (in *Inject) check(op, path string, payload int) (tearTo int, crash bool, err error) {
+func (in *Inject) check(op string, payload int) (tearTo int, crash bool, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.ops++
-	if in.trace != nil {
-		in.trace(op, path)
-	}
 	tearTo = -1
 	for _, r := range in.rules {
 		if r.fired || (r.Op != "" && r.Op != op) {
@@ -155,13 +142,13 @@ func apply(tearTo int, crash bool, err error, run func() error) error {
 
 // MkdirAll implements FS.
 func (in *Inject) MkdirAll(dir string, perm os.FileMode) error {
-	tearTo, crash, err := in.check("mkdirall", dir, 0)
+	tearTo, crash, err := in.check("mkdirall", 0)
 	return apply(tearTo, crash, err, func() error { return in.inner.MkdirAll(dir, perm) })
 }
 
 // ReadDir implements FS.
 func (in *Inject) ReadDir(dir string) (names []string, _ error) {
-	tearTo, crash, err := in.check("readdir", dir, 0)
+	tearTo, crash, err := in.check("readdir", 0)
 	e := apply(tearTo, crash, err, func() error {
 		var rerr error
 		names, rerr = in.inner.ReadDir(dir)
@@ -175,7 +162,7 @@ func (in *Inject) ReadDir(dir string) (names []string, _ error) {
 
 // ReadFile implements FS.
 func (in *Inject) ReadFile(path string) (data []byte, _ error) {
-	tearTo, crash, err := in.check("readfile", path, 0)
+	tearTo, crash, err := in.check("readfile", 0)
 	e := apply(tearTo, crash, err, func() error {
 		var rerr error
 		data, rerr = in.inner.ReadFile(path)
@@ -189,7 +176,7 @@ func (in *Inject) ReadFile(path string) (data []byte, _ error) {
 
 // WriteFile implements FS. Tear rules truncate the written data.
 func (in *Inject) WriteFile(path string, data []byte, perm os.FileMode) error {
-	tearTo, crash, err := in.check("writefile", path, len(data))
+	tearTo, crash, err := in.check("writefile", len(data))
 	if tearTo >= 0 && tearTo < len(data) {
 		data = data[:tearTo]
 	}
@@ -198,19 +185,19 @@ func (in *Inject) WriteFile(path string, data []byte, perm os.FileMode) error {
 
 // Rename implements FS.
 func (in *Inject) Rename(oldpath, newpath string) error {
-	tearTo, crash, err := in.check("rename", newpath, 0)
+	tearTo, crash, err := in.check("rename", 0)
 	return apply(tearTo, crash, err, func() error { return in.inner.Rename(oldpath, newpath) })
 }
 
 // Remove implements FS.
 func (in *Inject) Remove(path string) error {
-	tearTo, crash, err := in.check("remove", path, 0)
+	tearTo, crash, err := in.check("remove", 0)
 	return apply(tearTo, crash, err, func() error { return in.inner.Remove(path) })
 }
 
 // Create implements FS.
 func (in *Inject) Create(path string) (File, error) {
-	tearTo, crash, err := in.check("create", path, 0)
+	tearTo, crash, err := in.check("create", 0)
 	var f File
 	e := apply(tearTo, crash, err, func() error {
 		var cerr error
@@ -220,12 +207,12 @@ func (in *Inject) Create(path string) (File, error) {
 	if e != nil {
 		return nil, e
 	}
-	return &injectFile{in: in, f: f, path: path}, nil
+	return &injectFile{in: in, f: f}, nil
 }
 
 // Append implements FS.
 func (in *Inject) Append(path string) (File, error) {
-	tearTo, crash, err := in.check("append", path, 0)
+	tearTo, crash, err := in.check("append", 0)
 	var f File
 	e := apply(tearTo, crash, err, func() error {
 		var aerr error
@@ -235,32 +222,31 @@ func (in *Inject) Append(path string) (File, error) {
 	if e != nil {
 		return nil, e
 	}
-	return &injectFile{in: in, f: f, path: path}, nil
+	return &injectFile{in: in, f: f}, nil
 }
 
 // Truncate implements FS.
 func (in *Inject) Truncate(path string, size int64) error {
-	tearTo, crash, err := in.check("truncate", path, 0)
+	tearTo, crash, err := in.check("truncate", 0)
 	return apply(tearTo, crash, err, func() error { return in.inner.Truncate(path, size) })
 }
 
 // SyncDir implements FS.
 func (in *Inject) SyncDir(dir string) error {
-	tearTo, crash, err := in.check("syncdir", dir, 0)
+	tearTo, crash, err := in.check("syncdir", 0)
 	return apply(tearTo, crash, err, func() error { return in.inner.SyncDir(dir) })
 }
 
 // injectFile routes a File's write/sync/close through the rule engine.
 type injectFile struct {
-	in   *Inject
-	f    File
-	path string
+	in *Inject
+	f  File
 }
 
 // Write implements File. A tear rule writes only the prefix before the
 // consequence (error or crash) lands — the definition of a torn write.
 func (w *injectFile) Write(p []byte) (int, error) {
-	tearTo, crash, err := w.in.check("write", w.path, len(p))
+	tearTo, crash, err := w.in.check("write", len(p))
 	if tearTo >= 0 && tearTo < len(p) {
 		if tearTo > 0 {
 			if n, werr := w.f.Write(p[:tearTo]); werr != nil {
@@ -287,13 +273,13 @@ func (w *injectFile) Write(p []byte) (int, error) {
 
 // Sync implements File.
 func (w *injectFile) Sync() error {
-	tearTo, crash, err := w.in.check("sync", w.path, 0)
+	tearTo, crash, err := w.in.check("sync", 0)
 	return apply(tearTo, crash, err, func() error { return w.f.Sync() })
 }
 
 // Close implements File.
 func (w *injectFile) Close() error {
-	tearTo, crash, err := w.in.check("close", w.path, 0)
+	tearTo, crash, err := w.in.check("close", 0)
 	return apply(tearTo, crash, err, func() error { return w.f.Close() })
 }
 

@@ -9,7 +9,6 @@ import (
 	"laacad/internal/core"
 	"laacad/internal/sim"
 	"laacad/internal/snapshot"
-	"laacad/internal/wsn"
 )
 
 // Scenario wire format.
@@ -25,8 +24,7 @@ import (
 // are.
 
 // scenarioJSON is the wire shape; Scenario's JSON methods go through it so
-// the exported struct can keep richer types (core.Config holds a Detector
-// interface the wire cannot carry).
+// the wire keeps one flat config block whichever regime is active.
 type scenarioJSON struct {
 	Name        string               `json:"name,omitempty"`
 	Description string               `json:"description,omitempty"`
@@ -99,9 +97,10 @@ func ParseJSON(data []byte) (Scenario, error) {
 
 // Validate checks that the scenario resolves against the registries and that
 // its parameters can build a runner. Unknown region/placement names are
-// rejected with the list of valid names; non-positive N, out-of-range enums
-// and regime-specific requirements (Localized needs γ > 0, async needs a
-// time budget) fail with an error naming the offending field.
+// rejected with the list of valid names and non-positive N with an error
+// naming n; the active regime's configuration is then checked by its
+// engine's own validator (core.Config.Validate or sim.Config.Validate), so
+// a scenario that validates here is one the engine accepts.
 func (s Scenario) Validate() error {
 	mu.RLock()
 	_, regionOK := regions[s.Region]
@@ -119,62 +118,9 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario: n must be positive, got %d", s.N)
 	}
 	if s.Async {
-		c := s.AsyncConfig
-		if c.K < 1 || s.N < c.K {
-			return fmt.Errorf("scenario: need k >= 1 and n >= k, got k=%d n=%d", c.K, s.N)
-		}
-		if c.Alpha <= 0 || c.Alpha > 1 {
-			return fmt.Errorf("scenario: alpha must be in (0, 1], got %v", c.Alpha)
-		}
-		if c.Epsilon <= 0 {
-			return fmt.Errorf("scenario: epsilon must be positive, got %v", c.Epsilon)
-		}
-		if c.Tau <= 0 {
-			return fmt.Errorf("scenario: tau must be positive, got %v", c.Tau)
-		}
-		if c.MaxTime <= 0 {
-			return fmt.Errorf("scenario: max_time must be positive, got %v", c.MaxTime)
-		}
-		return nil
+		return s.AsyncConfig.Validate(s.N)
 	}
-	c := s.Config
-	if c.K < 1 || s.N < c.K {
-		return fmt.Errorf("scenario: need k >= 1 and n >= k, got k=%d n=%d", c.K, s.N)
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("scenario: alpha must be in (0, 1], got %v", c.Alpha)
-	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("scenario: epsilon must be positive, got %v", c.Epsilon)
-	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("scenario: max_rounds must be positive, got %d", c.MaxRounds)
-	}
-	if c.Mode != core.Centralized && c.Mode != core.Localized {
-		return fmt.Errorf("scenario: unknown mode %d (0 = centralized, 1 = localized)", int(c.Mode))
-	}
-	if c.Order != core.Synchronous && c.Order != core.Sequential {
-		return fmt.Errorf("scenario: unknown order %d (0 = synchronous, 1 = sequential)", int(c.Order))
-	}
-	if c.Mode == core.Localized && c.Gamma <= 0 {
-		return fmt.Errorf("scenario: localized mode needs gamma > 0, got %v", c.Gamma)
-	}
-	if c.RingMode != wsn.RingGeometric && c.RingMode != wsn.RingHopLimited {
-		return fmt.Errorf("scenario: unknown ring_mode %d (0 = geometric, 1 = hop-limited)", int(c.RingMode))
-	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
-		return fmt.Errorf("scenario: loss_rate must be in [0, 1), got %v", c.LossRate)
-	}
-	if c.LossRetries < 0 {
-		return fmt.Errorf("scenario: loss_retries must be non-negative, got %d", c.LossRetries)
-	}
-	if c.RingCap < 0 {
-		return fmt.Errorf("scenario: ring_cap must be non-negative, got %v", c.RingCap)
-	}
-	if c.LossRate > 0 && c.Mode != core.Localized {
-		return fmt.Errorf("scenario: loss_rate %v needs localized mode (message loss models the expanding-ring query's link layer)", c.LossRate)
-	}
-	return nil
+	return s.Config.Validate(s.N)
 }
 
 // asyncConfigToState maps the event-driven simulator's configuration onto

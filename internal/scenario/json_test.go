@@ -241,3 +241,55 @@ func TestDecodedScenarioRunsIdentically(t *testing.T) {
 		t.Error("decoded scenario produced a different run")
 	}
 }
+
+// engineInvalid lists submissions whose config the engine rejects, each with
+// the wire field the rejection must name. Every one was once accepted at
+// submit time and failed only when the job ran (or, for a negative
+// stable_activations, ran without any node ever settling).
+var engineInvalid = []struct{ field, json string }{
+	{"arc_samples", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"arc_samples":3}}`},
+	{"arc_samples", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"arc_samples":-1}}`},
+	{"jitter", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"jitter":1.5}}`},
+	{"jitter", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"jitter":-0.5}}`},
+	{"stable_activations", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"stable_activations":-2}}`},
+}
+
+// A scenario that passes submit-time validation must be one the engine
+// accepts: the scenario layer defers every config check to the engine's own
+// validator, so none of these can parse.
+func TestParseJSONRejectsEngineInvalidConfig(t *testing.T) {
+	for _, c := range engineInvalid {
+		if _, err := ParseJSON([]byte(c.json)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: ParseJSON err = %v, want a rejection naming %q", c.json, err, c.field)
+		}
+	}
+}
+
+// FuzzScenarioSubmit drives the submit→construct path with arbitrary JSON:
+// neither step may panic, and whatever ParseJSON accepts, NewRunner must
+// build. Decoded deployments above 2000 nodes are skipped to keep
+// construction small.
+func FuzzScenarioSubmit(f *testing.F) {
+	for _, c := range engineInvalid {
+		f.Add([]byte(c.json))
+	}
+	for _, sc := range All() {
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseJSON(data)
+		if err != nil {
+			return
+		}
+		if sc.N > 2000 {
+			t.Skip()
+		}
+		if _, err := NewRunner(sc); err != nil {
+			t.Fatalf("ParseJSON accepted a scenario NewRunner rejects: %v\n%s", err, data)
+		}
+	})
+}

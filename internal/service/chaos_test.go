@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"laacad/internal/fault"
-	"laacad/internal/metrics"
 )
 
 // Chaos harness: the daemon is run in a child process with a fault rule that
@@ -77,7 +76,6 @@ func TestChaosChild(t *testing.T) {
 	s, err := New(Config{
 		SpoolDir: filepath.Join(base, "spool"),
 		Pool:     2,
-		Metrics:  &metrics.Registry{},
 		FS:       inj,
 	})
 	if err != nil {
@@ -231,7 +229,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 		}
 
 		// Recover over the very journal the child was murdered on top of.
-		s, err := New(Config{SpoolDir: spool, Pool: 2, Metrics: &metrics.Registry{}})
+		s, err := New(Config{SpoolDir: spool, Pool: 2})
 		if err != nil {
 			t.Fatalf("trial %d (kill op %d): recovery: %v", trial, killOp, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"laacad/internal/fault"
-	"laacad/internal/metrics"
 )
 
 // Retry/deadline/idempotency policy tests. Every test here runs on a
@@ -20,7 +19,6 @@ func newPolicyServer(t *testing.T, pool int, clock fault.Clock, hook func(id str
 	s, err := New(Config{
 		SpoolDir: t.TempDir(),
 		Pool:     pool,
-		Metrics:  &metrics.Registry{},
 		Clock:    clock,
 		RunHook:  hook,
 	})
@@ -76,7 +74,7 @@ func TestIdempotentSubmit(t *testing.T) {
 func TestIdempotentSubmitSurvivesRestart(t *testing.T) {
 	spool := t.TempDir()
 	spec := JobSpec{Scenario: testScenario(8, 4, 1e-3, 9), ClientID: "client-restart"}
-	s1, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: &metrics.Registry{}})
+	s1, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestIdempotentSubmitSurvivesRestart(t *testing.T) {
 
 	// The client never saw the ack and retries against the restarted daemon:
 	// it must get the original (already finished) job back.
-	s2, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: &metrics.Registry{}})
+	s2, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

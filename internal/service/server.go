@@ -37,10 +37,6 @@ type Config struct {
 	// Pool is the number of worker slots — concurrent laacad runs. Zero or
 	// negative means runtime.NumCPU().
 	Pool int
-	// Metrics, if non-nil, receives the service counters and gauges;
-	// otherwise the server creates its own registry. Either way the
-	// registry is exposed at /metrics by Handler.
-	Metrics *metrics.Registry
 	// FS is the filesystem seam every durable operation runs through; nil
 	// means the real filesystem. Fault-injection tests interpose here.
 	FS fault.FS
@@ -124,10 +120,7 @@ func New(cfg Config) (*Server, error) {
 	if pool <= 0 {
 		pool = runtime.NumCPU()
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = &metrics.Registry{}
-	}
+	reg := &metrics.Registry{}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = fault.Wall{}
@@ -250,7 +243,7 @@ func seedEvents(j *job) {
 	case j.Result != nil:
 		trace = j.Result.Trace
 	case j.Checkpoint != nil:
-		trace = coreTrace(j.Checkpoint)
+		trace = core.TraceFromState(j.Checkpoint.Trace)
 	}
 	for i := range trace {
 		push(Event{Type: "round", Round: &trace[i]})
@@ -260,23 +253,6 @@ func seedEvents(j *job) {
 	} else if j.State == StatePreempted {
 		push(Event{Type: "state", State: StatePreempted})
 	}
-}
-
-// coreTrace converts a checkpoint's archived trace back to RoundStats.
-func coreTrace(st *snapshot.State) []core.RoundStats {
-	out := make([]core.RoundStats, len(st.Trace))
-	for i, tr := range st.Trace {
-		out[i] = core.RoundStats{
-			Round:           tr.Round,
-			MaxCircumradius: tr.MaxCircumradius,
-			MinCircumradius: tr.MinCircumradius,
-			MaxRhat:         tr.MaxRhat,
-			MaxMove:         tr.MaxMove,
-			Moved:           tr.Moved,
-			Messages:        tr.Messages,
-		}
-	}
-	return out
 }
 
 // Warnings returns journal-recovery and journal-write problems collected so

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"laacad/internal/core"
-	"laacad/internal/metrics"
 	"laacad/internal/scenario"
 )
 
@@ -45,7 +44,7 @@ func soloRun(t *testing.T, sc scenario.Scenario) *core.Result {
 
 func newTestServer(t *testing.T, pool int) *Server {
 	t.Helper()
-	s, err := New(Config{SpoolDir: t.TempDir(), Pool: pool, Metrics: &metrics.Registry{}})
+	s, err := New(Config{SpoolDir: t.TempDir(), Pool: pool})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -271,7 +270,6 @@ func TestDrainThousandJobs(t *testing.T) {
 	s, err := New(Config{
 		SpoolDir: t.TempDir(),
 		Pool:     4,
-		Metrics:  &metrics.Registry{},
 		Journal:  JournalOptions{Sync: SyncNone},
 	})
 	if err != nil {
@@ -336,7 +334,7 @@ func TestRestartRecovery(t *testing.T) {
 	spool := t.TempDir()
 	sc := testScenario(12, 40, 1e-12, 31)
 
-	s1, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: &metrics.Registry{}})
+	s1, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +360,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// "Restart": a new server over the same spool picks both jobs up.
-	s2, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: &metrics.Registry{}})
+	s2, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,15 +411,14 @@ func TestSpoolQuarantinesCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(spool, "notes.txt"), []byte("unrelated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg := &metrics.Registry{}
-	s, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: reg})
+	s, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatalf("New over dirty spool: %v", err)
 	}
 	if len(s.List()) != 0 {
 		t.Errorf("jobs = %d, want 0", len(s.List()))
 	}
-	snap := reg.Snapshot()
+	snap := s.reg.Snapshot()
 	if snap["service.records_quarantined"] != 2 {
 		t.Errorf("records_quarantined = %d, want 2", snap["service.records_quarantined"])
 	}
@@ -448,12 +445,11 @@ func TestSpoolQuarantinesCorruptFiles(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	reg2 := &metrics.Registry{}
-	s2, err := New(Config{SpoolDir: spool, Pool: 1, Metrics: reg2})
+	s2, err := New(Config{SpoolDir: spool, Pool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap2 := reg2.Snapshot()
+	snap2 := s2.reg.Snapshot()
 	if snap2["service.quarantine_files"] != 2 {
 		t.Errorf("after restart quarantine_files = %d, want 2", snap2["service.quarantine_files"])
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"laacad/internal/boundary"
 	"laacad/internal/core"
 	"laacad/internal/geom"
 	"laacad/internal/parallel"
@@ -60,10 +59,7 @@ type Engine struct {
 }
 
 // New builds a sharded engine over reg with the given initial positions
-// (clamped inside the region, like core.New) and shard count. Localized mode
-// with more than one shard requires a per-node boundary detector (or the
-// default): a global detector reads every position, which no window short of
-// the whole deployment can serve.
+// (clamped inside the region, like core.New) and shard count.
 func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) (*Engine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
@@ -73,11 +69,6 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		return nil, err
 	}
 	cfg = st0.Config() // normalized (RingCap default applied)
-	if shards > 1 && cfg.Mode == core.Localized && cfg.Detector != nil {
-		if _, ok := cfg.Detector.(boundary.PerNode); !ok {
-			return nil, fmt.Errorf("shard: Localized mode with %d shards requires a per-node boundary detector", shards)
-		}
-	}
 	n := len(initial)
 	part := NewPartition(reg, shards)
 	pos := make([]geom.Point, n)

@@ -53,30 +53,27 @@ func DefaultConfig(k int) Config {
 	}
 }
 
-func (c *Config) validate(n int) error {
-	if c.K < 1 || n < c.K {
-		return fmt.Errorf("sim: need K >= 1 and at least K nodes (K=%d, n=%d)", c.K, n)
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("sim: Alpha must be in (0, 1], got %v", c.Alpha)
-	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("sim: Epsilon must be positive, got %v", c.Epsilon)
-	}
-	if c.Tau <= 0 {
-		return fmt.Errorf("sim: Tau must be positive, got %v", c.Tau)
-	}
-	if c.MaxTime <= 0 {
-		return fmt.Errorf("sim: MaxTime must be positive, got %v", c.MaxTime)
-	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
-		return fmt.Errorf("sim: Jitter must be in [0, 1), got %v", c.Jitter)
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	}
-	if c.StableActivations == 0 {
-		c.StableActivations = 3
+// Validate reports the first setting a deployment of n nodes cannot use,
+// naming the field by its wire (JSON) name. Zero Jitter and
+// StableActivations select their defaults and are valid.
+func (c Config) Validate(n int) error {
+	switch {
+	case c.K < 1:
+		return fmt.Errorf("sim: k must be >= 1, got %d", c.K)
+	case n < c.K:
+		return fmt.Errorf("sim: need at least k=%d nodes, got %d", c.K, n)
+	case !(c.Alpha > 0 && c.Alpha <= 1): // also rejects NaN
+		return fmt.Errorf("sim: alpha must be in (0, 1], got %v", c.Alpha)
+	case !(c.Epsilon > 0):
+		return fmt.Errorf("sim: epsilon must be positive, got %v", c.Epsilon)
+	case !(c.Tau > 0):
+		return fmt.Errorf("sim: tau must be positive, got %v", c.Tau)
+	case !(c.MaxTime > 0):
+		return fmt.Errorf("sim: max_time must be positive, got %v", c.MaxTime)
+	case !(c.Jitter >= 0 && c.Jitter < 1):
+		return fmt.Errorf("sim: jitter must be in [0, 1), got %v", c.Jitter)
+	case c.StableActivations < 0:
+		return fmt.Errorf("sim: stable_activations must be >= 0, got %d", c.StableActivations)
 	}
 	return nil
 }
@@ -201,8 +198,14 @@ func NewDeployment(reg *region.Region, initial []geom.Point, cfg Config) (*Deplo
 	if reg == nil {
 		return nil, fmt.Errorf("sim: nil region")
 	}
-	if err := cfg.validate(len(initial)); err != nil {
+	if err := cfg.Validate(len(initial)); err != nil {
 		return nil, err
+	}
+	if cfg.Jitter == 0 {
+		cfg.Jitter = 0.1
+	}
+	if cfg.StableActivations == 0 {
+		cfg.StableActivations = 3
 	}
 	pos := make([]geom.Point, len(initial))
 	for i, p := range initial {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"math/rand"
+	"strings"
 	"testing"
 
 	"laacad/internal/core"
@@ -82,18 +83,25 @@ func TestSchedulerClampsPastTimes(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	reg := region.UnitSquareKm()
 	pts := []geom.Point{geom.Pt(0.5, 0.5)}
-	bad := []Config{
-		{K: 0, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10},
-		{K: 2, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10},            // K > n
-		{K: 1, Alpha: 0, Epsilon: 1e-3, Tau: 1, MaxTime: 10},              // alpha
-		{K: 1, Alpha: 0.5, Epsilon: 0, Tau: 1, MaxTime: 10},               // eps
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 0, MaxTime: 10},            // tau
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 0},             // time
-		{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10, Jitter: 1}, // jitter
+	// Each rejection names the offending field by its wire name.
+	bad := []struct {
+		field string
+		cfg   Config
+	}{
+		{"k", Config{K: 0, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10}},
+		{"k=2", Config{K: 2, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10}},
+		{"alpha", Config{K: 1, Alpha: 0, Epsilon: 1e-3, Tau: 1, MaxTime: 10}},
+		{"epsilon", Config{K: 1, Alpha: 0.5, Epsilon: 0, Tau: 1, MaxTime: 10}},
+		{"tau", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 0, MaxTime: 10}},
+		{"max_time", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 0}},
+		{"jitter", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10, Jitter: 1}},
+		{"jitter", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10, Jitter: -0.5}},
+		// A negative count can never be reached, so no node would settle.
+		{"stable_activations", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, Tau: 1, MaxTime: 10, StableActivations: -2}},
 	}
-	for i, cfg := range bad {
-		if _, err := NewDeployment(reg, pts, cfg); err == nil {
-			t.Errorf("config %d should be rejected", i)
+	for _, c := range bad {
+		if _, err := NewDeployment(reg, pts, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a rejection naming %q", c.field, err, c.field)
 		}
 	}
 	if _, err := NewDeployment(nil, pts, DefaultConfig(1)); err == nil {

@@ -30,10 +30,8 @@ const (
 	KindAsync = "async"
 )
 
-// ConfigState is the serializable subset of an engine configuration. It
-// covers every field of core.Config except the Detector (a pluggable
-// interface; a resumed run gets the default detector) plus the event-driven
-// simulator's fields. Enum-typed fields (Mode, Order, RingMode) are stored
+// ConfigState is the serialized form of an engine configuration. It covers
+// every field of core.Config plus the event-driven simulator's fields. Enum-typed fields (Mode, Order, RingMode) are stored
 // as their integer values.
 type ConfigState struct {
 	K           int     `json:"k"`

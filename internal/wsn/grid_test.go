@@ -154,25 +154,18 @@ func TestBulkWriteRebuildsAndCountersSurviveTopologyChange(t *testing.T) {
 		t.Errorf("bulk SetPositions should rebuild once lazily: %d -> %d", base, net.Rebuilds())
 	}
 
-	net.Charge(3, 7)
-	net.Charge(39, 2)
-	net.RemoveNode(3) // renumbers: old node 39 becomes 38
+	net.Charge(7)
+	net.Charge(2)
+	net.RemoveNode(3)
 	if net.Len() != 39 {
 		t.Fatalf("RemoveNode left %d nodes", net.Len())
 	}
-	st := net.Stats()
-	if st.Messages != 9 {
-		t.Errorf("total messages must survive removal, got %d", st.Messages)
-	}
-	if st.ByNode[38] != 2 {
-		t.Errorf("per-node counters must shift with the renumbering, ByNode[38]=%d", st.ByNode[38])
+	if got := net.MessageCount(); got != 9 {
+		t.Errorf("total messages must survive removal, got %d", got)
 	}
 	id := net.AddNode(geom.Pt(0.5, 0.5))
 	if id != 39 || net.Len() != 40 {
 		t.Fatalf("AddNode returned id %d with %d nodes", id, net.Len())
-	}
-	if got := net.Stats().ByNode[39]; got != 0 {
-		t.Errorf("fresh node carries %d messages", got)
 	}
 }
 

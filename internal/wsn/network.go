@@ -1,8 +1,8 @@
 // Package wsn models the wireless-sensor-network substrate LAACAD runs on:
 // node positions, the unit-disk communication graph induced by a common
 // transmission range γ, distance and hop-limited neighborhood queries backed
-// by a uniform spatial grid, and per-node message accounting for the
-// localized expanding-ring search (Algorithm 2 in the paper).
+// by a uniform spatial grid, and message accounting for the localized
+// expanding-ring search (Algorithm 2 in the paper).
 //
 // The package is deliberately independent of the deployment algorithm: it
 // answers "who can I hear, and what does asking cost" and nothing else.
@@ -39,14 +39,10 @@ type Network struct {
 	// (see SetSearchCount).
 	searchCount int
 
-	// Message counters. atomic.Int64 (not bare int64 + atomic ops) so the
-	// 8-byte alignment Charge needs is guaranteed on 32-bit platforms too.
-	msgs   atomic.Int64
-	byNode []atomic.Int64
-
-	// detached accumulates the message totals of removed nodes, so Stats can
-	// keep Messages == Detached + sum(ByNode) exact across topology changes.
-	detached atomic.Int64
+	// msgs counts link-level transmissions. atomic.Int64 (not bare int64 +
+	// atomic ops) so the 8-byte alignment Charge needs is guaranteed on
+	// 32-bit platforms too.
+	msgs atomic.Int64
 
 	// Incremental spatial index over node positions (see gridIndex). A
 	// single-node move updates the two touched cell buckets in place; only
@@ -75,17 +71,6 @@ type Network struct {
 	version atomic.Uint64
 }
 
-// Stats accumulates communication cost. Messages counts link-level
-// transmissions (each hop of each unicast/broadcast counts once). Detached
-// carries the totals of nodes since removed (RemoveNode keeps totals but has
-// no row to attribute them to); Messages == Detached + sum(ByNode) holds for
-// every snapshot, even one taken mid-charge.
-type Stats struct {
-	Messages int64
-	Detached int64
-	ByNode   []int64
-}
-
 // New creates a network with the given node positions and transmission
 // range gamma. It panics if gamma is not positive.
 func New(pos []geom.Point, gamma float64) *Network {
@@ -93,9 +78,8 @@ func New(pos []geom.Point, gamma float64) *Network {
 		panic(fmt.Sprintf("wsn: transmission range must be positive, got %v", gamma))
 	}
 	n := &Network{
-		pos:    append([]geom.Point(nil), pos...),
-		gamma:  gamma,
-		byNode: make([]atomic.Int64, len(pos)),
+		pos:   append([]geom.Point(nil), pos...),
+		gamma: gamma,
 	}
 	n.dirty.Store(true)
 	return n
@@ -172,7 +156,6 @@ func (n *Network) SetPositions(pos []geom.Point) {
 func (n *Network) AddNode(p geom.Point) int {
 	id := len(n.pos)
 	n.pos = append(n.pos, p)
-	n.byNode = resizeCounters(n.byNode, len(n.pos))
 	n.version.Add(1)
 	if !n.dirty.Load() {
 		if n.idx.add(p) {
@@ -187,35 +170,13 @@ func (n *Network) AddNode(p geom.Point) int {
 // RemoveNode deletes node i, renumbering every node above it down by one
 // (matching the engine's failure-injection semantics). Renumbering
 // invalidates every bucket, so removal always schedules a full rebuild.
-// Per-node message counters shift with the renumbering; totals are kept.
-// Must not run concurrently with queries.
+// The message total is kept. Must not run concurrently with queries.
 func (n *Network) RemoveNode(i int) {
 	if i < 0 || i >= len(n.pos) {
 		panic(fmt.Sprintf("wsn: RemoveNode index %d out of range [0,%d)", i, len(n.pos)))
 	}
 	n.pos = append(n.pos[:i], n.pos[i+1:]...)
-	n.detached.Add(n.byNode[i].Load())
-	byNode := make([]atomic.Int64, len(n.pos))
-	for j := range byNode {
-		src := j
-		if j >= i {
-			src = j + 1
-		}
-		byNode[j].Store(n.byNode[src].Load())
-	}
-	n.byNode = byNode
 	n.markDirty()
-}
-
-// resizeCounters returns a fresh counter slice of the given length carrying
-// over old's values. atomic.Int64 must not be copied by assignment, so the
-// values are moved Load/Store-wise (mutation is single-threaded).
-func resizeCounters(old []atomic.Int64, length int) []atomic.Int64 {
-	out := make([]atomic.Int64, length)
-	for i := 0; i < min(len(old), length); i++ {
-		out[i].Store(old[i].Load())
-	}
-	return out
 }
 
 func (n *Network) markDirty() {
@@ -247,37 +208,12 @@ func (n *Network) SetBoundsHint(b geom.BBox) {
 // flush accordingly.
 func (n *Network) Version() uint64 { return n.version.Load() }
 
-// MessageCount returns the total link-level message count — Stats().Messages
-// without materializing the per-node slice, for per-round accounting in hot
-// loops.
+// MessageCount returns the total link-level message count: each hop of each
+// unicast/broadcast counts once.
 func (n *Network) MessageCount() int64 { return n.msgs.Load() }
 
-// Stats returns a snapshot of the accumulated communication statistics. The
-// snapshot is self-consistent: Messages is computed as Detached plus the sum
-// of the ByNode values it carries, so `Messages == Detached + sum(ByNode)`
-// holds even when charges land concurrently with the read (the snapshot can
-// differ from MessageCount by whatever charged mid-read; they agree again at
-// quiescence).
-func (n *Network) Stats() Stats {
-	s := Stats{
-		Detached: n.detached.Load(),
-		ByNode:   make([]int64, len(n.byNode)),
-	}
-	s.Messages = s.Detached
-	for i := range n.byNode {
-		v := n.byNode[i].Load()
-		s.ByNode[i] = v
-		s.Messages += v
-	}
-	return s
-}
-
-// Charge records m link-level transmissions attributed to node i. It is safe
-// for concurrent use.
-func (n *Network) Charge(i int, m int64) {
-	n.msgs.Add(m)
-	n.byNode[i].Add(m)
-}
+// Charge records m link-level transmissions. It is safe for concurrent use.
+func (n *Network) Charge(m int64) { n.msgs.Add(m) }
 
 // Rebuild brings the spatial index up to date with the current positions if
 // a full rebuild is pending (bulk write, node-count change, or a move that
