@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"laacad/internal/boundary"
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/wsn"
@@ -122,32 +125,129 @@ func TestDirtySetReusesOutcomesWhenConverged(t *testing.T) {
 	}
 }
 
-// Topology changes (failure injection) rebuild the network; the cache must
-// be discarded, and the resulting run must still match an eager engine
-// subjected to the same mutation schedule.
+// Topology changes (failure injection) reach the per-node state as a
+// renumbering plus one endpoint, so the cache survives them outside the
+// edited neighborhood. A seeded RemoveNode/AddNode/Step schedule — including
+// edits before the first round, when no cache exists yet, and back-to-back
+// edits — must leave the cached engine bit-identical to the eager one
+// (trace, positions, radii and, in Localized mode, messages and every
+// round's boundary flags against a wholesale evaluation) in both modes,
+// both orders, at 1 and 3 workers, from a uniform start and from a corner
+// pile.
 func TestDirtySetSurvivesTopologyChange(t *testing.T) {
 	reg := region.UnitSquareKm()
-	start := region.PlaceUniform(reg, 50, rand.New(rand.NewSource(9)))
-	run := func(disable bool) ([]RoundStats, *Result) {
-		cfg := DefaultConfig(2)
-		cfg.Epsilon = 1e-3
-		cfg.MaxRounds = 30
-		cfg.Seed = 9
+	starts := map[string][]geom.Point{
+		"uniform": region.PlaceUniform(reg, 50, rand.New(rand.NewSource(9))),
+		"corner":  region.PlaceCorner(reg, 30, 0.2, rand.New(rand.NewSource(9))),
+	}
+	for name, start := range starts {
+		for _, mode := range []Mode{Centralized, Localized} {
+			for _, order := range []UpdateOrder{Synchronous, Sequential} {
+				for _, workers := range []int{1, 3} {
+					name, start, mode, order, workers := name, start, mode, order, workers
+					t.Run(fmt.Sprintf("%s/%v/%v/workers=%d", name, mode, order, workers), func(t *testing.T) {
+						t.Parallel()
+						cfg := DefaultConfig(2)
+						cfg.Mode, cfg.Order, cfg.Workers = mode, order, workers
+						if mode == Localized {
+							cfg.Gamma = 0.25
+						}
+						cfg.Epsilon = 5e-2
+						cfg.MaxRounds = 30
+						cfg.Seed = 9
+						eagerTrace, eagerRes := runTopologySchedule(t, reg, start, cfg, true)
+						cachedTrace, cachedRes := runTopologySchedule(t, reg, start, cfg, false)
+						assertIdentical(t, "topology-change", eagerTrace, cachedTrace, eagerRes, cachedRes)
+						if mode == Localized {
+							assertSameMessages(t, "topology-change", eagerRes, cachedRes)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// runTopologySchedule steps an engine through cfg.MaxRounds rounds with a
+// seeded schedule of removals and insertions between them, then finalizes.
+// The schedule depends only on cfg.Seed and the node count, so the eager and
+// the cached engine see the same edits.
+func runTopologySchedule(t *testing.T, reg *region.Region, start []geom.Point, cfg Config, eager bool) ([]RoundStats, *Result) {
+	t.Helper()
+	eng, err := New(reg, start, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.eager = eager
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for r := 0; r < cfg.MaxRounds; r++ {
+		if r == 0 || rng.Intn(3) == 0 {
+			for m := rng.Intn(3); m >= 0; m-- {
+				if n := eng.Network().Len(); rng.Intn(2) == 0 && n > len(start)/2 {
+					if err := eng.RemoveNode(rng.Intn(n)); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					eng.AddNode(geom.Pt(rng.Float64(), rng.Float64()))
+				}
+			}
+		}
+		var want []bool
+		if cfg.Mode == Localized {
+			want = boundary.AngularGap{}.Boundary(eng.Network())
+		}
+		eng.Step()
+		if want != nil && !slices.Equal(eng.boundary, want) {
+			t.Fatalf("round %d: boundary flags differ from a wholesale evaluation", r+1)
+		}
+	}
+	res, err := eng.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Trace(), res
+}
+
+// An insertion must drop every Centralized entry whose search ended on the
+// all-nodes-seen exit short of the exactness bound (2·R̂ > ρ), wherever the
+// new node lands: that outcome was exact only because no other node
+// existed. A corner pile's edge nodes end their first search that way; with
+// ε beyond the diagonal no node moves, so their entries stay valid until the
+// new node lands in the far corner, outside every exactness ball.
+func TestAddNodeDropsExhaustedEntries(t *testing.T) {
+	reg := region.UnitSquareKm()
+	start := region.PlaceCorner(reg, 20, 0.1, rand.New(rand.NewSource(4)))
+	far := geom.Pt(0.99, 0.99)
+	cfg := DefaultConfig(2)
+	cfg.Epsilon = reg.BBox().Diagonal() * 2
+	cfg.MaxRounds = 3
+	run := func(eager bool) ([]RoundStats, *Result) {
 		eng, err := New(reg, start, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.eager = disable
-		for r := 0; r < cfg.MaxRounds; r++ {
-			if r == 10 {
-				if err := eng.RemoveNode(7); err != nil {
-					t.Fatal(err)
+		eng.eager = eager
+		eng.Step()
+		if !eager {
+			exhausted := 0
+			for j, c := range eng.cache {
+				if !c.valid {
+					continue
 				}
-				eng.AddNode(geom.Pt(0.9, 0.9))
+				if eng.Network().Position(j).Dist(far) <= c.rho {
+					t.Fatalf("node %d's exactness ball (ρ=%v) reaches the insertion point; the fixture tests nothing", j, c.rho)
+				}
+				if 2*c.out.rhat > c.rho {
+					exhausted++
+				}
 			}
-			if _, done := eng.Step(); done {
-				break
+			if exhausted == 0 {
+				t.Fatal("no entry ended on the all-nodes-seen exit; the fixture tests nothing")
 			}
+		}
+		eng.AddNode(far)
+		for r := 1; r < cfg.MaxRounds; r++ {
+			eng.Step()
 		}
 		res, err := eng.Finalize()
 		if err != nil {
@@ -157,7 +257,66 @@ func TestDirtySetSurvivesTopologyChange(t *testing.T) {
 	}
 	eagerTrace, eagerRes := run(true)
 	cachedTrace, cachedRes := run(false)
-	assertIdentical(t, "topology-change", eagerTrace, cachedTrace, eagerRes, cachedRes)
+	assertIdentical(t, "insert-after-exhausted-search", eagerTrace, cachedTrace, eagerRes, cachedRes)
+}
+
+// Heals are local: removing one interior node of a converged deployment
+// recomputes only the nodes whose exactness balls held it, performs no full
+// index rebuild, and still ends bit-identical to the eager engine.
+func TestHealRecomputesLocally(t *testing.T) {
+	const n = 400
+	start, pitch := wsn.UnitLattice(n, 8)
+	reg := region.UnitSquareKm()
+	cfg := DefaultConfig(2)
+	cfg.Epsilon = pitch / 20
+	cfg.MaxRounds = 400
+	cfg.Seed = 1
+	run := func(eager bool) (*Engine, []RoundStats, *Result) {
+		eng, err := New(reg, start, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.eager = eager
+		for r := 0; r < cfg.MaxRounds && !eng.Converged(); r++ {
+			eng.Step()
+		}
+		if !eng.Converged() {
+			t.Fatal("deployment did not converge before the failure")
+		}
+		victim, best := 0, math.Inf(1)
+		for i, p := range eng.Positions() {
+			if d := p.Dist(geom.Pt(0.5, 0.5)); d < best {
+				victim, best = i, d
+			}
+		}
+		before, rebuilds := eng.CacheCounters(), eng.Network().Rebuilds()
+		if err := eng.RemoveNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		eng.Step()
+		if !eager {
+			// The bound: every exactness ball is floored at the search's
+			// density fallback, about 4.9 lattice pitches at k=2, so some 70
+			// nodes hold the victim; a cold round would be all n-1.
+			if got := eng.CacheCounters().BatchNodes - before.BatchNodes; got > n/5 {
+				t.Errorf("the first heal round recomputed %d of %d nodes, want <= %d", got, n-1, n/5)
+			}
+			if got := eng.Network().Rebuilds(); got != rebuilds {
+				t.Errorf("the heal rebuilt the spatial index %d times, want 0", got-rebuilds)
+			}
+		}
+		for r := 0; r < cfg.MaxRounds && !eng.Converged(); r++ {
+			eng.Step()
+		}
+		res, err := eng.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, eng.Trace(), res
+	}
+	_, eagerTrace, eagerRes := run(true)
+	_, cachedTrace, cachedRes := run(false)
+	assertIdentical(t, "heal", eagerTrace, cachedTrace, eagerRes, cachedRes)
 }
 
 // What-if edits: a seeded MoveNode schedule — including edits before the
@@ -218,13 +377,13 @@ func TestDirtySetMatchesEagerUnderMoveNode(t *testing.T) {
 	}
 }
 
-// Regression: a paired RemoveNode+AddNode restores the node count AND can
-// collide on the fresh network's mutation version (both counters restart at
-// zero), so neither the length check nor the version check alone may be
-// trusted — the swap must drop the cache explicitly. Before the fix, a
-// converged engine (version still zero: no move was ever applied) kept all
-// cache entries across the swap and replayed outcomes for the old node
-// numbering.
+// Regression: a paired RemoveNode+AddNode restores the node count, so the
+// length check alone cannot tell that the nodes were renumbered under the
+// cache. Each edit must carry the cache into the new numbering itself (a
+// renumbering plus the edit's endpoint) and drop every entry whose ball
+// holds the removed or inserted position. An early version kept all cache
+// entries of a converged engine across the swap and replayed outcomes for
+// the old node numbering.
 func TestDirtySetFlushedByPairedTopologyChange(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 30, rand.New(rand.NewSource(27)))

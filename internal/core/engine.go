@@ -106,8 +106,10 @@ func (r *Result) MinRadius() float64 {
 
 // Engine executes LAACAD rounds. Create with New, then call Step until
 // convergence or use Run. The Engine may be mutated between steps through
-// MoveNode, RemoveNode and AddNode (what-if edits, failure injection); it
-// re-validates node counts.
+// MoveNode, RemoveNode and AddNode (what-if edits, failure injection); each
+// edit reaches the per-node state as position-change endpoints (plus a
+// renumbering for a topology change), so the next round recomputes only the
+// nodes around the edit.
 //
 // Its per-node state is the embedded nodeState over the global network; the
 // Engine adds the round record, the colored Sequential sweep's speculation
@@ -133,14 +135,17 @@ type Engine struct {
 	// statistics (see SetObserver).
 	observer func(RoundStats) error
 
-	// all is the identity node list (see every).
-	all []int
+	// all is the identity node list (see every), fromBuf the renumbering
+	// map of the last RemoveNode or AddNode.
+	all     []int
+	fromBuf []int32
 
-	// cacheVer is net.Version() as of the end of the last Step or MoveNode,
-	// the last time every position change reached the per-node state as
-	// explicit endpoints. A mismatch means a write went through Network():
-	// the next Step flushes the cache wholesale, and the converged flag no
-	// longer describes the current positions.
+	// cacheVer is net.Version() as of the end of the last Step or in-sync
+	// edit (MoveNode, RemoveNode, AddNode), the last time every position
+	// change reached the per-node state as explicit endpoints. A mismatch
+	// means a write went through Network(): the next Step flushes the cache
+	// wholesale, and the converged flag no longer describes the current
+	// positions.
 	cacheVer uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
@@ -313,11 +318,12 @@ func (e *Engine) every() []int {
 }
 
 // ensureBuffers sizes the per-round buffers and the dirty-set cache for n
-// nodes. A node-count change (AddNode/RemoveNode, which also drop the cache
-// explicitly) discards the cache wholesale here too: its indices belong to
-// the old numbering. The version stamp is left stale, so the boundary flags
-// are flushed as well — a RemoveNode followed by an AddNode keeps the node
-// count but renumbers the nodes under the flags.
+// nodes. AddNode and RemoveNode normally carry the cache across in the new
+// numbering (see renumber); only an edit made while the state was out of
+// sync drops it, and it is reallocated here. Such an edit also leaves the
+// version stamp stale, so the boundary flags are flushed as well — a
+// RemoveNode followed by an AddNode keeps the node count but renumbers the
+// nodes under the flags.
 func (e *Engine) ensureBuffers(n int) {
 	if cap(e.outs) < n {
 		e.outs = make([]nodeOutcome, n)
@@ -452,11 +458,12 @@ func (e *Engine) Step() (RoundStats, bool) {
 // SetObserver installs a per-round callback invoked by Run after every
 // completed round, with that round's statistics. The callback runs between
 // rounds, so it may safely inspect the engine, take a Snapshot, or mutate
-// topology (AddNode/RemoveNode for failure injection); determinism is
-// preserved because each round's randomness depends only on (Seed, round,
-// node), never on wall-clock or scheduling. Returning ErrStop ends the run
-// cleanly; returning any other error aborts it with a partial Result. A nil
-// observer removes the callback.
+// topology (AddNode/RemoveNode for failure injection, which keep the cache
+// outside the edited neighborhood); determinism is preserved because each
+// round's randomness depends only on (Seed, round, node), never on
+// wall-clock or scheduling. Returning ErrStop ends the run cleanly;
+// returning any other error aborts it with a partial Result. A nil observer
+// removes the callback.
 func (e *Engine) SetObserver(fn func(RoundStats) error) { e.observer = fn }
 
 // Run executes Step until convergence, MaxRounds, ctx cancellation, or an
@@ -578,9 +585,7 @@ func (e *Engine) MoveNode(i int, p geom.Point) error {
 	if p == old {
 		return nil
 	}
-	// With a Network() write still unabsorbed (or no cache for this node
-	// count yet), the stamp stays stale and the next Step flushes wholesale.
-	inSync := e.cacheVer == e.net.Version() && len(e.cache) == n
+	inSync := e.inSync()
 	e.net.SetPosition(i, p)
 	e.converged = false
 	if inSync {
@@ -595,9 +600,13 @@ func (e *Engine) MoveNode(i int, p geom.Point) error {
 }
 
 // RemoveNode deletes node i from the deployment (failure injection). The
-// engine continues with the remaining nodes; convergence state is reset.
-// The network is mutated in place (message accounting continues), so only
-// the removal itself is paid — no full reconstruction.
+// engine continues with the remaining nodes; convergence state is reset. The
+// removal reaches the per-node state as a renumbering (every node above i
+// moves down by one) plus one endpoint at the removed position, so only the
+// cached outcomes and boundary flags whose balls contain that position are
+// dropped: a heal recomputes the failed node's neighborhood, not the whole
+// deployment. The network is mutated in place (message accounting
+// continues, the spatial index is renumbered without a rebuild).
 func (e *Engine) RemoveNode(i int) error {
 	n := e.net.Len()
 	if i < 0 || i >= n {
@@ -606,21 +615,83 @@ func (e *Engine) RemoveNode(i int) error {
 	if n-1 < e.cfg.K {
 		return fmt.Errorf("core: removing node %d would leave %d < K=%d nodes", i, n-1, e.cfg.K)
 	}
+	inSync := e.inSync()
+	old := e.net.Position(i)
 	e.net.RemoveNode(i)
 	e.converged = false
-	// The cache indexes the old node numbering (removal renumbers every
-	// node above i), so no per-entry salvage is possible: drop it wholesale.
-	e.cache = nil
+	if !inSync {
+		e.cache = nil // the next Step starts the state afresh
+		return nil
+	}
+	from := e.fromBuf[:0]
+	for j := 0; j < n-1; j++ {
+		if j < i {
+			from = append(from, int32(j))
+		} else {
+			from = append(from, int32(j+1))
+		}
+	}
+	e.carry(from, old)
 	return nil
 }
 
 // AddNode inserts a node at p (clamped into the region). Convergence state
-// is reset. Like RemoveNode, the network is extended in place.
+// is reset. Like RemoveNode, the network is extended in place and the
+// insertion reaches the per-node state as a renumbering (the new last node
+// starts fresh) plus one endpoint at p.
 func (e *Engine) AddNode(p geom.Point) {
-	e.net.AddNode(e.reg.ClampInside(p))
+	n := e.net.Len()
+	inSync := e.inSync()
+	p = e.reg.ClampInside(p)
+	e.net.AddNode(p)
 	e.converged = false
-	// A node-count change resizes the cache and every neighborhood near p
-	// changed; ensureBuffers discards the old cache on the size mismatch,
-	// dropping it here just makes that explicit.
-	e.cache = nil
+	if !inSync {
+		e.cache = nil
+		return
+	}
+	if e.cacheOn {
+		e.dropExhausted()
+	}
+	from := e.fromBuf[:0]
+	for j := 0; j < n; j++ {
+		from = append(from, int32(j))
+	}
+	e.carry(append(from, -1), p)
+}
+
+// carry brings the per-node state across a topology edit that renumbered
+// the nodes by from (see renumber) and changed what lies at position p, then
+// re-stamps the state as in sync.
+func (e *Engine) carry(from []int32, p geom.Point) {
+	e.fromBuf = from
+	e.renumber(from)
+	ends := [1]geom.Point{p}
+	e.invalidate(ends[:], false)
+	e.cacheVer = e.net.Version()
+}
+
+// inSync reports whether every position change so far reached the per-node
+// state as explicit endpoints and the state is sized for the current node
+// count — the precondition for carrying it across an edit. Otherwise (a
+// Network() write still unabsorbed, or no round stepped at this node count
+// yet) an edit leaves the stamp stale and the next Step flushes wholesale.
+func (e *Engine) inSync() bool {
+	return e.cacheVer == e.net.Version() && len(e.cache) == e.net.Len()
+}
+
+// dropExhausted drops every Centralized cache entry whose search ended by
+// exhausting the node count rather than on the exactness bound (2·R̂ > ρ;
+// see centralizedRegionSoA). Such an outcome was exact only because no other
+// node existed, so an insertion anywhere — inside its ball or not — can
+// change it. Localized searches end on the ring test or the ring cap, both
+// bounded by their ball, so their entries stay.
+func (e *Engine) dropExhausted() {
+	if e.cfg.Mode == Localized {
+		return
+	}
+	for j := range e.cache {
+		if c := &e.cache[j]; c.valid && 2*c.out.rhat > c.rho {
+			e.dropEntry(j)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"laacad/internal/boundary"
@@ -561,6 +562,56 @@ func (ns *nodeState) markFlagsNear(p geom.Point) {
 			}
 		}
 	})
+}
+
+// renumber carries every node's state across a renumbering of the nodes:
+// from[i] is the previous index of the node now at index i, or -1 for a node
+// whose state starts fresh (no cache entry, flag due for repair, no warm
+// start). Both the Stepper (a shard's membership change) and the Engine (a
+// topology change) renumber through it. The boundary flags come along while
+// they are live — sized for the old numbering like the cache; otherwise there
+// are none to carry — and the repair list is rebuilt in the new numbering.
+// The previous arrays become the spare half of the double buffer, so a steady
+// stream of renumberings allocates nothing. The per-cell bounds are left
+// stale.
+func (ns *nodeState) renumber(from []int32) {
+	cur, nxt := &ns.nodeArrays, &ns.spare
+	nxt.outs = permute(nxt.outs, cur.outs, from)
+	nxt.cache = permute(nxt.cache, cur.cache, from)
+	nxt.rhoHint = permute(nxt.rhoHint, cur.rhoHint, from)
+	nxt.lastRhat = permute(nxt.lastRhat, cur.lastRhat, from)
+	if len(cur.flagVals) == len(cur.cache) {
+		nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
+		nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
+	} else {
+		nxt.flagVals, nxt.flagValid = nxt.flagVals[:0], nxt.flagValid[:0]
+	}
+	if ns.cfg.KeepRegions {
+		nxt.regions = permute(nxt.regions, cur.regions, from)
+	}
+	ns.nodeArrays, ns.spare = ns.spare, ns.nodeArrays
+	ns.flagDirty = ns.flagDirty[:0]
+	for i, ok := range ns.flagValid {
+		if !ok {
+			ns.flagDirty = append(ns.flagDirty, i)
+		}
+	}
+	ns.boundsLive = false
+}
+
+// permute fills dst (reusing its storage) with src rearranged by from; -1
+// entries get the zero value.
+func permute[T any](dst, src []T, from []int32) []T {
+	dst = slices.Grow(dst[:0], len(from))[:len(from)]
+	var zero T
+	for i, o := range from {
+		if o >= 0 {
+			dst[i] = src[o]
+		} else {
+			dst[i] = zero
+		}
+	}
+	return dst
 }
 
 // dropEntry invalidates node j's cache entry. An unconsumed speculative

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 
 	"laacad/internal/boundary"
 	"laacad/internal/geom"
@@ -131,40 +130,12 @@ func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.adm
 // nodes — and carries every node's state across: from[i] is the previous
 // index of the node now at index i, or -1 for a node whose state starts
 // fresh, and ids maps the new indices to node IDs (the loss streams are
-// keyed by ID). Nothing is left pending
-// flag repair (the caller names the flags it needs repaired), and the
-// per-cell bounds are stale. The previous arrays become the spare half of
-// the double buffer, so a steady stream of renumberings allocates nothing.
+// keyed by ID). It is the engine's own renumbering (see nodeState.renumber):
+// flags keep their validity, and RepairFlags re-evaluates the invalid ones
+// its caller names.
 func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
-	cur, nxt := &st.nodeArrays, &st.spare
-	nxt.outs = permute(nxt.outs, cur.outs, from)
-	nxt.cache = permute(nxt.cache, cur.cache, from)
-	nxt.rhoHint = permute(nxt.rhoHint, cur.rhoHint, from)
-	nxt.lastRhat = permute(nxt.lastRhat, cur.lastRhat, from)
-	nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
-	nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
-	if st.cfg.KeepRegions {
-		nxt.regions = permute(nxt.regions, cur.regions, from)
-	}
-	st.nodeArrays, st.spare = st.spare, st.nodeArrays
+	st.renumber(from)
 	st.net, st.ids, st.boundary = net, ids, st.flagVals
-	st.flagDirty = st.flagDirty[:0]
-	st.boundsLive = false
-}
-
-// permute fills dst (reusing its storage) with src rearranged by from; -1
-// entries get the zero value.
-func permute[T any](dst, src []T, from []int32) []T {
-	dst = slices.Grow(dst[:0], len(from))[:len(from)]
-	var zero T
-	for i, o := range from {
-		if o >= 0 {
-			dst[i] = src[o]
-		} else {
-			dst[i] = zero
-		}
-	}
-	return dst
 }
 
 // Hint returns node i's warm-start hint.

@@ -53,16 +53,46 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the wire form, rejecting unknown fields so a typo in
-// a submitted job surfaces as an error instead of a silently ignored knob.
-// It performs no registry resolution; call Validate before running the
-// decoded scenario.
+// engineOnlyFields and asyncOnlyFields are the wire names of the config
+// fields only the round engine, respectively only the event-driven
+// simulator, reads.
+var (
+	engineOnlyFields = []string{"max_rounds", "mode", "order", "gamma", "ring_mode", "loss_rate",
+		"loss_retries", "arc_samples", "ring_cap", "workers", "keep_regions"}
+	asyncOnlyFields = []string{"tau", "jitter", "speed", "max_time", "stable_activations"}
+)
+
+// UnmarshalJSON decodes the wire form, rejecting unknown fields — and config
+// fields of the regime the scenario does not run — so a typo or a misplaced
+// knob in a submitted job surfaces as an error instead of being silently
+// ignored. It performs no registry resolution; call Validate before running
+// the decoded scenario.
 func (s *Scenario) UnmarshalJSON(data []byte) error {
 	var w scenarioJSON
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("scenario: decoding: %w", err)
+	}
+	// Field presence, not value: an explicit zero is still a knob the
+	// submitter believes applies. Keys match case-insensitively, as the
+	// decoder itself matches them.
+	var raw struct {
+		Config map[string]json.RawMessage `json:"config"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return fmt.Errorf("scenario: decoding: %w", err)
+	}
+	foreign, regime := asyncOnlyFields, "an engine"
+	if w.Async {
+		foreign, regime = engineOnlyFields, "an async"
+	}
+	for _, f := range foreign {
+		for key := range raw.Config {
+			if strings.EqualFold(key, f) {
+				return fmt.Errorf("scenario: config field %q does not apply to %s scenario", f, regime)
+			}
+		}
 	}
 	*s = Scenario{
 		Name:        w.Name,

@@ -254,6 +254,27 @@ var engineInvalid = []struct{ field, json string }{
 	{"stable_activations", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"stable_activations":-2}}`},
 }
 
+// inactiveRegime lists submissions that set a config field of the regime
+// the scenario does not run, each with the wire field the rejection must
+// name. Each once parsed without error and the field was dropped.
+var inactiveRegime = []struct{ field, json string }{
+	{"max_rounds", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"mode":1,"gamma":0.2,"loss_rate":0.5,"max_rounds":3}}`},
+	{"tau", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"tau":5,"jitter":0.9}}`},
+	{"workers", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"workers":0}}`},
+	{"keep_regions", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"Keep_Regions":true}}`},
+	{"stable_activations", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"stable_activations":3}}`},
+}
+
+// A config field of the inactive regime is rejected by its wire name, even
+// at its zero value and in any letter case.
+func TestParseJSONRejectsInactiveRegimeFields(t *testing.T) {
+	for _, c := range inactiveRegime {
+		if _, err := ParseJSON([]byte(c.json)); err == nil || !strings.Contains(err.Error(), `"`+c.field+`"`) {
+			t.Errorf("%s: ParseJSON err = %v, want a rejection naming %q", c.json, err, c.field)
+		}
+	}
+}
+
 // A scenario that passes submit-time validation must be one the engine
 // accepts: the scenario layer defers every config check to the engine's own
 // validator, so none of these can parse.
@@ -279,6 +300,9 @@ func FuzzScenarioSubmit(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	for _, c := range inactiveRegime {
+		f.Add([]byte(c.json))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseJSON(data)

@@ -16,8 +16,9 @@ import (
 // Invariants:
 //   - every node lies inside the grid bounds; a mutation that would violate
 //     this reports failure and the caller falls back to a full rebuild with
-//     fresh bounds (the only remaining rebuild triggers are bulk
-//     SetPositions and node-count changes);
+//     fresh bounds (the only other rebuild trigger is a bulk SetPositions;
+//     removals renumber in place, and additions inside the bounds are one
+//     bucket insert);
 //   - every bucket holds node IDs in ascending order, exactly what a full
 //     rebuild produces, so query answers are bit-identical whichever path
 //     built the index;
@@ -218,6 +219,25 @@ func (g *gridIndex) add(p geom.Point) bool {
 	g.nodeCell = append(g.nodeCell, int32(ci))
 	g.cells[ci] = insertID(g.cells[ci], id)
 	return true
+}
+
+// remove deletes node i and renumbers every node above it down by one, in
+// place: i leaves its bucket, and every larger ID in every bucket is
+// decremented. The shift is monotone, so each bucket stays ascending and
+// every query answers exactly as a rebuild over the remaining nodes would.
+// It costs O(n + cells) with no allocation, and the cell geometry (and gen)
+// is unchanged.
+func (g *gridIndex) remove(i int) {
+	id := int32(i)
+	c := g.nodeCell[i]
+	g.cells[c] = removeID(g.cells[c], id)
+	g.nodeCell = append(g.nodeCell[:i], g.nodeCell[i+1:]...)
+	for _, b := range g.cells {
+		// Buckets are ascending: only a suffix holds IDs above i.
+		for k := len(b) - 1; k >= 0 && b[k] > id; k-- {
+			b[k]--
+		}
+	}
 }
 
 // removeID deletes id from the ascending bucket b in place.

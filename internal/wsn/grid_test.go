@@ -3,6 +3,7 @@ package wsn
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"laacad/internal/geom"
@@ -133,6 +134,72 @@ func TestIncrementalMoveAvoidsRebuild(t *testing.T) {
 	}
 	if gen := net.GridShape().Gen; gen != genA+1 {
 		t.Errorf("rebuild should bump the generation: %d -> %d", genA, gen)
+	}
+}
+
+// Removal renumbers the live index in place: after each removal of a random
+// ID, every cell bucket equals what a counting-sort build over the same cell
+// geometry produces (the surviving IDs, renumbered, ascending), every
+// NeighborsWithinBuf and RingQuery answer equals a freshly built network's,
+// and neither a full rebuild nor a new grid generation happened.
+func TestRemoveRenumbersIndexInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 6; trial++ {
+		gamma := 0.05 + rng.Float64()*0.15
+		live := make([]geom.Point, 60+rng.Intn(140))
+		for i := range live {
+			live[i] = geom.Pt(rng.Float64(), rng.Float64())
+		}
+		net := New(live, gamma)
+		net.Rebuild()
+		rebuilds, gen := net.Rebuilds(), net.GridShape().Gen
+		var buf []int
+		for len(live) > 10 {
+			i := rng.Intn(len(live))
+			net.RemoveNode(i)
+			live = append(live[:i], live[i+1:]...)
+
+			g := net.idx
+			want := make([][]int32, len(g.cells))
+			for j, p := range live {
+				c := g.cellIndex(p)
+				want[c] = append(want[c], int32(j))
+				if int(g.nodeCell[j]) != c {
+					t.Fatalf("trial %d: node %d recorded in cell %d, lies in %d", trial, j, g.nodeCell[j], c)
+				}
+			}
+			for c := range g.cells {
+				if got := net.CellNodes(c); !slices.Equal(got, want[c]) {
+					t.Fatalf("trial %d: cell %d holds %v after removing %d, want %v", trial, c, got, i, want[c])
+				}
+			}
+
+			fresh := New(live, gamma)
+			rho := 0.02 + rng.Float64()*0.5
+			for j := range live {
+				buf = net.NeighborsWithinBuf(j, rho, buf)
+				if w := fresh.NeighborsWithin(j, rho); !slices.Equal(buf, w) {
+					t.Fatalf("trial %d: NeighborsWithinBuf(%d, %v) = %v, fresh %v", trial, j, rho, buf, w)
+				}
+				// Hop-limited floods are costly; sample them.
+				modes := []RingQueryMode{RingGeometric}
+				if j%16 == 0 {
+					modes = append(modes, RingHopLimited)
+				}
+				for _, mode := range modes {
+					got, gotCost := net.RingQuery(j, rho, mode)
+					w, wCost := fresh.RingQuery(j, rho, mode)
+					if !slices.Equal(got, w) || gotCost != wCost {
+						t.Fatalf("trial %d: RingQuery(%d, %v, %v) = %v (cost %d), fresh %v (cost %d)",
+							trial, j, rho, mode, got, gotCost, w, wCost)
+					}
+				}
+			}
+		}
+		if net.Rebuilds() != rebuilds || net.GridShape().Gen != gen {
+			t.Errorf("trial %d: removals rebuilt the index (%d -> %d rebuilds, gen %d -> %d)",
+				trial, rebuilds, net.Rebuilds(), gen, net.GridShape().Gen)
+		}
 	}
 }
 

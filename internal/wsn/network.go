@@ -45,12 +45,13 @@ type Network struct {
 	msgs atomic.Int64
 
 	// Incremental spatial index over node positions (see gridIndex). A
-	// single-node move updates the two touched cell buckets in place; only
-	// bulk rewrites (SetPositions), node-count changes and moves that leave
-	// the grid bounds mark the index dirty for a full rebuild. dirty is the
-	// lock-free fast path: queries only take mu (which guards the rebuild
-	// itself) when a full rebuild is pending, so concurrent readers of a
-	// live grid never contend on the mutex.
+	// single-node move updates the two touched cell buckets in place, and a
+	// removal renumbers the buckets in place; only bulk rewrites
+	// (SetPositions) and moves or additions that leave the grid bounds mark
+	// the index dirty for a full rebuild. dirty is the lock-free fast path:
+	// queries only take mu (which guards the rebuild itself) when a full
+	// rebuild is pending, so concurrent readers of a live grid never contend
+	// on the mutex.
 	mu    sync.Mutex
 	idx   *gridIndex
 	dirty atomic.Bool
@@ -147,7 +148,8 @@ func (n *Network) SetPositions(pos []geom.Point) {
 		panic(fmt.Sprintf("wsn: SetPositions with %d positions for %d nodes", len(pos), len(n.pos)))
 	}
 	copy(n.pos, pos)
-	n.markDirty()
+	n.dirty.Store(true)
+	n.version.Add(1)
 }
 
 // AddNode appends a node at p and returns its ID. The index is extended in
@@ -168,20 +170,19 @@ func (n *Network) AddNode(p geom.Point) int {
 }
 
 // RemoveNode deletes node i, renumbering every node above it down by one
-// (matching the engine's failure-injection semantics). Renumbering
-// invalidates every bucket, so removal always schedules a full rebuild.
-// The message total is kept. Must not run concurrently with queries.
+// (matching the engine's failure-injection semantics). A live index is
+// renumbered in place (see gridIndex.remove) — no full rebuild, no new grid
+// generation — so every query answers as a rebuild would. The message total
+// is kept. Must not run concurrently with queries.
 func (n *Network) RemoveNode(i int) {
 	if i < 0 || i >= len(n.pos) {
 		panic(fmt.Sprintf("wsn: RemoveNode index %d out of range [0,%d)", i, len(n.pos)))
 	}
 	n.pos = append(n.pos[:i], n.pos[i+1:]...)
-	n.markDirty()
-}
-
-func (n *Network) markDirty() {
-	n.dirty.Store(true)
 	n.version.Add(1)
+	if !n.dirty.Load() {
+		n.idx.remove(i)
+	}
 }
 
 // SetBoundsHint declares the area the deployment can ever occupy (the target
@@ -216,8 +217,8 @@ func (n *Network) MessageCount() int64 { return n.msgs.Load() }
 func (n *Network) Charge(m int64) { n.msgs.Add(m) }
 
 // Rebuild brings the spatial index up to date with the current positions if
-// a full rebuild is pending (bulk write, node-count change, or a move that
-// left the grid bounds). Queries do this lazily on demand; callers about to
+// a full rebuild is pending (bulk write, or a move or addition that left the
+// grid bounds). Queries do this lazily on demand; callers about to
 // fan queries across goroutines should call it explicitly so workers start
 // from a clean, immutable index instead of contending on the first query.
 // Incremental updates never require it.
