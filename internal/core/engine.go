@@ -106,10 +106,10 @@ func (r *Result) MinRadius() float64 {
 
 // Engine executes LAACAD rounds. Create with New, then call Step until
 // convergence or use Run. The Engine may be mutated between steps through
-// MoveNode, RemoveNode and AddNode (what-if edits, failure injection); each
-// edit reaches the per-node state as position-change endpoints (plus a
-// renumbering for a topology change), so the next round recomputes only the
-// nodes around the edit.
+// MoveNode, RemoveNode and AddNode (what-if edits, failure injection). A move
+// or a removal reaches the per-node state as position-change endpoints (plus
+// a renumbering for the removal), so the next round recomputes only the
+// nodes around the edit; an insertion drops the cache.
 //
 // Its per-node state is the embedded nodeState over the global network; the
 // Engine adds the round record, the colored Sequential sweep's speculation
@@ -136,16 +136,16 @@ type Engine struct {
 	observer func(RoundStats) error
 
 	// all is the identity node list (see every), fromBuf the renumbering
-	// map of the last RemoveNode or AddNode.
+	// map of the last RemoveNode.
 	all     []int
 	fromBuf []int32
 
 	// cacheVer is net.Version() as of the end of the last Step or in-sync
-	// edit (MoveNode, RemoveNode, AddNode), the last time every position
-	// change reached the per-node state as explicit endpoints. A mismatch
-	// means a write went through Network(): the next Step flushes the cache
-	// wholesale, and the converged flag no longer describes the current
-	// positions.
+	// edit (MoveNode, RemoveNode), the last time every position change
+	// reached the per-node state as explicit endpoints. A mismatch means a
+	// write went through Network() or an AddNode: the next Step flushes the
+	// cache wholesale, and the converged flag no longer describes the
+	// current positions.
 	cacheVer uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
@@ -318,12 +318,12 @@ func (e *Engine) every() []int {
 }
 
 // ensureBuffers sizes the per-round buffers and the dirty-set cache for n
-// nodes. AddNode and RemoveNode normally carry the cache across in the new
-// numbering (see renumber); only an edit made while the state was out of
-// sync drops it, and it is reallocated here. Such an edit also leaves the
-// version stamp stale, so the boundary flags are flushed as well — a
-// RemoveNode followed by an AddNode keeps the node count but renumbers the
-// nodes under the flags.
+// nodes. RemoveNode normally carries the cache across in the new numbering
+// (see carry); AddNode, and a removal made while the state was out of sync,
+// drop it, and it is reallocated here. Such an edit also leaves the version
+// stamp stale, so the boundary flags are flushed as well — a RemoveNode
+// followed by an AddNode keeps the node count but renumbers the nodes under
+// the flags.
 func (e *Engine) ensureBuffers(n int) {
 	if cap(e.outs) < n {
 		e.outs = make([]nodeOutcome, n)
@@ -458,10 +458,10 @@ func (e *Engine) Step() (RoundStats, bool) {
 // SetObserver installs a per-round callback invoked by Run after every
 // completed round, with that round's statistics. The callback runs between
 // rounds, so it may safely inspect the engine, take a Snapshot, or mutate
-// topology (AddNode/RemoveNode for failure injection, which keep the cache
-// outside the edited neighborhood); determinism is preserved because each
-// round's randomness depends only on (Seed, round, node), never on
-// wall-clock or scheduling. Returning ErrStop ends the run cleanly;
+// topology (AddNode/RemoveNode for failure injection; a removal keeps the
+// cache outside the failed node's neighborhood); determinism is preserved
+// because each round's randomness depends only on (Seed, round, node), never
+// on wall-clock or scheduling. Returning ErrStop ends the run cleanly;
 // returning any other error aborts it with a partial Result. A nil observer
 // removes the callback.
 func (e *Engine) SetObserver(fn func(RoundStats) error) { e.observer = fn }
@@ -636,35 +636,33 @@ func (e *Engine) RemoveNode(i int) error {
 }
 
 // AddNode inserts a node at p (clamped into the region). Convergence state
-// is reset. Like RemoveNode, the network is extended in place and the
-// insertion reaches the per-node state as a renumbering (the new last node
-// starts fresh) plus one endpoint at p.
+// is reset. Like RemoveNode, the network is extended in place, but the
+// per-node state is not carried across: the cache is dropped and the version
+// stamp left stale, so the next Step recomputes every node and re-evaluates
+// every boundary flag.
 func (e *Engine) AddNode(p geom.Point) {
-	n := e.net.Len()
-	inSync := e.inSync()
-	p = e.reg.ClampInside(p)
-	e.net.AddNode(p)
+	e.net.AddNode(e.reg.ClampInside(p))
 	e.converged = false
-	if !inSync {
-		e.cache = nil
-		return
-	}
-	if e.cacheOn {
-		e.dropExhausted()
-	}
-	from := e.fromBuf[:0]
-	for j := 0; j < n; j++ {
-		from = append(from, int32(j))
-	}
-	e.carry(append(from, -1), p)
+	e.cache = nil
 }
 
 // carry brings the per-node state across a topology edit that renumbered
 // the nodes by from (see renumber) and changed what lies at position p, then
-// re-stamps the state as in sync.
+// re-stamps the state as in sync. The boundary flags come along only while
+// they are live (sized like the cache; a Centralized engine has none), and
+// their repair list is rebuilt in the new numbering.
 func (e *Engine) carry(from []int32, p geom.Point) {
 	e.fromBuf = from
-	e.renumber(from)
+	flags := len(e.flagVals) == len(e.cache)
+	e.renumber(from, flags)
+	if flags {
+		e.flagDirty = e.flagDirty[:0]
+		for i, ok := range e.flagValid {
+			if !ok {
+				e.flagDirty = append(e.flagDirty, i)
+			}
+		}
+	}
 	ends := [1]geom.Point{p}
 	e.invalidate(ends[:], false)
 	e.cacheVer = e.net.Version()
@@ -673,25 +671,8 @@ func (e *Engine) carry(from []int32, p geom.Point) {
 // inSync reports whether every position change so far reached the per-node
 // state as explicit endpoints and the state is sized for the current node
 // count — the precondition for carrying it across an edit. Otherwise (a
-// Network() write still unabsorbed, or no round stepped at this node count
-// yet) an edit leaves the stamp stale and the next Step flushes wholesale.
+// Network() write still unabsorbed, or no round stepped since an AddNode) an
+// edit leaves the stamp stale and the next Step flushes wholesale.
 func (e *Engine) inSync() bool {
 	return e.cacheVer == e.net.Version() && len(e.cache) == e.net.Len()
-}
-
-// dropExhausted drops every Centralized cache entry whose search ended by
-// exhausting the node count rather than on the exactness bound (2·R̂ > ρ;
-// see centralizedRegionSoA). Such an outcome was exact only because no other
-// node existed, so an insertion anywhere — inside its ball or not — can
-// change it. Localized searches end on the ring test or the ring cap, both
-// bounded by their ball, so their entries stay.
-func (e *Engine) dropExhausted() {
-	if e.cfg.Mode == Localized {
-		return
-	}
-	for j := range e.cache {
-		if c := &e.cache[j]; c.valid && 2*c.out.rhat > c.rho {
-			e.dropEntry(j)
-		}
-	}
 }

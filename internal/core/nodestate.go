@@ -566,21 +566,20 @@ func (ns *nodeState) markFlagsNear(p geom.Point) {
 
 // renumber carries every node's state across a renumbering of the nodes:
 // from[i] is the previous index of the node now at index i, or -1 for a node
-// whose state starts fresh (no cache entry, flag due for repair, no warm
-// start). Both the Stepper (a shard's membership change) and the Engine (a
-// topology change) renumber through it. The boundary flags come along while
-// they are live — sized for the old numbering like the cache; otherwise there
-// are none to carry — and the repair list is rebuilt in the new numbering.
-// The previous arrays become the spare half of the double buffer, so a steady
-// stream of renumberings allocates nothing. The per-cell bounds are left
+// whose state starts fresh. Both the Stepper (a shard's membership change)
+// and the Engine (a removal) renumber through it. The boundary flags come
+// along when flags is set; otherwise the new numbering has none, for the
+// next repair to size afresh. The previous arrays become the spare half of
+// the double buffer, so a steady stream of renumberings allocates nothing.
+// The flag repair list is left to the caller, and the per-cell bounds are
 // stale.
-func (ns *nodeState) renumber(from []int32) {
+func (ns *nodeState) renumber(from []int32, flags bool) {
 	cur, nxt := &ns.nodeArrays, &ns.spare
 	nxt.outs = permute(nxt.outs, cur.outs, from)
 	nxt.cache = permute(nxt.cache, cur.cache, from)
 	nxt.rhoHint = permute(nxt.rhoHint, cur.rhoHint, from)
 	nxt.lastRhat = permute(nxt.lastRhat, cur.lastRhat, from)
-	if len(cur.flagVals) == len(cur.cache) {
+	if flags {
 		nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
 		nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
 	} else {
@@ -590,12 +589,6 @@ func (ns *nodeState) renumber(from []int32) {
 		nxt.regions = permute(nxt.regions, cur.regions, from)
 	}
 	ns.nodeArrays, ns.spare = ns.spare, ns.nodeArrays
-	ns.flagDirty = ns.flagDirty[:0]
-	for i, ok := range ns.flagValid {
-		if !ok {
-			ns.flagDirty = append(ns.flagDirty, i)
-		}
-	}
 	ns.boundsLive = false
 }
 

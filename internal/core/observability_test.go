@@ -267,10 +267,10 @@ func TestFlagCacheMatchesWholesaleDetection(t *testing.T) {
 }
 
 // A RemoveNode followed by an AddNode keeps the node count but renumbers the
-// nodes: each edit carries the cached boundary flags into the new numbering
-// and marks the flags whose γ-ball holds the removed or inserted position,
-// and the new node's flag starts due for repair. The next round's flags must
-// equal a wholesale evaluation.
+// nodes: the removal carries the cached boundary flags into the new
+// numbering and marks the flags whose γ-ball holds the removed position, and
+// the insertion leaves every flag due for repair. The next round's flags
+// must equal a wholesale evaluation.
 func TestFlagCacheAfterRemoveAdd(t *testing.T) {
 	reg := region.UnitSquareKm()
 	start := region.PlaceUniform(reg, 80, rand.New(rand.NewSource(5)))

@@ -130,12 +130,13 @@ func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.adm
 // nodes — and carries every node's state across: from[i] is the previous
 // index of the node now at index i, or -1 for a node whose state starts
 // fresh, and ids maps the new indices to node IDs (the loss streams are
-// keyed by ID). It is the engine's own renumbering (see nodeState.renumber):
-// flags keep their validity, and RepairFlags re-evaluates the invalid ones
-// its caller names.
+// keyed by ID). It is the engine's own renumbering (see nodeState.renumber).
+// Nothing is left pending flag repair (the caller names the flags it needs
+// repaired), and the per-cell bounds are stale.
 func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
-	st.renumber(from)
+	st.renumber(from, true)
 	st.net, st.ids, st.boundary = net, ids, st.flagVals
+	st.flagDirty = st.flagDirty[:0]
 }
 
 // Hint returns node i's warm-start hint.

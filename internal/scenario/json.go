@@ -55,7 +55,9 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 
 // engineOnlyFields and asyncOnlyFields are the wire names of the config
 // fields only the round engine, respectively only the event-driven
-// simulator, reads.
+// simulator, reads (core.ConfigToState and asyncConfigToState carry the
+// same split; TestInactiveRegimeFieldListsMatchConverters holds the two
+// together).
 var (
 	engineOnlyFields = []string{"max_rounds", "mode", "order", "gamma", "ring_mode", "loss_rate",
 		"loss_retries", "arc_samples", "ring_cap", "workers", "keep_regions"}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"laacad/internal/core"
+	"laacad/internal/snapshot"
 	"laacad/internal/wsn"
 )
 
@@ -273,6 +275,71 @@ func TestParseJSONRejectsInactiveRegimeFields(t *testing.T) {
 			t.Errorf("%s: ParseJSON err = %v, want a rejection naming %q", c.json, err, c.field)
 		}
 	}
+}
+
+// The hand-kept lists of regime-only config fields must match what the two
+// regimes' converters actually carry: every snapshot.ConfigState field is
+// carried by at least one regime, and a field is in engineOnlyFields or
+// asyncOnlyFields exactly when only that regime carries it. A new config
+// field therefore fails here until both its converters and the lists know it.
+func TestInactiveRegimeFieldListsMatchConverters(t *testing.T) {
+	var full snapshot.ConfigState
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("ConfigState.%s: unhandled kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	carried := func(st snapshot.ConfigState) map[string]bool {
+		out := map[string]bool{}
+		v := reflect.ValueOf(st)
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				out[wireName(v.Type().Field(i))] = true
+			}
+		}
+		return out
+	}
+	engine := carried(core.ConfigToState(core.ConfigFromState(full)))
+	async := carried(asyncConfigToState(asyncConfigFromState(full)))
+	var engineOnly, asyncOnly []string
+	for i := 0; i < v.NumField(); i++ {
+		name := wireName(v.Type().Field(i))
+		switch {
+		case engine[name] && !async[name]:
+			engineOnly = append(engineOnly, name)
+		case async[name] && !engine[name]:
+			asyncOnly = append(asyncOnly, name)
+		case !engine[name]:
+			t.Errorf("config field %q is carried by neither regime", name)
+		}
+	}
+	if !sameSet(engineOnly, engineOnlyFields) {
+		t.Errorf("engineOnlyFields = %v, want %v", engineOnlyFields, engineOnly)
+	}
+	if !sameSet(asyncOnly, asyncOnlyFields) {
+		t.Errorf("asyncOnlyFields = %v, want %v", asyncOnlyFields, asyncOnly)
+	}
+}
+
+// wireName is a struct field's JSON name.
+func wireName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
+}
+
+func sameSet(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 // A scenario that passes submit-time validation must be one the engine
