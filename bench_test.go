@@ -61,7 +61,7 @@ func BenchmarkFig2ExpandingRing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net := wsn.New(pts, 0.05)
-		probe := core.ExpandingRing(net, reg, center, 4, 64, wsn.RingGeometric, 0)
+		probe := core.ExpandingRing(net, reg, center, 4, 64, 0)
 		if len(probe.Region) == 0 {
 			b.Fatal("empty region")
 		}

@@ -155,11 +155,10 @@ func (ns *nodeState) stepNodeLocalized(i int, isBoundary bool, rng *rand.Rand, s
 }
 
 // outcomeOf finishes a node's step from its region: the Chebyshev center and
-// circumradius, the motion rule, and (with Config.KeepRegions) the region
-// compacted into owned storage so it survives the scratch's reuse —
-// everything else any consumer needs is scalar, so by default no region is
-// materialized. An empty region (a node crowded out numerically) stands
-// still.
+// circumradius and the motion rule. Everything a consumer needs from a round
+// is scalar, so no region is materialized (Finalize's radii come from R̂, and
+// DebugRegions recomputes the regions). An empty region (a node crowded out
+// numerically) stands still.
 func (ns *nodeState) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scratch) nodeOutcome {
 	ui := ns.net.Position(i)
 	ns.batchNodes.Add(1)
@@ -168,9 +167,6 @@ func (ns *nodeState) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scra
 	}
 	ci, ri := chebyshevOfRefs(s, refs)
 	out := nodeOutcome{next: ui, ri: ri, rhat: rhat}
-	if ns.cfg.KeepRegions {
-		out.polys = voronoi.CompactRefs(&s.vor.Slab, refs)
-	}
 	ns.finishMove(ui, ci, &out)
 	return out
 }

@@ -71,9 +71,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					oracleCfg := cfg
-					oracleCfg.KeepRegions = true
-					st, err := NewStepper(reg, cell.n, oracleCfg)
+					st, err := NewStepper(reg, cell.n, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

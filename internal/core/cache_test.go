@@ -496,7 +496,6 @@ func (c CacheCounters) invalidationCounters() CacheCounters {
 	c.SpecUsed = 0
 	c.Levels = 0
 	c.LevelWidthMax = 0
-	c.BatchCalls = 0
 	c.BatchNodes = 0
 	c.BatchSizeHist = [6]uint64{}
 	return c

@@ -258,7 +258,6 @@ func (e *Engine) speculateAt(i, round int) {
 		return
 	}
 	e.counters.Waves++
-	e.counters.BatchCalls++
 	e.counters.BatchSizeHist[batchSizeBucket(len(sel))]++
 	if w := uint64(len(sel)); w > e.counters.LevelWidthMax {
 		e.counters.LevelWidthMax = w

@@ -20,11 +20,7 @@
 //     part of the circle and close their region with the search ring.
 package core
 
-import (
-	"fmt"
-
-	"laacad/internal/wsn"
-)
+import "fmt"
 
 // Mode selects the dominating-region engine.
 type Mode int
@@ -100,9 +96,6 @@ type Config struct {
 	// Gamma is the transmission range γ (required in Localized mode; also
 	// used by connectivity checks). Units match the region coordinates.
 	Gamma float64
-	// RingMode selects how the expanding-ring query discovers nodes in
-	// Localized mode (geometric ideal vs. hop-limited flooding).
-	RingMode wsn.RingQueryMode
 	// LossRate, if positive, makes every link-level transmission of the
 	// expanding-ring search fail independently with this probability
 	// (Localized mode only). Lost replies are retried up to LossRetries
@@ -133,9 +126,6 @@ type Config struct {
 	// sweep bit for bit (lossy Localized runs, which never cache, sweep
 	// serially).
 	Workers int
-	// KeepRegions retains every node's final dominating region in the
-	// Result (costs memory; useful for rendering and debugging).
-	KeepRegions bool
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -177,8 +167,6 @@ func (c Config) Validate(n int) error {
 		return fmt.Errorf("core: unknown order %d (0 = synchronous, 1 = sequential)", int(c.Order))
 	case c.Mode == Localized && !(c.Gamma > 0):
 		return fmt.Errorf("core: localized mode needs gamma > 0, got %v", c.Gamma)
-	case c.RingMode != wsn.RingGeometric && c.RingMode != wsn.RingHopLimited:
-		return fmt.Errorf("core: unknown ring_mode %d (0 = geometric, 1 = hop-limited)", int(c.RingMode))
 	case !(c.LossRate >= 0 && c.LossRate < 1):
 		return fmt.Errorf("core: loss_rate must be in [0, 1), got %v", c.LossRate)
 	case c.LossRate > 0 && c.Mode != Localized:

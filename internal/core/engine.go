@@ -70,9 +70,6 @@ type Result struct {
 	Trace []RoundStats
 	// Messages is the total link-level message count (Localized mode).
 	Messages int64
-	// Regions holds each node's final dominating region if
-	// Config.KeepRegions was set.
-	Regions [][]geom.Polygon
 }
 
 // MaxRadius returns max_i r*_i — the paper's objective R. A degenerate
@@ -230,13 +227,12 @@ type CacheCounters struct {
 	// large widths; Levels staying at zero means every Sequential round ran
 	// serially.
 	Levels, LevelWidthMax uint64
-	// BatchCalls counts batched speculation-wave launches (fan-outs through
-	// the SoA kernel), BatchNodes the dominating regions computed on that
-	// kernel (all entry points, including serial turns and Synchronous
-	// fan-outs), and BatchSizeHist buckets each wave's node count into
-	// 1, 2–3, 4–7, 8–15, 16–31 and 32+.
-	BatchCalls, BatchNodes uint64
-	BatchSizeHist          [6]uint64
+	// BatchNodes counts the dominating regions computed on the SoA kernel
+	// (all entry points, including serial turns and Synchronous fan-outs),
+	// and BatchSizeHist buckets each wave's node count into 1, 2–3, 4–7,
+	// 8–15, 16–31 and 32+.
+	BatchNodes    uint64
+	BatchSizeHist [6]uint64
 }
 
 // batchSizeBucket maps a wave's node count to its BatchSizeHist bucket.
@@ -434,10 +430,6 @@ func (e *Engine) Step() (RoundStats, bool) {
 		e.stepAll(e.every(), round)
 	}
 
-	e.regions = nil
-	if e.cfg.KeepRegions {
-		e.regions = make([][]geom.Polygon, n)
-	}
 	e.foldStats(&stats, e.every())
 	if math.IsInf(stats.MinCircumradius, 1) {
 		stats.MinCircumradius = 0
@@ -526,26 +518,22 @@ func (e *Engine) finalizePartial(cause error) (*Result, error) {
 
 // Finalize assigns final sensing ranges (line 7 of Algorithm 1) and packages
 // the Result. It can be called at any point, converged or not. When the run
-// has converged, each node's last-round R̂ (or retained region) is reused —
-// no node moved, so it is exact for the final positions; otherwise the
-// regions are recomputed, which in Localized mode costs additional messages
-// beyond the per-round trace.
+// has converged, each node's last-round R̂ is reused — no node moved, so it
+// is exact for the final positions; otherwise the regions are recomputed,
+// which in Localized mode costs additional messages beyond the per-round
+// trace.
 func (e *Engine) Finalize() (*Result, error) {
 	n := e.net.Len()
 	radii := make([]float64, n)
-	var regions [][]geom.Polygon
-	if e.cfg.KeepRegions {
-		regions = make([][]geom.Polygon, n)
-	}
 	// A round stepped by this engine at the current positions left R̂ for
-	// every node (and the regions, when kept); a resumed engine has neither.
+	// every node; a resumed engine has none.
 	converged := e.Converged()
-	reuse := converged && len(e.lastRhat) == n && (e.regions != nil) == e.cfg.KeepRegions
+	reuse := converged && len(e.lastRhat) == n
 	if !reuse && e.cfg.Mode == Localized {
 		e.boundary = boundary.AngularGap{}.Boundary(e.net)
 	}
 	before := e.net.MessageCount()
-	e.finalRadii(e.every(), reuse, FinalRoundTag(e.round), radii, regions)
+	e.finalRadii(e.every(), reuse, FinalRoundTag(e.round), radii, nil)
 	e.finalMsgs += e.net.MessageCount() - before
 	return &Result{
 		Positions: e.net.Positions(),
@@ -554,7 +542,6 @@ func (e *Engine) Finalize() (*Result, error) {
 		Converged: converged,
 		Trace:     append([]RoundStats(nil), e.trace...),
 		Messages:  e.msgBase + e.net.MessageCount(),
-		Regions:   regions,
 	}, nil
 }
 

@@ -45,7 +45,6 @@ func TestConfigValidation(t *testing.T) {
 		{"arc_samples", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, ArcSamples: 4}},
 		{"mode", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Mode(9)}},
 		{"order", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Order: UpdateOrder(4)}},
-		{"ring_mode", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, RingMode: wsn.RingQueryMode(5)}},
 		{"ring_cap", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, RingCap: -1}},
 		{"loss_retries", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, Mode: Localized, Gamma: 0.3, LossRetries: -1}},
 		{"loss_rate", Config{K: 1, Alpha: 0.5, Epsilon: 1e-3, MaxRounds: 10, LossRate: 0.1}}, // centralized
@@ -156,7 +155,6 @@ func TestFixedPointCondition(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Epsilon = 1e-3
 	cfg.MaxRounds = 300
-	cfg.KeepRegions = true
 	eng, err := New(reg, uniformStart(20, 11), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +166,7 @@ func TestFixedPointCondition(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	for i, polys := range res.Regions {
+	for i, polys := range eng.DebugRegions() {
 		if len(polys) == 0 {
 			continue
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 
 	"laacad/internal/geom"
@@ -16,11 +15,9 @@ import (
 // sampling, the coverage check and the region construction — read only
 // positions within that distance of u_i, so the result (and its exact
 // message cost) is reproducible bit for bit until some position inside that
-// ball changes.
-// For geometric rings that radius is the final ρ; hop-limited rings flood
-// ⌈ρ/γ⌉ hops, whose reachable set can depend on relays up to ⌈ρ/γ⌉·γ out.
-// The scalar test oracle shares it, so the two assemblies are
-// message-identical by construction.
+// ball changes. That radius is the final ρ (the ring query returns exactly
+// the nodes within ρ), floored at γ. The scalar test oracle shares the
+// search, so the two assemblies are message-identical by construction.
 func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *Scratch) ([]int, float64, bool, float64) {
 	gamma := ns.cfg.Gamma
 	rho := 0.0
@@ -34,10 +31,9 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 			ids, cost = ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
 				LossRate: ns.cfg.LossRate,
 				Retries:  ns.cfg.LossRetries,
-				Mode:     ns.cfg.RingMode,
 			}, rng)
 		} else {
-			ids, cost = ns.net.RingQuery(i, radius, ns.cfg.RingMode)
+			ids, cost = ns.net.RingQuery(i, radius)
 		}
 		s.msgs += cost
 		return ids
@@ -63,9 +59,6 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 		}
 	}
 	invRad := rho
-	if ns.cfg.RingMode == wsn.RingHopLimited {
-		invRad = math.Ceil(rho/gamma) * gamma
-	}
 	if invRad < gamma {
 		// Possible only when RingCap < γ clamps the very first probe. The
 		// entry's boundary flag reads the full γ-ball (the angular-gap

@@ -107,10 +107,8 @@ type nodeArrays struct {
 	// invalidations — the warm start of the Centralized search and the
 	// interference-prediction input of the colored Sequential sweep.
 	rhoHint []float64
-	// lastRhat is each node's R̂ from the most recent round, and regions its
-	// dominating region when Config.KeepRegions retains them (nil otherwise).
+	// lastRhat is each node's R̂ from the most recent round.
 	lastRhat []float64
-	regions  [][]geom.Polygon
 	// flagVals holds each node's boundary flag as of the start of the
 	// current round; flagValid marks the ones still provably current.
 	flagVals  []bool
@@ -135,7 +133,6 @@ type nodeCache struct {
 // outcomes can be computed independently and in any order; the round's
 // statistics are reduced from them in node order afterwards.
 type nodeOutcome struct {
-	polys    []geom.Polygon
 	next     geom.Point
 	ri       float64 // circumradius of the dominating region
 	rhat     float64 // max vertex distance from the current position
@@ -408,15 +405,11 @@ func (ns *nodeState) commitMoves(ids []int) {
 }
 
 // foldStats folds the outcomes of ids into st, in ascending order, and
-// records each node's R̂ (and region, when retained) for finalization.
-// Extrema skip empty regions.
+// records each node's R̂ for finalization. Extrema skip empty regions.
 func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 	for _, i := range ids {
 		o := &ns.outs[i]
 		ns.lastRhat[i] = o.rhat
-		if ns.regions != nil {
-			ns.regions[i] = o.polys
-		}
 		if o.empty {
 			continue
 		}
@@ -430,11 +423,11 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 
 // finalRadii assigns the final sensing range (line 7 of Algorithm 1) of
 // every node of ids into radii, and its region into regions (either may be
-// nil). With reuse — a converged deployment whose last round ran at the
-// current positions — each radius is the node's last R̂, bitwise the max
-// vertex distance a recompute would measure (same vertices, same position,
-// same fold), or is measured from the retained region under
-// Config.KeepRegions. Otherwise every region is recomputed at the current
+// nil; DebugRegions passes only regions). With reuse — a converged
+// deployment whose last round ran at the current positions — each radius is
+// the node's last R̂, bitwise the max vertex distance a recompute would
+// measure (same vertices, same position, same fold), and no region is
+// written. Otherwise every region is recomputed at the current
 // positions, fanning out across Config.Workers, each search from the density
 // fallback rather than the warm start; in Localized mode the searches run
 // (and charge) under the negative round tag (FinalRoundTag) — a domain
@@ -444,14 +437,7 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64, regions [][]geom.Polygon) bool {
 	if reuse {
 		for _, i := range ids {
-			if ns.regions == nil {
-				radii[i] = ns.lastRhat[i]
-				continue
-			}
-			radii[i] = voronoi.MaxDistFrom(ns.net.Position(i), ns.regions[i])
-			if regions != nil {
-				regions[i] = ns.regions[i]
-			}
+			radii[i] = ns.lastRhat[i]
 		}
 		return true
 	}
@@ -584,9 +570,6 @@ func (ns *nodeState) renumber(from []int32, flags bool) {
 		nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
 	} else {
 		nxt.flagVals, nxt.flagValid = nxt.flagVals[:0], nxt.flagValid[:0]
-	}
-	if ns.cfg.KeepRegions {
-		nxt.regions = permute(nxt.regions, cur.regions, from)
 	}
 	ns.nodeArrays, ns.spare = ns.spare, ns.nodeArrays
 	ns.boundsLive = false

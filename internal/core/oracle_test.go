@@ -111,13 +111,14 @@ func scalarStep(e *nodeState, i int, isBoundary bool, s *Scratch, ref *oracle.Sc
 
 // kernelStep runs node i's step through the production entry point
 // (Stepper.StepNode, warm-started at hint) and records the same quantities.
-// The stepper must run with KeepRegions so the region comes back.
+// A step keeps no region, so the polygons come from the kernel's region
+// recompute (regionOf) at the same warm start, which meters its search's
+// cost but charges nothing.
 func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) stepRecord {
 	net := st.net
 	before := net.MessageCount()
 	out := st.StepNode(i, hint, isBoundary, nil, s)
 	rec := stepRecord{
-		Polys:       out.Polys,
 		Ri:          out.Ri,
 		Rhat:        out.Rhat,
 		Next:        out.Next,
@@ -126,7 +127,8 @@ func kernelStep(st *Stepper, i int, hint float64, isBoundary bool, s *Scratch) s
 		MessageCost: net.MessageCount() - before,
 	}
 	if !out.Empty {
-		rec.Center, _ = ChebyshevOfRegion(out.Polys, s)
+		rec.Polys, _ = st.regionOf(i, hint, isBoundary, nil, s)
+		rec.Center, _ = ChebyshevOfRegion(rec.Polys, s)
 	}
 	return rec
 }

@@ -25,11 +25,12 @@ type RingProbe struct {
 
 // ExpandingRing runs Algorithm 2 for node i over the network as it stands
 // and returns the probe result. The search is the Localized engine's own
-// (localizedSearch) for an interior node: it expands in increments of γ
-// until the circle of radius ρ/2 around the node is fully non-dominated
-// (sampled with arcSamples points, skipping samples outside reg). ringCap
-// bounds ρ; pass 0 for the region diagonal. The network is not charged.
-func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, mode wsn.RingQueryMode, ringCap float64) RingProbe {
+// (localizedSearch) for an interior node: each ring gathers N(n_i, ρ), and
+// it expands in increments of γ until the circle of radius ρ/2 around the
+// node is fully non-dominated (sampled with arcSamples points, skipping
+// samples outside reg). ringCap bounds ρ; pass 0 for the region diagonal.
+// The network is not charged.
+func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, ringCap float64) RingProbe {
 	if arcSamples < 8 {
 		arcSamples = 64
 	}
@@ -41,7 +42,6 @@ func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, m
 			K:          k,
 			Gamma:      net.Gamma(),
 			ArcSamples: arcSamples,
-			RingMode:   mode,
 			RingCap:    ringCap,
 		},
 		reg: reg,

@@ -23,7 +23,7 @@ func TestExpandingRingHopStaircase(t *testing.T) {
 	net, reg, center := hexNetAndRegion(25, 25, 0.04, 0.05)
 	prev := 0
 	for k := 1; k <= 12; k++ {
-		probe := ExpandingRing(net, reg, center, k, 128, wsn.RingGeometric, 0)
+		probe := ExpandingRing(net, reg, center, k, 128, 0)
 		if probe.Hops < prev {
 			t.Errorf("k=%d: hops %d < previous %d (must be non-decreasing)", k, probe.Hops, prev)
 		}
@@ -38,15 +38,15 @@ func TestExpandingRingHopStaircase(t *testing.T) {
 			t.Errorf("k=%d: empty dominating region", k)
 		}
 	}
-	one := ExpandingRing(net, reg, center, 1, 128, wsn.RingGeometric, 0)
+	one := ExpandingRing(net, reg, center, 1, 128, 0)
 	if one.Hops != 1 {
 		t.Errorf("k=1 hops = %d, want 1", one.Hops)
 	}
-	four := ExpandingRing(net, reg, center, 4, 128, wsn.RingGeometric, 0)
+	four := ExpandingRing(net, reg, center, 4, 128, 0)
 	if four.Hops > 2 {
 		t.Errorf("k=4 hops = %d, want <= 2", four.Hops)
 	}
-	twelve := ExpandingRing(net, reg, center, 12, 128, wsn.RingGeometric, 0)
+	twelve := ExpandingRing(net, reg, center, 12, 128, 0)
 	if twelve.Hops > 4 {
 		t.Errorf("k=12 hops = %d, want <= 4", twelve.Hops)
 	}
@@ -61,7 +61,7 @@ func TestExpandingRingExactness(t *testing.T) {
 		all[i] = voronoi.Site{ID: i, Pos: net.Position(i)}
 	}
 	for k := 1; k <= 5; k++ {
-		probe := ExpandingRing(net, reg, center, k, 256, wsn.RingGeometric, 0)
+		probe := ExpandingRing(net, reg, center, k, 256, 0)
 		global := voronoi.DominatingRegion(all[center], all, k, reg.Pieces())
 		got := voronoi.RegionArea(probe.Region)
 		want := voronoi.RegionArea(global)
@@ -77,7 +77,7 @@ func TestExpandingRingCap(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.8)}
 	reg := region.UnitSquareKm()
 	net := wsn.New(pts, 0.1)
-	probe := ExpandingRing(net, reg, 0, 2, 64, wsn.RingGeometric, 0.5)
+	probe := ExpandingRing(net, reg, 0, 2, 64, 0.5)
 	if probe.Hops > 5 {
 		t.Errorf("hops = %d, cap 0.5 with gamma 0.1 should stop at 5", probe.Hops)
 	}
@@ -85,7 +85,7 @@ func TestExpandingRingCap(t *testing.T) {
 
 func TestExpandingRingDefaultsArcSamples(t *testing.T) {
 	net, reg, center := hexNetAndRegion(9, 9, 0.05, 0.06)
-	probe := ExpandingRing(net, reg, center, 1, 0, wsn.RingGeometric, 0)
+	probe := ExpandingRing(net, reg, center, 1, 0, 0)
 	if probe.Hops < 1 || len(probe.Region) == 0 {
 		t.Errorf("probe with default samples failed: %+v", probe.Hops)
 	}

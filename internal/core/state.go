@@ -6,7 +6,6 @@ import (
 	"laacad/internal/geom"
 	"laacad/internal/region"
 	"laacad/internal/snapshot"
-	"laacad/internal/wsn"
 )
 
 // Checkpoint/resume for the synchronous engine.
@@ -69,14 +68,12 @@ func ConfigToState(c Config) snapshot.ConfigState {
 		Mode:        int(c.Mode),
 		Order:       int(c.Order),
 		Gamma:       c.Gamma,
-		RingMode:    int(c.RingMode),
 		LossRate:    c.LossRate,
 		LossRetries: c.LossRetries,
 		ArcSamples:  c.ArcSamples,
 		RingCap:     c.RingCap,
 		Seed:        c.Seed,
 		Workers:     c.Workers,
-		KeepRegions: c.KeepRegions,
 	}
 }
 
@@ -90,14 +87,12 @@ func ConfigFromState(s snapshot.ConfigState) Config {
 		Mode:        Mode(s.Mode),
 		Order:       UpdateOrder(s.Order),
 		Gamma:       s.Gamma,
-		RingMode:    wsn.RingQueryMode(s.RingMode),
 		LossRate:    s.LossRate,
 		LossRetries: s.LossRetries,
 		ArcSamples:  s.ArcSamples,
 		RingCap:     s.RingCap,
 		Seed:        s.Seed,
 		Workers:     s.Workers,
-		KeepRegions: s.KeepRegions,
 	}
 }
 

@@ -72,9 +72,6 @@ type StepOutcome struct {
 	MoveDist float64
 	Moved    bool
 	Empty    bool
-	// Polys holds the compacted dominating region when Config.KeepRegions is
-	// set (nil otherwise).
-	Polys []geom.Polygon
 	// InvRad is the cache-invalidation radius: the outcome stays valid until
 	// some position within InvRad of the node changes. It doubles as the
 	// next search's warm-start hint.
@@ -116,7 +113,6 @@ func exportOutcome(out nodeOutcome, invRad float64) StepOutcome {
 		MoveDist: out.moveDist,
 		Moved:    out.moved,
 		Empty:    out.empty,
-		Polys:    out.polys,
 		InvRad:   invRad,
 	}
 }
@@ -201,16 +197,11 @@ func (st *Stepper) DropUnless(ids []int, keep func(i int, rho float64) bool) {
 	}
 }
 
-// FinalRadii collects the final radius (and kept region) of every node of
-// ids for reading with Final, and reports whether all were admitted.
+// FinalRadii collects the final radius of every node of ids for reading
+// with Final, and reports whether all were admitted.
 func (st *Stepper) FinalRadii(ids []int, reuse bool, tag int) bool {
-	return st.finalRadii(ids, reuse, tag, st.lastRhat, st.regions)
+	return st.finalRadii(ids, reuse, tag, st.lastRhat, nil)
 }
 
-// Final returns node i's last collected radius and region.
-func (st *Stepper) Final(i int) (float64, []geom.Polygon) {
-	if st.regions == nil {
-		return st.lastRhat[i], nil
-	}
-	return st.lastRhat[i], st.regions[i]
-}
+// Final returns node i's last collected radius.
+func (st *Stepper) Final(i int) float64 { return st.lastRhat[i] }

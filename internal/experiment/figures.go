@@ -114,7 +114,7 @@ func runFig2(cfg RunConfig) (*Output, error) {
 	hops := make([]int, maxK+1)
 	for k := 1; k <= maxK; k++ {
 		net := wsn.New(pts, gamma)
-		probe := core.ExpandingRing(net, reg, center, k, 128, wsn.RingGeometric, 0)
+		probe := core.ExpandingRing(net, reg, center, k, 128, 0)
 		hops[k] = probe.Hops
 		area := voronoi.RegionArea(probe.Region)
 		tbl = append(tbl, []string{fmt.Sprint(k), fmt.Sprint(probe.Hops),

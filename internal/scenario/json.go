@@ -59,8 +59,8 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 // same split; TestInactiveRegimeFieldListsMatchConverters holds the two
 // together).
 var (
-	engineOnlyFields = []string{"max_rounds", "mode", "order", "gamma", "ring_mode", "loss_rate",
-		"loss_retries", "arc_samples", "ring_cap", "workers", "keep_regions"}
+	engineOnlyFields = []string{"max_rounds", "mode", "order", "gamma", "loss_rate",
+		"loss_retries", "arc_samples", "ring_cap", "workers"}
 	asyncOnlyFields = []string{"tau", "jitter", "speed", "max_time", "stable_activations"}
 )
 

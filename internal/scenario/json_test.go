@@ -10,7 +10,6 @@ import (
 
 	"laacad/internal/core"
 	"laacad/internal/snapshot"
-	"laacad/internal/wsn"
 )
 
 // Every registered scenario must survive a JSON round-trip exactly: the
@@ -97,7 +96,7 @@ func TestValidateListsValidNames(t *testing.T) {
 	}
 }
 
-// The lossy-ring knobs (loss_rate, loss_retries, ring_mode, ring_cap) ride
+// The lossy-ring knobs (loss_rate, loss_retries, ring_cap) ride
 // the wire inside the config block: a submitted scenario that models an
 // unreliable link layer must reach the daemon with those knobs intact, and
 // nonsense values must be rejected at submit time, not deep inside a run.
@@ -109,7 +108,6 @@ func TestScenarioJSONLossyRingKnobs(t *testing.T) {
 		}
 		sc.Config.Mode = core.Localized
 		sc.Config.Gamma = 0.6
-		sc.Config.RingMode = wsn.RingHopLimited
 		sc.Config.LossRate = 0.15
 		sc.Config.LossRetries = 4
 		sc.Config.RingCap = 2.5
@@ -121,7 +119,7 @@ func TestScenarioJSONLossyRingKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"ring_mode":1`, `"loss_rate":0.15`, `"loss_retries":4`, `"ring_cap":2.5`} {
+	for _, field := range []string{`"loss_rate":0.15`, `"loss_retries":4`, `"ring_cap":2.5`} {
 		if !strings.Contains(string(data), field) {
 			t.Errorf("wire form missing %s:\n%s", field, data)
 		}
@@ -132,12 +130,6 @@ func TestScenarioJSONLossyRingKnobs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc, back) {
 		t.Errorf("round-trip changed the lossy scenario\n got: %+v\nwant: %+v", back, sc)
-	}
-
-	sc = base()
-	sc.Config.RingMode = wsn.RingQueryMode(3)
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "ring_mode") {
-		t.Errorf("out-of-range ring_mode should be rejected, got: %v", err)
 	}
 
 	sc = base()
@@ -263,7 +255,7 @@ var inactiveRegime = []struct{ field, json string }{
 	{"max_rounds", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"mode":1,"gamma":0.2,"loss_rate":0.5,"max_rounds":3}}`},
 	{"tau", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"tau":5,"jitter":0.9}}`},
 	{"workers", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"workers":0}}`},
-	{"keep_regions", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"Keep_Regions":true}}`},
+	{"arc_samples", `{"region":"square","placement":"uniform","n":20,"async":true,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"seed":1,"tau":1,"max_time":10,"Arc_Samples":64}}`},
 	{"stable_activations", `{"region":"square","placement":"uniform","n":20,"config":{"k":2,"alpha":0.5,"epsilon":0.001,"max_rounds":5,"seed":1,"stable_activations":3}}`},
 }
 
@@ -291,8 +283,6 @@ func TestInactiveRegimeFieldListsMatchConverters(t *testing.T) {
 			f.SetInt(1)
 		case reflect.Float64:
 			f.SetFloat(0.5)
-		case reflect.Bool:
-			f.SetBool(true)
 		default:
 			t.Fatalf("ConfigState.%s: unhandled kind %v", v.Type().Field(i).Name, f.Kind())
 		}

@@ -17,9 +17,9 @@ import (
 //     completed round: the engine's cumulative cache/invalidation work
 //     ("cache.*"), colored-sweep speculation accounting ("spec.*"), the
 //     level scheduler's layout and wave widths ("engine.levels",
-//     "engine.level_width_max", "batch.size_*") and batch-kernel volume
-//     ("batch.calls", "batch.nodes"),
-//     incremental boundary-flag evaluations ("flags.evals"), spatial-index
+//     "engine.level_width_max", "batch.size_*"; a wave is one "spec.waves"
+//     launch), batch-kernel volume ("batch.nodes"), incremental
+//     boundary-flag evaluations ("flags.evals"), spatial-index
 //     work ("wsn.rebuilds", "wsn.incremental_moves"), and round progress
 //     ("engine.rounds", "engine.moved_last_round",
 //     "engine.messages_last_round"). Their sources are plain fields owned
@@ -80,7 +80,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 		"spec.wasted":            reg.Counter("spec.wasted"),
 		"engine.levels":          reg.Counter("engine.levels"),
 		"engine.level_width_max": reg.Counter("engine.level_width_max"),
-		"batch.calls":            reg.Counter("batch.calls"),
 		"batch.nodes":            reg.Counter("batch.nodes"),
 		"flags.evals":            reg.Counter("flags.evals"),
 		"wsn.rebuilds":           reg.Counter("wsn.rebuilds"),
@@ -114,7 +113,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 		counters["spec.wasted"].Set(int64(cc.SpecWasted))
 		counters["engine.levels"].Set(int64(cc.Levels))
 		counters["engine.level_width_max"].Set(int64(cc.LevelWidthMax))
-		counters["batch.calls"].Set(int64(cc.BatchCalls))
 		counters["batch.nodes"].Set(int64(cc.BatchNodes))
 		for b, ctr := range sizeBuckets {
 			ctr.Set(int64(cc.BatchSizeHist[b]))

@@ -47,7 +47,7 @@ func TestWithMetricsPublishesEngineSurface(t *testing.T) {
 		t.Errorf("engine.levels = %d, want %d", got, last.Levels)
 	}
 	for _, name := range []string{
-		"engine.level_width_max", "batch.calls", "batch.size_1", "batch.size_2_3",
+		"engine.level_width_max", "batch.size_1", "batch.size_2_3",
 		"batch.size_4_7", "batch.size_8_15", "batch.size_16_31", "batch.size_32_plus",
 	} {
 		if _, ok := snap[name]; !ok {

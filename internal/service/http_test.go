@@ -303,15 +303,22 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// The kernel and cache switches are gone from the configuration schema, so
-// every strict decoder must reject a document still carrying one — naming
-// the field, never silently dropping it and never panicking: scenario JSON,
-// a resumable checkpoint, and a POST /jobs body (HTTP 400).
+// The kernel and cache switches, the ring-query mode and the kept-regions
+// switch are gone from the configuration schema, so every strict decoder
+// must reject a document still carrying one — naming the field, never
+// silently dropping it and never panicking: scenario JSON, a resumable
+// checkpoint, and a POST /jobs body (HTTP 400).
 func TestRemovedConfigFieldsRejected(t *testing.T) {
 	s := newTestServer(t, 1)
 	base := startHTTP(t, s)
-	for _, field := range []string{"disable_cache", "disable_batch"} {
-		config := fmt.Sprintf(`{"k": 2, "alpha": 0.5, "epsilon": 0.001, "max_rounds": 10, "seed": 1, %q: true}`, field)
+	for _, c := range []struct{ field, value string }{
+		{"disable_cache", "true"},
+		{"disable_batch", "true"},
+		{"ring_mode", "1"},
+		{"keep_regions", "true"},
+	} {
+		field := c.field
+		config := fmt.Sprintf(`{"k": 2, "alpha": 0.5, "epsilon": 0.001, "max_rounds": 10, "seed": 1, %q: %s}`, field, c.value)
 		sc := fmt.Sprintf(`{"name": "x", "region": "square", "placement": "uniform", "n": 10, "config": %s}`, config)
 
 		if _, err := scenario.ParseJSON([]byte(sc)); err == nil || !strings.Contains(err.Error(), field) {

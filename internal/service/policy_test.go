@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,5 +269,80 @@ func TestDeadlineBlocksRetry(t *testing.T) {
 	js, _ := s.Status(st.ID)
 	if js.Retries > 4 {
 		t.Errorf("retries = %d before deadline, want a small number", js.Retries)
+	}
+}
+
+// A panic on one job's goroutine fails that job alone: it settles failed
+// with the panic value and the stack in its error (and so in the journal),
+// service.jobs_panicked counts it, a job running beside it completes, and a
+// restarted daemon over the same spool leaves the failed job terminal
+// instead of requeueing it.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	spool := t.TempDir()
+	const culprit = "job-000001"
+	hook := func(id string, attempt int) error {
+		if id == culprit {
+			panic("poisoned run")
+		}
+		return nil
+	}
+	s1, err := New(Config{SpoolDir: spool, Pool: 2, RunHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s1.Submit(JobSpec{Scenario: testScenario(8, 4, 1e-3, 41)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ID != culprit {
+		t.Fatalf("first job is %s, want %s", a.ID, culprit)
+	}
+	sc := testScenario(8, 4, 1e-3, 42)
+	b, err := s1.Submit(JobSpec{Scenario: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "both jobs terminal", func() bool {
+		return state(t, s1, a.ID).Terminal() && state(t, s1, b.ID).Terminal()
+	})
+	st, err := s1.Status(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.HasPrefix(st.Error, "panic: poisoned run\n") || !strings.Contains(st.Error, "goroutine ") {
+		t.Fatalf("panicking job = %s with error %q, want failed with the panic value and a stack", st.State, st.Error)
+	}
+	if got := state(t, s1, b.ID); got != StateDone {
+		t.Fatalf("job beside the panic = %s, want done", got)
+	}
+	res, err := s1.Result(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := soloRun(t, sc); !reflect.DeepEqual(res, want) {
+		t.Error("the job beside the panic differs from an uninterrupted run")
+	}
+	snap := s1.reg.Snapshot()
+	if snap["service.jobs_panicked"] != 1 || snap["service.jobs_failed"] != 1 {
+		t.Errorf("jobs_panicked = %d, jobs_failed = %d, want 1 and 1", snap["service.jobs_panicked"], snap["service.jobs_failed"])
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{SpoolDir: spool, Pool: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	st2, err := s2.Status(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateFailed || st2.Error != st.Error {
+		t.Fatalf("after restart the panicked job = %s (%q), want failed with the journaled error", st2.State, st2.Error)
+	}
+	if !s2.Idle() {
+		t.Error("restart requeued work; the panicked job must stay terminal")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -103,6 +104,7 @@ type Server struct {
 	resumed     *metrics.Counter
 	retried     *metrics.Counter
 	deadlined   *metrics.Counter
+	panicked    *metrics.Counter
 	quarantined *metrics.Counter
 }
 
@@ -154,6 +156,7 @@ func New(cfg Config) (*Server, error) {
 		resumed:     reg.Counter("service.jobs_resumed"),
 		retried:     reg.Counter("service.jobs_retried"),
 		deadlined:   reg.Counter("service.jobs_deadline_exceeded"),
+		panicked:    reg.Counter("service.jobs_panicked"),
 		quarantined: reg.Counter("service.records_quarantined"),
 	}
 	reg.Gauge("service.queue_depth", func() int64 {
@@ -679,23 +682,42 @@ func (s *Server) startLocked(j *job, slot int) {
 	go s.runJob(ctx, cancel, j, slot, chk)
 }
 
-// runJob drives one job on one worker slot: build (or resume) the runner,
-// stream rounds into the event log, and settle the outcome. A context
+// runJob drives one job on one worker slot: run one attempt, then settle
+// its outcome.
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, slot int, chk *snapshot.State) {
+	defer s.wg.Done()
+	defer cancel()
+	res, next, err := s.attempt(ctx, j, chk)
+	s.settle(j, slot, res, next, err)
+}
+
+// attempt runs one attempt of a job: build (or resume from chk) the runner,
+// stream rounds into the event log, and return the outcome settle applies —
+// the result, the checkpoint to keep, and the run's error. A context
 // cancellation is either a client cancel or a preemption/shutdown; the
 // latter captures a checkpoint so the job resumes bit-identically — the
 // engine checks its context between rounds, so the checkpoint is always a
 // clean round boundary.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, slot int, chk *snapshot.State) {
-	defer s.wg.Done()
-	defer cancel()
+//
+// A panic on the attempt's goroutine (the run hook, the engine, the round
+// observer) is recovered into an error carrying the panic value and the
+// goroutine's stack, so the job fails alone — under the same retry policy
+// as any failed run — and the failure is journaled with it, instead of the
+// panic killing every running job and crash recovery requeueing the culprit.
+func (s *Server) attempt(ctx context.Context, j *job, chk *snapshot.State) (res *core.Result, next *snapshot.State, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panicked.Add(1)
+			res, next, err = nil, nil, fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}()
 
 	if s.cfg.RunHook != nil {
 		s.mu.Lock()
 		id, attempt := j.ID, j.Retries
 		s.mu.Unlock()
-		if err := s.cfg.RunHook(id, attempt); err != nil {
-			s.settle(j, slot, nil, chk, err)
-			return
+		if err = s.cfg.RunHook(id, attempt); err != nil {
+			return nil, chk, err
 		}
 	}
 
@@ -720,7 +742,6 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	}
 
 	var r scenario.Runner
-	var err error
 	if chk != nil {
 		r, err = scenario.ResumeRunner(chk, opts...)
 	} else {
@@ -730,23 +751,19 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		if ctx.Err() != nil {
 			// Preempted (or cancelled) before the run even started: keep the
 			// checkpoint we were about to resume from, if any.
-			s.settle(j, slot, nil, chk, context.Canceled)
-			return
+			return nil, chk, context.Canceled
 		}
-		s.settle(j, slot, nil, nil, err)
-		return
+		return nil, nil, err
 	}
-	res, runErr := r.Run(ctx)
-	if errors.Is(runErr, context.Canceled) {
+	res, err = r.Run(ctx)
+	if errors.Is(err, context.Canceled) {
 		st, serr := r.Snapshot()
 		if serr != nil {
-			s.settle(j, slot, nil, nil, fmt.Errorf("checkpointing cancelled run: %w", serr))
-			return
+			return nil, nil, fmt.Errorf("checkpointing cancelled run: %w", serr)
 		}
-		s.settle(j, slot, nil, st, runErr)
-		return
+		return nil, st, err
 	}
-	s.settle(j, slot, res, nil, runErr)
+	return res, nil, err
 }
 
 // onRound records one completed round into the job's event stream.

@@ -340,9 +340,6 @@ func (e *Engine) finalize() *core.Result {
 		Converged: e.converged,
 		Trace:     append([]core.RoundStats(nil), e.trace...),
 	}
-	if e.cfg.KeepRegions {
-		res.Regions = make([][]geom.Polygon, n)
-	}
 	reuse := e.converged && e.stepped
 	if !reuse {
 		// The last committed round's remote moves were never served (a round

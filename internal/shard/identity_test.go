@@ -21,8 +21,8 @@ func uniformStart(n int, seed int64) []geom.Point {
 }
 
 // requireIdentical asserts the sharded result is bit-identical to the
-// shared-memory engine's: positions, radii, trace, message totals, rounds,
-// convergence and (when kept) regions.
+// shared-memory engine's: positions, radii, trace, message totals, rounds
+// and convergence.
 func requireIdentical(t *testing.T, want, got *core.Result) {
 	t.Helper()
 	if got.Rounds != want.Rounds {
@@ -55,25 +55,6 @@ func requireIdentical(t *testing.T, want, got *core.Result) {
 	if got.Messages != want.Messages {
 		t.Fatalf("messages: got %d want %d", got.Messages, want.Messages)
 	}
-	if (got.Regions == nil) != (want.Regions == nil) {
-		t.Fatalf("regions presence: got %v want %v", got.Regions != nil, want.Regions != nil)
-	}
-	for i := range want.Regions {
-		if len(got.Regions[i]) != len(want.Regions[i]) {
-			t.Fatalf("node %d: region count got %d want %d", i, len(got.Regions[i]), len(want.Regions[i]))
-		}
-		for j := range want.Regions[i] {
-			a, b := got.Regions[i][j], want.Regions[i][j]
-			if len(a) != len(b) {
-				t.Fatalf("node %d region %d: vertex count got %d want %d", i, j, len(a), len(b))
-			}
-			for v := range b {
-				if a[v] != b[v] {
-					t.Fatalf("node %d region %d vertex %d: got %v want %v", i, j, v, a[v], b[v])
-				}
-			}
-		}
-	}
 }
 
 // identityCase is one cell of the bit-identity matrix.
@@ -104,9 +85,6 @@ func identityCases() []identityCase {
 	short := sync
 	short.MaxRounds = 8 // unconverged: exercises the finalize recompute path
 
-	keep := sync
-	keep.KeepRegions = true
-
 	lossy := loc
 	lossy.LossRate = 0.3
 	lossy.MaxRounds = 25
@@ -117,7 +95,6 @@ func identityCases() []identityCase {
 		{"localized", loc, 28, 42},
 		{"localized-seq", locSeq, 24, 7},
 		{"sync-unconverged", short, 28, 42},
-		{"sync-keepregions", keep, 20, 9},
 		{"localized-lossy", lossy, 24, 11},
 	}
 }

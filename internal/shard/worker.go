@@ -550,12 +550,12 @@ func (w *worker) doTurn(g, round int) xband {
 
 // ---- finalization ---------------------------------------------------------
 
-// doFinal writes the owned nodes' final radii (and regions) into res: the
-// last round's values when reuse is set, otherwise a recompute at the final
-// positions under the negative round tag with the same trust/deficit loop
-// as a round. Returns the deficit, writing nothing, while any node needs a
-// wider window; shards own distinct nodes, so they write distinct slots.
-// Charges accrue to msgs as finalization messages.
+// doFinal writes the owned nodes' final radii into res: the last round's
+// values when reuse is set, otherwise a recompute at the final positions
+// under the negative round tag with the same trust/deficit loop as a round.
+// Returns the deficit, writing nothing, while any node needs a wider window;
+// shards own distinct nodes, so they write distinct slots. Charges accrue to
+// msgs as finalization messages.
 func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xband {
 	targets := w.beginAttempt(retry)
 	if !reuse {
@@ -568,12 +568,7 @@ func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xban
 		return w.defic
 	}
 	for _, li := range w.ownedLocal {
-		g := w.members[li]
-		r, polys := w.st.Final(li)
-		res.Radii[g] = r
-		if res.Regions != nil {
-			res.Regions[g] = polys
-		}
+		res.Radii[w.members[li]] = w.st.Final(li)
 	}
 	return xband{}
 }

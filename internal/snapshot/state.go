@@ -31,8 +31,8 @@ const (
 )
 
 // ConfigState is the serialized form of an engine configuration. It covers
-// every field of core.Config plus the event-driven simulator's fields. Enum-typed fields (Mode, Order, RingMode) are stored
-// as their integer values.
+// every field of core.Config plus the event-driven simulator's fields.
+// Enum-typed fields (Mode, Order) are stored as their integer values.
 type ConfigState struct {
 	K           int     `json:"k"`
 	Alpha       float64 `json:"alpha"`
@@ -41,14 +41,12 @@ type ConfigState struct {
 	Mode        int     `json:"mode,omitempty"`
 	Order       int     `json:"order,omitempty"`
 	Gamma       float64 `json:"gamma,omitempty"`
-	RingMode    int     `json:"ring_mode,omitempty"`
 	LossRate    float64 `json:"loss_rate,omitempty"`
 	LossRetries int     `json:"loss_retries,omitempty"`
 	ArcSamples  int     `json:"arc_samples,omitempty"`
 	RingCap     float64 `json:"ring_cap,omitempty"`
 	Seed        int64   `json:"seed"`
 	Workers     int     `json:"workers,omitempty"`
-	KeepRegions bool    `json:"keep_regions,omitempty"`
 
 	// Event-driven simulator fields (Kind == KindAsync).
 	Tau               float64 `json:"tau,omitempty"`

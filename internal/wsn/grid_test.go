@@ -74,17 +74,11 @@ func TestIncrementalGridMatchesRebuildUnderChurn(t *testing.T) {
 				t.Fatalf("trial %d op %d: NeighborsWithin(%d, %v) incremental %v != rebuild %v",
 					trial, op, i, rho, got, want)
 			}
-			gotRing, gotCost := inc.RingQuery(i, rho, RingGeometric)
-			wantRing, wantCost := fresh.RingQuery(i, rho, RingGeometric)
+			gotRing, gotCost := inc.RingQuery(i, rho)
+			wantRing, wantCost := fresh.RingQuery(i, rho)
 			if !reflect.DeepEqual(gotRing, wantRing) || gotCost != wantCost {
 				t.Fatalf("trial %d op %d: RingQuery(%d, %v) incremental %v (cost %d) != rebuild %v (cost %d)",
 					trial, op, i, rho, gotRing, gotCost, wantRing, wantCost)
-			}
-			gotHop := inc.HopNeighborhood(i, 2)
-			wantHop := fresh.HopNeighborhood(i, 2)
-			if !reflect.DeepEqual(gotHop, wantHop) {
-				t.Fatalf("trial %d op %d: HopNeighborhood(%d, 2) incremental %v != rebuild %v",
-					trial, op, i, gotHop, wantHop)
 			}
 		}
 	}
@@ -181,18 +175,11 @@ func TestRemoveRenumbersIndexInPlace(t *testing.T) {
 				if w := fresh.NeighborsWithin(j, rho); !slices.Equal(buf, w) {
 					t.Fatalf("trial %d: NeighborsWithinBuf(%d, %v) = %v, fresh %v", trial, j, rho, buf, w)
 				}
-				// Hop-limited floods are costly; sample them.
-				modes := []RingQueryMode{RingGeometric}
-				if j%16 == 0 {
-					modes = append(modes, RingHopLimited)
-				}
-				for _, mode := range modes {
-					got, gotCost := net.RingQuery(j, rho, mode)
-					w, wCost := fresh.RingQuery(j, rho, mode)
-					if !slices.Equal(got, w) || gotCost != wCost {
-						t.Fatalf("trial %d: RingQuery(%d, %v, %v) = %v (cost %d), fresh %v (cost %d)",
-							trial, j, rho, mode, got, gotCost, w, wCost)
-					}
+				got, gotCost := net.RingQuery(j, rho)
+				w, wCost := fresh.RingQuery(j, rho)
+				if !slices.Equal(got, w) || gotCost != wCost {
+					t.Fatalf("trial %d: RingQuery(%d, %v) = %v (cost %d), fresh %v (cost %d)",
+						trial, j, rho, got, gotCost, w, wCost)
 				}
 			}
 		}

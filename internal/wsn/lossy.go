@@ -14,8 +14,6 @@ type LossyRingConfig struct {
 	LossRate float64
 	// Retries is the number of re-queries after the first attempt.
 	Retries int
-	// Mode selects the underlying discovery semantics.
-	Mode RingQueryMode
 }
 
 // RingQueryLossy performs an expanding-ring query over an unreliable link
@@ -39,7 +37,7 @@ func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *r
 		rng = rand.New(rand.NewSource(0))
 	}
 	// The ideal result, costed as one normal query.
-	ideal, cost := n.RingQuery(i, rho, cfg.Mode)
+	ideal, cost := n.RingQuery(i, rho)
 	if cfg.LossRate == 0 {
 		return ideal, cost
 	}

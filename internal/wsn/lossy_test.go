@@ -39,11 +39,11 @@ func TestRingQueryLossyReturnsSubsetOfIdeal(t *testing.T) {
 	}
 	n := New(pts, 0.15)
 	ideal := map[int]bool{}
-	found, _ := n.RingQuery(0, 0.5, RingGeometric)
+	found, _ := n.RingQuery(0, 0.5)
 	for _, j := range found {
 		ideal[j] = true
 	}
-	got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.5, Retries: 0, Mode: RingGeometric},
+	got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.5, Retries: 0},
 		rand.New(rand.NewSource(9)))
 	for _, j := range got {
 		if !ideal[j] {
@@ -62,13 +62,13 @@ func TestRingQueryLossyRetriesRecover(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	n := New(pts, 0.2)
-	found, _ := n.RingQuery(0, 0.4, RingGeometric)
+	found, _ := n.RingQuery(0, 0.4)
 	ideal := len(found)
 	if ideal == 0 {
 		t.Skip("degenerate instance")
 	}
 	// With aggressive retries nearly everything gets through.
-	got, _ := n.RingQueryLossy(0, 0.4, LossyRingConfig{LossRate: 0.3, Retries: 10, Mode: RingGeometric},
+	got, _ := n.RingQueryLossy(0, 0.4, LossyRingConfig{LossRate: 0.3, Retries: 10},
 		rand.New(rand.NewSource(10)))
 	if len(got) < ideal {
 		t.Errorf("10 retries at 30%% loss should recover all %d, got %d", ideal, len(got))
@@ -82,7 +82,7 @@ func TestRingQueryLossyChargesRetries(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	mk := func(loss float64, retries int, seed int64) int64 {
-		_, cost := New(pts, 0.3).RingQueryLossy(0, 0.6, LossyRingConfig{LossRate: loss, Retries: retries, Mode: RingGeometric},
+		_, cost := New(pts, 0.3).RingQueryLossy(0, 0.6, LossyRingConfig{LossRate: loss, Retries: retries},
 			rand.New(rand.NewSource(seed)))
 		return cost
 	}
@@ -101,7 +101,7 @@ func TestRingQueryLossyDeterministic(t *testing.T) {
 	}
 	run := func() []int {
 		n := New(pts, 0.2)
-		got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.3, Retries: 1, Mode: RingGeometric},
+		got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.3, Retries: 1},
 			rand.New(rand.NewSource(42)))
 		sort.Ints(got)
 		return got

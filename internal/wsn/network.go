@@ -1,8 +1,8 @@
 // Package wsn models the wireless-sensor-network substrate LAACAD runs on:
 // node positions, the unit-disk communication graph induced by a common
-// transmission range γ, distance and hop-limited neighborhood queries backed
-// by a uniform spatial grid, and message accounting for the localized
-// expanding-ring search (Algorithm 2 in the paper).
+// transmission range γ, distance neighborhood queries backed by a uniform
+// spatial grid, and message accounting for the localized expanding-ring
+// search (Algorithm 2 in the paper).
 //
 // The package is deliberately independent of the deployment algorithm: it
 // answers "who can I hear, and what does asking cost" and nothing else.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,11 +24,11 @@ import (
 // must not run concurrently with anything else, but the read path is safe
 // for concurrent use — the full-rebuild fallback is mutex-guarded, and
 // message accounting (Charge) is atomic — so queries such as
-// NeighborsWithin, RingQuery and HopNeighborhood may fan out across
-// goroutines between mutations. Callers doing so should invoke Rebuild
-// first so the grid is built once up front rather than contended on first
-// query. Queries charge nothing: RingQuery returns its message cost, and the
-// caller charges it when the protocol would.
+// NeighborsWithin and RingQuery may fan out across goroutines between
+// mutations. Callers doing so should invoke Rebuild first so the grid is
+// built once up front rather than contended on first query. Queries charge
+// nothing: RingQuery returns its message cost, and the caller charges it
+// when the protocol would.
 type Network struct {
 	pos   []geom.Point
 	gamma float64
@@ -411,90 +410,24 @@ func (n *Network) NeighborsWithinDistBuf(i int, rho float64, ids []int, d2s []fl
 // transmission range γ.
 func (n *Network) OneHop(i int) []int { return n.NeighborsWithin(i, n.gamma) }
 
-// HopNeighborhood returns the nodes reachable from i within the given hop
-// count over the unit-disk graph, as a map from node ID to hop distance
-// (excluding i itself).
-func (n *Network) HopNeighborhood(i, hops int) map[int]int {
-	n.rebuild()
-	dist := map[int]int{i: 0}
-	frontier := []int{i}
-	for h := 1; h <= hops && len(frontier) > 0; h++ {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range n.NeighborsWithin(u, n.gamma) {
-				if _, seen := dist[v]; !seen {
-					dist[v] = h
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	delete(dist, i)
-	return dist
-}
-
-// RingQueryMode selects how the expanding-ring query of Algorithm 2
-// discovers nodes.
-type RingQueryMode int
-
-const (
-	// RingGeometric returns exactly N(n_i, ρ) — every node within Euclidean
-	// distance ρ — matching the paper's idealized definition. Message cost
-	// is modeled as if the query flooded ⌈ρ/γ⌉ hops.
-	RingGeometric RingQueryMode = iota
-	// RingHopLimited floods the real unit-disk graph ⌈ρ/γ⌉ hops and then
-	// filters to distance < ρ, so partitioned or sparse networks return
-	// fewer nodes than the geometric ideal.
-	RingHopLimited
-)
-
 // RingQuery performs one expanding-ring neighborhood query of radius rho for
-// node i and returns the nodes found with the query's communication cost: a
-// flood to h = ⌈ρ/γ⌉ hops costs one broadcast per already-reached node, and
-// each discovered node's reply is forwarded back over its hop distance. The
-// query charges nothing; the caller decides when the cost is paid (see
-// Charge). Results are in ascending node-ID order in both modes; callers
-// consume them positionally (e.g. RingQueryLossy assigns per-reply loss
-// draws down the list), so the order is part of the determinism contract.
-func (n *Network) RingQuery(i int, rho float64, mode RingQueryMode) ([]int, int64) {
-	hops := int(math.Ceil(rho / n.gamma))
-	if hops < 1 {
-		hops = 1
-	}
-	var found []int
-	var cost int64
-	switch mode {
-	case RingGeometric:
-		found = n.NeighborsWithin(i, rho)
-		// Model: query rebroadcast by every node in the ring (+1 for the
-		// origin), plus replies of ⌈d/γ⌉ hops each.
-		cost = 1 + int64(len(found))
-		for _, j := range found {
-			h := int64(math.Ceil(n.pos[j].Dist(n.pos[i]) / n.gamma))
-			if h < 1 {
-				h = 1
-			}
-			cost += h
+// node i and returns exactly N(n_i, ρ) — every node within Euclidean
+// distance ρ, the paper's definition — with the query's communication cost,
+// modeled as a flood to h = ⌈ρ/γ⌉ hops: one rebroadcast per node in the ring
+// (+1 for the origin), plus each discovered node's reply forwarded back over
+// ⌈d/γ⌉ hops. The query charges nothing; the caller decides when the cost is
+// paid (see Charge). Results are in ascending node-ID order; callers consume
+// them positionally (e.g. RingQueryLossy assigns per-reply loss draws down
+// the list), so the order is part of the determinism contract.
+func (n *Network) RingQuery(i int, rho float64) ([]int, int64) {
+	found := n.NeighborsWithin(i, rho)
+	cost := 1 + int64(len(found))
+	for _, j := range found {
+		h := int64(math.Ceil(n.pos[j].Dist(n.pos[i]) / n.gamma))
+		if h < 1 {
+			h = 1
 		}
-	case RingHopLimited:
-		reach := n.HopNeighborhood(i, hops)
-		cost = 1
-		rho2 := rho * rho
-		ids := make([]int, 0, len(reach))
-		for j := range reach {
-			ids = append(ids, j)
-		}
-		sort.Ints(ids)
-		for _, j := range ids {
-			cost++ // each reached node rebroadcasts once
-			if n.pos[j].Dist2(n.pos[i]) < rho2 {
-				found = append(found, j)
-				cost += int64(reach[j]) // reply forwarded back over its hops
-			}
-		}
-	default:
-		panic(fmt.Sprintf("wsn: unknown ring query mode %d", mode))
+		cost += h
 	}
 	return found, cost
 }

@@ -109,31 +109,6 @@ func TestOneHop(t *testing.T) {
 	}
 }
 
-func TestHopNeighborhood(t *testing.T) {
-	n := New(linePositions(5, 1), 1.1)
-	got := n.HopNeighborhood(0, 2)
-	want := map[int]int{1: 1, 2: 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("hop[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Unlimited-ish hops reach everyone on the line.
-	all := n.HopNeighborhood(0, 10)
-	if len(all) != 4 {
-		t.Errorf("full reach = %d nodes, want 4", len(all))
-	}
-	// A disconnected node is never reached.
-	pts := append(linePositions(3, 1), geom.Pt(100, 100))
-	n2 := New(pts, 1.1)
-	if r := n2.HopNeighborhood(0, 50); len(r) != 2 {
-		t.Errorf("disconnected reach = %v", r)
-	}
-}
-
 func TestConnected(t *testing.T) {
 	if !New(nil, 1).Connected() {
 		t.Error("empty network should be connected")
@@ -163,7 +138,7 @@ func TestDegreeStats(t *testing.T) {
 
 func TestRingQueryGeometric(t *testing.T) {
 	n := New(linePositions(5, 1), 1.1)
-	found, cost := n.RingQuery(2, 1.5, RingGeometric)
+	found, cost := n.RingQuery(2, 1.5)
 	sort.Ints(found)
 	if !equal(found, []int{1, 3}) {
 		t.Errorf("found = %v", found)
@@ -177,37 +152,6 @@ func TestRingQueryGeometric(t *testing.T) {
 	if cost != 5 {
 		t.Errorf("cost = %d, want 5", cost)
 	}
-}
-
-func TestRingQueryHopLimited(t *testing.T) {
-	// A gap in the line: node 3 is at x=10, unreachable.
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(10, 0)}
-	n := New(pts, 1.1)
-	found, _ := n.RingQuery(0, 3, RingHopLimited)
-	sort.Ints(found)
-	if !equal(found, []int{1, 2}) {
-		t.Errorf("found = %v", found)
-	}
-	// The geometric mode would also return only 1, 2 here (3 is 10 away),
-	// but with a reachable-but-far topology they differ:
-	pts2 := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0)} // within rho=3 but > gamma
-	n2 := New(pts2, 1.1)
-	if got, _ := n2.RingQuery(0, 3, RingHopLimited); len(got) != 0 {
-		t.Errorf("hop-limited should not reach isolated node, got %v", got)
-	}
-	if got, _ := n2.RingQuery(0, 3, RingGeometric); len(got) != 1 {
-		t.Errorf("geometric should see the node, got %v", got)
-	}
-}
-
-func TestRingQueryPanicsOnBadMode(t *testing.T) {
-	n := New(linePositions(2, 1), 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	n.RingQuery(0, 1, RingQueryMode(99))
 }
 
 func TestChargeAccumulates(t *testing.T) {

@@ -79,7 +79,6 @@ import (
 	"laacad/internal/region"
 	"laacad/internal/sim"
 	"laacad/internal/voronoi"
-	"laacad/internal/wsn"
 )
 
 // Geometry types. These are aliases of the implementation types, so values
@@ -182,14 +181,6 @@ const (
 	// Sequential applies each move immediately, modeling nodes acting on
 	// independent periodic clocks.
 	Sequential = core.Sequential
-)
-
-// Ring query modes for Localized deployments.
-const (
-	// RingGeometric discovers exactly the nodes within Euclidean distance ρ.
-	RingGeometric = wsn.RingGeometric
-	// RingHopLimited floods the real unit-disk graph hop by hop.
-	RingHopLimited = wsn.RingHopLimited
 )
 
 // DefaultConfig returns the paper's default parameters for coverage order k.

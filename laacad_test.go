@@ -175,7 +175,6 @@ func TestPublicLocalizedMode(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Mode = Localized
 	cfg.Gamma = 0.3
-	cfg.RingMode = RingHopLimited
 	cfg.Epsilon = 3e-3
 	cfg.MaxRounds = 100
 	eng, err := NewEngine(reg, benchStart(reg, 25, 4), cfg)
@@ -187,7 +186,7 @@ func TestPublicLocalizedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Messages == 0 {
-		t.Error("hop-limited localized run should account messages")
+		t.Error("localized run should account messages")
 	}
 }
 
