@@ -111,10 +111,21 @@ func centralizedRegionSoA(net *wsn.Network, reg *region.Region, i, k int, startR
 			// region), and the warm start is exactness-checked anyway; 2.1R̂
 			// leaves a 5% slack band over the threshold (numerical margin,
 			// plus headroom for small region growth) while keeping both the
-			// invalidation ball and the next gather close to minimal. Never
-			// raised above the search's ρ, so the degenerate exits (whole
-			// network visited, runaway radius) keep their current value.
-			if t := math.Max(2.1*rhat, fallback); t < rho {
+			// invalidation ball and the next gather close to minimal. The
+			// ball is not floored at the density fallback: a heal's dirty set
+			// is the nodes whose balls hold the failure, so a floor would
+			// size every heal by the deployment's mean spacing rather than by
+			// the regions the failure touches. The next search still starts
+			// at the fallback at least, so a smaller hint changes no search.
+			// An empty region (R̂ = 0) keeps the fallback: a zero-radius ball
+			// would miss a dominating neighbor moving away, which can un-empty
+			// it. Never raised above the search's ρ, so the degenerate exits
+			// (whole network visited, runaway radius) keep their current value.
+			t := 2.1 * rhat
+			if rhat == 0 {
+				t = fallback
+			}
+			if t < rho {
 				rho = t
 			}
 			return refs, rho, rhat

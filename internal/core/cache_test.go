@@ -196,7 +196,13 @@ func runTopologySchedule(t *testing.T, reg *region.Region, start []geom.Point, c
 		if cfg.Mode == Localized {
 			want = boundary.AngularGap{}.Boundary(eng.Network())
 		}
-		eng.Step()
+		label := fmt.Sprintf("round %d", r+1)
+		if cfg.Order == Synchronous {
+			stepComputesDirty(t, label, eng)
+		} else {
+			eng.Step()
+			assertOutsMirrorCache(t, label, &eng.nodeState)
+		}
 		if want != nil && !slices.Equal(eng.boundary, want) {
 			t.Fatalf("round %d: boundary flags differ from a wholesale evaluation", r+1)
 		}
@@ -243,11 +249,12 @@ func TestHealRecomputesLocally(t *testing.T) {
 		}
 		eng.Step()
 		if !eager {
-			// The bound: every exactness ball is floored at the search's
-			// density fallback, about 4.9 lattice pitches at k=2, so some 70
-			// nodes hold the victim; a cold round would be all n-1.
-			if got := eng.CacheCounters().BatchNodes - before.BatchNodes; got > n/5 {
-				t.Errorf("the first heal round recomputed %d of %d nodes, want <= %d", got, n-1, n/5)
+			// The bound: an exactness ball is 2.1·R̂, about two lattice
+			// pitches, so about a dozen nodes hold the victim; a ball floored
+			// at the search's density fallback (about 4.9 pitches at k=2)
+			// would hold some 70, and a cold round would be all n-1.
+			if got := eng.CacheCounters().BatchNodes - before.BatchNodes; got > n/16 {
+				t.Errorf("the first heal round recomputed %d of %d nodes, want <= %d", got, n-1, n/16)
 			}
 			if got := eng.Network().Rebuilds(); got != rebuilds {
 				t.Errorf("the heal rebuilt the spatial index %d times, want 0", got-rebuilds)
@@ -265,6 +272,116 @@ func TestHealRecomputesLocally(t *testing.T) {
 	_, eagerTrace, eagerRes := run(true)
 	_, cachedTrace, cachedRes := run(false)
 	assertIdentical(t, "heal", eagerTrace, cachedTrace, eagerRes, cachedRes)
+}
+
+// A Synchronous round computes exactly its dirty set: on the lattice heal of
+// TestHealRecomputesLocally and its Localized twin, at 1 and 3 workers, every
+// Step computes as many regions as there were invalid entries before it and
+// reuses every other node, outs mirrors the cache between rounds, and a
+// Localized round's messages (the hits' recorded costs, charged in one sum)
+// equal the eager engine's.
+func TestSynchronousRoundComputesOnlyDirty(t *testing.T) {
+	const n = 400
+	start, pitch := wsn.UnitLattice(n, 8)
+	reg := region.UnitSquareKm()
+	for _, mode := range []Mode{Centralized, Localized} {
+		for _, workers := range []int{1, 3} {
+			mode, workers := mode, workers
+			t.Run(fmt.Sprintf("%v/workers=%d", mode, workers), func(t *testing.T) {
+				t.Parallel()
+				cfg := DefaultConfig(2)
+				cfg.Mode, cfg.Workers = mode, workers
+				if mode == Localized {
+					cfg.Gamma = 0.25
+				}
+				cfg.Epsilon = pitch / 20
+				cfg.MaxRounds = 400
+				cfg.Seed = 1
+				eager, err := New(reg, start, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eager.eager = true
+				cached, err := New(reg, start, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				converge := func(phase string) {
+					for r := 0; r < cfg.MaxRounds && !cached.Converged(); r++ {
+						label := fmt.Sprintf("%s round %d", phase, r+1)
+						want, wantDone := eager.Step()
+						got, gotDone := stepComputesDirty(t, label, cached)
+						if got != want || gotDone != wantDone {
+							t.Fatalf("%s: stats %+v (converged %v), eager %+v (converged %v)", label, got, gotDone, want, wantDone)
+						}
+					}
+					if !cached.Converged() {
+						t.Fatalf("%s did not converge", phase)
+					}
+				}
+				converge("deploy")
+				victim, best := 0, math.Inf(1)
+				for i, p := range cached.Positions() {
+					if d := p.Dist(geom.Pt(0.5, 0.5)); d < best {
+						victim, best = i, d
+					}
+				}
+				for _, e := range []*Engine{eager, cached} {
+					if err := e.RemoveNode(victim); err != nil {
+						t.Fatal(err)
+					}
+				}
+				converge("heal")
+			})
+		}
+	}
+}
+
+// stepComputesDirty steps e once and checks that the round computed exactly
+// the nodes whose cache entries were invalid before it and served every other
+// node from the cache, and that outs still mirrors the cache afterwards.
+func stepComputesDirty(t *testing.T, label string, e *Engine) (RoundStats, bool) {
+	t.Helper()
+	n, dirty, before := e.net.Len(), dirtyCount(e), e.CacheCounters()
+	stats, done := e.Step()
+	after := e.CacheCounters()
+	if got := after.BatchNodes - before.BatchNodes; got != uint64(dirty) {
+		t.Fatalf("%s: computed %d regions, want the %d invalid entries", label, got, dirty)
+	}
+	if got := after.CacheHits - before.CacheHits; got != uint64(n-dirty) {
+		t.Fatalf("%s: %d cache hits, want %d", label, got, n-dirty)
+	}
+	assertOutsMirrorCache(t, label, &e.nodeState)
+	return stats, done
+}
+
+// dirtyCount returns how many nodes e's next Step must compute: all of them
+// when the cache is off or starts afresh (resized or flushed), otherwise the
+// invalid entries.
+func dirtyCount(e *Engine) int {
+	n := e.net.Len()
+	if !e.cacheEnabled() || len(e.cache) != n || e.cacheVer != e.net.Version() {
+		return n
+	}
+	d := 0
+	for i := range e.cache {
+		if !e.cache[i].valid {
+			d++
+		}
+	}
+	return d
+}
+
+// assertOutsMirrorCache checks the invariant a Synchronous round's filter
+// pass relies on to serve a hit without copying: between rounds, outs[i]
+// equals cache[i].out for every valid entry.
+func assertOutsMirrorCache(t *testing.T, label string, ns *nodeState) {
+	t.Helper()
+	for i := range ns.cache {
+		if c := &ns.cache[i]; c.valid && ns.outs[i] != c.out {
+			t.Fatalf("%s: node %d holds outcome %+v, its valid cache entry %+v", label, i, ns.outs[i], c.out)
+		}
+	}
 }
 
 // What-if edits: a seeded MoveNode schedule — including edits before the

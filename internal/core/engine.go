@@ -356,8 +356,9 @@ func (e *Engine) flushCache() {
 // Step executes one LAACAD round and returns its statistics. The returned
 // bool is true once the deployment has converged (no node needed to move
 // more than ε this round). With Config.Order == Synchronous all moves apply
-// at the end of the round and the per-node region computations fan out
-// across Config.Workers goroutines; with Sequential each node's move is
+// at the end of the round: one serial pass reuses every valid cache entry
+// and only the remaining region computations fan out across Config.Workers
+// goroutines; with Sequential each node's move is
 // visible to the nodes processed after it — the commit order stays serial,
 // but the expensive region recomputations are precomputed in parallel by
 // the colored sweep's speculation waves (see colored.go). Either way the
@@ -389,6 +390,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 		e.boundary = e.repairFlags(n)
 	}
 	e.movedIDs, e.movedPts = e.movedIDs[:0], e.movedPts[:0]
+	var computed []int // the Synchronous round's computed nodes
 	if sequential {
 		workers := parallel.Workers(e.cfg.Workers)
 		e.ensurePool(workers)
@@ -427,7 +429,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 		}
 		e.wavePool.Close()
 	} else {
-		e.stepAll(e.every(), round)
+		computed = e.stepAll(e.every(), round)
 	}
 
 	e.foldStats(&stats, e.every())
@@ -435,7 +437,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 		stats.MinCircumradius = 0
 	}
 	if !sequential {
-		e.commitMoves(e.every())
+		e.commitMoves(computed)
 	}
 	e.cacheVer = e.net.Version()
 	e.round++

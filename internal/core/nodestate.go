@@ -56,10 +56,15 @@ type nodeState struct {
 	movedPts []geom.Point
 	nextBuf  []geom.Point
 
-	// hits counts cache reuses; atomic because the Synchronous fan-out
-	// consults the cache from worker goroutines. batchNodes counts dominating
-	// regions computed on the SoA batch kernel, from the same goroutines.
-	hits       atomic.Uint64
+	// dirty is stepAll's reused list of the nodes whose entries it found
+	// invalid, the only ones its fan-out computes.
+	dirty []int
+
+	// hits counts cache reuses. Every reuse is settled serially (stepAll's
+	// filter pass, a Sequential turn), so it is a plain counter. batchNodes
+	// counts dominating regions computed on the SoA batch kernel, from the
+	// fan-out's worker goroutines, so it is atomic.
+	hits       uint64
 	batchNodes atomic.Uint64
 	counters   CacheCounters
 
@@ -90,7 +95,10 @@ type nodeState struct {
 
 // nodeArrays are the per-node arrays, indexed by network index.
 type nodeArrays struct {
-	// outs holds each node's outcome for the current round.
+	// outs holds each node's outcome for the current round. Between rounds
+	// outs[i] equals cache[i].out for every valid entry (both are written
+	// together, and a hit copies the one into the other), so stepAll serves
+	// a hit without touching outs.
 	outs []nodeOutcome
 	// cache is the incremental dirty-set: each entry holds a node's last
 	// computed outcome together with the exactness radius ρ of the search
@@ -183,7 +191,7 @@ func (ns *nodeState) indexGamma() float64 {
 // CacheCounters returns the cumulative invalidation-work counters.
 func (ns *nodeState) CacheCounters() CacheCounters {
 	c := ns.counters
-	c.CacheHits = ns.hits.Load()
+	c.CacheHits = ns.hits
 	c.BatchNodes = ns.batchNodes.Load()
 	return c
 }
@@ -233,8 +241,7 @@ func (ns *nodeState) finishMove(ui, ci geom.Point, out *nodeOutcome) {
 
 // stepNode computes node i's round outcome into outs[i], serving it from the
 // cache when a valid entry exists (cacheOn), and reports whether it was
-// admitted. Cache entries are written only by the worker that owns node i
-// this round, so a fan-out needs no locking.
+// admitted: the compute step of a Sequential turn.
 //
 // A Localized hit charges the entry's recorded message cost — reusing the
 // outcome must cost exactly what re-running the search would have, or
@@ -247,16 +254,28 @@ func (ns *nodeState) finishMove(ui, ci geom.Point, out *nodeOutcome) {
 func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 	if ns.cacheOn {
 		if c := &ns.cache[i]; c.valid {
-			ns.hits.Add(1)
-			if c.spec {
-				c.spec = false
-				ns.counters.SpecUsed++
-			}
+			ns.consume(c)
 			ns.charge(c.cost)
 			ns.outs[i] = c.out
 			return true
 		}
 	}
+	return ns.compute(i, round, s)
+}
+
+// consume counts a cache reuse, settling a speculated entry as used.
+func (ns *nodeState) consume(c *nodeCache) {
+	ns.hits++
+	if c.spec {
+		c.spec = false
+		ns.counters.SpecUsed++
+	}
+}
+
+// compute computes node i's outcome into outs[i] and reports whether it was
+// admitted. Entry i is only ever written by the worker computing node i this
+// round, so a fan-out needs no locking.
+func (ns *nodeState) compute(i, round int, s *Scratch) bool {
 	out, ok := ns.computeEntry(i, round, s, false)
 	if ok {
 		ns.outs[i] = out
@@ -318,17 +337,41 @@ func (ns *nodeState) charge(cost int64) {
 	}
 }
 
-// stepAll steps every node of ids at the start-of-round positions, fanning
-// out across Config.Workers — the Synchronous round's compute phase.
-func (ns *nodeState) stepAll(ids []int, round int) {
+// stepAll steps every node of ids at the start-of-round positions — the
+// Synchronous round's compute phase — and returns the nodes it computed,
+// valid until the next call. One serial pass settles every cache hit: its
+// outcome already sits in outs (see nodeArrays.outs), so a hit costs a count
+// and its recorded message cost, summed and charged once (a Localized hit
+// pays exactly what re-running its search would have). Only the invalid
+// entries fan out across Config.Workers, so a converged or healing round
+// costs O(dirty) computations plus O(n) plain reads. With the cache off
+// every node is computed.
+func (ns *nodeState) stepAll(ids []int, round int) []int {
 	ns.net.Rebuild() // build the spatial index once, before the fan-out
+	todo := ids
+	if ns.cacheOn {
+		ns.dirty = slices.Grow(ns.dirty[:0], len(ids))
+		var cost int64
+		for _, i := range ids {
+			c := &ns.cache[i]
+			if !c.valid {
+				ns.dirty = append(ns.dirty, i)
+				continue
+			}
+			ns.consume(c)
+			cost += c.cost
+		}
+		ns.charge(cost)
+		todo = ns.dirty
+	}
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
-	parallel.ForWorker(len(ids), workers, func(w, k int) {
-		ns.stepNode(ids[k], round, ns.pool[w])
+	parallel.ForWorker(len(todo), workers, func(w, k int) {
+		ns.compute(todo[k], round, ns.pool[w])
 	})
 	// The fan-out installed entries the per-cell bounds never saw.
 	ns.boundsLive = false
+	return todo
 }
 
 // turn runs node i's Sequential turn: step it at the current (mid-round)
@@ -364,7 +407,9 @@ func (ns *nodeState) turn(i, round int) (old geom.Point, moved, ok bool) {
 
 // commitMoves applies the moves of ids at once — the Synchronous commit: all
 // reads were at start-of-round positions — records them in movedIDs and
-// movedPts, and invalidates around both endpoints of each.
+// movedPts, and invalidates around both endpoints of each. ids need only
+// hold the nodes computed this round: a cache hit never moves, because a
+// committed mover's own entry is dropped.
 func (ns *nodeState) commitMoves(ids []int) {
 	ns.movedIDs, ns.movedPts = ns.movedIDs[:0], ns.movedPts[:0]
 	for _, i := range ids {

@@ -57,18 +57,21 @@ func requireIdentical(t *testing.T, want, got *core.Result) {
 	}
 }
 
-// identityCase is one cell of the bit-identity matrix.
+// identityCase is one cell of the bit-identity matrix. converges says
+// whether the case converges within its round cap: a converged run takes the
+// finalize reuse path, an unconverged one the recompute path.
 type identityCase struct {
-	name string
-	cfg  core.Config
-	n    int
-	seed int64
+	name      string
+	cfg       core.Config
+	n         int
+	seed      int64
+	converges bool
 }
 
 func identityCases() []identityCase {
 	sync := core.DefaultConfig(2)
 	sync.Epsilon = 1e-3
-	sync.MaxRounds = 60
+	sync.MaxRounds = 300 // the converging cases take 61–127 rounds
 
 	seq := sync
 	seq.Order = core.Sequential
@@ -77,7 +80,7 @@ func identityCases() []identityCase {
 	loc.Mode = core.Localized
 	loc.Gamma = 0.25
 	loc.Epsilon = 1e-3
-	loc.MaxRounds = 60
+	loc.MaxRounds = 300
 
 	locSeq := loc
 	locSeq.Order = core.Sequential
@@ -90,12 +93,12 @@ func identityCases() []identityCase {
 	lossy.MaxRounds = 25
 
 	return []identityCase{
-		{"sync-centralized", sync, 28, 42},
-		{"seq-centralized", seq, 28, 42},
-		{"localized", loc, 28, 42},
-		{"localized-seq", locSeq, 24, 7},
-		{"sync-unconverged", short, 28, 42},
-		{"localized-lossy", lossy, 24, 11},
+		{"sync-centralized", sync, 28, 42, true},
+		{"seq-centralized", seq, 28, 42, true},
+		{"localized", loc, 28, 42, true},
+		{"localized-seq", locSeq, 24, 7, true},
+		{"sync-unconverged", short, 28, 42, false},
+		{"localized-lossy", lossy, 24, 11, false},
 	}
 }
 
@@ -113,6 +116,9 @@ func TestShardBitIdentityMatrix(t *testing.T) {
 		want, err := ref.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want.Converged != tc.converges {
+			t.Fatalf("%s: converged %v after %d rounds, want %v", tc.name, want.Converged, want.Rounds, tc.converges)
 		}
 		for _, shards := range []int{1, 2, 4, 8} {
 			for _, workers := range []int{1, 3} {
