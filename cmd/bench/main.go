@@ -28,13 +28,15 @@
 // percentage (left off in CI: shared runners are too noisy to gate
 // wall-times there; the deltas are printed into the job log instead).
 // -max-alloc-regress gates allocs/op the same way — allocation counts are
-// deterministic, so CI enforces that one as a blocking check.
+// deterministic, so CI enforces that one as a blocking check. A failing
+// compare names every row over either limit, in name order.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -317,8 +319,9 @@ func runCompare(args []string, w io.Writer) error {
 		fs.Arg(0), oldSnap.Date, oldSnap.Label, fs.Arg(1), newSnap.Date, newSnap.Label)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tΔtime\told allocs\tnew allocs\tΔallocs\t")
-	var worst, worstAlloc float64
-	var worstName, worstAllocName string
+	// failures collects one message per row over a gate, keyed by row name.
+	type failure struct{ key, msg string }
+	var failures []failure
 	logSum, common := 0.0, 0
 	// New-snapshot order first (the trajectory being judged), then
 	// old-only rows.
@@ -338,11 +341,11 @@ func runCompare(args []string, w io.Writer) error {
 			logSum += math.Log(ob.NsPerOp / nb.NsPerOp)
 			common++
 		}
-		if dt > worst {
-			worst, worstName = dt, k
+		if *maxRegress > 0 && dt > *maxRegress {
+			failures = append(failures, failure{k, fmt.Sprintf("%s regressed %.1f%% (> %.1f%% allowed)", k, dt, *maxRegress)})
 		}
-		if da > worstAlloc && nb.AllocsPerOp-ob.AllocsPerOp > *allocGrace {
-			worstAlloc, worstAllocName = da, k
+		if *maxAllocRegress > 0 && da > *maxAllocRegress && nb.AllocsPerOp-ob.AllocsPerOp > *allocGrace {
+			failures = append(failures, failure{k, fmt.Sprintf("%s allocs regressed %.1f%% (> %.1f%% allowed)", k, da, *maxAllocRegress)})
 		}
 	}
 	for _, ob := range oldSnap.Benchmarks {
@@ -357,14 +360,13 @@ func runCompare(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "\ngeomean speedup over %d common benchmarks: %.2f×\n",
 			common, math.Exp(logSum/float64(common)))
 	}
-	if *maxRegress > 0 && worst > *maxRegress {
-		return fmt.Errorf("%s regressed %.1f%% (> %.1f%% allowed)", worstName, worst, *maxRegress)
+	// Every failing row is named, in name order, one per line.
+	sort.SliceStable(failures, func(i, j int) bool { return failures[i].key < failures[j].key })
+	errs := make([]error, len(failures))
+	for i, f := range failures {
+		errs[i] = errors.New(f.msg)
 	}
-	if *maxAllocRegress > 0 && worstAlloc > *maxAllocRegress {
-		return fmt.Errorf("%s allocs regressed %.1f%% (> %.1f%% allowed)",
-			worstAllocName, worstAlloc, *maxAllocRegress)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // sweepNames reports which benchmark names appear at more than one

@@ -262,3 +262,38 @@ func TestModePatternsMatchSuite(t *testing.T) {
 		}
 	}
 }
+
+// Every row over a gate is named in the error, in name order — not only the
+// worst one.
+func TestCompareNamesEveryFailingRow(t *testing.T) {
+	oldPath := writeSnapshot(t, "old.json", Snapshot{
+		Benchmarks: []Benchmark{
+			{Name: "BenchmarkZeta", NsPerOp: 100, AllocsPerOp: 100},
+			{Name: "BenchmarkAlpha", NsPerOp: 100, AllocsPerOp: 100},
+			{Name: "BenchmarkFine", NsPerOp: 100, AllocsPerOp: 100},
+		},
+	})
+	newPath := writeSnapshot(t, "new.json", Snapshot{
+		Benchmarks: []Benchmark{
+			{Name: "BenchmarkZeta", NsPerOp: 100, AllocsPerOp: 400},  // +300%, the worst
+			{Name: "BenchmarkAlpha", NsPerOp: 100, AllocsPerOp: 200}, // +100%
+			{Name: "BenchmarkFine", NsPerOp: 100, AllocsPerOp: 105},  // +5%, under the limit
+		},
+	})
+	var out strings.Builder
+	err := runCompare([]string{"-max-alloc-regress", "10", oldPath, newPath}, &out)
+	if err == nil {
+		t.Fatal("two alloc regressions must trip -max-alloc-regress 10")
+	}
+	msg := err.Error()
+	alpha, zeta := strings.Index(msg, "BenchmarkAlpha"), strings.Index(msg, "BenchmarkZeta")
+	if alpha < 0 || zeta < 0 {
+		t.Fatalf("the error must name both failing rows:\n%s", msg)
+	}
+	if alpha > zeta {
+		t.Errorf("failing rows must be listed in name order:\n%s", msg)
+	}
+	if strings.Contains(msg, "BenchmarkFine") {
+		t.Errorf("a row under the limit must not be named:\n%s", msg)
+	}
+}

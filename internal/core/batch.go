@@ -25,7 +25,7 @@ import (
 //     order) and sorts just that tail, instead of rebuilding and re-sorting
 //     the whole list per iteration.
 //
-//   - The search warm-starts at the node's last exactness radius (rhoHint)
+//   - The search warm-starts at the node's last exactness radius (its hint)
 //     instead of the density-based fallback guess, skipping the early
 //     doubling iterations entirely in steady state. The final region is
 //     bit-identical for any starting radius: the exactness predicate

@@ -13,7 +13,7 @@ import (
 )
 
 // The kernel contract, checked per state: the SoA pipeline (incremental rel
-// slabs, lazy bisector memos, slab-resident clipping, rhoHint warm start) is
+// slabs, lazy bisector memos, slab-resident clipping, warm start) is
 // semantically invisible. A live engine runs each cell; at every state it
 // computes from — each round start, plus each Sequential turn via
 // commitHook — every node about to compute from that state is stepped twice
@@ -84,10 +84,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 					check := func(i int) {
 						states++
 						b := flags != nil && flags[i]
-						hint := 0.0 // the engine's warm start; unset before round 1
-						if i < len(eng.rhoHint) {
-							hint = eng.rhoHint[i]
-						}
+						hint := eng.cache[i].rho // the engine's warm start; 0 before round 1
 						got := kernelStep(st, i, hint, b, kernelS)
 						want := scalarStep(&st.nodeState, i, b, scalarS, &ref)
 						if !reflect.DeepEqual(got, want) {
@@ -128,7 +125,7 @@ func TestBatchKernelMatchesScalarEngine(t *testing.T) {
 // final radius) skips early doublings but cannot change the survivors —
 // generators beyond the pruning bound leave the clipping walk untouched, and
 // the exactness predicate 2·R̂ ≤ ρ is start-independent. Verified directly
-// against the fallback start after the engine has populated rhoHint.
+// against the fallback start after the engine has populated its hints.
 func TestHintStartMatchesFallbackStart(t *testing.T) {
 	reg := region.UnitSquareKm()
 	for _, cell := range []struct {
@@ -155,7 +152,7 @@ func TestHintStartMatchesFallbackStart(t *testing.T) {
 			for i := 0; i < cell.n; i++ {
 				refs, _, rhat0 := centralizedRegionSoA(eng.Network(), reg, i, cfg.K, 0, s)
 				fallback := voronoi.CompactRefs(&s.vor.Slab, refs)
-				for _, hint := range []float64{eng.rhoHint[i], eng.rhoHint[i] * 8} {
+				for _, hint := range []float64{eng.cache[i].rho, eng.cache[i].rho * 8} {
 					refs, _, rhat := centralizedRegionSoA(eng.Network(), reg, i, cfg.K, hint, s)
 					warm := voronoi.CompactRefs(&s.vor.Slab, refs)
 					if !reflect.DeepEqual(fallback, warm) {

@@ -127,13 +127,15 @@ func TestDirtySetReusesOutcomesWhenConverged(t *testing.T) {
 
 // A removal (failure injection) reaches the per-node state as a renumbering
 // plus one endpoint, so the cache survives it outside the failed node's
-// neighborhood; an insertion drops the cache. A seeded RemoveNode/AddNode/
-// Step schedule — including edits before the first round, when no cache
-// exists yet, and back-to-back edits — must leave the cached engine
-// bit-identical to the eager one (trace, positions, radii and, in Localized
-// mode, messages and every round's boundary flags against a wholesale
-// evaluation) in both modes, both orders, at 1 and 3 workers, from a uniform
-// start and from a corner pile.
+// neighborhood; an insertion appends a fresh slot and leaves the version
+// stamp stale, so the next round recomputes every node. A seeded
+// RemoveNode/AddNode/Step schedule — including edits before the first
+// round, when no cache entry is valid yet, and back-to-back edits — must
+// leave the cached engine bit-identical to the eager one (trace, positions,
+// radii and, in Localized mode, messages and every round's boundary flags
+// against a wholesale evaluation) in both modes, both orders, at 1 and 3
+// workers, from a uniform start and from a corner pile, with every valid
+// entry's outcome fresh after each round.
 func TestDirtySetSurvivesTopologyChange(t *testing.T) {
 	reg := region.UnitSquareKm()
 	starts := map[string][]geom.Point{
@@ -201,7 +203,7 @@ func runTopologySchedule(t *testing.T, reg *region.Region, start []geom.Point, c
 			stepComputesDirty(t, label, eng)
 		} else {
 			eng.Step()
-			assertOutsMirrorCache(t, label, &eng.nodeState)
+			assertOutcomesFresh(t, label, &eng.nodeState)
 		}
 		if want != nil && !slices.Equal(eng.boundary, want) {
 			t.Fatalf("round %d: boundary flags differ from a wholesale evaluation", r+1)
@@ -277,7 +279,7 @@ func TestHealRecomputesLocally(t *testing.T) {
 // A Synchronous round computes exactly its dirty set: on the lattice heal of
 // TestHealRecomputesLocally and its Localized twin, at 1 and 3 workers, every
 // Step computes as many regions as there were invalid entries before it and
-// reuses every other node, outs mirrors the cache between rounds, and a
+// reuses every other node, every valid entry's outcome stays fresh, and a
 // Localized round's messages (the hits' recorded costs, charged in one sum)
 // equal the eager engine's.
 func TestSynchronousRoundComputesOnlyDirty(t *testing.T) {
@@ -339,7 +341,8 @@ func TestSynchronousRoundComputesOnlyDirty(t *testing.T) {
 
 // stepComputesDirty steps e once and checks that the round computed exactly
 // the nodes whose cache entries were invalid before it and served every other
-// node from the cache, and that outs still mirrors the cache afterwards.
+// node from the cache, and that every valid entry's outcome is still fresh
+// afterwards (assertOutcomesFresh).
 func stepComputesDirty(t *testing.T, label string, e *Engine) (RoundStats, bool) {
 	t.Helper()
 	n, dirty, before := e.net.Len(), dirtyCount(e), e.CacheCounters()
@@ -351,16 +354,16 @@ func stepComputesDirty(t *testing.T, label string, e *Engine) (RoundStats, bool)
 	if got := after.CacheHits - before.CacheHits; got != uint64(n-dirty) {
 		t.Fatalf("%s: %d cache hits, want %d", label, got, n-dirty)
 	}
-	assertOutsMirrorCache(t, label, &e.nodeState)
+	assertOutcomesFresh(t, label, &e.nodeState)
 	return stats, done
 }
 
 // dirtyCount returns how many nodes e's next Step must compute: all of them
-// when the cache is off or starts afresh (resized or flushed), otherwise the
-// invalid entries.
+// when the cache is off or about to be flushed, otherwise the invalid
+// entries.
 func dirtyCount(e *Engine) int {
 	n := e.net.Len()
-	if !e.cacheEnabled() || len(e.cache) != n || e.cacheVer != e.net.Version() {
+	if !e.cacheEnabled() || e.cacheVer != e.net.Version() {
 		return n
 	}
 	d := 0
@@ -372,14 +375,36 @@ func dirtyCount(e *Engine) int {
 	return d
 }
 
-// assertOutsMirrorCache checks the invariant a Synchronous round's filter
-// pass relies on to serve a hit without copying: between rounds, outs[i]
-// equals cache[i].out for every valid entry.
-func assertOutsMirrorCache(t *testing.T, label string, ns *nodeState) {
+// assertOutcomesFresh checks the one-store invariant every cache hit relies
+// on: between rounds, each valid entry's outcome in outs[i] equals a fresh
+// computation at the current positions, and a Localized entry's recorded
+// cost equals the fresh search's message cost. The fresh searches start from
+// the density fallback, charge nothing and leave the counters as they were.
+func assertOutcomesFresh(t *testing.T, label string, ns *nodeState) {
 	t.Helper()
+	var flags []bool
+	if ns.cfg.Mode == Localized {
+		flags = boundary.AngularGap{}.Boundary(ns.net)
+	}
+	batch := ns.batchNodes.Load()
+	defer ns.batchNodes.Store(batch)
+	s := NewScratch()
 	for i := range ns.cache {
-		if c := &ns.cache[i]; c.valid && ns.outs[i] != c.out {
-			t.Fatalf("%s: node %d holds outcome %+v, its valid cache entry %+v", label, i, ns.outs[i], c.out)
+		c := &ns.cache[i]
+		if !c.valid {
+			continue
+		}
+		var fresh nodeOutcome
+		if flags != nil {
+			fresh, _ = ns.stepNodeLocalized(i, flags[i], nil, s)
+			if s.msgs != c.cost {
+				t.Fatalf("%s: node %d records cost %d, a fresh search sends %d", label, i, c.cost, s.msgs)
+			}
+		} else {
+			fresh, _ = ns.stepNodeCentralized(i, 0, s)
+		}
+		if ns.outs[i] != fresh {
+			t.Fatalf("%s: node %d holds outcome %+v under a valid entry, a fresh computation gives %+v", label, i, ns.outs[i], fresh)
 		}
 	}
 }
@@ -446,7 +471,7 @@ func TestDirtySetMatchesEagerUnderMoveNode(t *testing.T) {
 // length check alone cannot tell that the nodes were renumbered under the
 // cache. The removal must carry the cache into the new numbering itself (a
 // renumbering plus the removed position as an endpoint), and the insertion
-// must drop it. An early version kept all cache entries of a converged
+// must leave the next round to flush it. An early version kept all cache entries of a converged
 // engine across the swap and replayed outcomes for the old node numbering.
 func TestDirtySetFlushedByPairedTopologyChange(t *testing.T) {
 	reg := region.UnitSquareKm()
@@ -757,7 +782,7 @@ func TestCentralizedRegionScratchZeroAllocs(t *testing.T) {
 	s := NewScratch()
 	sweep := func() {
 		for i := 0; i < 120; i++ {
-			refs, _, _ := centralizedRegionSoA(eng.Network(), reg, i, cfg.K, eng.rhoHint[i], s)
+			refs, _, _ := centralizedRegionSoA(eng.Network(), reg, i, cfg.K, eng.cache[i].rho, s)
 			chebyshevOfRefs(s, refs)
 		}
 	}

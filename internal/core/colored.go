@@ -90,11 +90,13 @@ const (
 // and block nobody — in the converging tail most of the dirty set is nodes
 // invalidated by a neighbor's move that will recompute to the same fixed
 // point, and they must be allowed to share a wave or every cluster would
-// serialize. Hints are the nodes' last known exactness radii (rhoHint);
-// nodes never computed yet fall back to the search's initial radius. The
-// plan runs on the coordinator in one ascending-ID pass (each node's level
-// needs its dirty predecessors' levels) and is a pure function of
-// (positions, cache state, hints), so the schedule — and with it the whole
+// serialize. Hints are the nodes' last known exactness radii (cache[j].rho,
+// kept across invalidations); nodes never computed yet fall back to the
+// search's initial radius. Stale outcomes are read from outs, which no wave
+// has touched yet: planning precedes the round's first wave. The plan runs
+// on the coordinator in one ascending-ID pass (each node's level needs its
+// dirty predecessors' levels) and is a pure function of (positions,
+// outcomes, cache state, hints), so the schedule — and with it the whole
 // sweep — is deterministic for every worker count.
 func (e *Engine) planLevelSchedule(workers int) {
 	e.schedKeys = e.schedKeys[:0]
@@ -118,20 +120,20 @@ func (e *Engine) planLevelSchedule(workers int) {
 	fallback := e.hintFallback()
 	maxReach, maxHint := 0.0, 0.0
 	for j := 0; j < n; j++ {
-		c := &e.cache[j]
-		if !c.valid {
+		valid := e.cache[j].valid
+		if !valid {
 			if h := e.hintOf(j, fallback); h > maxHint {
 				maxHint = h
 			}
 		}
-		if c.out.moved {
-			if c.valid {
+		if o := &e.outs[j]; o.moved {
+			if valid {
 				mark[j] = waveMover
 			} else {
 				mark[j] = waveDirtyMover
 			}
-			if c.out.moveDist > maxReach {
-				maxReach = c.out.moveDist
+			if o.moveDist > maxReach {
+				maxReach = o.moveDist
 			}
 		} else {
 			mark[j] = waveNone
@@ -298,19 +300,18 @@ func (e *Engine) interferes(k, j int, hintJ, fallback float64) bool {
 	uj := e.net.Position(j)
 	switch e.waveMark[k] {
 	case waveDirtyMover:
-		reach := hintJ + e.cache[k].out.moveDist
+		reach := hintJ + e.outs[k].moveDist
 		return e.net.Position(k).Dist2(uj) <= reach*reach
 	case waveMover:
-		c := &e.cache[k]
 		return e.net.Position(k).Dist2(uj) <= hintJ*hintJ ||
-			c.out.next.Dist2(uj) <= hintJ*hintJ
+			e.outs[k].next.Dist2(uj) <= hintJ*hintJ
 	}
 	return false
 }
 
 // hintOf returns node j's predicted exactness radius.
 func (e *Engine) hintOf(j int, fallback float64) float64 {
-	if h := e.rhoHint[j]; h > 0 {
+	if h := e.cache[j].rho; h > 0 {
 		return h
 	}
 	return fallback

@@ -106,7 +106,8 @@ func (r *Result) MinRadius() float64 {
 // MoveNode, RemoveNode and AddNode (what-if edits, failure injection). A move
 // or a removal reaches the per-node state as position-change endpoints (plus
 // a renumbering for the removal), so the next round recomputes only the
-// nodes around the edit; an insertion drops the cache.
+// nodes around the edit; an insertion appends a fresh slot and leaves the
+// version stamp stale, so the next round recomputes every node.
 //
 // Its per-node state is the embedded nodeState over the global network; the
 // Engine adds the round record, the colored Sequential sweep's speculation
@@ -116,8 +117,11 @@ type Engine struct {
 
 	round     int
 	converged bool
-	trace     []RoundStats
-	prevMsgs  int64
+	// stepped records that this engine has run a round, so outs holds every
+	// node's last R̂ (a resumed engine has none until it steps).
+	stepped  bool
+	trace    []RoundStats
+	prevMsgs int64
 	// msgBase is the message count carried over from before a Resume; the
 	// live network counter restarts at zero on every (re)construction.
 	msgBase int64
@@ -142,7 +146,8 @@ type Engine struct {
 	// reached the per-node state as explicit endpoints. A mismatch means a
 	// write went through Network() or an AddNode: the next Step flushes the
 	// cache wholesale, and the converged flag no longer describes the
-	// current positions.
+	// current positions. This flush is the state's only wholesale
+	// invalidation.
 	cacheVer uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
@@ -268,6 +273,7 @@ func New(reg *region.Region, initial []geom.Point, cfg Config) (*Engine, error) 
 	// index with it means expansion-phase moves (a corner pile spreading
 	// out) never exit the grid bounds and never force a rebuild.
 	e.net.SetBoundsHint(reg.BBox())
+	e.grow(len(pos))
 	return e, nil
 }
 
@@ -278,6 +284,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // message stats, index counters). Edit positions with MoveNode: a position
 // written through the network directly stays correct, but the next Step
 // drops every cached outcome, and the run counts as unconverged until then.
+// Add and remove nodes only with AddNode and RemoveNode, which keep the
+// per-node state one slot per node.
 func (e *Engine) Network() *wsn.Network { return e.net }
 
 // Positions returns a copy of the current node positions.
@@ -311,29 +319,6 @@ func (e *Engine) every() []int {
 		}
 	}
 	return e.all[:n]
-}
-
-// ensureBuffers sizes the per-round buffers and the dirty-set cache for n
-// nodes. RemoveNode normally carries the cache across in the new numbering
-// (see carry); AddNode, and a removal made while the state was out of sync,
-// drop it, and it is reallocated here. Such an edit also leaves the version
-// stamp stale, so the boundary flags are flushed as well — a RemoveNode
-// followed by an AddNode keeps the node count but renumbers the nodes under
-// the flags.
-func (e *Engine) ensureBuffers(n int) {
-	if cap(e.outs) < n {
-		e.outs = make([]nodeOutcome, n)
-		e.movedIDs, e.movedPts = make([]int, 0, n), make([]geom.Point, 0, 2*n)
-	}
-	e.outs = e.outs[:n]
-	if cap(e.lastRhat) < n {
-		e.lastRhat = make([]float64, n)
-	}
-	e.lastRhat = e.lastRhat[:n]
-	if len(e.cache) != n {
-		e.cache = make([]nodeCache, n)
-		e.rhoHint = make([]float64, n)
-	}
 }
 
 // flushCache invalidates every cache entry (and every cached boundary flag)
@@ -370,7 +355,6 @@ func (e *Engine) Step() (RoundStats, bool) {
 		Round:           round,
 		MinCircumradius: math.Inf(1),
 	}
-	e.ensureBuffers(n)
 	e.cacheOn = e.cacheEnabled()
 	if e.cacheVer != e.net.Version() {
 		// Positions were written through Network(), so no endpoints say what
@@ -387,7 +371,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 		// repaired array holds start-of-round truth for every node, exactly
 		// what a wholesale Boundary pass would produce, so a Sequential
 		// sweep's mid-round recomputes read start-of-round flags.
-		e.boundary = e.repairFlags(n)
+		e.boundary = e.repairFlags()
 	}
 	e.movedIDs, e.movedPts = e.movedIDs[:0], e.movedPts[:0]
 	var computed []int // the Synchronous round's computed nodes
@@ -411,8 +395,10 @@ func (e *Engine) Step() (RoundStats, bool) {
 			e.planLevelSchedule(workers)
 			if e.schedOn {
 				// One set of parked worker goroutines serves every wave of
-				// the sweep — a wave launch allocates nothing.
+				// the sweep — a wave launch allocates nothing. Closing on
+				// return releases them even when a wave re-panics.
 				e.wavePool.Open(workers)
+				defer e.wavePool.Close()
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -427,7 +413,6 @@ func (e *Engine) Step() (RoundStats, bool) {
 				e.commitHook(i)
 			}
 		}
-		e.wavePool.Close()
 	} else {
 		computed = e.stepAll(e.every(), round)
 	}
@@ -441,6 +426,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 	}
 	e.cacheVer = e.net.Version()
 	e.round++
+	e.stepped = true
 	cur := e.net.MessageCount()
 	stats.Messages = cur - e.prevMsgs
 	e.prevMsgs = cur
@@ -528,9 +514,9 @@ func (e *Engine) Finalize() (*Result, error) {
 	n := e.net.Len()
 	radii := make([]float64, n)
 	// A round stepped by this engine at the current positions left R̂ for
-	// every node; a resumed engine has none.
+	// every node in outs; a resumed engine has none.
 	converged := e.Converged()
-	reuse := converged && len(e.lastRhat) == n
+	reuse := converged && e.stepped
 	if !reuse && e.cfg.Mode == Localized {
 		e.boundary = boundary.AngularGap{}.Boundary(e.net)
 	}
@@ -594,8 +580,10 @@ func (e *Engine) MoveNode(i int, p geom.Point) error {
 // moves down by one) plus one endpoint at the removed position, so only the
 // cached outcomes and boundary flags whose balls contain that position are
 // dropped: a heal recomputes the failed node's neighborhood, not the whole
-// deployment. The network is mutated in place (message accounting
-// continues, the spatial index is renumbered without a rebuild).
+// deployment. The endpoint applies only while the state is in sync (see
+// inSync); otherwise the stamp stays stale and the next Step flushes. The
+// network is mutated in place (message accounting continues, the spatial
+// index is renumbered without a rebuild).
 func (e *Engine) RemoveNode(i int) error {
 	n := e.net.Len()
 	if i < 0 || i >= n {
@@ -608,10 +596,6 @@ func (e *Engine) RemoveNode(i int) error {
 	old := e.net.Position(i)
 	e.net.RemoveNode(i)
 	e.converged = false
-	if !inSync {
-		e.cache = nil // the next Step starts the state afresh
-		return nil
-	}
 	from := e.fromBuf[:0]
 	for j := 0; j < n-1; j++ {
 		if j < i {
@@ -620,48 +604,32 @@ func (e *Engine) RemoveNode(i int) error {
 			from = append(from, int32(j+1))
 		}
 	}
-	e.carry(from, old)
+	e.fromBuf = from
+	e.renumber(from)
+	if inSync {
+		ends := [1]geom.Point{old}
+		e.invalidate(ends[:], false)
+		e.cacheVer = e.net.Version()
+	}
 	return nil
 }
 
 // AddNode inserts a node at p (clamped into the region). Convergence state
-// is reset. Like RemoveNode, the network is extended in place, but the
-// per-node state is not carried across: the cache is dropped and the version
-// stamp left stale, so the next Step recomputes every node and re-evaluates
-// every boundary flag.
+// is reset. The network is extended in place and the per-node state by one
+// fresh slot, so every other node keeps its warm-start hint; the version
+// stamp is left stale, so the next Step recomputes every node and
+// re-evaluates every boundary flag.
 func (e *Engine) AddNode(p geom.Point) {
 	e.net.AddNode(e.reg.ClampInside(p))
+	e.grow(1)
 	e.converged = false
-	e.cache = nil
-}
-
-// carry brings the per-node state across a topology edit that renumbered
-// the nodes by from (see renumber) and changed what lies at position p, then
-// re-stamps the state as in sync. The boundary flags come along only while
-// they are live (sized like the cache; a Centralized engine has none), and
-// their repair list is rebuilt in the new numbering.
-func (e *Engine) carry(from []int32, p geom.Point) {
-	e.fromBuf = from
-	flags := len(e.flagVals) == len(e.cache)
-	e.renumber(from, flags)
-	if flags {
-		e.flagDirty = e.flagDirty[:0]
-		for i, ok := range e.flagValid {
-			if !ok {
-				e.flagDirty = append(e.flagDirty, i)
-			}
-		}
-	}
-	ends := [1]geom.Point{p}
-	e.invalidate(ends[:], false)
-	e.cacheVer = e.net.Version()
 }
 
 // inSync reports whether every position change so far reached the per-node
-// state as explicit endpoints and the state is sized for the current node
-// count — the precondition for carrying it across an edit. Otherwise (a
-// Network() write still unabsorbed, or no round stepped since an AddNode) an
-// edit leaves the stamp stale and the next Step flushes wholesale.
+// state as explicit endpoints — the precondition for applying an edit's
+// endpoints. Otherwise (a Network() write still unabsorbed, or no round
+// stepped since an AddNode) an edit leaves the stamp stale and the next Step
+// flushes wholesale.
 func (e *Engine) inSync() bool {
-	return e.cacheVer == e.net.Version() && len(e.cache) == e.net.Len()
+	return e.cacheVer == e.net.Version()
 }

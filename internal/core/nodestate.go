@@ -93,47 +93,43 @@ type nodeState struct {
 	boundsLive bool
 }
 
-// nodeArrays are the per-node arrays, indexed by network index.
+// nodeArrays are the per-node arrays, indexed by network index. Each holds
+// one fact per node, and each has exactly one slot per network index for the
+// state's whole life: grow appends slots, renumber permutes them.
 type nodeArrays struct {
-	// outs holds each node's outcome for the current round. Between rounds
-	// outs[i] equals cache[i].out for every valid entry (both are written
-	// together, and a hit copies the one into the other), so stepAll serves
-	// a hit without touching outs.
+	// outs holds each node's last admitted outcome, the only copy of it: a
+	// computation writes it (computeEntry), a cache hit reads it in place,
+	// the round's stats fold and the converged finalize read R̂ from it, and
+	// the colored sweep's planner reads the stale outcome of a dirty node.
 	outs []nodeOutcome
-	// cache is the incremental dirty-set: each entry holds a node's last
-	// computed outcome together with the exactness radius ρ of the search
-	// that produced it. The outcome is a pure function of the positions
-	// inside the ρ-ball around the node (see centralizedRegionSoA and
-	// localizedSearch), so it is reused verbatim until some position
-	// inside that ball changes — which collapses the long converged tail of
-	// a deployment to near-zero work per round. In Localized mode each entry
-	// additionally records the search's link-level message cost; a reuse
-	// charges that cost so the per-round accounting stays exactly what the
-	// eager protocol would have paid.
+	// cache is the incremental dirty-set: each entry says whether outs[i] is
+	// still exact, with the exactness radius ρ of the search that produced
+	// it. The outcome is a pure function of the positions inside the ρ-ball
+	// around the node (see centralizedRegionSoA and localizedSearch), so it
+	// is reused verbatim until some position inside that ball changes —
+	// which collapses the long converged tail of a deployment to near-zero
+	// work per round.
 	cache []nodeCache
-	// rhoHint is each node's last known exactness radius, kept across
-	// invalidations — the warm start of the Centralized search and the
-	// interference-prediction input of the colored Sequential sweep.
-	rhoHint []float64
-	// lastRhat is each node's R̂ from the most recent round.
-	lastRhat []float64
 	// flagVals holds each node's boundary flag as of the start of the
 	// current round; flagValid marks the ones still provably current.
 	flagVals  []bool
 	flagValid []bool
 }
 
-// nodeCache is one node's cached round outcome plus the exactness radius
-// that bounds which position changes can invalidate it. Localized entries
-// carry the metered message cost of the search that produced the outcome
-// (charged on every use); spec marks an entry written by a speculation wave
-// this round and not yet consumed, so nothing has been charged for it yet.
+// nodeCache is the validity record of one node's outcome (outs[i]). rho is
+// the exactness radius that bounds which position changes can invalidate it;
+// an invalidation leaves it in place, so it doubles as the node's warm-start
+// hint — the Centralized search's start radius and the colored sweep's
+// interference prediction. A Localized entry carries the metered message
+// cost of the search that produced the outcome (charged on every use, so the
+// accounting stays exactly what the eager protocol would have paid); spec
+// marks an entry written by a speculation wave this round and not yet
+// consumed, so nothing has been charged for it yet.
 type nodeCache struct {
 	valid bool
 	spec  bool
 	rho   float64
 	cost  int64
-	out   nodeOutcome
 }
 
 // nodeOutcome is one node's contribution to a round. Each outcome depends
@@ -239,9 +235,9 @@ func (ns *nodeState) finishMove(ui, ci geom.Point, out *nodeOutcome) {
 	}
 }
 
-// stepNode computes node i's round outcome into outs[i], serving it from the
-// cache when a valid entry exists (cacheOn), and reports whether it was
-// admitted: the compute step of a Sequential turn.
+// stepNode brings node i's round outcome in outs[i] up to date, serving it
+// from the cache when a valid entry exists (cacheOn), and reports whether it
+// was admitted: the compute step of a Sequential turn.
 //
 // A Localized hit charges the entry's recorded message cost — reusing the
 // outcome must cost exactly what re-running the search would have, or
@@ -256,11 +252,10 @@ func (ns *nodeState) stepNode(i, round int, s *Scratch) bool {
 		if c := &ns.cache[i]; c.valid {
 			ns.consume(c)
 			ns.charge(c.cost)
-			ns.outs[i] = c.out
 			return true
 		}
 	}
-	return ns.compute(i, round, s)
+	return ns.computeEntry(i, round, s, false)
 }
 
 // consume counts a cache reuse, settling a speculated entry as used.
@@ -272,48 +267,42 @@ func (ns *nodeState) consume(c *nodeCache) {
 	}
 }
 
-// compute computes node i's outcome into outs[i] and reports whether it was
-// admitted. Entry i is only ever written by the worker computing node i this
-// round, so a fan-out needs no locking.
-func (ns *nodeState) compute(i, round int, s *Scratch) bool {
-	out, ok := ns.computeEntry(i, round, s, false)
-	if ok {
-		ns.outs[i] = out
-	}
-	return ok
-}
-
-// computeEntry computes node i's outcome from the current positions and,
-// with the cache on, installs it as a cache entry (speculative when spec is
-// set — the colored sweep's waves write through here from worker goroutines;
-// entry i is only ever written by the worker owning i, so no locking). It
-// reports false when admit rejected the outcome, which is then neither
-// charged nor installed. An admitted plain computation charges its search's
-// metered cost at once; a speculative one charges nothing until its entry is
-// consumed (see stepNode), so an external MessageCount read mid-wave sees
-// only what the eager sweep has paid, exact and monotone.
-func (ns *nodeState) computeEntry(i, round int, s *Scratch, spec bool) (nodeOutcome, bool) {
+// computeEntry computes node i's outcome from the current positions into
+// outs[i] and, with the cache on, marks it valid (speculative when spec is
+// set — the colored sweep's waves write through here from worker
+// goroutines). Slot i is only ever written by the worker owning node i, so
+// a fan-out needs no locking. It reports false when admit rejected the
+// outcome, which is then neither charged nor stored. An admitted plain
+// computation charges its search's metered cost at once; a speculative one
+// charges nothing until its entry is consumed (see stepNode), so an external
+// MessageCount read mid-wave sees only what the eager sweep has paid, exact
+// and monotone.
+//
+// A speculative outcome may overwrite outs[i] before node i's turn: nothing
+// reads it in between (the planner ran before the first wave), and the turn
+// either consumes it or overwrites it.
+func (ns *nodeState) computeEntry(i, round int, s *Scratch, spec bool) bool {
 	var out nodeOutcome
 	var rho, readRad float64
 	if ns.cfg.Mode == Localized {
 		out, rho = ns.stepNodeLocalized(i, ns.boundary[i], ns.lossRNG(round, i), s)
 		readRad = rho
 	} else {
-		out, rho = ns.stepNodeCentralized(i, ns.rhoHint[i], s)
+		out, rho = ns.stepNodeCentralized(i, ns.cache[i].rho, s)
 		readRad = s.searchRho
 	}
 	if ns.admit != nil && !ns.admit(i, readRad, out.rhat) {
-		return out, false
+		return false
 	}
 	cost := ns.searchCost(s)
 	if !spec {
 		ns.charge(cost)
 	}
+	ns.outs[i] = out
 	if ns.cacheOn {
-		ns.cache[i] = nodeCache{valid: true, spec: spec, rho: rho, cost: cost, out: out}
-		ns.rhoHint[i] = rho
+		ns.cache[i] = nodeCache{valid: true, spec: spec, rho: rho, cost: cost}
 	}
-	return out, true
+	return true
 }
 
 // searchCost is the metered message cost of the search last run on s: the
@@ -340,7 +329,7 @@ func (ns *nodeState) charge(cost int64) {
 // stepAll steps every node of ids at the start-of-round positions — the
 // Synchronous round's compute phase — and returns the nodes it computed,
 // valid until the next call. One serial pass settles every cache hit: its
-// outcome already sits in outs (see nodeArrays.outs), so a hit costs a count
+// outcome already sits in outs, so a hit costs a count
 // and its recorded message cost, summed and charged once (a Localized hit
 // pays exactly what re-running its search would have). Only the invalid
 // entries fan out across Config.Workers, so a converged or healing round
@@ -367,7 +356,7 @@ func (ns *nodeState) stepAll(ids []int, round int) []int {
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
 	parallel.ForWorker(len(todo), workers, func(w, k int) {
-		ns.compute(todo[k], round, ns.pool[w])
+		ns.computeEntry(todo[k], round, ns.pool[w], false)
 	})
 	// The fan-out installed entries the per-cell bounds never saw.
 	ns.boundsLive = false
@@ -449,12 +438,11 @@ func (ns *nodeState) commitMoves(ids []int) {
 	ns.invalidate(ns.movedPts, false)
 }
 
-// foldStats folds the outcomes of ids into st, in ascending order, and
-// records each node's R̂ for finalization. Extrema skip empty regions.
+// foldStats folds the outcomes of ids into st, in ascending order. Extrema
+// skip empty regions.
 func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 	for _, i := range ids {
 		o := &ns.outs[i]
-		ns.lastRhat[i] = o.rhat
 		if o.empty {
 			continue
 		}
@@ -470,9 +458,9 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 // every node of ids into radii, and its region into regions (either may be
 // nil; DebugRegions passes only regions). With reuse — a converged
 // deployment whose last round ran at the current positions — each radius is
-// the node's last R̂, bitwise the max vertex distance a recompute would
-// measure (same vertices, same position, same fold), and no region is
-// written. Otherwise every region is recomputed at the current
+// the node's last R̂ (outs[i].rhat), bitwise the max vertex distance a
+// recompute would measure (same vertices, same position, same fold), and no
+// region is written. Otherwise every region is recomputed at the current
 // positions, fanning out across Config.Workers, each search from the density
 // fallback rather than the warm start; in Localized mode the searches run
 // (and charge) under the negative round tag (FinalRoundTag) — a domain
@@ -482,7 +470,7 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64, regions [][]geom.Polygon) bool {
 	if reuse {
 		for _, i := range ids {
-			radii[i] = ns.lastRhat[i]
+			radii[i] = ns.outs[i].rhat
 		}
 		return true
 	}
@@ -522,17 +510,7 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 // dirty set (first round, topology change) fans the evaluations out across
 // the worker pool; each evaluation reads only start-of-round positions, so
 // the result is independent of worker count and evaluation order.
-func (ns *nodeState) repairFlags(n int) []bool {
-	if len(ns.flagVals) != n {
-		// Node count changed (or first use): the indices belong to another
-		// numbering, so every flag is re-evaluated.
-		ns.flagVals = make([]bool, n)
-		ns.flagValid = make([]bool, n)
-		ns.flagDirty = ns.flagDirty[:0]
-		for i := 0; i < n; i++ {
-			ns.flagDirty = append(ns.flagDirty, i)
-		}
-	}
+func (ns *nodeState) repairFlags() []bool {
 	dirty := ns.flagDirty
 	if len(dirty) == 0 {
 		return ns.flagVals
@@ -567,9 +545,6 @@ func (ns *nodeState) repairFlags(n int) []bool {
 // the γ the angular-gap detector reads, so a flag left valid provably has an
 // unchanged input set.
 func (ns *nodeState) markFlagsNear(p geom.Point) {
-	if len(ns.flagVals) != ns.net.Len() {
-		return // no live flag cache (or stale numbering; repair resets it)
-	}
 	r := ns.net.Gamma()
 	r2 := r * r
 	if 2*ns.net.CellWindowSize(r) >= len(ns.flagVals) {
@@ -595,28 +570,56 @@ func (ns *nodeState) markFlagsNear(p geom.Point) {
 	})
 }
 
+// grow appends m fresh slots to the per-node state, for the nodes a network
+// gained at its end: no cache entry, no outcome, and in Localized mode a
+// boundary flag on the repair list. It also reserves the commit's move
+// buffers for the new node count, so a round never grows them.
+func (ns *nodeState) grow(m int) {
+	n := len(ns.outs)
+	ns.outs = extend(ns.outs, m)
+	ns.cache = extend(ns.cache, m)
+	ns.flagVals = extend(ns.flagVals, m)
+	ns.flagValid = extend(ns.flagValid, m)
+	if ns.cfg.Mode == Localized {
+		for i := n; i < n+m; i++ {
+			ns.flagDirty = append(ns.flagDirty, i)
+		}
+	}
+	ns.movedIDs = slices.Grow(ns.movedIDs[:0], n+m)
+	ns.movedPts = slices.Grow(ns.movedPts[:0], 2*(n+m))
+}
+
+// extend appends m zero values to s.
+func extend[T any](s []T, m int) []T {
+	n := len(s)
+	s = slices.Grow(s, m)[:n+m]
+	clear(s[n:])
+	return s
+}
+
 // renumber carries every node's state across a renumbering of the nodes:
 // from[i] is the previous index of the node now at index i, or -1 for a node
-// whose state starts fresh. Both the Stepper (a shard's membership change)
-// and the Engine (a removal) renumber through it. The boundary flags come
-// along when flags is set; otherwise the new numbering has none, for the
-// next repair to size afresh. The previous arrays become the spare half of
+// whose state starts fresh (no entry, no outcome, no hint, its flag
+// invalid). Both the Stepper (a shard's membership change) and the Engine (a
+// removal) renumber through it. The previous arrays become the spare half of
 // the double buffer, so a steady stream of renumberings allocates nothing.
-// The flag repair list is left to the caller, and the per-cell bounds are
-// stale.
-func (ns *nodeState) renumber(from []int32, flags bool) {
+// The flag repair list is rebuilt in the new numbering; the per-cell bounds
+// are stale.
+func (ns *nodeState) renumber(from []int32) {
 	cur, nxt := &ns.nodeArrays, &ns.spare
 	nxt.outs = permute(nxt.outs, cur.outs, from)
 	nxt.cache = permute(nxt.cache, cur.cache, from)
-	nxt.rhoHint = permute(nxt.rhoHint, cur.rhoHint, from)
-	nxt.lastRhat = permute(nxt.lastRhat, cur.lastRhat, from)
-	if flags {
-		nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
-		nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
-	} else {
-		nxt.flagVals, nxt.flagValid = nxt.flagVals[:0], nxt.flagValid[:0]
-	}
+	nxt.flagVals = permute(nxt.flagVals, cur.flagVals, from)
+	nxt.flagValid = permute(nxt.flagValid, cur.flagValid, from)
 	ns.nodeArrays, ns.spare = ns.spare, ns.nodeArrays
+	ns.flagDirty = ns.flagDirty[:0]
+	if ns.cfg.Mode == Localized {
+		for i, ok := range ns.flagValid {
+			if !ok {
+				ns.flagDirty = append(ns.flagDirty, i)
+			}
+		}
+	}
 	ns.boundsLive = false
 }
 

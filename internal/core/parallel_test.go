@@ -21,7 +21,9 @@ func runWorkers(t *testing.T, reg *region.Region, start []geom.Point, cfg Config
 		t.Fatalf("New(workers=%d): %v", workers, err)
 	}
 	for r := 0; r < cfg.MaxRounds; r++ {
-		if _, done := eng.Step(); done {
+		_, done := eng.Step()
+		assertOutcomesFresh(t, fmt.Sprintf("workers=%d round %d", workers, r+1), &eng.nodeState)
+		if done {
 			break
 		}
 	}

@@ -9,14 +9,16 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Stepper is the per-node round state Engine runs on — cache, flag repair,
-// stats fold and finalize — over a caller-owned wsn.Network. The sharded
-// engine gives each shard one over its window network: Renumber carries the
-// state across a membership change, and the check installed with SetAdmit
-// rejects outcomes whose read ball left the window. Every step routes
-// through the code the shared-memory engine runs, so an admitted outcome is
-// bitwise the global one. StepNode and RegionPolys are stateless entry
-// points for one node (the asynchronous simulator and kernel replays).
+// Stepper is the per-node round state Engine runs on — one outcome, one
+// cache entry (validity, exactness radius and warm-start hint, message cost)
+// and one boundary flag per node, with flag repair, stats fold and finalize
+// — over a caller-owned wsn.Network. The sharded engine gives each shard one
+// over its window network: Renumber carries the state across a membership
+// change, and the check installed with SetAdmit rejects outcomes whose read
+// ball left the window. Every step routes through the code the
+// shared-memory engine runs, so an admitted outcome is bitwise the global
+// one. StepNode and RegionPolys are stateless entry points for one node (the
+// asynchronous simulator and kernel replays).
 type Stepper struct {
 	nodeState
 }
@@ -127,16 +129,14 @@ func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.adm
 // index of the node now at index i, or -1 for a node whose state starts
 // fresh, and ids maps the new indices to node IDs (the loss streams are
 // keyed by ID). It is the engine's own renumbering (see nodeState.renumber).
-// Nothing is left pending flag repair (the caller names the flags it needs
-// repaired), and the per-cell bounds are stale.
+// RepairFlags names the flags to repair, and the per-cell bounds are stale.
 func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
-	st.renumber(from, true)
+	st.renumber(from)
 	st.net, st.ids, st.boundary = net, ids, st.flagVals
-	st.flagDirty = st.flagDirty[:0]
 }
 
-// Hint returns node i's warm-start hint.
-func (st *Stepper) Hint(i int) float64 { return st.rhoHint[i] }
+// Hint returns node i's warm-start hint: its last exactness radius.
+func (st *Stepper) Hint(i int) float64 { return st.cache[i].rho }
 
 // Reset starts node i afresh — no cache entry, its boundary flag due for
 // repair — with the given warm-start hint: all a node changing stepper
@@ -144,7 +144,7 @@ func (st *Stepper) Hint(i int) float64 { return st.rhoHint[i] }
 func (st *Stepper) Reset(i int, hint float64) {
 	st.dropEntry(i)
 	st.flagValid[i] = false
-	st.rhoHint[i] = hint
+	st.cache[i].rho = hint
 }
 
 // RepairFlags brings the boundary flags of ids up to date at the current
@@ -160,7 +160,7 @@ func (st *Stepper) RepairFlags(ids []int) {
 			st.flagDirty = append(st.flagDirty, i)
 		}
 	}
-	st.repairFlags(st.net.Len())
+	st.repairFlags()
 }
 
 // StepAll steps every node of ids at once (Synchronous order).
@@ -197,11 +197,9 @@ func (st *Stepper) DropUnless(ids []int, keep func(i int, rho float64) bool) {
 	}
 }
 
-// FinalRadii collects the final radius of every node of ids for reading
-// with Final, and reports whether all were admitted.
-func (st *Stepper) FinalRadii(ids []int, reuse bool, tag int) bool {
-	return st.finalRadii(ids, reuse, tag, st.lastRhat, nil)
+// FinalRadii writes the final radius of every node of ids into radii
+// (indexed like the network) and reports whether all were admitted; a
+// rejected node's slot is left as it was.
+func (st *Stepper) FinalRadii(ids []int, reuse bool, tag int, radii []float64) bool {
+	return st.finalRadii(ids, reuse, tag, radii, nil)
 }
-
-// Final returns node i's last collected radius.
-func (st *Stepper) Final(i int) float64 { return st.lastRhat[i] }

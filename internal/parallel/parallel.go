@@ -6,6 +6,11 @@
 // slot of its output and derive any randomness from i (not from shared
 // state), so the result is bit-identical regardless of worker count or
 // scheduling order.
+//
+// A panic in fn never ends the process from a worker goroutine: every entry
+// point recovers it, waits for the other workers, and re-panics on the
+// calling goroutine with the first recovered value, where the caller's own
+// recover (a daemon's per-job guard) can see it.
 package parallel
 
 import (
@@ -34,7 +39,7 @@ func Workers(w int) int {
 // (an atomic counter), so unevenly sized work items balance across the
 // pool. workers <= 1 (or n <= 1) runs the loop inline on the calling
 // goroutine with no synchronization overhead. For returns once every call
-// has completed.
+// has completed, and re-panics with the first panic of any call.
 func For(n, workers int, fn func(i int)) {
 	ForWorker(n, workers, func(_, i int) { fn(i) })
 }
@@ -57,10 +62,12 @@ func ForWorker(n, workers int, fn func(w, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var first firstPanic
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			defer first.catch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -71,6 +78,36 @@ func ForWorker(n, workers int, fn func(w, i int)) {
 		}(w)
 	}
 	wg.Wait()
+	first.rethrow()
+}
+
+// firstPanic holds the first panic value recovered from a fan-out's workers.
+type firstPanic struct {
+	mu     sync.Mutex
+	caught bool
+	val    any
+}
+
+// catch recovers a panic of the deferring goroutine and keeps it if it is
+// the first. It must be deferred directly.
+func (f *firstPanic) catch() {
+	if r := recover(); r != nil {
+		f.mu.Lock()
+		if !f.caught {
+			f.caught, f.val = true, r
+		}
+		f.mu.Unlock()
+	}
+}
+
+// rethrow re-panics with the kept value, if any, and clears it. Call it once
+// every worker has finished.
+func (f *firstPanic) rethrow() {
+	if f.caught {
+		v := f.val
+		f.caught, f.val = false, nil
+		panic(v)
+	}
 }
 
 // Pool is a persistent team of worker goroutines for spawn-heavy callers:
@@ -83,11 +120,12 @@ func ForWorker(n, workers int, fn func(w, i int)) {
 // Open, Run, and Close must all be called from the same goroutine. The zero
 // value is a closed pool; Run on a closed pool executes inline.
 type Pool struct {
-	fn   func(w, i int)
-	n    int
-	next atomic.Int64
-	wake []chan struct{}
-	wg   sync.WaitGroup
+	fn    func(w, i int)
+	n     int
+	next  atomic.Int64
+	wake  []chan struct{}
+	wg    sync.WaitGroup
+	first firstPanic
 }
 
 // Open spawns workers-1 parked goroutines with identities 1..workers-1 (the
@@ -104,7 +142,7 @@ func (p *Pool) Open(workers int) {
 		w := i + 1
 		go func() {
 			for range c {
-				p.run(w)
+				p.runSlot(w)
 				p.wg.Done()
 			}
 		}()
@@ -122,8 +160,9 @@ func (p *Pool) Close() {
 
 // Run invokes fn(w, i) for every i in [0, n) across the pool's workers plus
 // the calling goroutine, with the same contract as ForWorker (dynamic index
-// handout, per-slot determinism, returns when every call completed). A
-// closed pool, or n <= 1, runs inline as worker 0.
+// handout, per-slot determinism, returns when every call completed, re-panics
+// with the first panic of any call and stays usable afterwards). A closed
+// pool, or n <= 1, runs inline as worker 0.
 func (p *Pool) Run(n int, fn func(w, i int)) {
 	if n <= 1 || len(p.wake) == 0 {
 		for i := 0; i < n; i++ {
@@ -141,9 +180,16 @@ func (p *Pool) Run(n int, fn func(w, i int)) {
 	for i := 0; i < active; i++ {
 		p.wake[i] <- struct{}{}
 	}
-	p.run(0)
+	p.runSlot(0)
 	p.wg.Wait()
 	p.fn = nil
+	p.first.rethrow()
+}
+
+// runSlot runs worker w's share of the current Run, recovering its panic.
+func (p *Pool) runSlot(w int) {
+	defer p.first.catch()
+	p.run(w)
 }
 
 func (p *Pool) run(w int) {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -134,5 +135,51 @@ func TestPoolRunAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { p.Run(8, fn) })
 	if allocs > 0 {
 		t.Fatalf("Run allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// A panic in one call reaches the caller of either entry point with its
+// value, after every worker has finished, at every worker count; a second
+// fan-out (on the same pool) then completes.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	const n, bad = 64, 37
+	catch := func(run func()) (v any) {
+		defer func() { v = recover() }()
+		run()
+		return nil
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var p Pool
+		p.Open(workers)
+		entries := []struct {
+			name string
+			run  func(fn func(w, i int))
+		}{
+			{"ForWorker", func(fn func(w, i int)) { ForWorker(n, workers, fn) }},
+			{"Pool.Run", func(fn func(w, i int)) { p.Run(n, fn) }},
+		}
+		for _, e := range entries {
+			var calls atomic.Int64
+			v := catch(func() {
+				e.run(func(_, i int) {
+					calls.Add(1)
+					if i == bad {
+						panic(fmt.Sprintf("boom at %d", i))
+					}
+				})
+			})
+			if v != fmt.Sprintf("boom at %d", bad) {
+				t.Fatalf("%s workers=%d: caller recovered %v", e.name, workers, v)
+			}
+			if workers > 1 && calls.Load() != n {
+				t.Fatalf("%s workers=%d: %d calls before the re-panic, want all %d", e.name, workers, calls.Load(), n)
+			}
+			var sum atomic.Int64
+			e.run(func(_, i int) { sum.Add(int64(i)) })
+			if sum.Load() != n*(n-1)/2 {
+				t.Fatalf("%s workers=%d: second run summed %d, want %d", e.name, workers, sum.Load(), n*(n-1)/2)
+			}
+		}
+		p.Close()
 	}
 }

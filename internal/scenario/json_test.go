@@ -361,6 +361,9 @@ func FuzzScenarioSubmit(f *testing.F) {
 	for _, c := range inactiveRegime {
 		f.Add([]byte(c.json))
 	}
+	// Corner seed 18, Sequential: its run drives a k=2 pair closer than
+	// geom.Eps apart (see TestCornerNearCoincidentPairsRun).
+	f.Add([]byte(`{"region":"square","placement":"corner","n":100,"config":{"k":2,"alpha":0.5,"epsilon":0.0005,"max_rounds":500,"order":1,"gamma":0.15,"arc_samples":64,"seed":18}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseJSON(data)
 		if err != nil {

@@ -247,3 +247,31 @@ func TestSnapshotSinkAndRegistryResume(t *testing.T) {
 		}
 	}
 }
+
+// cornerCoincidentSeeds are the corner seeds whose Sequential run drives a
+// k=2 pair of nodes closer than geom.Eps apart (nodes 4 and 8 of seed 18
+// reach 1.05e-9 after round 42). Before the coincidence rule each run
+// panicked in the region kernel with "Bisector of coincident points".
+var cornerCoincidentSeeds = []int64{18, 84, 105}
+
+// TestCornerNearCoincidentPairsRun: the registered corner scenario, run
+// Sequential at the seeds that produce near-coincident pairs, runs to
+// convergence or to its round cap without a panic and returns a radius for
+// every node.
+func TestCornerNearCoincidentPairsRun(t *testing.T) {
+	base, err := Lookup("corner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range cornerCoincidentSeeds {
+		sc := base.WithSeed(seed)
+		sc.Config.Order = core.Sequential
+		res, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(res.Radii) != sc.N {
+			t.Fatalf("seed %d: %d radii for %d nodes", seed, len(res.Radii), sc.N)
+		}
+	}
+}

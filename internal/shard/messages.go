@@ -48,10 +48,11 @@ type serveMsg struct {
 
 // migrateMsg hands ownership of nodes whose position left the sender's
 // stripe to the receiver. hints/reads carry each node's warm-start and
-// read-radius history: the engine's rhoHint is deployment-global and follows
-// the node wherever it roams, so the shard-local copy must travel with
-// ownership — a recompute started from a stale hint walks a different probe
-// sequence and breaks bit-identity in the last ulp.
+// read-radius history: the engine's hint (its cache entry's ρ) is
+// deployment-global and follows the node wherever it roams, so the
+// shard-local copy must travel with ownership — a recompute started from a
+// stale hint walks a different probe sequence and breaks bit-identity in the
+// last ulp.
 type migrateMsg struct {
 	ids   []int
 	pos   []geom.Point

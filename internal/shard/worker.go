@@ -85,6 +85,7 @@ type worker struct {
 	ownStale bool // ownership changed since ownedLocal was built
 	posBuf   []geom.Point
 	fromBuf  []int32
+	final    []float64 // finalization radii of the current attempt, by local index
 
 	window xband // current complete window
 
@@ -550,25 +551,27 @@ func (w *worker) doTurn(g, round int) xband {
 
 // ---- finalization ---------------------------------------------------------
 
-// doFinal writes the owned nodes' final radii into res: the last round's
-// values when reuse is set, otherwise a recompute at the final positions
-// under the negative round tag with the same trust/deficit loop as a round.
-// Returns the deficit, writing nothing, while any node needs a wider window;
-// shards own distinct nodes, so they write distinct slots. Charges accrue to
-// msgs as finalization messages.
+// doFinal writes the attempt's targets' final radii into res: the last
+// round's values when reuse is set, otherwise a recompute at the final
+// positions under the negative round tag with the same trust/deficit loop as
+// a round. Returns the deficit while any node needs a wider window; a
+// rejected node's slot is rewritten when its retry is admitted. Shards own
+// distinct nodes, so they write distinct slots. Charges accrue to msgs as
+// finalization messages.
 func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xband {
 	targets := w.beginAttempt(retry)
 	if !reuse {
 		w.st.RepairFlags(w.ownedLocal)
 	}
+	w.final = slices.Grow(w.final[:0], w.net.Len())[:w.net.Len()]
 	before := w.net.MessageCount()
-	ok := w.st.FinalRadii(targets, reuse, tag)
+	ok := w.st.FinalRadii(targets, reuse, tag, w.final)
 	w.msgs += w.net.MessageCount() - before
+	for _, li := range targets {
+		res.Radii[w.members[li]] = w.final[li]
+	}
 	if !ok {
 		return w.defic
-	}
-	for _, li := range w.ownedLocal {
-		res.Radii[w.members[li]] = w.st.Final(li)
 	}
 	return xband{}
 }

@@ -41,14 +41,19 @@ func (s *Scratch) RelLen() int { return len(s.relD2) }
 
 // AppendRel appends one generator with its precomputed squared distance to
 // the query site self. Entries with o.ID == self.ID are ignored (same filter
-// as the scalar oracle). The bisector memo starts unset — (relHx, relHy)
-// carry the generator position, relHc the NaN sentinel; the walk fills the
-// memo on first visit, so generators beyond the pruning bound never pay for
-// a bisector. IDs must be non-negative and fit 32 bits (node indices), so
+// as the scalar oracle), and a generator within geom.Point.Eq of self gets
+// d² = 0, so the walk tie-breaks it by ID instead of asking geom.Bisector
+// for a bisector it cannot draw (the coincidence rule). The bisector memo
+// starts unset — (relHx, relHy) carry the generator position, relHc the NaN
+// sentinel; the walk fills the memo on first visit, so generators beyond the
+// pruning bound never pay for a bisector. IDs must be non-negative and fit 32 bits (node indices), so
 // the packed key is positive and orders by ID within equal distances.
 func (s *Scratch) AppendRel(self, o Site, d2 float64) {
 	if o.ID == self.ID {
 		return
+	}
+	if o.Pos.Eq(self.Pos) {
+		d2 = 0
 	}
 	slot := len(s.relHx)
 	s.relD2 = append(s.relD2, d2)
@@ -182,11 +187,10 @@ func DominatingRegionSoA(self Site, k int, clip []geom.Polygon, boxes []geom.BBo
 // never scanned — no generator is closer than self at self.
 //
 // The scan never calls geom.Bisector where the walk would not. Coincident
-// entries (d² < coincidentTol) are tie-broken by the walk, not cut, and are
-// passed over. An unmemoized generator within Point.Eq of self would make
-// Bisector panic, so the scan stops there and the piece is walked: the walk
-// then panics, or not, exactly as the scalar walk does. Bisectors the scan
-// computes fill the same memo the walk reads, with the same values.
+// entries (d² < coincidentTol, which AppendRel gives every generator within
+// Point.Eq of self) are tie-broken by the walk, not cut, and are passed
+// over. Bisectors the scan computes fill the same memo the walk reads, with
+// the same values.
 func (s *Scratch) dominated(self Site, k int, piece geom.Polygon, bb geom.BBox) bool {
 	dx := math.Max(math.Max(bb.Min.X-self.Pos.X, self.Pos.X-bb.Max.X), 0)
 	dy := math.Max(math.Max(bb.Min.Y-self.Pos.Y, self.Pos.Y-bb.Max.Y), 0)
@@ -201,10 +205,6 @@ func (s *Scratch) dominated(self Site, k int, piece geom.Polygon, bb geom.BBox) 
 		}
 		slot := int(s.relVal[j] & 0xffffffff)
 		if math.IsNaN(s.relHc[slot]) {
-			g := geom.Point{X: s.relHx[slot], Y: s.relHy[slot]}
-			if g.Eq(self.Pos) {
-				return false
-			}
 			s.memoBisector(self, slot)
 		}
 		h := geom.HalfPlane{N: geom.Point{X: s.relHx[slot], Y: s.relHy[slot]}, C: s.relHc[slot]}
@@ -219,7 +219,8 @@ func (s *Scratch) dominated(self Site, k int, piece geom.Polygon, bb geom.BBox) 
 
 // memoBisector fills the bisector memo of rel slot from the generator
 // position it holds while unset — the same geom.Bisector call the scalar
-// walk makes, including its coincident-generator panic.
+// walk makes. AppendRel's coincidence rule keeps every generator within
+// Point.Eq of self out of here.
 func (s *Scratch) memoBisector(self Site, slot int) {
 	b := geom.Bisector(self.Pos, geom.Point{X: s.relHx[slot], Y: s.relHy[slot]})
 	s.relHx[slot], s.relHy[slot], s.relHc[slot] = b.N.X, b.N.Y, b.C

@@ -306,49 +306,76 @@ func TestRefHelpersMatchScalar(t *testing.T) {
 }
 
 // TestBatchCoincidentPanicParity: generators inside the Bisector Eq tolerance
-// but outside the index tie-break band make the scalar walk panic; the batch
-// walk must reproduce it (and not panic any earlier than the walk reaches the
-// offending generator). The campus cases run on a multi-piece region, where
-// the cull scans the rel list before each walk: it must neither compute the
-// offending bisector itself nor cull away a piece whose walk would reach it.
+// but outside the index tie-break band once made both walks panic. The
+// coincidence rule (AppendRel and the oracle give such a generator d² = 0)
+// makes both tie-break it by ID instead, so neither kernel panics and both
+// return the same region. The campus cases run on a multi-piece region,
+// where the cull scans the rel list before each walk: it must pass the
+// near-coincident generator over, as the walk does.
 func TestBatchCoincidentPanicParity(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected coincident-generator panic", name)
-			}
-		}()
-		f()
-	}
 	reg := region.UnitSquareKm()
 	self := Site{ID: 0, Pos: geom.Pt(0.5, 0.5)}
 	near := Site{ID: 1, Pos: geom.Pt(0.5+4e-10, 0.5)} // within Eq, above coincidentTol
 	others := []Site{self, near, {ID: 2, Pos: geom.Pt(0.2, 0.8)}}
 	var sc oracle.Scratch
 	var sb Scratch
-	mustPanic("scalar", func() { oracle.DominatingRegion(oracle.Site(self), oracleSites(others), 1, reg.Pieces(), &sc) })
-	mustPanic("batch", func() { DominatingRegionBatch(self, others, 1, reg.Pieces(), reg.PieceBoxes(), &sb) })
+	want := oracle.DominatingRegion(oracle.Site(self), oracleSites(others), 1, reg.Pieces(), &sc)
+	got := DominatingRegionBatch(self, others, 1, reg.Pieces(), reg.PieceBoxes(), &sb)
+	refsEqualBits(t, want, &sb.Slab, got)
 
 	// Campus: dense generators, so most pieces have k dominators in the rel
-	// list behind the offending generator.
+	// list behind the near-coincident generator.
 	campus := region.Campus()
 	self = Site{ID: 3, Pos: geom.Pt(0.5, 0.5)}
 	near = Site{ID: 4, Pos: geom.Pt(0.5+4e-10, 0.5)}
 	dense := append(regionSites(campus, 200, 3)[10:], self, near)
 	odense := oracleSites(dense)
 	for _, k := range []int{1, 2} {
-		mustPanic("campus scalar", func() { oracle.DominatingRegion(oracle.Site(self), odense, k, campus.Pieces(), &sc) })
-		mustPanic("campus batch", func() { DominatingRegionBatch(self, dense, k, campus.Pieces(), campus.PieceBoxes(), &sb) })
+		want := oracle.DominatingRegion(oracle.Site(self), odense, k, campus.Pieces(), &sc)
+		got := DominatingRegionBatch(self, dense, k, campus.Pieces(), campus.PieceBoxes(), &sb)
+		refsEqualBits(t, want, &sb.Slab, got)
 	}
 	// A coincident generator with a lower ID (inside the tie-break band)
-	// exhausts k=1 before the walk reaches the offending one: neither kernel
-	// may panic, and both return the same (empty) region.
+	// exhausts k=1 before the walk reaches the near one: neither kernel may
+	// panic, and both return the same (empty) region.
 	tie := Site{ID: 0, Pos: self.Pos}
 	withTie := append(dense[:len(dense):len(dense)], tie)
-	want := oracle.DominatingRegion(oracle.Site(self), oracleSites(withTie), 1, campus.Pieces(), &sc)
-	got := DominatingRegionBatch(self, withTie, 1, campus.Pieces(), campus.PieceBoxes(), &sb)
+	want = oracle.DominatingRegion(oracle.Site(self), oracleSites(withTie), 1, campus.Pieces(), &sc)
+	got = DominatingRegionBatch(self, withTie, 1, campus.Pieces(), campus.PieceBoxes(), &sb)
 	refsEqualBits(t, want, &sb.Slab, got)
+}
+
+// TestKernelNearCoincidentGaps: the region kernels are total on generator
+// pairs from far inside the tie-break band (1e-13) to just outside
+// geom.Point.Eq (2e-9), along each axis, with the near generator on either
+// side of self in ID order and at k = 1, 2. The SoA kernel must match the
+// scalar oracle bit for bit, and KOrderDiagram, which applies the same
+// coincidence rule, must build without a panic.
+func TestKernelNearCoincidentGaps(t *testing.T) {
+	reg := region.UnitSquareKm()
+	base := scratchSites(30, 5)
+	for _, gap := range []float64{1e-13, 1e-11, 1e-10, 1e-9, 2e-9} {
+		for _, axis := range []geom.Point{geom.Pt(1, 0), geom.Pt(0, 1)} {
+			for _, nearID := range []int{1, 100} {
+				self := Site{ID: 50, Pos: geom.Pt(0.4, 0.6)}
+				near := Site{ID: nearID, Pos: self.Pos.Add(axis.Scale(gap))}
+				sites := append(append([]Site(nil), base[2:]...), self, near)
+				osites := oracleSites(sites)
+				var sc oracle.Scratch
+				var sb Scratch
+				for _, k := range []int{1, 2} {
+					for _, q := range []Site{self, near} {
+						want := oracle.DominatingRegion(oracle.Site(q), osites, k, reg.Pieces(), &sc)
+						got := DominatingRegionBatch(q, sites, k, reg.Pieces(), reg.PieceBoxes(), &sb)
+						refsEqualBits(t, want, &sb.Slab, got)
+					}
+					if _, err := KOrderDiagram(sites, k, reg); err != nil {
+						t.Fatalf("gap %g axis %v: KOrderDiagram: %v", gap, axis, err)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestDominatingRegionBatchZeroAllocs: a warmed batch scratch computes

@@ -28,7 +28,9 @@ type Site struct {
 
 // CoincidentTol is the squared distance below which two generators are
 // considered coincident and index tie-breaking applies. It must equal
-// voronoi's coincidentTol (a voronoi test pins the two together).
+// voronoi's coincidentTol (a voronoi test pins the two together). A
+// generator within geom.Point.Eq of the query site is given d² = 0, as the
+// batch kernel does, so the walk never bisects a pair geom.Bisector rejects.
 const CoincidentTol = 1e-24
 
 // Scratch is the reusable workspace of the scalar kernel: a free list of
@@ -157,7 +159,11 @@ func DominatingRegion(self Site, others []Site, k int, clip []geom.Polygon, s *S
 		if o.ID == self.ID {
 			continue
 		}
-		rel = append(rel, relSite{d2: o.Pos.Dist2(self.Pos), site: o})
+		d2 := o.Pos.Dist2(self.Pos)
+		if o.Pos.Eq(self.Pos) {
+			d2 = 0 // the coincidence rule: tie-broken by ID, never bisected
+		}
+		rel = append(rel, relSite{d2: d2, site: o})
 	}
 	s.rel = rel
 	s.sortRel()

@@ -43,7 +43,9 @@ type Site struct {
 }
 
 // coincidentTol is the squared distance below which two generators are
-// considered coincident and index tie-breaking applies.
+// considered coincident and index tie-breaking applies. The rel list gives
+// every generator within geom.Point.Eq of the query site d² = 0 (see
+// Scratch.AppendRel), so no walk asks geom.Bisector for a pair it rejects.
 const coincidentTol = 1e-24
 
 // DominatingRegion returns the dominating region of self among the given
@@ -170,7 +172,8 @@ func clipToNearest(s Site, sites []Site, piece geom.Polygon, skip map[int]bool) 
 		if o.ID == s.ID || skip[o.ID] {
 			continue
 		}
-		if o.Pos.Dist2(s.Pos) < coincidentTol {
+		if o.Pos.Eq(s.Pos) {
+			// Coincident within geom.Point.Eq, where no bisector exists.
 			if o.ID < s.ID {
 				return nil // tie lost everywhere
 			}
