@@ -430,6 +430,77 @@ func BenchmarkScaleStepFewMovers(b *testing.B) {
 	}
 }
 
+// healBatch is the number of seeded heals BenchmarkHealLattice times on one
+// converged deployment before rebuilding it.
+const healBatch = 16
+
+// BenchmarkHealLattice times a local heal at scale: one op is one
+// RemoveNode of a seeded interior node of a converged lattice (64 displaced
+// nodes, ε = pitch/50, Workers = GOMAXPROCS) plus the Run that heals it to
+// convergence again. The deployment converges once, outside the timer; each
+// batch of healBatch heals then runs on a fresh engine over the converged
+// positions (one cold round, also outside the timer), so every batch times
+// the same seeded list of heals. A heal recomputes a few dozen nodes, so
+// its cost should not grow with n; what does grow is the O(n) work left in
+// a round.
+func BenchmarkHealLattice(b *testing.B) {
+	reg := UnitSquareKm()
+	for _, n := range benchScaleSizes() {
+		var converged []Point
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			pts, pitch := wsn.UnitLattice(n, 64)
+			cfg := DefaultConfig(2)
+			cfg.Epsilon = pitch / 50
+			cfg.Workers = runtime.GOMAXPROCS(0)
+			deploy := func(start []Point) *Engine {
+				eng, err := NewEngine(reg, start, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				if !eng.Converged() {
+					b.Fatalf("n=%d: the lattice did not converge in %d rounds", n, cfg.MaxRounds)
+				}
+				return eng
+			}
+			if converged == nil {
+				converged = deploy(pts).Positions()
+			}
+			var eng *Engine
+			var rng *rand.Rand
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%healBatch == 0 {
+					b.StopTimer()
+					eng, rng = deploy(converged), rand.New(rand.NewSource(1))
+					b.StartTimer()
+				}
+				if err := eng.RemoveNode(healVictim(eng, rng)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// healVictim draws a node of eng inside the central [0.2, 0.8]² square
+// from rng.
+func healVictim(eng *Engine, rng *rand.Rand) int {
+	net := eng.Network()
+	for {
+		i := rng.Intn(net.Len())
+		if p := net.Position(i); p.X >= 0.2 && p.X <= 0.8 && p.Y >= 0.2 && p.Y <= 0.8 {
+			return i
+		}
+	}
+}
+
 // benchSeqWorkerCounts is the fixed worker sweep of the Sequential-order
 // benchmarks. Unlike benchWorkerCounts it is not capped to NumCPU: the cells
 // must exist on every machine so committed snapshots line up, and the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -192,6 +193,7 @@ func runTopologySchedule(t *testing.T, reg *region.Region, start []geom.Point, c
 				} else {
 					eng.AddNode(geom.Pt(rng.Float64(), rng.Float64()))
 				}
+				assertRhoBoundsCover(t, fmt.Sprintf("before round %d", r+1), &eng.nodeState)
 			}
 		}
 		var want []bool
@@ -204,6 +206,7 @@ func runTopologySchedule(t *testing.T, reg *region.Region, start []geom.Point, c
 		} else {
 			eng.Step()
 			assertOutcomesFresh(t, label, &eng.nodeState)
+			assertRhoBoundsCover(t, label, &eng.nodeState)
 		}
 		if want != nil && !slices.Equal(eng.boundary, want) {
 			t.Fatalf("round %d: boundary flags differ from a wholesale evaluation", r+1)
@@ -274,6 +277,141 @@ func TestHealRecomputesLocally(t *testing.T) {
 	_, eagerTrace, eagerRes := run(true)
 	_, cachedTrace, cachedRes := run(false)
 	assertIdentical(t, "heal", eagerTrace, cachedTrace, eagerRes, cachedRes)
+}
+
+// A heal's invalidation is local: removing one interior node of a converged
+// lattice and running the heal to convergence rebuilds no per-cell ρ-bounds
+// and runs no pair-scan (the removal and every heal round invalidate through
+// the live bounds), and the heal's recomputations, cell visits and candidate
+// visits are the same on a 400-node and on a 6,400-node lattice: nothing in
+// it scales with n.
+func TestHealInvalidationIsLocal(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var first CacheCounters
+		for k, n := range []int{400, 6400} {
+			start, pitch := wsn.UnitLattice(n, 0)
+			cfg := DefaultConfig(2)
+			cfg.Epsilon = pitch / 20
+			cfg.MaxRounds = 400
+			cfg.Seed = 1
+			cfg.Workers = workers
+			eng, err := New(region.UnitSquareKm(), start, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if !eng.Converged() {
+				t.Fatalf("n=%d: deployment did not converge before the failure", n)
+			}
+			victim, best := 0, math.Inf(1)
+			for i, p := range eng.Positions() {
+				if d := p.Dist(geom.Pt(0.5, 0.5)); d < best {
+					victim, best = i, d
+				}
+			}
+			before := eng.CacheCounters()
+			if err := eng.RemoveNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			after := eng.CacheCounters()
+			label := fmt.Sprintf("workers=%d n=%d", workers, n)
+			if !eng.Converged() {
+				t.Fatalf("%s: the heal did not converge", label)
+			}
+			if got := after.BoundRebuilds - before.BoundRebuilds; got != 0 {
+				t.Errorf("%s: the heal rebuilt the ρ-bounds %d times, want 0", label, got)
+			}
+			if got := after.PairScans - before.PairScans; got != 0 {
+				t.Errorf("%s: the heal ran %d pair-scans, want 0", label, got)
+			}
+			heal := CacheCounters{
+				BatchNodes:      after.BatchNodes - before.BatchNodes,
+				CellVisits:      after.CellVisits - before.CellVisits,
+				CandidateVisits: after.CandidateVisits - before.CandidateVisits,
+			}
+			if heal.BatchNodes == 0 || heal.CandidateVisits == 0 {
+				t.Fatalf("%s: the heal recomputed %d nodes and tested %d candidates; want some of each", label, heal.BatchNodes, heal.CandidateVisits)
+			}
+			if k == 0 {
+				first = heal
+			} else if heal != first {
+				t.Errorf("%s: heal work %+v differs from n=400's %+v", label, heal, first)
+			}
+		}
+	}
+}
+
+// The Stepper's live ρ-bounds belong to the network they were built on. A
+// Renumber onto a different network — a shard's membership change, here a
+// window shrunk to the left half of the lattice — must drop them, because
+// the new grid's generation can equal the old one's and its cells are
+// numbered differently; the next invalidation rebuilds them. The bounds must
+// cover every valid entry after every operation, and every valid outcome
+// must stay fresh.
+func TestStepperBoundsFollowNetwork(t *testing.T) {
+	reg := region.UnitSquareKm()
+	start, pitch := wsn.UnitLattice(400, 8)
+	cfg := DefaultConfig(2)
+	cfg.Epsilon = pitch / 20
+	cfg.Seed = 1
+	st, err := NewStepper(reg, len(start), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach := func(pos []geom.Point, from []int32) []int {
+		net := wsn.New(pos, st.IndexGamma())
+		net.SetBoundsHint(reg.BBox())
+		ids := make([]int, len(pos))
+		for i := range ids {
+			ids[i] = i
+		}
+		st.Renumber(net, ids, from)
+		assertRhoBoundsCover(t, "renumber", &st.nodeState)
+		return ids
+	}
+	steps := func(phase string, ids []int, rounds int) {
+		for r := 1; r <= rounds; r++ {
+			label := fmt.Sprintf("%s round %d", phase, r)
+			st.StepAll(ids, r)
+			assertRhoBoundsCover(t, label+" step", &st.nodeState)
+			var s RoundStats
+			st.Commit(ids, &s)
+			assertRhoBoundsCover(t, label+" commit", &st.nodeState)
+			assertOutcomesFresh(t, label, &st.nodeState)
+		}
+	}
+	from := make([]int32, len(start))
+	for i := range from {
+		from[i] = -1
+	}
+	ids := attach(start, from)
+	steps("whole", ids, 3)
+	if !st.boundsLive {
+		t.Fatal("the rounds over the whole lattice never built the ρ-bounds")
+	}
+	gen := st.net.GridShape().Gen
+	var left []geom.Point
+	from = from[:0]
+	for i, p := range st.net.Positions() {
+		if p.X < 0.5 {
+			left = append(left, p)
+			from = append(from, int32(i))
+		}
+	}
+	ids = attach(left, from)
+	if got := st.net.GridShape().Gen; got != gen {
+		t.Fatalf("the window network is at grid generation %d, the whole one at %d; the test needs them equal", got, gen)
+	}
+	// Outcomes whose balls reach past the window read nodes it no longer
+	// holds; the shard engine drops them the same way (enforceWindow).
+	st.DropUnless(ids, func(i int, rho float64) bool { return st.net.Position(i).X+rho < 0.5 })
+	assertRhoBoundsCover(t, "window", &st.nodeState)
+	steps("window", ids, 3)
 }
 
 // A Synchronous round computes exactly its dirty set: on the lattice heal of
@@ -355,7 +493,34 @@ func stepComputesDirty(t *testing.T, label string, e *Engine) (RoundStats, bool)
 		t.Fatalf("%s: %d cache hits, want %d", label, got, n-dirty)
 	}
 	assertOutcomesFresh(t, label, &e.nodeState)
+	assertRhoBoundsCover(t, label, &e.nodeState)
 	return stats, done
+}
+
+// assertRhoBoundsCover checks the invariant the inverse invalidation queries
+// prune by: while the per-cell ρ-bounds are live (built for the attached
+// network, at its current grid generation), every valid entry's exactness
+// radius is at most its cell's bound and at most rhoMax.
+func assertRhoBoundsCover(t *testing.T, label string, ns *nodeState) {
+	t.Helper()
+	if !ns.boundsLive || ns.boundGen != ns.net.GridShape().Gen {
+		return
+	}
+	for i := range ns.cache {
+		c := &ns.cache[i]
+		if !c.valid {
+			continue
+		}
+		ci := ns.net.CellOfNode(i)
+		if ci >= len(ns.rhoBound) || c.rho > ns.rhoBound[ci] || c.rho > ns.rhoMax {
+			b := math.NaN()
+			if ci < len(ns.rhoBound) {
+				b = ns.rhoBound[ci]
+			}
+			t.Fatalf("%s: node %d's entry has ρ %v, its cell %d is bounded by %v (of %d cells), rhoMax %v",
+				label, i, c.rho, ci, b, len(ns.rhoBound), ns.rhoMax)
+		}
+	}
 }
 
 // dirtyCount returns how many nodes e's next Step must compute: all of them

@@ -280,15 +280,9 @@ func (e *Engine) speculateAt(i, round int) {
 		e.wavePool.Run(len(sel), e.waveFn)
 	}
 	e.counters.SpecComputed += uint64(len(sel))
-	if e.boundsLive {
-		// The live per-cell ρ-bounds must upper-bound every valid entry or
-		// later inverse invalidation queries could miss a speculative one.
-		for _, j := range sel {
-			if c := &e.cache[j]; c.valid {
-				e.noteRhoBound(j, c.rho)
-			}
-		}
-	}
+	// The live per-cell ρ-bounds must upper-bound every valid entry or
+	// later inverse invalidation queries could miss a speculative one.
+	e.noteRhoBounds(sel)
 }
 
 // interferes is the pairwise interference predicate: can disturber k's

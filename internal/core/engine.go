@@ -378,10 +378,10 @@ func (e *Engine) Step() (RoundStats, bool) {
 	if sequential {
 		workers := parallel.Workers(e.cfg.Workers)
 		e.ensurePool(workers)
-		// The per-cell ρ-bounds are rebuilt lazily by the first move of the
-		// sweep and then kept current entry-by-entry (see invalidate),
-		// so a converged sweep pays nothing for them.
-		e.boundsLive = false
+		// Each turn invalidates around its move through the live per-cell
+		// ρ-bounds, which every installed entry raises (see invalidate), so
+		// the sweep rebuilds them only on a grid generation change and a
+		// converged sweep pays nothing for them.
 		e.waveBaseComputed = e.counters.SpecComputed
 		e.waveBaseWasted = e.counters.SpecWasted
 		e.schedOn = false
@@ -568,7 +568,7 @@ func (e *Engine) MoveNode(i int, p geom.Point) error {
 			e.dropEntry(i)
 		}
 		ends := [2]geom.Point{old, p}
-		e.invalidate(ends[:], false)
+		e.invalidate(ends[:])
 		e.cacheVer = e.net.Version()
 	}
 	return nil
@@ -608,7 +608,7 @@ func (e *Engine) RemoveNode(i int) error {
 	e.renumber(from)
 	if inSync {
 		ends := [1]geom.Point{old}
-		e.invalidate(ends[:], false)
+		e.invalidate(ends[:])
 		e.cacheVer = e.net.Version()
 	}
 	return nil

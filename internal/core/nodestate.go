@@ -82,15 +82,21 @@ type nodeState struct {
 	// exactness radius ρ of the valid cache entries whose nodes currently
 	// sit in grid cell c, and rhoMax is the global maximum — together they
 	// let an inverse range query around a moved endpoint prune cells that
-	// cannot possibly hold an affected entry. boundGen records the index
-	// geometry (wsn.GridShape.Gen) the bounds were computed for; a full grid
-	// rebuild invalidates the cell numbering, so a mismatch forces a bound
-	// recomputation. boundsLive tracks whether the bounds are kept current
-	// entry by entry (a Sequential sweep; see invalidate).
+	// cannot possibly hold an affected entry. The bounds are live: built
+	// once, then raised by every installed entry (noteRhoBounds) and never
+	// lowered, so a dropped entry leaves them stale-high, which costs only
+	// pruning. boundGen records the index geometry (wsn.GridShape.Gen) they
+	// were built for; a full grid rebuild renumbers the cells, so a mismatch
+	// forces a rebuild. boundsLive is false until the first build and again
+	// whenever a different network is attached, whose Gen can coincide with
+	// the old one's. churn counts the entries noted since the last build;
+	// once it reaches the node count the bounds are rebuilt, so their
+	// staleness stays bounded at O(1) amortized cost per install.
 	rhoBound   []float64
 	rhoMax     float64
 	boundGen   uint64
 	boundsLive bool
+	churn      int
 }
 
 // nodeArrays are the per-node arrays, indexed by network index. Each holds
@@ -333,8 +339,9 @@ func (ns *nodeState) charge(cost int64) {
 // and its recorded message cost, summed and charged once (a Localized hit
 // pays exactly what re-running its search would have). Only the invalid
 // entries fan out across Config.Workers, so a converged or healing round
-// costs O(dirty) computations plus O(n) plain reads. With the cache off
-// every node is computed.
+// costs O(dirty) computations plus O(n) plain reads. After the fan-out the
+// computed entries are noted into the live per-cell ρ-bounds, serially and
+// in O(dirty). With the cache off every node is computed.
 func (ns *nodeState) stepAll(ids []int, round int) []int {
 	ns.net.Rebuild() // build the spatial index once, before the fan-out
 	todo := ids
@@ -358,8 +365,7 @@ func (ns *nodeState) stepAll(ids []int, round int) []int {
 	parallel.ForWorker(len(todo), workers, func(w, k int) {
 		ns.computeEntry(todo[k], round, ns.pool[w], false)
 	})
-	// The fan-out installed entries the per-cell bounds never saw.
-	ns.boundsLive = false
+	ns.noteRhoBounds(todo)
 	return todo
 }
 
@@ -373,11 +379,8 @@ func (ns *nodeState) turn(i, round int) (old geom.Point, moved, ok bool) {
 	if !ns.stepNode(i, round, ns.pool[0]) {
 		return old, false, false
 	}
-	if ns.cacheOn && ns.boundsLive {
-		if c := &ns.cache[i]; c.valid {
-			ns.noteRhoBound(i, c.rho)
-		}
-	}
+	turned := [1]int{i}
+	ns.noteRhoBounds(turned[:])
 	old = ns.net.Position(i)
 	next := ns.outs[i].next
 	if next == old {
@@ -390,7 +393,7 @@ func (ns *nodeState) turn(i, round int) (old geom.Point, moved, ok bool) {
 	// Disturbed flags repair at the start of the next round; this sweep
 	// reads start-of-round truth.
 	ends := [2]geom.Point{old, next}
-	ns.invalidate(ends[:], true)
+	ns.invalidate(ends[:])
 	return old, true, true
 }
 
@@ -435,23 +438,40 @@ func (ns *nodeState) commitMoves(ids []int) {
 			ns.net.SetPosition(i, ns.movedPts[2*k+1])
 		}
 	}
-	ns.invalidate(ns.movedPts, false)
+	ns.invalidate(ns.movedPts)
 }
 
-// foldStats folds the outcomes of ids into st, in ascending order. Extrema
-// skip empty regions.
+// foldStats folds the outcomes of ids into st, in the order of ids. Extrema
+// skip empty regions. It is RoundStats.Merge of each node's one-node stats,
+// unrolled into one loop: the same > and < comparisons in the same order
+// (a node that stood still offers MaxMove 0), so NaN and −0 fold exactly as
+// Merge folds them.
 func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
+	s := *st
 	for _, i := range ids {
 		o := &ns.outs[i]
 		if o.empty {
 			continue
 		}
-		p := RoundStats{MaxCircumradius: o.ri, MinCircumradius: o.ri, MaxRhat: o.rhat}
-		if o.moved {
-			p.Moved, p.MaxMove = 1, o.moveDist
+		if o.ri > s.MaxCircumradius {
+			s.MaxCircumradius = o.ri
 		}
-		st.Merge(p)
+		if o.ri < s.MinCircumradius {
+			s.MinCircumradius = o.ri
+		}
+		if o.rhat > s.MaxRhat {
+			s.MaxRhat = o.rhat
+		}
+		var move float64
+		if o.moved {
+			s.Moved++
+			move = o.moveDist
+		}
+		if move > s.MaxMove {
+			s.MaxMove = move
+		}
 	}
+	*st = s
 }
 
 // finalRadii assigns the final sensing range (line 7 of Algorithm 1) of
@@ -603,8 +623,10 @@ func extend[T any](s []T, m int) []T {
 // invalid). Both the Stepper (a shard's membership change) and the Engine (a
 // removal) renumber through it. The previous arrays become the spare half of
 // the double buffer, so a steady stream of renumberings allocates nothing.
-// The flag repair list is rebuilt in the new numbering; the per-cell bounds
-// are stale.
+// The flag repair list is rebuilt in the new numbering. The per-cell bounds
+// are kept: they are indexed by cell, not by node, and a renumbering over
+// the same network (a removal) leaves every remaining node in its cell; a
+// caller that attaches a different network drops them (Stepper.Renumber).
 func (ns *nodeState) renumber(from []int32) {
 	cur, nxt := &ns.nodeArrays, &ns.spare
 	nxt.outs = permute(nxt.outs, cur.outs, from)
@@ -620,7 +642,6 @@ func (ns *nodeState) renumber(from []int32) {
 			}
 		}
 	}
-	ns.boundsLive = false
 }
 
 // permute fills dst (reusing its storage) with src rearranged by from; -1
@@ -658,7 +679,9 @@ func (ns *nodeState) dropEntry(j int) {
 // a node leaving it by its old one, and any move inside it changes a site's
 // coordinates. Entries outside stay valid — the expanding search provably
 // never read those positions, so recomputing would reproduce the cached
-// outcome bit for bit. Callers drop a mover's own entry first.
+// outcome bit for bit. Callers drop a mover's own entry first. Every caller
+// runs through here: the Synchronous commit, a Sequential turn, MoveNode,
+// RemoveNode and the shard Stepper.
 //
 // Strategy: the balls live in the same space as the spatial index, so each
 // endpoint runs an inverse range query against the grid — visit only cells
@@ -669,12 +692,16 @@ func (ns *nodeState) dropEntry(j int) {
 // neighborhoods), the dense O(valid × endpoints) pair-scan is cheaper and is
 // used as the fallback; both strategies invalidate exactly the same set.
 //
-// A one-shot call (a round's whole batch of moves) rebuilds the per-cell
-// bounds. A sweep call (one Sequential move) keeps them live across calls:
-// the first move of a sweep builds them, and entries recomputed later in the
-// sweep feed them via noteRhoBound, so they stay upper bounds throughout and
-// the inverse queries never miss an affected entry.
-func (ns *nodeState) invalidate(pts []geom.Point, sweep bool) {
+// The per-cell bounds are live (see noteRhoBounds), so an invalidation
+// around a few endpoints costs no O(n) pass. The strategy is decided afresh
+// on exact numbers — an O(n) scan for the valid entries and their largest ρ
+// — only when the live bounds cannot decide it: none exist for the attached
+// network, the grid generation changed, as many entries were installed
+// since the last build as there are nodes, or the live rhoMax, which can be
+// stale-high, leaves the pair-scan possibly cheaper. The bounds are then
+// rebuilt only if they are stale and the inverse queries are taken; a
+// pair-scan costs O(n) anyway, and it never runs because of a stale bound.
+func (ns *nodeState) invalidate(pts []geom.Point) {
 	if ns.cfg.Mode == Localized {
 		for _, p := range pts {
 			ns.markFlagsNear(p)
@@ -683,40 +710,51 @@ func (ns *nodeState) invalidate(pts []geom.Point, sweep bool) {
 	if !ns.cacheOn || len(pts) == 0 {
 		return
 	}
-	stale := !sweep || !ns.boundsLive || ns.boundGen != ns.net.GridShape().Gen
-	rhoMax, basis := ns.rhoMax, len(ns.cache)
-	if stale {
-		// A cheap O(valid) scan decides the strategy; the per-cell bound
-		// array is only built if the inverse branch is actually taken.
-		rhoMax = 0
-		valid := 0
-		for j := range ns.cache {
-			if c := &ns.cache[j]; c.valid {
-				valid++
-				if c.rho > rhoMax {
-					rhoMax = c.rho
-				}
-			}
+	stale := !ns.boundsLive || ns.boundGen != ns.net.GridShape().Gen || ns.churn >= len(ns.cache)
+	if stale || ns.pairScanCheaper(ns.rhoMax, 0, len(pts)) {
+		valid, rhoMax := ns.validRho()
+		if valid == 0 {
+			return
 		}
-		if !sweep {
-			if valid == 0 {
-				return
-			}
-			basis = valid
+		if ns.pairScanCheaper(rhoMax, valid, len(pts)) {
+			ns.pairScan(pts)
+			return
 		}
-	}
-	if 2*ns.net.CellWindowSize(rhoMax) >= basis {
-		ns.pairScan(pts)
-		return
-	}
-	if stale {
-		ns.rebuildRhoBounds()
-		ns.boundsLive = sweep
+		if stale {
+			ns.rebuildRhoBounds()
+		} else {
+			ns.rhoMax = rhoMax // exact, so still an upper bound
+		}
 	}
 	ns.counters.InverseScans++
 	for _, p := range pts {
 		ns.invalidateNear(p)
 	}
+}
+
+// pairScanCheaper reports whether the dense pair-scan — a pass over all n
+// entries at two units each plus one distance test per valid entry and
+// endpoint — costs no more than an inverse query per endpoint over the cell
+// window of radius rhoMax, at two units per cell. With valid 0 it is the
+// most the pair-scan could save. For a large batch of endpoints it picks
+// the pair-scan about when the window has half as many cells as there are
+// valid entries, and for the single move of a Sequential turn about when it
+// has n/2 cells or more.
+func (ns *nodeState) pairScanCheaper(rhoMax float64, valid, endpoints int) bool {
+	return 2*len(ns.cache)+valid*endpoints <= 2*ns.net.CellWindowSize(rhoMax)*endpoints
+}
+
+// validRho returns the number of valid cache entries and their largest ρ.
+func (ns *nodeState) validRho() (valid int, rhoMax float64) {
+	for j := range ns.cache {
+		if c := &ns.cache[j]; c.valid {
+			valid++
+			if c.rho > rhoMax {
+				rhoMax = c.rho
+			}
+		}
+	}
+	return valid, rhoMax
 }
 
 // pairScan is the dense invalidation fallback: every valid entry is tested
@@ -741,8 +779,8 @@ func (ns *nodeState) pairScan(pts []geom.Point) {
 }
 
 // rebuildRhoBounds recomputes the per-cell ρ-bound array (and rhoMax) from
-// the valid cache entries, in O(n + cells), and stamps it with the index
-// generation it was computed against.
+// the valid cache entries, in O(n + cells), stamps it with the index
+// generation it was computed against and marks it live.
 func (ns *nodeState) rebuildRhoBounds() {
 	shape := ns.net.GridShape()
 	ncells := shape.NX * shape.NY
@@ -766,23 +804,35 @@ func (ns *nodeState) rebuildRhoBounds() {
 		}
 	}
 	ns.boundGen = shape.Gen
+	ns.boundsLive = true
+	ns.churn = 0
 	ns.counters.BoundRebuilds++
 }
 
-// noteRhoBound folds one freshly written cache entry into the live per-cell
-// ρ-bounds during a Sequential sweep. A grid rebuild between moves renumbers
-// the cells, in which case the bounds are recomputed wholesale.
-func (ns *nodeState) noteRhoBound(i int, rho float64) {
-	if ns.boundGen != ns.net.GridShape().Gen {
-		ns.rebuildRhoBounds()
+// noteRhoBounds raises the live per-cell ρ-bounds to cover the valid entries
+// of ids, just installed: by a Sequential turn, by stepAll after its fan-out
+// and by the colored sweep after each speculation wave (a fan-out's workers
+// install concurrently, so their entries are noted afterwards, serially).
+// Every install is noted, so the bounds stay upper bounds of every valid
+// entry. Without live bounds for the current grid generation there is
+// nothing to keep up: the next invalidation rebuilds them from every entry.
+func (ns *nodeState) noteRhoBounds(ids []int) {
+	if !ns.cacheOn || !ns.boundsLive || ns.boundGen != ns.net.GridShape().Gen {
 		return
 	}
-	ci := ns.net.CellOfNode(i)
-	if rho > ns.rhoBound[ci] {
-		ns.rhoBound[ci] = rho
-	}
-	if rho > ns.rhoMax {
-		ns.rhoMax = rho
+	for _, i := range ids {
+		c := &ns.cache[i]
+		if !c.valid {
+			continue
+		}
+		ns.churn++
+		ci := ns.net.CellOfNode(i)
+		if c.rho > ns.rhoBound[ci] {
+			ns.rhoBound[ci] = c.rho
+		}
+		if c.rho > ns.rhoMax {
+			ns.rhoMax = c.rho
+		}
 	}
 }
 

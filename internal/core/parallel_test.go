@@ -22,7 +22,9 @@ func runWorkers(t *testing.T, reg *region.Region, start []geom.Point, cfg Config
 	}
 	for r := 0; r < cfg.MaxRounds; r++ {
 		_, done := eng.Step()
-		assertOutcomesFresh(t, fmt.Sprintf("workers=%d round %d", workers, r+1), &eng.nodeState)
+		label := fmt.Sprintf("workers=%d round %d", workers, r+1)
+		assertOutcomesFresh(t, label, &eng.nodeState)
+		assertRhoBoundsCover(t, label, &eng.nodeState)
 		if done {
 			break
 		}

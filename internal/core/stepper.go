@@ -50,8 +50,12 @@ func (st *Stepper) IndexGamma() float64 { return st.indexGamma() }
 
 // SetNetwork attaches the network the stateless entry points read (and, in
 // Localized mode, charge). The caller owns it; StepNode and RegionPolys
-// never mutate positions.
-func (st *Stepper) SetNetwork(net *wsn.Network) { st.net = net }
+// never mutate positions. The per-cell ρ-bounds of the previous network are
+// dropped: the new one's grid generation can coincide with the old one's.
+func (st *Stepper) SetNetwork(net *wsn.Network) {
+	st.net = net
+	st.boundsLive = false
+}
 
 // FinalRoundTag returns the negative round tag Finalize and DebugRegions use
 // for their out-of-round region recomputation after the given number of
@@ -129,10 +133,13 @@ func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.adm
 // index of the node now at index i, or -1 for a node whose state starts
 // fresh, and ids maps the new indices to node IDs (the loss streams are
 // keyed by ID). It is the engine's own renumbering (see nodeState.renumber).
-// RepairFlags names the flags to repair, and the per-cell bounds are stale.
+// RepairFlags names the flags to repair. The per-cell ρ-bounds are dropped,
+// because net is a different network whose grid generation can coincide
+// with the old one's; the next invalidation rebuilds them.
 func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
 	st.renumber(from)
 	st.net, st.ids, st.boundary = net, ids, st.flagVals
+	st.boundsLive = false
 }
 
 // Hint returns node i's warm-start hint: its last exactness radius.
@@ -183,9 +190,7 @@ func (st *Stepper) Commit(ids []int, s *RoundStats) ([]int, []geom.Point) {
 }
 
 // Invalidate applies position-change endpoints the stepper did not make.
-func (st *Stepper) Invalidate(pts []geom.Point) {
-	st.invalidate(pts, st.cfg.Order == Sequential)
-}
+func (st *Stepper) Invalidate(pts []geom.Point) { st.invalidate(pts) }
 
 // DropUnless drops the cache entry of every node of ids for which keep,
 // given the entry's invalidation radius, reports false.

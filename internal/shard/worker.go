@@ -319,10 +319,15 @@ func (w *worker) doMigrate() {
 		m := &out[t]
 		m.ids = append(m.ids, g)
 		m.pos = append(m.pos, w.pos[g])
-		m.hints = append(m.hints, w.st.Hint(int(w.localOf[g])))
+		li := int(w.localOf[g])
+		hint := w.st.Hint(li)
+		m.hints = append(m.hints, hint)
 		m.reads = append(m.reads, w.readRad[g])
 		// The node stays a member for now: the refresh sweep re-serves or
-		// removes it.
+		// removes it. Its entry goes now, because its new owner moves it
+		// without telling this stepper's ρ-bounds; a node absorbed back
+		// starts fresh anyway (doAbsorb).
+		w.st.Reset(li, hint)
 		w.owned[g] = false
 		w.ownStale = true
 	}
