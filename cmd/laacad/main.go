@@ -59,7 +59,6 @@ func run(args []string) error {
 		regName  = fs.String("region", "square", "region: one of the registered regions (see -list)")
 		start    = fs.String("start", "uniform", "initial placement: one of the registered placements (see -list)")
 		workers  = fs.Int("workers", 0, "engine worker goroutines per round (0 = serial, -1 = all CPUs); trajectories are identical for any value")
-		shards   = fs.Int("shards", 1, "stripe-partitioned engine shards exchanging position halos (1 = shared-memory engine); results are identical for any value")
 		metrics  = fs.String("metrics", "", "serve live run metrics as JSON over HTTP on this address (e.g. localhost:6060); empty = off")
 		gridRes  = fs.Int("grid", 80, "coverage verification grid resolution")
 		showPlot = fs.Bool("plot", true, "render final layout as ASCII")
@@ -95,9 +94,6 @@ func run(args []string) error {
 		opts = append(opts, laacad.WithSnapshotEvery(*every, func(st *laacad.Checkpoint) error {
 			return st.WriteFile(*ckpt)
 		}))
-	}
-	if *shards > 1 {
-		opts = append(opts, laacad.WithShards(*shards))
 	}
 
 	var (

@@ -370,7 +370,7 @@ func TestStepperBoundsFollowNetwork(t *testing.T) {
 		for i := range ids {
 			ids[i] = i
 		}
-		st.Renumber(net, ids, from)
+		st.Renumber(net, from)
 		assertRhoBoundsCover(t, "renumber", &st.nodeState)
 		return ids
 	}

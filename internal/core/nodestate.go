@@ -28,11 +28,9 @@ type nodeState struct {
 	reg *region.Region
 	net *wsn.Network
 
-	// ids maps network index to node ID for the loss streams (nil: the
-	// identity). admit, when set, decides whether an outcome computed over
-	// net is exact given the radius it read and its R̂; a rejected outcome is
-	// neither charged nor cached.
-	ids   []int
+	// admit, when set, decides whether an outcome computed over net is exact
+	// given the radius it read and its R̂; a rejected outcome is neither
+	// charged nor cached.
 	admit func(i int, readRad, rhat float64) bool
 
 	// cacheOn and boundary are the current round's cache policy and boundary
@@ -208,15 +206,11 @@ func (ns *nodeState) cacheable() bool {
 }
 
 // lossRNG returns node i's private message-loss stream for the given round,
-// keyed by its node ID, or nil when loss sampling is off — the search
-// consumes no randomness then, so skipping the generator allocation is
-// invisible to trajectories.
+// or nil when loss sampling is off — the search consumes no randomness then,
+// so skipping the generator allocation is invisible to trajectories.
 func (ns *nodeState) lossRNG(round, i int) *rand.Rand {
 	if ns.cfg.LossRate <= 0 {
 		return nil
-	}
-	if ns.ids != nil {
-		i = ns.ids[i]
 	}
 	return nodeRNG(ns.cfg.Seed, round, i)
 }

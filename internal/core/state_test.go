@@ -62,65 +62,83 @@ func TestDefaultCheckpointWireForm(t *testing.T) {
 }
 
 // A checkpoint written by an earlier build still resumes bit-identically.
-// testdata/localized_sequential_round3.json is a Localized Sequential run
-// over 30 uniform nodes (uniformStart(30, 17), k=2, γ=0.25, ε=10⁻³,
-// 400-round cap, seed 5) checkpointed after round 3, with the normalized
-// ring_cap, loss_retries and arc_samples every engine checkpoint carries.
-// Resumed, it must finish exactly as the uninterrupted run does.
+// Each file in testdata is a run over 30 uniform nodes (uniformStart(30, 17),
+// k=2, ε=10⁻³, seed 5; γ=0.25 in Localized mode) checkpointed after round 3,
+// with the normalized ring_cap, loss_retries and arc_samples every engine
+// checkpoint carries. Resumed, each must finish exactly as the uninterrupted
+// run does: positions, radii, trace and messages. The lossy run never
+// converges, so it is capped at 60 rounds and finishes on the recompute path.
 func TestCommittedCheckpointResumes(t *testing.T) {
-	st, err := snapshot.ReadStateFile(filepath.Join("testdata", "localized_sequential_round3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Round != 3 {
-		t.Fatalf("checkpoint round = %d, want 3", st.Round)
-	}
-	reg := region.UnitSquareKm()
-	resumed, err := Resume(reg, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resumed.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		file      string
+		mode      Mode
+		order     UpdateOrder
+		lossRate  float64
+		maxRounds int
+		converges bool
+	}{
+		{"centralized_synchronous_round3.json", Centralized, Synchronous, 0, 400, true},
+		{"localized_synchronous_round3.json", Localized, Synchronous, 0, 400, true},
+		{"localized_sequential_round3.json", Localized, Sequential, 0, 400, true},
+		{"localized_lossy_round3.json", Localized, Synchronous, 0.3, 60, false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			st, err := snapshot.ReadStateFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Round != 3 {
+				t.Fatalf("checkpoint round = %d, want 3", st.Round)
+			}
+			reg := region.UnitSquareKm()
+			resumed, err := Resume(reg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg := DefaultConfig(2)
-	cfg.Mode = Localized
-	cfg.Order = Sequential
-	cfg.Gamma = 0.25
-	cfg.Epsilon = 1e-3
-	cfg.MaxRounds = 400
-	cfg.Seed = 5
-	ref, err := New(reg, uniformStart(30, 17), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Converged {
-		t.Fatal("reference run did not converge")
-	}
-	if got.Rounds != want.Rounds || got.Converged != want.Converged {
-		t.Fatalf("resumed run: rounds %d converged %v, want %d %v", got.Rounds, got.Converged, want.Rounds, want.Converged)
-	}
-	for i := range want.Positions {
-		if got.Positions[i] != want.Positions[i] || got.Radii[i] != want.Radii[i] {
-			t.Fatalf("node %d: resumed (%v, %v), uninterrupted (%v, %v)",
-				i, got.Positions[i], got.Radii[i], want.Positions[i], want.Radii[i])
-		}
-	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("trace length %d, want %d", len(got.Trace), len(want.Trace))
-	}
-	for i := range want.Trace {
-		if got.Trace[i] != want.Trace[i] {
-			t.Fatalf("trace[%d]: resumed %+v, uninterrupted %+v", i, got.Trace[i], want.Trace[i])
-		}
-	}
-	if got.Messages != want.Messages {
-		t.Fatalf("messages: resumed %d, uninterrupted %d", got.Messages, want.Messages)
+			cfg := DefaultConfig(2)
+			cfg.Mode, cfg.Order, cfg.LossRate = tc.mode, tc.order, tc.lossRate
+			if tc.mode == Localized {
+				cfg.Gamma = 0.25
+			}
+			cfg.Epsilon = 1e-3
+			cfg.MaxRounds = tc.maxRounds
+			cfg.Seed = 5
+			ref, err := New(reg, uniformStart(30, 17), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Converged != tc.converges {
+				t.Fatalf("reference run: converged %v after %d rounds, want %v", want.Converged, want.Rounds, tc.converges)
+			}
+			if got.Rounds != want.Rounds || got.Converged != want.Converged {
+				t.Fatalf("resumed run: rounds %d converged %v, want %d %v", got.Rounds, got.Converged, want.Rounds, want.Converged)
+			}
+			for i := range want.Positions {
+				if got.Positions[i] != want.Positions[i] || got.Radii[i] != want.Radii[i] {
+					t.Fatalf("node %d: resumed (%v, %v), uninterrupted (%v, %v)",
+						i, got.Positions[i], got.Radii[i], want.Positions[i], want.Radii[i])
+				}
+			}
+			if len(got.Trace) != len(want.Trace) {
+				t.Fatalf("trace length %d, want %d", len(got.Trace), len(want.Trace))
+			}
+			for i := range want.Trace {
+				if got.Trace[i] != want.Trace[i] {
+					t.Fatalf("trace[%d]: resumed %+v, uninterrupted %+v", i, got.Trace[i], want.Trace[i])
+				}
+			}
+			if got.Messages != want.Messages {
+				t.Fatalf("messages: resumed %d, uninterrupted %d", got.Messages, want.Messages)
+			}
+		})
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Stepper is the per-node round state Engine runs on — one outcome, one
+// Stepper is the per-node round state Engine runs on — one outcome and one
 // cache entry (validity, exactness radius and warm-start hint, message cost)
-// and one boundary flag per node, with flag repair, stats fold and finalize
-// — over a caller-owned wsn.Network. The sharded engine gives each shard one
-// over its window network: Renumber carries the state across a membership
-// change, and the check installed with SetAdmit rejects outcomes whose read
-// ball left the window. Every step routes through the code the
-// shared-memory engine runs, so an admitted outcome is bitwise the global
-// one. StepNode and RegionPolys are stateless entry points for one node (the
+// per node, with stats fold and finalize — over a caller-owned wsn.Network.
+// The sharded engine, which runs Synchronous Centralized rounds only, gives
+// each shard one over its window network: Renumber carries the state across
+// a membership change, and the check installed with SetAdmit rejects
+// outcomes whose read ball left the window. Every step routes through the
+// code the shared-memory engine runs, so an admitted outcome is bitwise the
+// global one. StepNode and RegionPolys are stateless entry points for one node (the
 // asynchronous simulator and kernel replays).
 type Stepper struct {
 	nodeState
@@ -131,54 +131,28 @@ func (st *Stepper) SetAdmit(fn func(i int, readRad, rhat float64) bool) { st.adm
 // Renumber attaches net — a rebuilt network over a new numbering of the
 // nodes — and carries every node's state across: from[i] is the previous
 // index of the node now at index i, or -1 for a node whose state starts
-// fresh, and ids maps the new indices to node IDs (the loss streams are
-// keyed by ID). It is the engine's own renumbering (see nodeState.renumber).
-// RepairFlags names the flags to repair. The per-cell ρ-bounds are dropped,
-// because net is a different network whose grid generation can coincide
-// with the old one's; the next invalidation rebuilds them.
-func (st *Stepper) Renumber(net *wsn.Network, ids []int, from []int32) {
+// fresh. It is the engine's own renumbering (see nodeState.renumber). The
+// per-cell ρ-bounds are dropped, because net is a different network whose
+// grid generation can coincide with the old one's; the next invalidation
+// rebuilds them.
+func (st *Stepper) Renumber(net *wsn.Network, from []int32) {
 	st.renumber(from)
-	st.net, st.ids, st.boundary = net, ids, st.flagVals
+	st.net = net
 	st.boundsLive = false
 }
 
 // Hint returns node i's warm-start hint: its last exactness radius.
 func (st *Stepper) Hint(i int) float64 { return st.cache[i].rho }
 
-// Reset starts node i afresh — no cache entry, its boundary flag due for
-// repair — with the given warm-start hint: all a node changing stepper
-// carries along.
+// Reset starts node i afresh — no cache entry — with the given warm-start
+// hint: all a node changing stepper carries along.
 func (st *Stepper) Reset(i int, hint float64) {
 	st.dropEntry(i)
-	st.flagValid[i] = false
 	st.cache[i].rho = hint
-}
-
-// RepairFlags brings the boundary flags of ids up to date at the current
-// positions, re-evaluating only those a position change disturbed since
-// their last evaluation (Localized mode).
-func (st *Stepper) RepairFlags(ids []int) {
-	if st.cfg.Mode != Localized {
-		return
-	}
-	st.flagDirty = st.flagDirty[:0]
-	for _, i := range ids {
-		if !st.flagValid[i] {
-			st.flagDirty = append(st.flagDirty, i)
-		}
-	}
-	st.repairFlags()
 }
 
 // StepAll steps every node of ids at once (Synchronous order).
 func (st *Stepper) StepAll(ids []int, round int) { st.stepAll(ids, round) }
-
-// Turn runs node i's Sequential turn, returning its position before and
-// after; ok is false when the outcome was not admitted.
-func (st *Stepper) Turn(i, round int) (old, next geom.Point, ok bool) {
-	old, _, ok = st.turn(i, round)
-	return old, st.net.Position(i), ok
-}
 
 // Commit applies the moves of ids not yet applied (Synchronous order), folds
 // their round outcomes into s (see RoundStats.Merge), and returns the moved

@@ -73,12 +73,14 @@ func WithMaxRounds(n int) Option {
 	return func(o *options) { o.maxRounds = &n }
 }
 
-// WithShards runs the synchronous engine sharded: the region is partitioned
-// into n vertical stripes, each owned by one shard, and the shards compute
-// their rounds in parallel while exchanging ρ-halos of border positions.
-// Positions, trace, radii and message totals are bit-identical to the
-// shared-memory engine for every shard count. n ≤ 1 selects the
-// shared-memory engine; async scenarios ignore the option.
+// WithShards runs the engine sharded: the region is partitioned into n
+// vertical stripes, each owned by one shard, and the shards compute their
+// rounds in parallel while exchanging ρ-halos of border positions. It is
+// kept only for the end-to-end benchmark's sharded fleet deployment, and
+// runs only what that deployment runs: a fresh Synchronous Centralized
+// scenario, bit-identical to the shared-memory engine for every shard count.
+// NewRunner rejects any other config, and ResumeRunner rejects n > 1. n ≤ 1
+// selects the shared-memory engine; async scenarios ignore the option.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
@@ -130,7 +132,8 @@ func Engine(r Runner) (*core.Engine, bool) {
 }
 
 // ShardEngine unwraps the sharded engine behind a Runner, if that is what
-// it is — the handle for halo-traffic statistics.
+// it is — the handle the end-to-end benchmark steps and reads halo-traffic
+// statistics through (see WithShards).
 func ShardEngine(r Runner) (*shard.Engine, bool) {
 	switch v := r.(type) {
 	case *shard.Engine:
@@ -248,18 +251,13 @@ func ResumeRunner(st *snapshot.State, opts ...Option) (Runner, error) {
 			st.Config.MaxRounds = *o.maxRounds
 		}
 		if o.shards > 1 {
-			eng, err := shard.Resume(reg, st, o.shards)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
-		} else {
-			eng, err := core.Resume(reg, st)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
+			return nil, fmt.Errorf("scenario: a checkpoint resumes on the shared-memory engine only, not with %d shards", o.shards)
 		}
+		eng, err := core.Resume(reg, st)
+		if err != nil {
+			return nil, err
+		}
+		inner = eng
 	case snapshot.KindAsync:
 		d, err := sim.Resume(reg, st)
 		if err != nil {

@@ -13,17 +13,18 @@ import (
 )
 
 // Engine is the sharded LAACAD engine: a drop-in Runner that executes the
-// same rounds as core.Engine, but with the deployment partitioned into
-// stripe-owned shards, each computing its nodes over a window of positions
-// kept coherent by a ρ-halo exchange of border positions. Trajectories,
-// trace, radii and message totals are bit-identical to the shared-memory
-// engine for every shard count, worker count and update order — asserted by
-// the bit-identity matrix test.
+// same Synchronous Centralized rounds as core.Engine from a fresh start, but
+// with the deployment partitioned into stripe-owned shards, each computing
+// its nodes over a window of positions kept coherent by a ρ-halo exchange of
+// border positions. Trajectories, trace and radii are bit-identical to the
+// shared-memory engine for every shard count and worker count — asserted by
+// the bit-identity matrix test. A Centralized run sends no messages, so its
+// message totals are zero on both engines.
 //
 // The orchestrator (this type) runs the round protocol as phase calls on its
 // shards: migrate ownership, grant windows, drive the serve/merge halo
-// exchange, fan computation out to the shards, fold their partial
-// statistics, and route Sequential mid-round position updates. The sending
+// exchange, fan computation out to the shards and fold their partial
+// statistics. The sending
 // phases (migrate, serve) run shard by shard and append their batches to the
 // receivers' mailboxes; every other phase runs on all shards at once, and
 // its return is the barrier. It keeps a global position mirror so Snapshot
@@ -48,18 +49,16 @@ type Engine struct {
 	windows   []xband      // each shard's granted window
 	round     int
 	converged bool
-	stepped   bool // a round completed this session (finalization shortcuts)
 	trace     []core.RoundStats
-	roundMsgs int64
-	msgBase   int64
-	finalMsgs int64
 	observer  func(core.RoundStats) error
 	halo      haloCounters
 	final     *core.Result
 }
 
 // New builds a sharded engine over reg with the given initial positions
-// (clamped inside the region, like core.New) and shard count.
+// (clamped inside the region, like core.New) and shard count. It runs only
+// the paper's idealized iteration: a config whose mode is not Centralized
+// or whose order is not Synchronous is rejected.
 func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) (*Engine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
@@ -67,6 +66,12 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 	st0, err := core.NewStepper(reg, len(initial), cfg)
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case cfg.Mode != core.Centralized:
+		return nil, fmt.Errorf("shard: mode must be %v, got %v", core.Centralized, cfg.Mode)
+	case cfg.Order != core.Synchronous:
+		return nil, fmt.Errorf("shard: order must be %v, got %v", core.Synchronous, cfg.Order)
 	}
 	cfg = st0.Config() // normalized (RingCap default applied)
 	n := len(initial)
@@ -96,23 +101,6 @@ func New(reg *region.Region, initial []geom.Point, cfg core.Config, shards int) 
 		}
 		e.workers = append(e.workers, newWorker(s, e, st, pos, owner))
 	}
-	return e, nil
-}
-
-// Resume reconstructs a sharded engine from an engine checkpoint — the
-// sharded counterpart of core.Resume (same schema, KindEngine).
-func Resume(reg *region.Region, st *snapshot.State, shards int) (*Engine, error) {
-	if st.Kind != snapshot.KindEngine {
-		return nil, fmt.Errorf("shard: cannot resume %q checkpoint with the sharded engine", st.Kind)
-	}
-	e, err := New(reg, st.Positions(), core.ConfigFromState(st.Config), shards)
-	if err != nil {
-		return nil, err
-	}
-	e.round = st.Round
-	e.converged = st.Converged
-	e.msgBase = st.Messages
-	e.trace = core.TraceFromState(st.Trace)
 	return e, nil
 }
 
@@ -255,13 +243,8 @@ func (e *Engine) Step() (core.RoundStats, bool) {
 	// Phases 1–4: migrate, absorb, serve, merge.
 	e.refresh()
 
-	// Phase 5: compute (+ deficit cycles), commit, fold. A Sequential sweep
-	// commits each move at its turn, leaving the commit phase nothing to move.
-	if e.cfg.Order == core.Sequential {
-		e.sequentialRound(round)
-	} else {
-		e.settle(func(w *worker, retry bool) xband { return w.doComputeSync(round, retry) })
-	}
+	// Phase 5: compute (+ deficit cycles), commit, fold.
+	e.settle(func(w *worker, retry bool) xband { return w.doCompute(round, retry) })
 	parts := make([]core.RoundStats, e.part.Shards())
 	e.each(func(w *worker) { parts[w.id] = w.doCommit() })
 	stats := core.RoundStats{Round: round, MinCircumradius: math.Inf(1)}
@@ -273,41 +256,9 @@ func (e *Engine) Step() (core.RoundStats, bool) {
 	}
 
 	e.round++
-	e.roundMsgs += stats.Messages
 	e.trace = append(e.trace, stats)
 	e.converged = stats.Moved == 0
-	e.stepped = true
 	return stats, e.converged
-}
-
-// sequentialRound drives the Gauss–Seidel sweep: every node takes its turn
-// on its owner in ascending global-ID order; committed moves are mirrored
-// and routed to every other shard whose window sees either endpoint.
-func (e *Engine) sequentialRound(round int) {
-	defs := make([]xband, e.part.Shards())
-	for g := range e.pos {
-		w := e.workers[e.owner[g]]
-		for {
-			d := w.doTurn(g, round)
-			if !d.ok {
-				break
-			}
-			defs[w.id] = d
-			e.extendWindows(defs)
-			defs[w.id] = xband{}
-		}
-		old, p := e.pos[g], w.pos[g]
-		if p == old {
-			continue
-		}
-		e.pos[g] = p
-		for s, peer := range e.workers {
-			if peer != w && (e.windows[s].contains(old.X) || e.windows[s].contains(p.X)) {
-				peer.applyPosUpdate(g, p)
-				e.halo.posUpdate()
-			}
-		}
-	}
 }
 
 // Run executes rounds until convergence, MaxRounds, ctx cancellation, or an
@@ -329,8 +280,9 @@ func (e *Engine) Run(ctx context.Context) (*core.Result, error) {
 
 // finalize assigns final radii — the sharded mirror of core.Engine.Finalize:
 // each shard writes its owned nodes' radii through the same state operation
-// the engine runs, reusing the last round's for a converged run this engine
-// stepped and recomputing them otherwise.
+// the engine runs, reusing the last round's for a converged run (only a
+// stepped round converges an engine that starts fresh) and recomputing them
+// otherwise.
 func (e *Engine) finalize() *core.Result {
 	n := len(e.pos)
 	res := &core.Result{
@@ -340,7 +292,7 @@ func (e *Engine) finalize() *core.Result {
 		Converged: e.converged,
 		Trace:     append([]core.RoundStats(nil), e.trace...),
 	}
-	reuse := e.converged && e.stepped
+	reuse := e.converged
 	if !reuse {
 		// The last committed round's remote moves were never served (a round
 		// refreshes windows at its start, and there is no next round), so the
@@ -350,17 +302,12 @@ func (e *Engine) finalize() *core.Result {
 	}
 	tag := core.FinalRoundTag(e.round)
 	e.settle(func(w *worker, retry bool) xband { return w.doFinal(res, reuse, tag, retry) })
-	for _, w := range e.workers {
-		e.finalMsgs += w.msgs
-		w.msgs = 0
-	}
-	res.Messages = e.msgBase + e.roundMsgs + e.finalMsgs
 	return res
 }
 
-// Snapshot captures a resumable checkpoint — byte-identical to what the
-// shared-memory engine would write at the same round boundary (positions,
-// round, convergence, trace, config; finalization messages excluded).
+// Snapshot captures a checkpoint the shared-memory engine resumes —
+// byte-identical to what that engine would write at the same round boundary
+// (positions, round, convergence, trace, config, and no messages).
 func (e *Engine) Snapshot() (*snapshot.State, error) {
-	return core.Checkpoint(e.pos, e.cfg, e.round, e.converged, e.trace, e.msgBase+e.roundMsgs), nil
+	return core.Checkpoint(e.pos, e.cfg, e.round, e.converged, e.trace, 0), nil
 }

@@ -43,7 +43,7 @@ func TestHaloTrafficRhoBallBound(t *testing.T) {
 			t.Fatalf("round %d: %d halo messages > structural bound %d (%d exchanges)", r, dMsgs, maxMsgs, dExch)
 		}
 		// Entries across all batches this round (16 bytes framing + 24 per
-		// (id, x, y) entry; no posUpdates in Synchronous order).
+		// (id, x, y) entry).
 		entries := (dBytes - 16*dMsgs) / 24
 		var perCycle int64
 		for s := 0; s < S; s++ {

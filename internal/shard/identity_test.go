@@ -71,34 +71,14 @@ type identityCase struct {
 func identityCases() []identityCase {
 	sync := core.DefaultConfig(2)
 	sync.Epsilon = 1e-3
-	sync.MaxRounds = 300 // the converging cases take 61–127 rounds
-
-	seq := sync
-	seq.Order = core.Sequential
-
-	loc := core.DefaultConfig(2)
-	loc.Mode = core.Localized
-	loc.Gamma = 0.25
-	loc.Epsilon = 1e-3
-	loc.MaxRounds = 300
-
-	locSeq := loc
-	locSeq.Order = core.Sequential
+	sync.MaxRounds = 300 // the converging case takes 111 rounds
 
 	short := sync
 	short.MaxRounds = 8 // unconverged: exercises the finalize recompute path
 
-	lossy := loc
-	lossy.LossRate = 0.3
-	lossy.MaxRounds = 25
-
 	return []identityCase{
 		{"sync-centralized", sync, 28, 42, true},
-		{"seq-centralized", seq, 28, 42, true},
-		{"localized", loc, 28, 42, true},
-		{"localized-seq", locSeq, 24, 7, true},
 		{"sync-unconverged", short, 28, 42, false},
-		{"localized-lossy", lossy, 24, 11, false},
 	}
 }
 

@@ -63,9 +63,8 @@ type migrateMsg struct {
 // HaloStats is the cumulative halo-exchange traffic of a sharded run: the
 // metered cost of keeping the shards' windows coherent. msgs counts data
 // messages (batches count once), bytes their serialized size (16 bytes of
-// framing per message plus 24 per (id, x, y) entry, 40 for a posUpdate's
-// id + both endpoints), exchanges the serve cycles (one per wholesale
-// refresh, one per deficit extension).
+// framing per message plus 24 per (id, x, y) entry), exchanges the serve
+// cycles (one per wholesale refresh, one per deficit extension).
 type HaloStats struct {
 	Msgs, Bytes, Exchanges int64
 }
@@ -79,11 +78,6 @@ type haloCounters struct {
 func (h *haloCounters) batch(entries int) {
 	h.msgs.Add(1)
 	h.bytes.Add(16 + 24*int64(entries))
-}
-
-func (h *haloCounters) posUpdate() {
-	h.msgs.Add(1)
-	h.bytes.Add(16 + 40)
 }
 
 func (h *haloCounters) snapshot() HaloStats {

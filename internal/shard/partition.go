@@ -3,11 +3,12 @@
 // core's per-node state (core.Stepper) over its own window wsn.Network; per
 // round the orchestrator calls its shards phase by phase, and the sending
 // phases deliver a ρ-halo of border positions into the receivers'
-// mailboxes. The sharded engine is bit-identical to the shared-memory
-// core.Engine — Positions, Trace, Radii and Result.Messages — for every
-// shard count, worker count and update order, because every per-node
-// computation routes through the same core state over a local window proven
-// complete for the node's read ball (see worker.go for the trust rule).
+// mailboxes. It runs the paper's idealized iteration only — Synchronous
+// order, Centralized mode, from a fresh start — and is bit-identical to the
+// shared-memory core.Engine there — Positions, Trace and Radii — for every
+// shard count and worker count, because every per-node computation routes
+// through the same core state over a local window proven complete for the
+// node's read ball (see worker.go for the trust rule).
 package shard
 
 import (

@@ -13,8 +13,8 @@ import (
 // worker is one shard: the owner of a vertical stripe of the deployment. It
 // holds a local wsn.Network over its window — every global node whose current
 // position lies inside the window, plus its own owned nodes — and runs the
-// per-node state of core.Engine (a core.Stepper: cache, flag repair, stats
-// fold, finalize) over that network for the nodes it owns. What the worker
+// per-node state of core.Engine (a core.Stepper: cache, stats fold,
+// finalize) over that network for the nodes it owns. What the worker
 // adds is the halo protocol: membership, migrate/serve/merge, the admission
 // check against the window, and the window invariant on the cache.
 //
@@ -31,10 +31,10 @@ import (
 //  2. Trust: an outcome whose read ball (the radius the stepper reports to
 //     admit, around the node) lies inside the window read only globally
 //     current positions, so by the stepper's any-start-radius contract it is
-//     bitwise the global engine's outcome. Centralized outcomes additionally
-//     require the exactness exit (2·R̂ ≤ read radius) unless the window
-//     spans the whole deployment, because the expanding search may also stop
-//     by exhausting the *local* node count. Untrusted outcomes raise a halo deficit; the
+//     bitwise the global engine's outcome. Outcomes additionally require the
+//     exactness exit (2·R̂ ≤ read radius) unless the window spans the whole
+//     deployment, because the expanding search may also stop by exhausting
+//     the *local* node count. Untrusted outcomes raise a halo deficit; the
 //     orchestrator widens the window and the node recomputes — windows only
 //     grow within a round, so the loop terminates (at spansAll at the
 //     latest).
@@ -42,7 +42,7 @@ import (
 //  3. Cache validity: an entry is reused only while its invalidation ball
 //     has stayed inside the window at every round since it was computed and
 //     no known position change touched it. Every position change the shard
-//     learns of (serve diff, membership add/remove, posUpdate, own commit)
+//     learns of (serve diff, membership add/remove, own commit)
 //     invalidates by both endpoints, and the per-refresh window check kills
 //     entries whose ball a window shrink ever exposed — without it a
 //     shrink-then-grow window could hide a move inside the ball.
@@ -55,7 +55,6 @@ type worker struct {
 	id  int
 	eng *Engine
 	st  *core.Stepper
-	cfg core.Config
 
 	// Region bbox x-extent: windows and read balls are clamped to it before
 	// comparison (nothing exists outside it).
@@ -93,7 +92,6 @@ type worker struct {
 	pending   []int        // owned nodes whose last attempt was untrusted
 	targets   []int        // local indices of the retry set
 	changes   []geom.Point // position-change endpoints not yet invalidated
-	msgs      int64        // the round's (or finalization's) message charges so far
 	mark      []uint32     // serve-mark generations (refresh sweep)
 	markGen   uint32
 	rxServe   []serveMsg   // mailbox: serve batches for the next merge
@@ -121,7 +119,6 @@ func newWorker(id int, eng *Engine, st *core.Stepper, pos []geom.Point, owner []
 		id:       id,
 		eng:      eng,
 		st:       st,
-		cfg:      st.Config(),
 		regLoX:   xmin,
 		regHiX:   xmax,
 		stripe:   xband{lo: lo, hi: hi, ok: true},
@@ -206,7 +203,7 @@ func (w *worker) syncNet() {
 		w.net = wsn.New(w.posBuf, w.st.IndexGamma())
 		w.net.SetSearchCount(len(w.pos)) // global n: keeps the probe sequence engine-identical
 		w.net.SetBoundsHint(w.eng.bbox)
-		w.st.Renumber(w.net, w.members, w.fromBuf)
+		w.st.Renumber(w.net, w.fromBuf)
 		for _, a := range w.adopted {
 			w.st.Reset(int(w.localOf[a.id]), a.hint)
 		}
@@ -229,15 +226,14 @@ func (w *worker) syncNet() {
 // admit is the stepper's admission check: it records node i's read radius
 // for the next halo prediction and decides whether the outcome is bitwise
 // the global one — the window spans everything, or the read ball stayed
-// inside the window and (Centralized only) the search ended on the exactness
-// exit (2·R̂ ≤ ρ) rather than by exhausting the local node count. (The
-// runaway exit ρ > 4·diag implies the exactness disjunct: R̂ ≤ diag < ρ/2.)
-// A rejected outcome raises a deficit. Safe for concurrent use across
-// distinct nodes.
+// inside the window and the search ended on the exactness exit (2·R̂ ≤ ρ)
+// rather than by exhausting the local node count. (The runaway exit
+// ρ > 4·diag implies the exactness disjunct: R̂ ≤ diag < ρ/2.) A rejected
+// outcome raises a deficit. Safe for concurrent use across distinct nodes.
 func (w *worker) admit(i int, readRad, rhat float64) bool {
 	g := w.members[i]
 	w.readRad[g] = readRad
-	if w.spansAll() || (w.ballInWindow(w.pos[g], readRad) && (w.cfg.Mode == core.Localized || 2*rhat <= readRad)) {
+	if w.spansAll() || (w.ballInWindow(w.pos[g], readRad) && 2*rhat <= readRad) {
 		return true
 	}
 	w.raiseDeficit(g, readRad)
@@ -248,10 +244,10 @@ func (w *worker) admit(i int, readRad, rhat float64) bool {
 // the shard's deficit request. When the read ball stuck out of the window,
 // a band around it with doubling overshoot makes the retry loop converge in
 // O(log) exchanges instead of ring-by-ring; when the ball was inside but the
-// Centralized search exhausted the local membership without reaching
-// exactness, only the full deployment settles the question — request it
-// outright (the one-retry hammer; growth is strict either way, so the loop
-// terminates at spansAll at the latest).
+// search exhausted the local membership without reaching exactness, only the
+// full deployment settles the question — request it outright (the
+// one-retry hammer; growth is strict either way, so the loop terminates at
+// spansAll at the latest).
 func (w *worker) raiseDeficit(g int, readRad float64) {
 	var req xband
 	if w.ballInWindow(w.pos[g], readRad) {
@@ -378,18 +374,13 @@ func insertSorted(s []int, g int) []int {
 // nodes, of the node's last read radius minus its distance to the edge —
 // the ρ-ball bound: a node's search reads no farther out than that, so
 // positions farther outside the stripe cannot influence it. Nodes with no
-// history fall back to the expanding search's density guess. Localized
-// windows are floored at γ (the boundary flag reads the full γ-ball).
+// history fall back to the expanding search's density guess.
 func (w *worker) desiredWindow() xband {
 	if w.eng.part.Shards() == 1 {
 		return w.clampBand(xband{lo: math.Inf(-1), hi: math.Inf(1), ok: true})
 	}
 	guess := w.eng.fallbackRad
-	minW := 0.0
-	if w.cfg.Mode == core.Localized {
-		minW = w.cfg.Gamma
-	}
-	wl, wr := minW, minW
+	var wl, wr float64
 	for _, g := range w.ownedID {
 		r := w.readRad[g]
 		if r <= 0 {
@@ -432,8 +423,7 @@ func (w *worker) doServe(bands []xband) {
 // doMergeRefresh reconciles the buffered round-start serves against the
 // membership: update changed positions, add newcomers, remove members the
 // sweep proves have left the window (their owner did not re-serve them),
-// enforce the cache validity invariant against the new window, and repair
-// the owned boundary flags.
+// and enforce the cache validity invariant against the new window.
 func (w *worker) doMergeRefresh(win xband) {
 	w.window = w.clampBand(win)
 	w.markGen++
@@ -458,10 +448,6 @@ func (w *worker) doMergeRefresh(win xband) {
 	}
 	w.syncNet()
 	w.enforceWindow()
-	// Repair boundary flags here — and only here — so every turn and fan-out
-	// of the round reads start-of-round flag truth, exactly like the engine:
-	// mid-round moves mark flags dirty for the NEXT round's repair.
-	w.st.RepairFlags(w.ownedLocal)
 }
 
 // doMergeDelta incorporates serves for a window extension: adds and updates
@@ -476,19 +462,6 @@ func (w *worker) doMergeDelta(win xband) {
 	}
 	w.rxServe = w.rxServe[:0]
 	w.syncNet()
-}
-
-// applyPosUpdate incorporates one Sequential mid-round move of node g to p.
-// Membership follows the window: a node moving in becomes a member, one
-// moving out is dropped (a stale copy inside the window would be unsound).
-func (w *worker) applyPosUpdate(g int, p geom.Point) {
-	switch inWin := w.window.contains(p.X); {
-	case w.member[g] && !inWin && !w.owned[g]:
-		w.changes = append(w.changes, w.pos[g])
-		w.memberRemove(g)
-	case w.member[g] || inWin:
-		w.learn(g, p)
-	}
 }
 
 // ---- compute --------------------------------------------------------------
@@ -510,48 +483,28 @@ func (w *worker) beginAttempt(retry bool) []int {
 	return targets
 }
 
-// doComputeSync computes outcomes for the owned set (or the pending retry
-// set) at start-of-round positions. Returns the union deficit when any node
-// needs a wider window.
-func (w *worker) doComputeSync(round int, retry bool) xband {
+// doCompute computes outcomes for the owned set (or the pending retry set)
+// at start-of-round positions. Returns the union deficit when any node needs
+// a wider window.
+func (w *worker) doCompute(round int, retry bool) xband {
 	targets := w.beginAttempt(retry)
-	before := w.net.MessageCount()
 	w.st.StepAll(targets, round)
-	w.msgs += w.net.MessageCount() - before
 	return w.defic
 }
 
-// doCommit applies the round's moves (a Sequential sweep made its own at
-// each turn), writes them to the orchestrator's position mirror (owned
-// nodes only, so shards write distinct slots) and returns the shard's
-// partial statistics.
+// doCommit applies the round's moves, writes them to the orchestrator's
+// position mirror (owned nodes only, so shards write distinct slots) and
+// returns the shard's partial statistics.
 func (w *worker) doCommit() core.RoundStats {
 	w.syncNet()
 	st := core.RoundStats{MinCircumradius: math.Inf(1)}
 	ids, pts := w.st.Commit(w.ownedLocal, &st)
-	st.Messages, w.msgs = w.msgs, 0
 	for k, li := range ids {
 		g := w.members[li]
 		w.pos[g] = pts[2*k+1]
 		w.eng.pos[g] = pts[2*k+1]
 	}
 	return st
-}
-
-// doTurn runs one node's Sequential turn: compute at current (mid-round)
-// truth, and commit immediately when trusted — later turns must see the
-// move, exactly the Gauss–Seidel contract. Returns the deficit when the
-// outcome was untrusted.
-func (w *worker) doTurn(g, round int) xband {
-	w.beginAttempt(false)
-	before := w.net.MessageCount()
-	_, next, ok := w.st.Turn(int(w.localOf[g]), round)
-	w.msgs += w.net.MessageCount() - before
-	if !ok {
-		return w.defic
-	}
-	w.pos[g] = next
-	return xband{}
 }
 
 // ---- finalization ---------------------------------------------------------
@@ -561,17 +514,11 @@ func (w *worker) doTurn(g, round int) xband {
 // positions under the negative round tag with the same trust/deficit loop as
 // a round. Returns the deficit while any node needs a wider window; a
 // rejected node's slot is rewritten when its retry is admitted. Shards own
-// distinct nodes, so they write distinct slots. Charges accrue to msgs as
-// finalization messages.
+// distinct nodes, so they write distinct slots.
 func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xband {
 	targets := w.beginAttempt(retry)
-	if !reuse {
-		w.st.RepairFlags(w.ownedLocal)
-	}
 	w.final = slices.Grow(w.final[:0], w.net.Len())[:w.net.Len()]
-	before := w.net.MessageCount()
 	ok := w.st.FinalRadii(targets, reuse, tag, w.final)
-	w.msgs += w.net.MessageCount() - before
 	for _, li := range targets {
 		res.Radii[w.members[li]] = w.final[li]
 	}

@@ -100,15 +100,6 @@ func WithWorkers(n int) RunOption { return scenario.WithWorkers(n) }
 // scenarios, whose budget is AsyncConfig.MaxTime).
 func WithMaxRounds(n int) RunOption { return scenario.WithMaxRounds(n) }
 
-// WithShards runs the synchronous engine sharded across n stripe-partitioned
-// shards that compute their rounds in parallel and exchange ρ-halos of
-// border positions. Positions, trace, radii and message totals are
-// bit-identical to the shared-memory engine for every shard count; halo
-// traffic is observable via WithMetrics ("shard.halo_msgs",
-// "shard.halo_bytes", "shard.exchanges"). n ≤ 1 selects the shared-memory
-// engine; async scenarios ignore the option.
-func WithShards(n int) RunOption { return scenario.WithShards(n) }
-
 // WithSnapshotEvery checkpoints the run every `every` rounds into sink —
 // e.g. a file writer for crash-safe long runs.
 func WithSnapshotEvery(every int, sink func(*Checkpoint) error) RunOption {
