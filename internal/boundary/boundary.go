@@ -40,6 +40,13 @@ type Scratch struct {
 	angles []float64
 }
 
+// Reserve grows s's buffers to at least the capacities o's have reached,
+// keeping s's contents, so s serves whatever o has served without growing.
+func (s *Scratch) Reserve(o *Scratch) {
+	s.nbrs = geom.GrowCap(s.nbrs, cap(o.nbrs))
+	s.angles = geom.GrowCap(s.angles, cap(o.angles))
+}
+
 // AngularGap is a localized boundary detector. A node with fewer than three
 // one-hop neighbors is always a boundary node; otherwise the node sorts the
 // bearings of its neighbors and reports boundary if the largest gap between

@@ -182,18 +182,23 @@ func (ns *nodeState) outcomeOf(i int, refs []geom.PolyRef, rhat float64, s *Scra
 	return out
 }
 
-// regionOf computes node i's dominating region at the current positions,
-// compacted, plus the radius of the ball the computation read positions
-// from — the Finalize/DebugRegions recompute path. That read radius is, for
-// Centralized, the expanding search's final pre-tightening radius and, for
-// Localized, the search's invalidation radius.
-func (ns *nodeState) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
+// regionRefs computes node i's dominating region at the current positions
+// as refs into s.vor's slab, plus the radius of the ball the computation read
+// positions from — the Finalize/DebugRegions recompute path. That read radius
+// is, for Centralized, the expanding search's final pre-tightening radius
+// and, for Localized, the search's invalidation radius.
+func (ns *nodeState) regionRefs(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.PolyRef, float64) {
 	if ns.cfg.Mode == Localized {
-		refs, inv := ns.localizedRegionRefs(i, isBoundary, rng, s)
-		return voronoi.CompactRefs(&s.vor.Slab, refs), inv
+		return ns.localizedRegionRefs(i, isBoundary, rng, s)
 	}
 	refs, _, _ := centralizedRegionSoA(ns.net, ns.reg, i, ns.cfg.K, hint, s)
-	return voronoi.CompactRefs(&s.vor.Slab, refs), s.searchRho
+	return refs, s.searchRho
+}
+
+// regionOf is regionRefs with the region compacted out of the slab.
+func (ns *nodeState) regionOf(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
+	refs, readRad := ns.regionRefs(i, hint, isBoundary, rng, s)
+	return voronoi.CompactRefs(&s.vor.Slab, refs), readRad
 }
 
 // localizedRegionRefs runs Algorithm 2 for node i: the expanding-ring search

@@ -211,7 +211,7 @@ func (e *Engine) planLevelSchedule(workers int) {
 // the queue prefix whose triggers the scan has passed, truncated to the
 // adaptive width cap. Runs only inside a Sequential sweep with the cache
 // enabled, workers > 1 and a live schedule (schedOn); multi-member waves
-// fan out over the engine's open wavePool.
+// fan out over the state's open worker team.
 //
 // Pairwise independence of the popped wave holds by construction: for wave
 // members a < b, a predicted disturbance of b by a implies trigger(b) ≥ a+1,
@@ -277,7 +277,7 @@ func (e *Engine) speculateAt(i, round int) {
 			}
 		}
 		e.waveRound = round
-		e.wavePool.Run(len(sel), e.waveFn)
+		e.team.Run(len(sel), e.waveFn)
 	}
 	e.counters.SpecComputed += uint64(len(sel))
 	// The live per-cell ρ-bounds must upper-bound every valid entry or

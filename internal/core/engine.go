@@ -174,12 +174,11 @@ type Engine struct {
 	waveMark         []uint8
 	waveHook         func(from int, selected []int)
 	schedHook        func(keys []int64)
-	// wavePool serves every speculation wave of a sweep from one set of
-	// parked goroutines (opened around the sweep, closed after it), and
-	// waveFn is the one persistent fan-out closure — together they make a
-	// wave launch allocation-free. waveRound carries the round the closure
-	// reads.
-	wavePool  parallel.Pool
+	// The state's worker team serves every speculation wave of a sweep from
+	// one set of parked goroutines (opened around the sweep, closed after
+	// it), and waveFn is the one persistent fan-out closure — together they
+	// make a wave launch allocation-free. waveRound carries the round the
+	// closure reads.
 	waveFn    func(w, idx int)
 	waveRound int
 	// eager, when set (tests), turns the dirty-set cache off: every round
@@ -397,8 +396,8 @@ func (e *Engine) Step() (RoundStats, bool) {
 				// One set of parked worker goroutines serves every wave of
 				// the sweep — a wave launch allocates nothing. Closing on
 				// return releases them even when a wave re-panics.
-				e.wavePool.Open(workers)
-				defer e.wavePool.Close()
+				e.team.Open(workers)
+				defer e.team.Close()
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -413,6 +412,7 @@ func (e *Engine) Step() (RoundStats, bool) {
 				e.commitHook(i)
 			}
 		}
+		e.warmPool()
 	} else {
 		computed = e.stepAll(e.every(), round)
 	}

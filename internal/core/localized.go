@@ -9,7 +9,8 @@ import (
 
 // localizedSearch runs the expanding-ring phase of Algorithm 2 for node i —
 // metering every message the node sends into s.msgs, charging none — and
-// returns the gathered neighbor IDs, the final ring radius ρ, whether the
+// returns the gathered neighbor IDs (the last probe's answer, held in
+// s.probe until the next search on s), the final ring radius ρ, whether the
 // region must be closed with the ρ/2 ring, and the search's invalidation
 // radius: the whole computation — every ring probe, the domination
 // sampling, the coverage check and the region construction — read only
@@ -25,18 +26,17 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 	clipToRing := isBoundary
 	s.msgs = 0
 	query := func(radius float64) []int {
-		var ids []int
 		var cost int64
 		if ns.cfg.LossRate > 0 {
-			ids, cost = ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
+			s.probe, cost = ns.net.RingQueryLossy(i, radius, wsn.LossyRingConfig{
 				LossRate: ns.cfg.LossRate,
 				Retries:  ns.cfg.LossRetries,
-			}, rng)
+			}, rng, s.probe)
 		} else {
-			ids, cost = ns.net.RingQuery(i, radius)
+			s.probe, cost = ns.net.RingQuery(i, radius, s.probe)
 		}
 		s.msgs += cost
-		return ids
+		return s.probe
 	}
 	for {
 		rho += gamma

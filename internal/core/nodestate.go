@@ -43,8 +43,17 @@ type nodeState struct {
 	spare nodeArrays
 
 	// pool holds one Scratch per worker slot so the per-node geometry
-	// pipeline runs without heap allocation.
-	pool []*Scratch
+	// pipeline runs without heap allocation. team runs the fan-outs
+	// (Pool.Fan) and the Sequential sweep's speculation waves. stepFn and
+	// flagFn are the fan-out bodies of stepAll and repairFlags, built once so
+	// a fan-out allocates nothing; stepFn reads its nodes and round from
+	// stepIDs and stepRound.
+	pool      []*Scratch
+	team      parallel.Pool
+	stepFn    func(w, k int)
+	flagFn    func(w, k int)
+	stepIDs   []int
+	stepRound int
 
 	// movedIDs lists the nodes the last commit moved, movedPts their (old,
 	// new) endpoint pairs — both endpoints matter for invalidation, because
@@ -215,10 +224,39 @@ func (ns *nodeState) lossRNG(round, i int) *rand.Rand {
 	return nodeRNG(ns.cfg.Seed, round, i)
 }
 
-// ensurePool sizes the per-worker scratch pool.
+// ensurePool sizes the per-worker scratch pool. A slot it adds starts at
+// slot 0's capacities, which warmPool keeps at the largest any slot has
+// reached.
 func (ns *nodeState) ensurePool(workers int) {
 	for len(ns.pool) < workers {
-		ns.pool = append(ns.pool, NewScratch())
+		s := NewScratch()
+		if len(ns.pool) > 0 {
+			s.reserve(ns.pool[0])
+		}
+		ns.pool = append(ns.pool, s)
+	}
+}
+
+// warmPool grows every scratch slot to the largest capacity any slot has
+// reached (see warmSlots). Run after each fan-out, it leaves every slot warm
+// once one round has computed every node.
+func (ns *nodeState) warmPool() { warmSlots(ns.pool, (*Scratch).reserve) }
+
+// warmSlots grows every per-worker slot, buffer by buffer (reserve), to the
+// largest capacity any slot has reached: slot 0 first takes the maximum,
+// then every other slot takes slot 0's. Slots are handed out dynamically,
+// so a slot that a fan-out left idle would otherwise grow — and allocate —
+// in some later round. Warm slots only compare capacities.
+func warmSlots[S any](slots []*S, reserve func(s, o *S)) {
+	if len(slots) < 2 {
+		return
+	}
+	hw := slots[0]
+	for _, s := range slots[1:] {
+		reserve(hw, s)
+	}
+	for _, s := range slots[1:] {
+		reserve(s, hw)
 	}
 }
 
@@ -356,9 +394,14 @@ func (ns *nodeState) stepAll(ids []int, round int) []int {
 	}
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
-	parallel.ForWorker(len(todo), workers, func(w, k int) {
-		ns.computeEntry(todo[k], round, ns.pool[w], false)
-	})
+	if ns.stepFn == nil {
+		ns.stepFn = func(w, k int) {
+			ns.computeEntry(ns.stepIDs[k], ns.stepRound, ns.pool[w], false)
+		}
+	}
+	ns.stepIDs, ns.stepRound = todo, round
+	ns.team.Fan(len(todo), workers, ns.stepFn)
+	ns.warmPool()
 	ns.noteRhoBounds(todo)
 	return todo
 }
@@ -476,7 +519,9 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 // recompute would measure (same vertices, same position, same fold), and no
 // region is written. Otherwise every region is recomputed at the current
 // positions, fanning out across Config.Workers, each search from the density
-// fallback rather than the warm start; in Localized mode the searches run
+// fallback rather than the warm start; R̂ is measured on the slab-resident
+// region, which is compacted into fresh polygons only when regions asks for
+// it; in Localized mode the searches run
 // (and charge) under the negative round tag (FinalRoundTag) — a domain
 // separate from every Step round, so an inspection fan-out never replays the
 // loss draws the next Step is about to make. It reports false when admit
@@ -492,15 +537,15 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
 	var rejected atomic.Bool
-	parallel.ForWorker(len(ids), workers, func(w, k int) {
+	ns.team.Fan(len(ids), workers, func(w, k int) {
 		i, s := ids[k], ns.pool[w]
 		var flag bool
 		var rng *rand.Rand
 		if ns.cfg.Mode == Localized {
 			flag, rng = ns.boundary[i], ns.lossRNG(tag, i)
 		}
-		polys, readRad := ns.regionOf(i, 0, flag, rng, s)
-		rhat := voronoi.MaxDistFrom(ns.net.Position(i), polys)
+		refs, readRad := ns.regionRefs(i, 0, flag, rng, s)
+		rhat := voronoi.MaxDistFromRefs(ns.net.Position(i), &s.vor.Slab, refs)
 		if ns.admit != nil && !ns.admit(i, readRad, rhat) {
 			rejected.Store(true)
 			return
@@ -510,9 +555,10 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 			radii[i] = rhat
 		}
 		if regions != nil {
-			regions[i] = polys
+			regions[i] = voronoi.CompactRefs(&s.vor.Slab, refs)
 		}
 	})
+	ns.warmPool()
 	return !rejected.Load()
 }
 
@@ -535,11 +581,15 @@ func (ns *nodeState) repairFlags() []bool {
 		for len(ns.flagPool) < workers {
 			ns.flagPool = append(ns.flagPool, &boundary.Scratch{})
 		}
-		parallel.ForWorker(len(dirty), workers, func(w, idx int) {
-			i := dirty[idx]
-			ns.flagVals[i] = det.BoundaryNodeScratch(ns.net, i, ns.flagPool[w])
-			ns.flagValid[i] = true
-		})
+		if ns.flagFn == nil {
+			ns.flagFn = func(w, k int) {
+				i := ns.flagDirty[k]
+				ns.flagVals[i] = boundary.AngularGap{}.BoundaryNodeScratch(ns.net, i, ns.flagPool[w])
+				ns.flagValid[i] = true
+			}
+		}
+		ns.team.Fan(len(dirty), workers, ns.flagFn)
+		warmSlots(ns.flagPool, (*boundary.Scratch).Reserve)
 	} else {
 		for _, i := range dirty {
 			ns.flagVals[i] = det.BoundaryNodeScratch(ns.net, i, &ns.flagScratch)

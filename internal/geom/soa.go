@@ -35,6 +35,15 @@ type PolySlab struct {
 	vals, tols []float64
 }
 
+// Reserve grows every buffer of s to at least the capacity o's has reached,
+// keeping s's contents, so s serves whatever o has served without growing.
+func (s *PolySlab) Reserve(o *PolySlab) {
+	s.XS = GrowCap(s.XS, cap(o.XS))
+	s.YS = GrowCap(s.YS, cap(o.YS))
+	s.vals = GrowCap(s.vals, cap(o.vals))
+	s.tols = GrowCap(s.tols, cap(o.tols))
+}
+
 // Reset discards all polygons while keeping the slab capacity.
 func (s *PolySlab) Reset() {
 	s.XS = s.XS[:0]
@@ -224,6 +233,18 @@ func growFloats(b []float64, need int) []float64 {
 		c = need
 	}
 	nb := make([]float64, len(b), c)
+	copy(nb, b)
+	return nb
+}
+
+// GrowCap returns b with capacity at least need, keeping its contents and
+// length. When b must grow, the new capacity is exactly need, so growing
+// one buffer to another's capacity never overshoots it.
+func GrowCap[T any](b []T, need int) []T {
+	if cap(b) >= need {
+		return b
+	}
+	nb := make([]T, len(b), need)
 	copy(nb, b)
 	return nb
 }

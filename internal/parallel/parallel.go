@@ -114,16 +114,26 @@ func (f *firstPanic) rethrow() {
 // where each ForWorker call pays one goroutine spawn and one closure
 // allocation per worker, an open Pool serves many small fan-outs with zero
 // per-call allocations — the workers park on their wake channels between
-// runs. The round engine opens one around a Sequential sweep so hundreds of
-// small speculation waves share the same goroutines.
+// runs. The channels and the workers' loops outlive Close, so reopening a
+// pool that was open at least as wide before allocates nothing either. For
+// a one-off fan-out, Fan starts its workers per call as ForWorker does, but
+// reuses their bodies. The round engine opens a pool around a Sequential
+// sweep, so hundreds of small speculation waves share the same goroutines,
+// and runs its other fan-outs through Fan on the same pool.
 //
-// Open, Run, and Close must all be called from the same goroutine. The zero
-// value is a closed pool; Run on a closed pool executes inline.
+// Open, Run, Fan and Close must all be called from the same goroutine. The
+// zero value is a closed pool; Run on a closed pool executes inline.
 type Pool struct {
-	fn    func(w, i int)
-	n     int
-	next  atomic.Int64
-	wake  []chan struct{}
+	fn   func(w, i int)
+	n    int
+	next atomic.Int64
+	// wake[w-1] is worker w's channel: true starts its share of a Run,
+	// false ends its loop. loops[w-1] is that loop and shots[w] worker w's
+	// body for Fan, each built once.
+	wake  []chan bool
+	loops []func()
+	shots []func()
+	open  int // workers spawned by the current Open; 0 when closed
 	wg    sync.WaitGroup
 	first firstPanic
 }
@@ -132,30 +142,66 @@ type Pool struct {
 // calling goroutine acts as worker 0 during Run). No-op if the pool is
 // already open or workers <= 1.
 func (p *Pool) Open(workers int) {
-	if len(p.wake) > 0 || workers <= 1 {
+	if p.open > 0 || workers <= 1 {
 		return
 	}
-	p.wake = make([]chan struct{}, workers-1)
-	for i := range p.wake {
-		c := make(chan struct{})
-		p.wake[i] = c
-		w := i + 1
-		go func() {
-			for range c {
+	for len(p.loops) < workers-1 {
+		w := len(p.loops) + 1
+		c := make(chan bool)
+		p.wake = append(p.wake, c)
+		p.loops = append(p.loops, func() {
+			for <-c {
 				p.runSlot(w)
 				p.wg.Done()
 			}
-		}()
+		})
+	}
+	p.open = workers - 1
+	for _, loop := range p.loops[:p.open] {
+		go loop()
 	}
 }
 
-// Close releases the worker goroutines. The pool can be reopened. No-op on
-// a closed pool.
+// Close releases the worker goroutines: it returns once each has left its
+// loop. The pool can be reopened. No-op on a closed pool.
 func (p *Pool) Close() {
-	for _, c := range p.wake {
-		close(c)
+	for _, c := range p.wake[:p.open] {
+		c <- false
 	}
-	p.wake = nil
+	p.open = 0
+}
+
+// Fan invokes fn(w, i) for every i in [0, n) with ForWorker's contract and
+// scheduling: it starts min(workers, n) goroutines for the call and waits
+// for them, so a one-off fan-out's workers start as soon as ForWorker's do,
+// without the wake-up a parked worker needs. Unlike ForWorker it reuses the
+// workers' bodies, so a call no wider than an earlier one allocates
+// nothing. It may run whether or not the pool is open, from the goroutine
+// that owns the pool.
+func (p *Pool) Fan(n, workers int, fn func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	for len(p.shots) < workers {
+		w := len(p.shots)
+		p.shots = append(p.shots, func() {
+			defer p.wg.Done()
+			p.runSlot(w)
+		})
+	}
+	p.fn, p.n = fn, n
+	p.next.Store(0)
+	p.wg.Add(workers)
+	for _, shot := range p.shots[:workers] {
+		go shot()
+	}
+	p.wg.Wait()
+	p.fn = nil
+	p.first.rethrow()
 }
 
 // Run invokes fn(w, i) for every i in [0, n) across the pool's workers plus
@@ -164,7 +210,7 @@ func (p *Pool) Close() {
 // with the first panic of any call and stays usable afterwards). A closed
 // pool, or n <= 1, runs inline as worker 0.
 func (p *Pool) Run(n int, fn func(w, i int)) {
-	if n <= 1 || len(p.wake) == 0 {
+	if n <= 1 || p.open == 0 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
@@ -172,13 +218,10 @@ func (p *Pool) Run(n int, fn func(w, i int)) {
 	}
 	p.fn, p.n = fn, n
 	p.next.Store(0)
-	active := len(p.wake)
-	if active > n-1 {
-		active = n - 1
-	}
+	active := min(p.open, n-1)
 	p.wg.Add(active)
-	for i := 0; i < active; i++ {
-		p.wake[i] <- struct{}{}
+	for _, c := range p.wake[:active] {
+		c <- true
 	}
 	p.runSlot(0)
 	p.wg.Wait()

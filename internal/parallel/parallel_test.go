@@ -3,8 +3,10 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -138,7 +140,65 @@ func TestPoolRunAllocFree(t *testing.T) {
 	}
 }
 
-// A panic in one call reaches the caller of either entry point with its
+// Reopening a pool at no more than its widest earlier width allocates
+// nothing: the wake channels and the worker loops outlive Close, and Close
+// returns only once every worker has left its loop. Fan, no wider than an
+// earlier call, allocates nothing either.
+func TestPoolReopenAllocFree(t *testing.T) {
+	var p Pool
+	var sink atomic.Int64
+	fn := func(w, i int) { sink.Add(int64(i)) }
+	cycle := func(workers int) {
+		p.Open(workers)
+		p.Run(16, fn)
+		p.Close()
+	}
+	base := runtime.NumGoroutine()
+	cycle(4) // builds the channels and loops
+	p.Fan(16, 4, fn)
+	warmGoroutineCache()
+	for _, workers := range []int{2, 4, 3} {
+		if allocs := testing.AllocsPerRun(50, func() { cycle(workers) }); allocs > 0 {
+			t.Errorf("workers=%d: Open+Run+Close allocated %.1f times per cycle, want 0", workers, allocs)
+		}
+	}
+	// A released worker has left its loop but may still be exiting.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after the cycles, %d before: a closed pool left workers running", got, base)
+	}
+	for _, workers := range []int{2, 4, 3} {
+		if allocs := testing.AllocsPerRun(50, func() { p.Fan(16, workers, fn) }); allocs > 0 {
+			t.Errorf("workers=%d: Fan allocated %.1f times per call, want 0", workers, allocs)
+		}
+	}
+	want := int64((2 + 51*3*2) * (16 * 15 / 2))
+	if got := sink.Load(); got != want {
+		t.Errorf("runs summed %d, want %d", got, want)
+	}
+}
+
+// warmGoroutineCache starts and retires a few hundred goroutines, so the
+// scheduler's free lists hold retired goroutine structs, as they do in any
+// process that has run a while; otherwise an allocation count early in the
+// test binary's life includes the runtime allocating the first ones.
+func warmGoroutineCache() {
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < 512; i++ {
+		wg.Add(1)
+		go func() {
+			<-release
+			wg.Done()
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
+// A panic in one call reaches the caller of every entry point with its
 // value, after every worker has finished, at every worker count; a second
 // fan-out (on the same pool) then completes.
 func TestWorkerPanicReachesCaller(t *testing.T) {
@@ -157,6 +217,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		}{
 			{"ForWorker", func(fn func(w, i int)) { ForWorker(n, workers, fn) }},
 			{"Pool.Run", func(fn func(w, i int)) { p.Run(n, fn) }},
+			{"Pool.Fan", func(fn func(w, i int)) { p.Fan(n, workers, fn) }},
 		}
 		for _, e := range entries {
 			var calls atomic.Int64

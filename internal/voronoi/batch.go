@@ -55,6 +55,9 @@ func (s *Scratch) AppendRel(self, o Site, d2 float64) {
 	if o.Pos.Eq(self.Pos) {
 		d2 = 0
 	}
+	if len(s.relD2) == cap(s.relD2) {
+		s.growRel()
+	}
 	slot := len(s.relHx)
 	s.relD2 = append(s.relD2, d2)
 	s.relVal = append(s.relVal, int64(o.ID)<<32|int64(slot))
@@ -62,6 +65,23 @@ func (s *Scratch) AppendRel(self, o Site, d2 float64) {
 	s.relHy = append(s.relHy, o.Pos.Y)
 	s.relHc = append(s.relHc, math.NaN())
 	s.relHn = append(s.relHn, 0)
+}
+
+// relMinCap is the capacity a fresh Scratch's rel slabs start at: room for
+// the generators a typical search gathers, so a cold slab grows a few times
+// rather than once per doubling from one entry.
+const relMinCap = 64
+
+// growRel grows the six rel slabs together, which AppendRel keeps equally
+// long, to twice their capacity (at least relMinCap).
+func (s *Scratch) growRel() {
+	c := max(2*cap(s.relD2), relMinCap)
+	s.relD2 = geom.GrowCap(s.relD2, c)
+	s.relVal = geom.GrowCap(s.relVal, c)
+	s.relHx = geom.GrowCap(s.relHx, c)
+	s.relHy = geom.GrowCap(s.relHy, c)
+	s.relHc = geom.GrowCap(s.relHc, c)
+	s.relHn = geom.GrowCap(s.relHn, c)
 }
 
 // SortRelTail sorts rel[start:] by (distance², ID) ascending. The expanding

@@ -40,6 +40,21 @@ type Scratch struct {
 	culled int            // pieces DominatingRegionSoA skipped as dominated
 }
 
+// Reserve grows every buffer of s — the rel slabs, the survivor refs and
+// the vertex slab — to at least the capacity o's has reached, keeping s's
+// contents, so s serves whatever o has served without growing.
+func (s *Scratch) Reserve(o *Scratch) {
+	s.Slab.Reserve(&o.Slab)
+	s.relD2 = geom.GrowCap(s.relD2, cap(o.relD2))
+	s.relVal = geom.GrowCap(s.relVal, cap(o.relVal))
+	s.relHx = geom.GrowCap(s.relHx, cap(o.relHx))
+	s.relHy = geom.GrowCap(s.relHy, cap(o.relHy))
+	s.relHc = geom.GrowCap(s.relHc, cap(o.relHc))
+	s.relHn = geom.GrowCap(s.relHn, cap(o.relHn))
+	s.refs = geom.GrowCap(s.refs, cap(o.refs))
+	s.refs2 = geom.GrowCap(s.refs2, cap(o.refs2))
+}
+
 // VerticesInto appends all vertices of the given polygons to buf and returns
 // it. The Chebyshev center of a dominating region is the
 // smallest-enclosing-circle center of these points.

@@ -32,7 +32,18 @@ type gridIndex struct {
 	cells    [][]int32 // per-cell ID buckets, ascending; sliced from backing
 	nodeCell []int32   // linear cell index of every node
 	gen      uint64    // full-rebuild generation
+
+	// The counting sort's CSR arrays, kept so the next rebuild sorts into
+	// the same storage: offsets[c] is where cell c's segment starts in
+	// backing, next its scatter cursor.
+	offsets, backing, next []int32
 }
+
+// bucketSlack is the number of free slots a rebuild leaves at the end of
+// every cell's CSR segment — about the mean occupancy the cell sizing aims
+// for — so a bucket can gain that many nodes by incremental moves before it
+// outgrows its segment and reallocates.
+const bucketSlack = 4
 
 // gridMargin is the number of slack cell rings a rebuild reserves around the
 // position bounding box, so nodes can drift outward for a while before a
@@ -80,13 +91,16 @@ func (g *gridIndex) cellDist2(ci int, p geom.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// buildGrid constructs the index from scratch over the given positions.
-// Cell side starts at gamma and grows to keep occupancy near one node per
-// cell for deployments much wider than gamma. The per-node cell location
-// (the float work) fans out across workers via internal/parallel; the
-// counting-sort scatter runs serially in ascending node order, which is what
-// keeps every bucket ascending. prevGen threads the rebuild generation
-// across index lifetimes.
+// build reconstructs the index over the given positions and advances its
+// generation. Every array is rebuilt into the storage the previous build
+// left (reallocated only when too small), so a steady stream of bulk
+// rebuilds allocates nothing; no reader can still hold the retired index,
+// because mutations never run concurrently with queries. Cell side starts
+// at gamma and grows to keep occupancy near one node per cell for
+// deployments much wider than gamma. The per-node cell location (the float
+// work) fans out across workers via internal/parallel; the counting-sort
+// scatter runs serially in ascending node order, which is what keeps every
+// bucket ascending.
 //
 // A non-nil bounds hint (the deployment region's bounding box, see
 // Network.SetBoundsHint) is unioned into both the grid bounds and the cell
@@ -96,13 +110,16 @@ func (g *gridIndex) cellDist2(ci int, p geom.Point) float64 {
 // clustered the hint-scaled cells hold more than the usual ~4 nodes each —
 // a transient query-cost tax the expansion pays instead of one full rebuild
 // per round; query answers are canonical either way.
-func buildGrid(pos []geom.Point, gamma float64, prevGen uint64, hint *geom.BBox) *gridIndex {
-	g := &gridIndex{side: gamma, gen: prevGen + 1}
+func (g *gridIndex) build(pos []geom.Point, gamma float64, hint *geom.BBox) {
+	g.side = gamma
+	g.gen++
 	n := len(pos)
+	g.nodeCell = resize(g.nodeCell, n)
 	if n == 0 {
-		g.nx, g.ny = 1, 1
-		g.cells = make([][]int32, 1)
-		return g
+		g.ox, g.oy, g.nx, g.ny = 0, 0, 1, 1
+		g.cells = resize(g.cells, 1)
+		g.cells[0] = nil
+		return
 	}
 	b := geom.BBoxOf(pos)
 	if hint != nil {
@@ -132,38 +149,47 @@ func buildGrid(pos []geom.Point, gamma float64, prevGen uint64, hint *geom.BBox)
 	// Phase 1 (parallel): locate every node's cell. Pure per-index work, so
 	// the result is identical for any worker count. Parallelism only pays on
 	// large rebuilds; small ones stay on the calling goroutine.
-	g.nodeCell = make([]int32, n)
 	workers := min(parallel.Workers(-1), max(1, n/4096))
 	parallel.For(n, workers, func(i int) {
 		g.nodeCell[i] = int32(g.cellIndex(pos[i]))
 	})
 
 	// Phase 2 (serial): CSR counting sort. offsets[c] is the start of cell
-	// c's segment in the backing array; scattering in ascending node order
-	// keeps each bucket ascending.
-	offsets := make([]int32, ncells+1)
+	// c's segment in the backing array: its nodes plus bucketSlack free
+	// slots. Scattering in ascending node order keeps each bucket ascending.
+	g.offsets = resize(g.offsets, ncells+1)
+	offsets := g.offsets
+	clear(offsets)
 	for _, c := range g.nodeCell {
 		offsets[c+1]++
 	}
 	for c := 1; c <= ncells; c++ {
-		offsets[c] += offsets[c-1]
+		offsets[c] += offsets[c-1] + bucketSlack
 	}
-	backing := make([]int32, n)
-	next := make([]int32, ncells)
+	g.backing = resize(g.backing, int(offsets[ncells]))
+	g.next = resize(g.next, ncells)
+	backing, next := g.backing, g.next
 	copy(next, offsets[:ncells])
 	for i := 0; i < n; i++ {
 		c := g.nodeCell[i]
 		backing[next[c]] = int32(i)
 		next[c]++
 	}
-	g.cells = make([][]int32, ncells)
+	g.cells = resize(g.cells, ncells)
 	for c := 0; c < ncells; c++ {
-		s, e := offsets[c], offsets[c+1]
 		// Capacity capped at the segment end: a bucket that outgrows its CSR
 		// segment reallocates alone instead of clobbering its neighbor.
-		g.cells[c] = backing[s:e:e]
+		g.cells[c] = backing[offsets[c]:next[c]:offsets[c+1]]
 	}
-	return g
+}
+
+// resize returns s with length n, reusing its storage when the capacity
+// suffices. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // windowRadius returns the cell-window radius covering every position

@@ -31,6 +31,7 @@ func TestIncrementalGridMatchesRebuildUnderChurn(t *testing.T) {
 		}
 		inc := New(live, gamma)
 		inc.Rebuild()
+		var incBuf, freshBuf []int
 		for op := 0; op < ops; op++ {
 			switch rng.Intn(8) {
 			case 0, 1, 2: // local move
@@ -74,11 +75,12 @@ func TestIncrementalGridMatchesRebuildUnderChurn(t *testing.T) {
 				t.Fatalf("trial %d op %d: NeighborsWithin(%d, %v) incremental %v != rebuild %v",
 					trial, op, i, rho, got, want)
 			}
-			gotRing, gotCost := inc.RingQuery(i, rho)
-			wantRing, wantCost := fresh.RingQuery(i, rho)
-			if !reflect.DeepEqual(gotRing, wantRing) || gotCost != wantCost {
+			var gotCost, wantCost int64
+			incBuf, gotCost = inc.RingQuery(i, rho, incBuf)
+			freshBuf, wantCost = fresh.RingQuery(i, rho, freshBuf)
+			if !slices.Equal(incBuf, freshBuf) || gotCost != wantCost {
 				t.Fatalf("trial %d op %d: RingQuery(%d, %v) incremental %v (cost %d) != rebuild %v (cost %d)",
-					trial, op, i, rho, gotRing, gotCost, wantRing, wantCost)
+					trial, op, i, rho, incBuf, gotCost, freshBuf, wantCost)
 			}
 		}
 	}
@@ -147,7 +149,7 @@ func TestRemoveRenumbersIndexInPlace(t *testing.T) {
 		net := New(live, gamma)
 		net.Rebuild()
 		rebuilds, gen := net.Rebuilds(), net.GridShape().Gen
-		var buf []int
+		var buf, ringBuf, freshBuf []int
 		for len(live) > 10 {
 			i := rng.Intn(len(live))
 			net.RemoveNode(i)
@@ -175,11 +177,12 @@ func TestRemoveRenumbersIndexInPlace(t *testing.T) {
 				if w := fresh.NeighborsWithin(j, rho); !slices.Equal(buf, w) {
 					t.Fatalf("trial %d: NeighborsWithinBuf(%d, %v) = %v, fresh %v", trial, j, rho, buf, w)
 				}
-				got, gotCost := net.RingQuery(j, rho)
-				w, wCost := fresh.RingQuery(j, rho)
-				if !slices.Equal(got, w) || gotCost != wCost {
+				var gotCost, wCost int64
+				ringBuf, gotCost = net.RingQuery(j, rho, ringBuf)
+				freshBuf, wCost = fresh.RingQuery(j, rho, freshBuf)
+				if !slices.Equal(ringBuf, freshBuf) || gotCost != wCost {
 					t.Fatalf("trial %d: RingQuery(%d, %v) = %v (cost %d), fresh %v (cost %d)",
-						trial, j, rho, got, gotCost, w, wCost)
+						trial, j, rho, ringBuf, gotCost, freshBuf, wCost)
 				}
 			}
 		}
@@ -268,5 +271,84 @@ func TestBoundsHintAbsorbsWideMoves(t *testing.T) {
 	}
 	if net.Rebuilds() == base {
 		t.Error("a move outside the hinted bounds did not rebuild")
+	}
+}
+
+// A rebuild builds into the storage of the index it retires. Over a run of
+// bulk rewrites at spans from 0.05 to 2.5, with a node added and a node
+// removed in between, every rebuilt index answers exactly as a fresh
+// network over the same positions — cell geometry, every bucket, every
+// neighbor and ring query — and every rebuild advances the generation and
+// the rebuild counter. A rebuild that fits the retired storage allocates
+// nothing but the cell-location fan-out's two closures.
+func TestRebuildReusesIndexStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const gamma = 0.1
+	scatter := func(pts []geom.Point, span float64) {
+		for i := range pts {
+			pts[i] = geom.Pt(span*rng.Float64(), span*rng.Float64())
+		}
+	}
+	live := make([]geom.Point, 150)
+	scatter(live, 1)
+	net := New(live, gamma)
+	net.Rebuild()
+	var buf, freshBuf []int
+	for step, span := range []float64{0.3, 2.5, 0.05, 1.2, 1.2} {
+		rebuilds, gen := net.Rebuilds(), net.GridShape().Gen
+		switch step {
+		case 1:
+			p := geom.Pt(rng.Float64(), rng.Float64())
+			net.AddNode(p)
+			live = append(live, p)
+		case 3:
+			i := rng.Intn(len(live))
+			net.RemoveNode(i)
+			live = append(live[:i], live[i+1:]...)
+		}
+		scatter(live, span)
+		net.SetPositions(live)
+		net.Rebuild()
+		if got := net.Rebuilds(); got != rebuilds+1 {
+			t.Fatalf("step %d: %d rebuilds after one bulk rewrite, want %d", step, got, rebuilds+1)
+		}
+		got := net.GridShape()
+		if got.Gen != gen+1 {
+			t.Fatalf("step %d: generation %d after a rebuild, want %d", step, got.Gen, gen+1)
+		}
+
+		fresh := New(live, gamma)
+		want := fresh.GridShape()
+		got.Gen, want.Gen = 0, 0
+		if got != want {
+			t.Fatalf("step %d: rebuilt grid %+v, fresh %+v", step, got, want)
+		}
+		for c := 0; c < want.NX*want.NY; c++ {
+			if g, w := net.CellNodes(c), fresh.CellNodes(c); !slices.Equal(g, w) {
+				t.Fatalf("step %d: cell %d holds %v, fresh %v", step, c, g, w)
+			}
+		}
+		rho := span * (0.05 + 0.3*rng.Float64())
+		for j := range live {
+			buf = net.NeighborsWithinBuf(j, rho, buf)
+			freshBuf = fresh.NeighborsWithinBuf(j, rho, freshBuf)
+			if !slices.Equal(buf, freshBuf) {
+				t.Fatalf("step %d: NeighborsWithinBuf(%d, %v) = %v, fresh %v", step, j, rho, buf, freshBuf)
+			}
+			var cost, freshCost int64
+			buf, cost = net.RingQuery(j, rho, buf)
+			freshBuf, freshCost = fresh.RingQuery(j, rho, freshBuf)
+			if !slices.Equal(buf, freshBuf) || cost != freshCost {
+				t.Fatalf("step %d: RingQuery(%d, %v) = %v (cost %d), fresh %v (cost %d)",
+					step, j, rho, buf, cost, freshBuf, freshCost)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		net.SetPositions(live)
+		net.Rebuild()
+	})
+	if allocs > 2 {
+		t.Errorf("a rebuild into the retired storage allocates %v objects, want <= 2", allocs)
 	}
 }

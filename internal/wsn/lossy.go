@@ -22,14 +22,15 @@ type LossyRingConfig struct {
 // (each lost with probability cfg.LossRate); nodes whose replies are lost
 // are retried up to cfg.Retries times. Every attempt costs like a normal
 // ring query restricted to the still-missing nodes. Like RingQuery, it
-// charges nothing.
+// charges nothing and writes its result into buf (the nodes heard from, in
+// ascending ID order, filtered in place out of the ideal answer).
 //
 // The returned set is the subset of the ideal query result whose replies
 // got through — under loss, a node may compute its dominating region from
 // incomplete information, which enlarges the region (fewer known "closer"
 // nodes) but never breaks coverage: the true region is always a subset of
 // the computed one.
-func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *rand.Rand) ([]int, int64) {
+func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *rand.Rand, buf []int) ([]int, int64) {
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		panic(fmt.Sprintf("wsn: loss rate must be in [0, 1), got %v", cfg.LossRate))
 	}
@@ -37,7 +38,7 @@ func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *r
 		rng = rand.New(rand.NewSource(0))
 	}
 	// The ideal result, costed as one normal query.
-	ideal, cost := n.RingQuery(i, rho)
+	ideal, cost := n.RingQuery(i, rho, buf)
 	if cfg.LossRate == 0 {
 		return ideal, cost
 	}
@@ -68,7 +69,7 @@ func (n *Network) RingQueryLossy(i int, rho float64, cfg LossyRingConfig, rng *r
 		}
 		missing = still
 	}
-	out := make([]int, 0, len(heard))
+	out := ideal[:0]
 	for _, j := range ideal {
 		if heard[j] {
 			out = append(out, j)

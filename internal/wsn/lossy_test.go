@@ -10,7 +10,7 @@ import (
 
 func TestRingQueryLossyZeroLossMatchesIdeal(t *testing.T) {
 	n := New(linePositions(5, 1), 1.1)
-	got, _ := n.RingQueryLossy(2, 1.5, LossyRingConfig{LossRate: 0}, nil)
+	got, _ := n.RingQueryLossy(2, 1.5, LossyRingConfig{LossRate: 0}, nil, nil)
 	sort.Ints(got)
 	if !equal(got, []int{1, 3}) {
 		t.Errorf("got %v", got)
@@ -26,7 +26,7 @@ func TestRingQueryLossyPanicsOnBadRate(t *testing.T) {
 					t.Errorf("rate %v should panic", rate)
 				}
 			}()
-			n.RingQueryLossy(0, 1, LossyRingConfig{LossRate: rate}, nil)
+			n.RingQueryLossy(0, 1, LossyRingConfig{LossRate: rate}, nil, nil)
 		}()
 	}
 }
@@ -39,12 +39,12 @@ func TestRingQueryLossyReturnsSubsetOfIdeal(t *testing.T) {
 	}
 	n := New(pts, 0.15)
 	ideal := map[int]bool{}
-	found, _ := n.RingQuery(0, 0.5)
+	found, _ := n.RingQuery(0, 0.5, nil)
 	for _, j := range found {
 		ideal[j] = true
 	}
 	got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.5, Retries: 0},
-		rand.New(rand.NewSource(9)))
+		rand.New(rand.NewSource(9)), nil)
 	for _, j := range got {
 		if !ideal[j] {
 			t.Fatalf("lossy result %d not in ideal set", j)
@@ -62,14 +62,14 @@ func TestRingQueryLossyRetriesRecover(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	n := New(pts, 0.2)
-	found, _ := n.RingQuery(0, 0.4)
+	found, _ := n.RingQuery(0, 0.4, nil)
 	ideal := len(found)
 	if ideal == 0 {
 		t.Skip("degenerate instance")
 	}
 	// With aggressive retries nearly everything gets through.
 	got, _ := n.RingQueryLossy(0, 0.4, LossyRingConfig{LossRate: 0.3, Retries: 10},
-		rand.New(rand.NewSource(10)))
+		rand.New(rand.NewSource(10)), nil)
 	if len(got) < ideal {
 		t.Errorf("10 retries at 30%% loss should recover all %d, got %d", ideal, len(got))
 	}
@@ -83,7 +83,7 @@ func TestRingQueryLossyChargesRetries(t *testing.T) {
 	}
 	mk := func(loss float64, retries int, seed int64) int64 {
 		_, cost := New(pts, 0.3).RingQueryLossy(0, 0.6, LossyRingConfig{LossRate: loss, Retries: retries},
-			rand.New(rand.NewSource(seed)))
+			rand.New(rand.NewSource(seed)), nil)
 		return cost
 	}
 	clean := mk(0, 0, 1)
@@ -102,7 +102,7 @@ func TestRingQueryLossyDeterministic(t *testing.T) {
 	run := func() []int {
 		n := New(pts, 0.2)
 		got, _ := n.RingQueryLossy(0, 0.5, LossyRingConfig{LossRate: 0.3, Retries: 1},
-			rand.New(rand.NewSource(42)))
+			rand.New(rand.NewSource(42)), nil)
 		sort.Ints(got)
 		return got
 	}

@@ -235,11 +235,10 @@ func (n *Network) rebuild() {
 	if !n.dirty.Load() {
 		return
 	}
-	var prevGen uint64
-	if n.idx != nil {
-		prevGen = n.idx.gen
+	if n.idx == nil {
+		n.idx = &gridIndex{}
 	}
-	n.idx = buildGrid(n.pos, n.gamma, prevGen, n.boundsHint)
+	n.idx.build(n.pos, n.gamma, n.boundsHint)
 	n.rebuilds++
 	n.dirty.Store(false)
 }
@@ -326,10 +325,11 @@ func (n *Network) NeighborsWithin(i int, rho float64) []int {
 
 // NeighborsWithinBuf is NeighborsWithin with a caller-supplied result
 // buffer: matches are appended to buf[:0] and the (possibly grown) buffer is
-// returned, so a hot loop that reuses its buffer performs the query without
-// heap allocation. Results are in ascending ID order — the canonical order,
-// independent of how the index was built (full rebuild or incremental
-// updates) and of its cell geometry.
+// returned, so a caller that keeps the returned buffer for its next query
+// allocates only when a query finds more nodes than any before it. Results
+// are in ascending ID order — the canonical order, independent of how the
+// index was built (full rebuild or incremental updates) and of its cell
+// geometry.
 func (n *Network) NeighborsWithinBuf(i int, rho float64, buf []int) []int {
 	n.rebuild()
 	p := n.pos[i]
@@ -415,12 +415,15 @@ func (n *Network) OneHop(i int) []int { return n.NeighborsWithin(i, n.gamma) }
 // distance ρ, the paper's definition — with the query's communication cost,
 // modeled as a flood to h = ⌈ρ/γ⌉ hops: one rebroadcast per node in the ring
 // (+1 for the origin), plus each discovered node's reply forwarded back over
-// ⌈d/γ⌉ hops. The query charges nothing; the caller decides when the cost is
-// paid (see Charge). Results are in ascending node-ID order; callers consume
-// them positionally (e.g. RingQueryLossy assigns per-reply loss draws down
-// the list), so the order is part of the determinism contract.
-func (n *Network) RingQuery(i int, rho float64) ([]int, int64) {
-	found := n.NeighborsWithin(i, rho)
+// ⌈d/γ⌉ hops. The IDs are written into buf as NeighborsWithinBuf writes
+// them: a caller that keeps the returned buffer for its next query performs
+// its queries without heap allocation once the buffer is large enough. The
+// query charges nothing; the caller decides when the cost is paid (see
+// Charge). Results are in ascending node-ID order; callers consume them
+// positionally (e.g. RingQueryLossy assigns per-reply loss draws down the
+// list), so the order is part of the determinism contract.
+func (n *Network) RingQuery(i int, rho float64, buf []int) ([]int, int64) {
+	found := n.NeighborsWithinBuf(i, rho, buf)
 	cost := 1 + int64(len(found))
 	for _, j := range found {
 		h := int64(math.Ceil(n.pos[j].Dist(n.pos[i]) / n.gamma))

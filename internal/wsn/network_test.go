@@ -138,7 +138,7 @@ func TestDegreeStats(t *testing.T) {
 
 func TestRingQueryGeometric(t *testing.T) {
 	n := New(linePositions(5, 1), 1.1)
-	found, cost := n.RingQuery(2, 1.5)
+	found, cost := n.RingQuery(2, 1.5, nil)
 	sort.Ints(found)
 	if !equal(found, []int{1, 3}) {
 		t.Errorf("found = %v", found)
