@@ -3,6 +3,7 @@ package laacad
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -364,6 +365,78 @@ func BenchmarkFinalizeParallel(b *testing.B) {
 				if regions := eng.DebugRegions(); len(regions) != 500 {
 					b.Fatal("bad region count")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFinalizeUnconverged times the Finalize of a capped, cancelled or
+// stopped run. A lattice with n/150 displaced nodes (Workers 2, ε =
+// 0.1/√n; γ = 4·pitch in Localized mode) is stepped four times, so most
+// cache entries are valid and the last round's movers left the rest
+// invalid. One op is one Finalize at those positions; the untimed first one
+// also repairs the boundary flags the last round's moves disturbed. 100k
+// runs only without -short.
+func BenchmarkFinalizeUnconverged(b *testing.B) {
+	sizes := []int{10000}
+	if !testing.Short() {
+		sizes = append(sizes, 100000)
+	}
+	for _, mode := range []Mode{Centralized, Localized} {
+		for _, n := range sizes {
+			b.Run(fmt.Sprintf("%v/n=%d", mode, n), func(b *testing.B) {
+				pts, pitch := wsn.UnitLattice(n, n/150)
+				cfg := DefaultConfig(2)
+				cfg.Mode, cfg.Workers = mode, 2
+				cfg.Epsilon = 0.1 / math.Sqrt(float64(n))
+				if mode == Localized {
+					cfg.Gamma = 4 * pitch
+				}
+				eng, err := NewEngine(UnitSquareKm(), pts, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for r := 0; r < 4; r++ {
+					eng.Step()
+				}
+				if eng.Converged() {
+					b.Fatal("the lattice converged; the benchmark times an unconverged Finalize")
+				}
+				if _, err := eng.Finalize(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Finalize(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGridBulkRebuild times the spatial index's bulk path, which the
+// Synchronous commit takes when a quarter of the nodes or more moved: one
+// SetPositions over a lattice, alternately shifted by a quarter pitch and
+// back, plus the full rebuild it schedules.
+func BenchmarkGridBulkRebuild(b *testing.B) {
+	for _, n := range benchScaleSizes() {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			pts, pitch := wsn.UnitLattice(n, 0)
+			shifted := make([]Point, n)
+			for i, p := range pts {
+				shifted[i] = Pt(p.X+pitch/4, p.Y)
+			}
+			net := wsn.New(pts, pitch)
+			net.Rebuild()
+			sets := [2][]Point{shifted, pts}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.SetPositions(sets[i%2])
+				net.Rebuild()
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"laacad/internal/boundary"
 	"laacad/internal/region"
 )
 
@@ -23,7 +22,8 @@ type roundAllocs struct {
 // n), warms it into the requested phase — active (ε tiny, so every node
 // keeps moving and every round recomputes every node) or converged — and
 // measures a warm round. In the active phase it also measures an
-// unconverged Finalize, which recomputes every region.
+// unconverged Finalize, which recomputes every region the last round's
+// moves invalidated.
 func warmEngineAllocs(t *testing.T, n int, mode Mode, order UpdateOrder, workers int, active bool) roundAllocs {
 	t.Helper()
 	reg := region.UnitSquareKm()
@@ -71,14 +71,6 @@ func warmEngineAllocs(t *testing.T, n int, mode Mode, order UpdateOrder, workers
 				t.Fatal(err)
 			}
 		})
-		if mode == Localized {
-			// Discount the whole-network boundary pass an unconverged
-			// Localized Finalize runs first: its fresh scratch grows with
-			// the largest one-hop degree, not with the regions.
-			got.finalize -= testing.AllocsPerRun(3, func() {
-				boundary.AngularGap{}.Boundary(eng.Network())
-			})
-		}
 	}
 	return got
 }
@@ -108,10 +100,10 @@ func warmGoroutineCache() {
 // converged (every node served from the cache). The ring probes write into
 // the slot's Scratch, a grid rebuild reuses the index it replaces, every
 // pool slot is warm after one round, and the fan-outs reuse one worker team
-// and a fan-out body built once. An unconverged Finalize recomputes every
-// region but measures R̂ on the slab, so beyond its boundary pass
-// (Localized) it allocates only the Result: the same object count at both
-// sizes.
+// and a fan-out body built once. An unconverged Finalize recomputes the
+// regions whose entries are invalid (in the active phase, every region) and
+// measures R̂ on the slab, taking its flags from the incremental flag cache,
+// so it allocates only the Result: the same object count at both sizes.
 func TestWarmRoundAllocsIndependentOfN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and warms 48 engines")

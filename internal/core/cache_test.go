@@ -477,6 +477,113 @@ func TestSynchronousRoundComputesOnlyDirty(t *testing.T) {
 	}
 }
 
+// Final radii follow one rule: a valid entry supplies its R̂ and only the
+// invalid entries are recomputed, so an unconverged Finalize costs what is
+// dirty. Over {Centralized, Localized} × {Synchronous, Sequential} and lossy
+// Localized in both orders, stopped after 1, 3 or 6 rounds or at
+// convergence and then edited (no edit, MoveNode, RemoveNode, AddNode or a
+// Network() write), the cached engine's Finalize must count one cache hit
+// per valid entry and give the eager engine's radii and messages. The run
+// must then go on as the eager one does: an edit leaves it unconverged, so
+// Run steps again, to the same Result.
+func TestFinalizeComputesOnlyDirty(t *testing.T) {
+	reg := region.UnitSquareKm()
+	start, pitch := wsn.UnitLattice(100, 8)
+	target := geom.Pt(0.93, 0.91)
+	edits := []struct {
+		name string
+		edit func(*Engine) error
+	}{
+		{"none", func(*Engine) error { return nil }},
+		{"move-node", func(e *Engine) error { return e.MoveNode(7, target) }},
+		{"remove-node", func(e *Engine) error { return e.RemoveNode(7) }},
+		{"add-node", func(e *Engine) error { e.AddNode(target); return nil }},
+		{"network-write", func(e *Engine) error { e.Network().SetPosition(7, target); return nil }},
+	}
+	for _, mode := range []Mode{Centralized, Localized} {
+		for _, order := range []UpdateOrder{Synchronous, Sequential} {
+			for _, lossRate := range []float64{0, 0.1} {
+				if mode == Centralized && lossRate > 0 {
+					continue
+				}
+				for _, stop := range []int{1, 3, 6, 0} {
+					mode, order, lossRate, stop := mode, order, lossRate, stop
+					phase := fmt.Sprintf("stop=%d", stop)
+					if stop == 0 {
+						phase = "converged"
+					}
+					t.Run(fmt.Sprintf("%v/%v/loss=%v/%s", mode, order, lossRate, phase), func(t *testing.T) {
+						t.Parallel()
+						cfg := DefaultConfig(2)
+						cfg.Mode, cfg.Order, cfg.LossRate, cfg.Workers = mode, order, lossRate, 3
+						if mode == Localized {
+							cfg.Gamma = 0.25
+						}
+						cfg.Epsilon = pitch / 10
+						cfg.MaxRounds = 400
+						cfg.Seed = 5
+						for _, ed := range edits {
+							var engs [2]*Engine // eager, cached
+							for k := range engs {
+								e, err := New(reg, start, cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								e.eager = k == 0
+								for r := 0; (stop == 0 || r < stop) && !e.Converged(); r++ {
+									e.Step()
+								}
+								if stop == 0 && !e.Converged() {
+									t.Fatalf("%s: did not converge", ed.name)
+								}
+								if err := ed.edit(e); err != nil {
+									t.Fatal(err)
+								}
+								engs[k] = e
+							}
+							eager, cached := engs[0], engs[1]
+							label := ed.name
+							n, dirty, before := cached.net.Len(), dirtyCount(cached), cached.CacheCounters()
+							want, err := eager.Finalize()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := cached.Finalize()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if hits := cached.CacheCounters().CacheHits - before.CacheHits; hits != uint64(n-dirty) {
+								t.Errorf("%s: Finalize reused %d entries, want the %d valid ones", label, hits, n-dirty)
+							}
+							assertIdentical(t, label+" finalize", want.Trace, got.Trace, want, got)
+							if got.Messages != want.Messages {
+								t.Errorf("%s: Finalize messages %d, eager %d", label, got.Messages, want.Messages)
+							}
+							if ed.name != "none" && cached.Converged() {
+								t.Errorf("%s: engine reports convergence after the edit and a Finalize", label)
+							}
+							rounds := cached.Round()
+							var res [2]*Result
+							for k, e := range engs {
+								if res[k], err = e.Run(context.Background()); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if ed.name != "none" && cached.Round() == rounds {
+								t.Errorf("%s: Run stepped no round after the edit and a Finalize", label)
+							}
+							assertIdentical(t, label+" run", res[0].Trace, res[1].Trace, res[0], res[1])
+							if res[0].Messages != res[1].Messages {
+								t.Errorf("%s: Run messages %d, eager %d", label, res[1].Messages, res[0].Messages)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // stepComputesDirty steps e once and checks that the round computed exactly
 // the nodes whose cache entries were invalid before it and served every other
 // node from the cache, and that every valid entry's outcome is still fresh
@@ -908,10 +1015,9 @@ func TestStepAllocsSteadyState(t *testing.T) {
 // activeStepAllocCeiling is the committed allocs/op budget for an active
 // round, where every node is recomputed and moves: the warm scratch kernel
 // computes every node without allocating, and the bulk commit rebuilds the
-// spatial index into the storage of the index it retires. What is left is
-// the rebuild's cell-location fan-out, whose body and its ForWorker wrapper
-// are two closures.
-const activeStepAllocCeiling = 2
+// spatial index serially into the storage of the index it retires, so
+// nothing is left to allocate.
+const activeStepAllocCeiling = 0
 
 // Active-round allocations must stay within their budget too, whatever the
 // node count (TestWarmRoundAllocsIndependentOfN covers every regime).

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"laacad/internal/boundary"
 	"laacad/internal/geom"
 	"laacad/internal/parallel"
 	"laacad/internal/region"
@@ -117,16 +116,13 @@ type Engine struct {
 
 	round     int
 	converged bool
-	// stepped records that this engine has run a round, so outs holds every
-	// node's last R̂ (a resumed engine has none until it steps).
-	stepped  bool
-	trace    []RoundStats
-	prevMsgs int64
+	trace     []RoundStats
+	prevMsgs  int64
 	// msgBase is the message count carried over from before a Resume; the
 	// live network counter restarts at zero on every (re)construction.
 	msgBase int64
-	// finalMsgs counts messages charged by Finalize's out-of-round region
-	// recomputation (the final radius collection of an unconverged run).
+	// finalMsgs counts messages charged by Finalize's out-of-round final
+	// collection (an unconverged run's; a converged run's charges nothing).
 	// Result.Messages includes them, but Snapshot subtracts them: a
 	// checkpoint is the state at a round boundary, and a run resumed from it
 	// performs its own final collection — counting the interrupted run's
@@ -141,13 +137,12 @@ type Engine struct {
 	all     []int
 	fromBuf []int32
 
-	// cacheVer is net.Version() as of the end of the last Step or in-sync
-	// edit (MoveNode, RemoveNode), the last time every position change
-	// reached the per-node state as explicit endpoints. A mismatch means a
-	// write went through Network() or an AddNode: the next Step flushes the
-	// cache wholesale, and the converged flag no longer describes the
-	// current positions. This flush is the state's only wholesale
-	// invalidation.
+	// cacheVer is net.Version() as of the last sync or in-sync edit
+	// (MoveNode, RemoveNode), the last time every position change reached
+	// the per-node state as explicit endpoints. A mismatch means a write went
+	// through Network() or an AddNode: the next sync flushes the cache
+	// wholesale, and the converged flag no longer describes the current
+	// positions. This flush is the state's only wholesale invalidation.
 	cacheVer uint64
 
 	// Level-scheduled colored-sweep (Sequential order) state. schedKeys is
@@ -211,7 +206,8 @@ type CacheCounters struct {
 	PairVisits uint64
 	// BoundRebuilds counts recomputations of the per-cell ρ-bound array.
 	BoundRebuilds uint64
-	// CacheHits counts outcomes served from the dirty-set cache (all modes).
+	// CacheHits counts outcomes served from the dirty-set cache (all modes),
+	// by rounds and by Finalize (a valid entry's R̂ reused as a final radius).
 	CacheHits uint64
 	// Waves, SpecComputed, SpecUsed and SpecWasted describe the colored
 	// Sequential sweep: parallel speculation waves planned, entries computed
@@ -281,8 +277,8 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Network exposes the underlying WSN substrate for reading (positions,
 // message stats, index counters). Edit positions with MoveNode: a position
-// written through the network directly stays correct, but the next Step
-// drops every cached outcome, and the run counts as unconverged until then.
+// written through the network directly stays correct, but the next Step or
+// Finalize drops every cached outcome and counts the run as unconverged.
 // Add and remove nodes only with AddNode and RemoveNode, which keep the
 // per-node state one slot per node.
 func (e *Engine) Network() *wsn.Network { return e.net }
@@ -320,6 +316,24 @@ func (e *Engine) every() []int {
 	return e.all[:n]
 }
 
+// sync brings the per-node state up to the current positions before a round
+// or a final collection: it sets the cache policy, flushes the cache after a
+// write made around the engine (nothing cached, not even convergence, can be
+// trusted then), and in Localized mode repairs the boundary flags of the
+// nodes whose γ-ball a move endpoint touched or a flush dirtied — exactly the
+// flags a wholesale pass would give, start-of-round truth for a sweep.
+func (e *Engine) sync() {
+	e.cacheOn = e.cacheEnabled()
+	if e.cacheVer != e.net.Version() {
+		e.flushCache()
+		e.converged = false
+	}
+	e.boundary = nil
+	if e.cfg.Mode == Localized {
+		e.boundary = e.repairFlags()
+	}
+}
+
 // flushCache invalidates every cache entry (and every cached boundary flag)
 // and re-syncs with the network's mutation counter. It runs only between
 // rounds, when no speculative entry can exist (waves live and die within one
@@ -354,24 +368,8 @@ func (e *Engine) Step() (RoundStats, bool) {
 		Round:           round,
 		MinCircumradius: math.Inf(1),
 	}
-	e.cacheOn = e.cacheEnabled()
-	if e.cacheVer != e.net.Version() {
-		// Positions were written through Network(), so no endpoints say what
-		// changed: nothing cached can be trusted.
-		e.flushCache()
-	}
+	e.sync()
 	sequential := e.cfg.Order == Sequential
-	e.boundary = nil
-	if e.cfg.Mode == Localized {
-		// Serve this round's flags from the incremental flag cache,
-		// re-evaluating only nodes whose γ-ball a move endpoint touched (or a
-		// flush dirtied) since their flag was last computed — "ball unchanged
-		// ⇒ flag unchanged", the angular-gap detector's locality. The
-		// repaired array holds start-of-round truth for every node, exactly
-		// what a wholesale Boundary pass would produce, so a Sequential
-		// sweep's mid-round recomputes read start-of-round flags.
-		e.boundary = e.repairFlags()
-	}
 	e.movedIDs, e.movedPts = e.movedIDs[:0], e.movedPts[:0]
 	var computed []int // the Synchronous round's computed nodes
 	if sequential {
@@ -426,7 +424,6 @@ func (e *Engine) Step() (RoundStats, bool) {
 	}
 	e.cacheVer = e.net.Version()
 	e.round++
-	e.stepped = true
 	cur := e.net.MessageCount()
 	stats.Messages = cur - e.prevMsgs
 	e.prevMsgs = cur
@@ -505,44 +502,41 @@ func (e *Engine) finalizePartial(cause error) (*Result, error) {
 }
 
 // Finalize assigns final sensing ranges (line 7 of Algorithm 1) and packages
-// the Result. It can be called at any point, converged or not. When the run
-// has converged, each node's last-round R̂ is reused — no node moved, so it
-// is exact for the final positions; otherwise the regions are recomputed,
-// which in Localized mode costs additional messages beyond the per-round
-// trace.
+// the Result. It can be called at any point, converged or not. One rule
+// (see finalRadii): a node with a valid cache entry supplies its last R̂,
+// counted as a cache hit, and only the other nodes are recomputed. A
+// converged run collects as part of its last round, which already paid, so
+// it charges nothing; an unconverged one collects out of round, which in
+// Localized mode costs messages beyond the per-round trace.
 func (e *Engine) Finalize() (*Result, error) {
-	n := e.net.Len()
-	radii := make([]float64, n)
-	// A round stepped by this engine at the current positions left R̂ for
-	// every node in outs; a resumed engine has none.
-	converged := e.Converged()
-	reuse := converged && e.stepped
-	if !reuse && e.cfg.Mode == Localized {
-		e.boundary = boundary.AngularGap{}.Boundary(e.net)
+	e.sync()
+	radii := make([]float64, e.net.Len())
+	tag := finalRoundTag(e.round)
+	if e.converged {
+		tag = e.round
 	}
 	before := e.net.MessageCount()
-	e.finalRadii(e.every(), reuse, FinalRoundTag(e.round), radii, nil)
+	e.finalRadii(e.every(), tag, radii, nil)
 	e.finalMsgs += e.net.MessageCount() - before
 	return &Result{
 		Positions: e.net.Positions(),
 		Radii:     radii,
 		Rounds:    e.round,
-		Converged: converged,
+		Converged: e.converged,
 		Trace:     append([]RoundStats(nil), e.trace...),
 		Messages:  e.msgBase + e.net.MessageCount(),
 	}, nil
 }
 
 // DebugRegions computes and returns every node's dominating region at the
-// current positions without advancing the round counter. In Localized mode
-// this performs (and charges) real expanding-ring searches. Intended for
-// inspection, rendering and cross-validation (see finalRadii).
+// current positions without advancing the round counter, recomputing every
+// node. In Localized mode this performs (and charges) real expanding-ring
+// searches, out of round. Intended for inspection, rendering and
+// cross-validation (see finalRadii).
 func (e *Engine) DebugRegions() [][]geom.Polygon {
+	e.sync()
 	out := make([][]geom.Polygon, e.net.Len())
-	if e.cfg.Mode == Localized {
-		e.boundary = boundary.AngularGap{}.Boundary(e.net)
-	}
-	e.finalRadii(e.every(), false, FinalRoundTag(e.round), nil, out)
+	e.finalRadii(e.every(), finalRoundTag(e.round), nil, out)
 	return out
 }
 
@@ -581,7 +575,7 @@ func (e *Engine) MoveNode(i int, p geom.Point) error {
 // cached outcomes and boundary flags whose balls contain that position are
 // dropped: a heal recomputes the failed node's neighborhood, not the whole
 // deployment. The endpoint applies only while the state is in sync (see
-// inSync); otherwise the stamp stays stale and the next Step flushes. The
+// inSync); otherwise the stamp stays stale and the next sync flushes. The
 // network is mutated in place (message accounting continues, the spatial
 // index is renumbered without a rebuild).
 func (e *Engine) RemoveNode(i int) error {
@@ -617,8 +611,8 @@ func (e *Engine) RemoveNode(i int) error {
 // AddNode inserts a node at p (clamped into the region). Convergence state
 // is reset. The network is extended in place and the per-node state by one
 // fresh slot, so every other node keeps its warm-start hint; the version
-// stamp is left stale, so the next Step recomputes every node and
-// re-evaluates every boundary flag.
+// stamp is left stale, so the next Step or Finalize recomputes every node
+// and re-evaluates every boundary flag.
 func (e *Engine) AddNode(p geom.Point) {
 	e.net.AddNode(e.reg.ClampInside(p))
 	e.grow(1)
@@ -627,9 +621,9 @@ func (e *Engine) AddNode(p geom.Point) {
 
 // inSync reports whether every position change so far reached the per-node
 // state as explicit endpoints — the precondition for applying an edit's
-// endpoints. Otherwise (a Network() write still unabsorbed, or no round
-// stepped since an AddNode) an edit leaves the stamp stale and the next Step
-// flushes wholesale.
+// endpoints. Otherwise (a Network() write or an AddNode not yet absorbed by
+// a sync) an edit leaves the stamp stale and the next sync flushes
+// wholesale.
 func (e *Engine) inSync() bool {
 	return e.cacheVer == e.net.Version()
 }

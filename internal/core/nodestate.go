@@ -63,12 +63,13 @@ type nodeState struct {
 	movedPts []geom.Point
 	nextBuf  []geom.Point
 
-	// dirty is stepAll's reused list of the nodes whose entries it found
-	// invalid, the only ones its fan-out computes.
+	// dirty is settleHits' reused list of the invalid entries, the only ones
+	// a round or a final collection computes. A round sizes it for every node
+	// up front, so it never regrows by doubling.
 	dirty []int
 
-	// hits counts cache reuses. Every reuse is settled serially (stepAll's
-	// filter pass, a Sequential turn), so it is a plain counter. batchNodes
+	// hits counts cache reuses. Every reuse is settled serially (settleHits,
+	// a Sequential turn), so it is a plain counter. batchNodes
 	// counts dominating regions computed on the SoA batch kernel, from the
 	// fan-out's worker goroutines, so it is atomic.
 	hits       uint64
@@ -112,7 +113,7 @@ type nodeState struct {
 type nodeArrays struct {
 	// outs holds each node's last admitted outcome, the only copy of it: a
 	// computation writes it (computeEntry), a cache hit reads it in place,
-	// the round's stats fold and the converged finalize read R̂ from it, and
+	// the round's stats fold and the final collection read R̂ from it, and
 	// the colored sweep's planner reads the stale outcome of a dirty node.
 	outs []nodeOutcome
 	// cache is the incremental dirty-set: each entry says whether outs[i] is
@@ -355,9 +356,9 @@ func (ns *nodeState) searchCost(s *Scratch) int64 {
 
 // charge pays a node's message cost into the network's counter — the only
 // place a search's cost reaches it. It runs at the node's turn: for an
-// admitted computation, for a consumed cache entry and for an admitted
-// finalization recompute; never for a rejected outcome or a dropped
-// speculation.
+// admitted computation, for a consumed cache entry, and in an out-of-round
+// final collection for an admitted recompute or a reused entry; never for a
+// rejected outcome or a dropped speculation.
 func (ns *nodeState) charge(cost int64) {
 	if cost != 0 {
 		ns.net.Charge(cost)
@@ -366,32 +367,18 @@ func (ns *nodeState) charge(cost int64) {
 
 // stepAll steps every node of ids at the start-of-round positions — the
 // Synchronous round's compute phase — and returns the nodes it computed,
-// valid until the next call. One serial pass settles every cache hit: its
-// outcome already sits in outs, so a hit costs a count
-// and its recorded message cost, summed and charged once (a Localized hit
-// pays exactly what re-running its search would have). Only the invalid
-// entries fan out across Config.Workers, so a converged or healing round
-// costs O(dirty) computations plus O(n) plain reads. After the fan-out the
-// computed entries are noted into the live per-cell ρ-bounds, serially and
-// in O(dirty). With the cache off every node is computed.
+// valid until the next call. The hit pass (settleHits) settles every cache
+// hit, whose outcome already sits in outs; their recorded message costs are
+// charged in one sum (a Localized hit pays exactly what re-running its
+// search would have). Only the invalid entries fan out across
+// Config.Workers, so a converged or healing round costs O(dirty)
+// computations plus O(n) plain reads. After the fan-out the computed entries
+// are noted into the live per-cell ρ-bounds, serially and in O(dirty).
 func (ns *nodeState) stepAll(ids []int, round int) []int {
 	ns.net.Rebuild() // build the spatial index once, before the fan-out
-	todo := ids
-	if ns.cacheOn {
-		ns.dirty = slices.Grow(ns.dirty[:0], len(ids))
-		var cost int64
-		for _, i := range ids {
-			c := &ns.cache[i]
-			if !c.valid {
-				ns.dirty = append(ns.dirty, i)
-				continue
-			}
-			ns.consume(c)
-			cost += c.cost
-		}
-		ns.charge(cost)
-		todo = ns.dirty
-	}
+	ns.dirty = slices.Grow(ns.dirty[:0], len(ids))
+	todo, cost := ns.settleHits(ids, nil)
+	ns.charge(cost)
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
 	if ns.stepFn == nil {
@@ -404,6 +391,32 @@ func (ns *nodeState) stepAll(ids []int, round int) []int {
 	ns.warmPool()
 	ns.noteRhoBounds(todo)
 	return todo
+}
+
+// settleHits is the hit pass of a Synchronous round and of a final
+// collection, neither of which meets a speculative entry: it counts every
+// valid entry of ids as a cache hit, sums their recorded message costs and,
+// given radii, writes their R̂ into it. It returns the nodes left to compute
+// (a reused buffer): the invalid ones, or all of ids with the cache off.
+func (ns *nodeState) settleHits(ids []int, radii []float64) (dirty []int, cost int64) {
+	if !ns.cacheOn {
+		return ids, 0
+	}
+	dirty = ns.dirty[:0]
+	for _, i := range ids {
+		c := &ns.cache[i]
+		if !c.valid {
+			dirty = append(dirty, i)
+			continue
+		}
+		cost += c.cost
+		if radii != nil {
+			radii[i] = ns.outs[i].rhat
+		}
+	}
+	ns.hits += uint64(len(ids) - len(dirty))
+	ns.dirty = dirty
+	return dirty, cost
 }
 
 // turn runs node i's Sequential turn: step it at the current (mid-round)
@@ -512,33 +525,39 @@ func (ns *nodeState) foldStats(st *RoundStats, ids []int) {
 }
 
 // finalRadii assigns the final sensing range (line 7 of Algorithm 1) of
-// every node of ids into radii, and its region into regions (either may be
-// nil; DebugRegions passes only regions). With reuse — a converged
-// deployment whose last round ran at the current positions — each radius is
-// the node's last R̂ (outs[i].rhat), bitwise the max vertex distance a
-// recompute would measure (same vertices, same position, same fold), and no
-// region is written. Otherwise every region is recomputed at the current
-// positions, fanning out across Config.Workers, each search from the density
-// fallback rather than the warm start; R̂ is measured on the slab-resident
-// region, which is compacted into fresh polygons only when regions asks for
-// it; in Localized mode the searches run
-// (and charge) under the negative round tag (FinalRoundTag) — a domain
-// separate from every Step round, so an inspection fan-out never replays the
-// loss draws the next Step is about to make. It reports false when admit
-// rejected some recomputation (neither charged nor stored).
-func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64, regions [][]geom.Polygon) bool {
-	if reuse {
-		for _, i := range ids {
-			radii[i] = ns.outs[i].rhat
+// every node of ids into radii, or its region into regions (DebugRegions,
+// which recomputes every node). One rule: a valid entry supplies its last R̂
+// (outs[i].rhat), bitwise what a recompute would measure, and counts as a
+// cache hit (settleHits); only the other nodes' regions are recomputed,
+// fanning out from the density fallback, with R̂ measured on the slab.
+//
+// tag names the round the collection belongs to. A non-negative tag is the
+// last round of a converged run, which already paid for every node: the
+// searches replay its loss draws and nothing is charged. A negative tag
+// (finalRoundTag) is an out-of-round collection, which never replays the
+// draws of a Step round and charges every node what the eager protocol
+// would pay: a recomputed node its search cost, a reused one its recorded
+// cost. It reports false when admit rejected some recomputation (neither
+// charged nor stored).
+func (ns *nodeState) finalRadii(ids []int, tag int, radii []float64, regions [][]geom.Polygon) bool {
+	paid := tag >= 0
+	todo := ids
+	if regions == nil {
+		var cost int64
+		todo, cost = ns.settleHits(ids, radii)
+		if !paid {
+			ns.charge(cost)
 		}
-		return true
+		if len(todo) == 0 {
+			return true
+		}
 	}
 	ns.net.Rebuild()
 	workers := parallel.Workers(ns.cfg.Workers)
 	ns.ensurePool(workers)
 	var rejected atomic.Bool
-	ns.team.Fan(len(ids), workers, func(w, k int) {
-		i, s := ids[k], ns.pool[w]
+	ns.team.Fan(len(todo), workers, func(w, k int) {
+		i, s := todo[k], ns.pool[w]
 		var flag bool
 		var rng *rand.Rand
 		if ns.cfg.Mode == Localized {
@@ -550,7 +569,9 @@ func (ns *nodeState) finalRadii(ids []int, reuse bool, tag int, radii []float64,
 			rejected.Store(true)
 			return
 		}
-		ns.charge(ns.searchCost(s))
+		if !paid {
+			ns.charge(ns.searchCost(s))
+		}
 		if radii != nil {
 			radii[i] = rhat
 		}

@@ -142,3 +142,62 @@ func TestCommittedCheckpointResumes(t *testing.T) {
 		})
 	}
 }
+
+// A checkpoint of a converged run resumes to exactly the uninterrupted
+// run's Result — radii, trace and messages — in all four regimes and with
+// message loss. The resumed engine has no cache entry, so its Finalize
+// recomputes every region, but as the collection of the converged last
+// round: under that round's loss draws and charging nothing, as the
+// uninterrupted run's reuse of every last-round R̂ charges nothing.
+func TestConvergedCheckpointResumesBitIdentically(t *testing.T) {
+	reg := region.UnitSquareKm()
+	for _, tc := range []struct {
+		name     string
+		mode     Mode
+		order    UpdateOrder
+		lossRate float64
+	}{
+		{"centralized/synchronous", Centralized, Synchronous, 0},
+		{"centralized/sequential", Centralized, Sequential, 0},
+		{"localized/synchronous", Localized, Synchronous, 0},
+		{"localized/sequential", Localized, Sequential, 0},
+		{"localized/lossy", Localized, Synchronous, 0.1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Mode, cfg.Order, cfg.LossRate = tc.mode, tc.order, tc.lossRate
+			if tc.mode == Localized {
+				cfg.Gamma = 0.25
+			}
+			cfg.Epsilon = 0.01
+			cfg.Seed = 5
+			eng, err := New(reg, uniformStart(40, 17), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.Converged {
+				t.Fatalf("uninterrupted run did not converge in %d rounds", want.Rounds)
+			}
+			st, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Resume(reg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, "converged resume", want.Trace, got.Trace, want, got)
+			if got.Messages != want.Messages {
+				t.Errorf("messages: resumed %d, uninterrupted %d", got.Messages, want.Messages)
+			}
+		})
+	}
+}

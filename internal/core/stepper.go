@@ -57,11 +57,10 @@ func (st *Stepper) SetNetwork(net *wsn.Network) {
 	st.boundsLive = false
 }
 
-// FinalRoundTag returns the negative round tag Finalize and DebugRegions use
-// for their out-of-round region recomputation after the given number of
-// completed rounds — a domain separate from every Step round, so an
-// inspection fan-out never replays the loss draws the next Step would make.
-func FinalRoundTag(rounds int) int { return -(rounds + 1) }
+// finalRoundTag returns the round tag of an out-of-round final collection
+// after the given number of completed rounds: negative, a domain separate
+// from every Step round, so it never replays a Step round's loss draws.
+func finalRoundTag(rounds int) int { return -(rounds + 1) }
 
 // StepOutcome is one node's round computation.
 type StepOutcome struct {
@@ -101,8 +100,8 @@ func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand
 
 // RegionPolys computes node i's dominating region at the current positions —
 // the Finalize/DebugRegions recompute path — returning compacted polygons
-// plus the radius of the ball the computation read positions from. rng must
-// be the node's stream for the negative FinalRoundTag round. Like StepNode,
+// plus the radius of the ball the computation read positions from. rng is
+// the node's loss stream for the collection's round tag. Like StepNode,
 // a Localized recompute charges its search's cost.
 func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
 	polys, readRad := st.regionOf(i, hint, isBoundary, rng, s)
@@ -177,8 +176,10 @@ func (st *Stepper) DropUnless(ids []int, keep func(i int, rho float64) bool) {
 }
 
 // FinalRadii writes the final radius of every node of ids into radii
-// (indexed like the network) and reports whether all were admitted; a
-// rejected node's slot is left as it was.
-func (st *Stepper) FinalRadii(ids []int, reuse bool, tag int, radii []float64) bool {
-	return st.finalRadii(ids, reuse, tag, radii, nil)
+// (indexed like the network) after the given number of completed rounds,
+// out of round, by Finalize's one rule: a valid entry supplies its last R̂
+// and only the invalid ones are recomputed (see finalRadii). It reports
+// whether all were admitted; a rejected node's slot is left as it was.
+func (st *Stepper) FinalRadii(ids []int, rounds int, radii []float64) bool {
+	return st.finalRadii(ids, finalRoundTag(rounds), radii, nil)
 }

@@ -280,9 +280,8 @@ func (e *Engine) Run(ctx context.Context) (*core.Result, error) {
 
 // finalize assigns final radii — the sharded mirror of core.Engine.Finalize:
 // each shard writes its owned nodes' radii through the same state operation
-// the engine runs, reusing the last round's for a converged run (only a
-// stepped round converges an engine that starts fresh) and recomputing them
-// otherwise.
+// the engine runs, reusing every valid entry's R̂ and recomputing the rest (a
+// converged run, which only a stepped round reaches, recomputes nothing).
 func (e *Engine) finalize() *core.Result {
 	n := len(e.pos)
 	res := &core.Result{
@@ -292,16 +291,16 @@ func (e *Engine) finalize() *core.Result {
 		Converged: e.converged,
 		Trace:     append([]core.RoundStats(nil), e.trace...),
 	}
-	reuse := e.converged
-	if !reuse {
+	if !e.converged {
 		// The last committed round's remote moves were never served (a round
 		// refreshes windows at its start, and there is no next round), so the
-		// shards' non-owned copies are stale. Refresh first: the recompute
-		// must read exactly the final positions the engine's recompute reads.
+		// shards' non-owned copies are stale and their entries not yet
+		// invalidated. Refresh first: a recompute must read exactly the final
+		// positions the engine's recompute reads, and a reused entry must be
+		// exact at them.
 		e.refresh()
 	}
-	tag := core.FinalRoundTag(e.round)
-	e.settle(func(w *worker, retry bool) xband { return w.doFinal(res, reuse, tag, retry) })
+	e.settle(func(w *worker, retry bool) xband { return w.doFinal(res, e.round, retry) })
 	return res
 }
 

@@ -509,16 +509,16 @@ func (w *worker) doCommit() core.RoundStats {
 
 // ---- finalization ---------------------------------------------------------
 
-// doFinal writes the attempt's targets' final radii into res: the last
-// round's values when reuse is set, otherwise a recompute at the final
-// positions under the negative round tag with the same trust/deficit loop as
-// a round. Returns the deficit while any node needs a wider window; a
-// rejected node's slot is rewritten when its retry is admitted. Shards own
-// distinct nodes, so they write distinct slots.
-func (w *worker) doFinal(res *core.Result, reuse bool, tag int, retry bool) xband {
+// doFinal writes the attempt's targets' final radii into res after the
+// given number of completed rounds: a valid entry's last R̂, otherwise a
+// recompute at the final positions with the same trust/deficit loop as a
+// round (Stepper.FinalRadii). Returns the deficit while any node needs a
+// wider window; a rejected node's slot is rewritten when its retry is
+// admitted. Shards own distinct nodes, so they write distinct slots.
+func (w *worker) doFinal(res *core.Result, rounds int, retry bool) xband {
 	targets := w.beginAttempt(retry)
 	w.final = slices.Grow(w.final[:0], w.net.Len())[:w.net.Len()]
-	ok := w.st.FinalRadii(targets, reuse, tag, w.final)
+	ok := w.st.FinalRadii(targets, rounds, w.final)
 	for _, li := range targets {
 		res.Radii[w.members[li]] = w.final[li]
 	}

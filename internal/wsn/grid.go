@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"laacad/internal/geom"
-	"laacad/internal/parallel"
 )
 
 // gridIndex is the flat spatial index over node positions: a uniform grid
@@ -97,10 +96,10 @@ func (g *gridIndex) cellDist2(ci int, p geom.Point) float64 {
 // rebuilds allocates nothing; no reader can still hold the retired index,
 // because mutations never run concurrently with queries. Cell side starts
 // at gamma and grows to keep occupancy near one node per cell for
-// deployments much wider than gamma. The per-node cell location (the float
-// work) fans out across workers via internal/parallel; the counting-sort
-// scatter runs serially in ascending node order, which is what keeps every
-// bucket ascending.
+// deployments much wider than gamma. The counting-sort scatter runs in
+// ascending node order, which is what keeps every bucket ascending. The
+// whole build is serial: locating a node's cell is a few float operations,
+// cheaper than handing the index out to a worker.
 //
 // A non-nil bounds hint (the deployment region's bounding box, see
 // Network.SetBoundsHint) is unioned into both the grid bounds and the cell
@@ -146,17 +145,12 @@ func (g *gridIndex) build(pos []geom.Point, gamma float64, hint *geom.BBox) {
 	g.ny = maxCy - minCy + 1 + 2*gridMargin
 	ncells := g.nx * g.ny
 
-	// Phase 1 (parallel): locate every node's cell. Pure per-index work, so
-	// the result is identical for any worker count. Parallelism only pays on
-	// large rebuilds; small ones stay on the calling goroutine.
-	workers := min(parallel.Workers(-1), max(1, n/4096))
-	parallel.For(n, workers, func(i int) {
-		g.nodeCell[i] = int32(g.cellIndex(pos[i]))
-	})
-
-	// Phase 2 (serial): CSR counting sort. offsets[c] is the start of cell
-	// c's segment in the backing array: its nodes plus bucketSlack free
-	// slots. Scattering in ascending node order keeps each bucket ascending.
+	for i, p := range pos {
+		g.nodeCell[i] = int32(g.cellIndex(p))
+	}
+	// CSR counting sort. offsets[c] is the start of cell c's segment in the
+	// backing array: its nodes plus bucketSlack free slots. Scattering in
+	// ascending node order keeps each bucket ascending.
 	g.offsets = resize(g.offsets, ncells+1)
 	offsets := g.offsets
 	clear(offsets)

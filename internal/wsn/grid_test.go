@@ -280,7 +280,7 @@ func TestBoundsHintAbsorbsWideMoves(t *testing.T) {
 // network over the same positions — cell geometry, every bucket, every
 // neighbor and ring query — and every rebuild advances the generation and
 // the rebuild counter. A rebuild that fits the retired storage allocates
-// nothing but the cell-location fan-out's two closures.
+// nothing.
 func TestRebuildReusesIndexStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const gamma = 0.1
@@ -348,7 +348,7 @@ func TestRebuildReusesIndexStorage(t *testing.T) {
 		net.SetPositions(live)
 		net.Rebuild()
 	})
-	if allocs > 2 {
-		t.Errorf("a rebuild into the retired storage allocates %v objects, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("a rebuild into the retired storage allocates %v objects, want 0", allocs)
 	}
 }
