@@ -12,6 +12,7 @@ import (
 	"laacad/internal/core"
 	"laacad/internal/coverage"
 	"laacad/internal/region"
+	"laacad/internal/scenario"
 	"laacad/internal/shard"
 	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
@@ -797,3 +798,81 @@ func BenchmarkCoverageVerify(b *testing.B) {
 }
 
 func regionPtr(r *Region) *region.Region { return r }
+
+// BenchmarkLocalizedActive measures Algorithm 2 while nodes move, at one
+// worker: the localized scenario's first ten rounds (100 nodes, the job kind
+// that sets the daemon's latency tail), and the cold first Sequential round
+// of square1km-localized (10k nodes, every node searching). Both are
+// dominated by the per-node expanding-ring step — ring probes, the
+// domination check's circle samples and boundary nodes' ring closure — with
+// nothing served from the outcome cache.
+func BenchmarkLocalizedActive(b *testing.B) {
+	cases := []struct {
+		name       string
+		scenario   string
+		sequential bool
+		rounds     int
+	}{
+		{"localized/rounds=10", "localized", false, 10},
+		{"square1km-localized-seq/cold", "square1km-localized", true, 1},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			sc, err := scenario.Lookup(tc.scenario)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg, err := sc.BuildRegion()
+			if err != nil {
+				b.Fatal(err)
+			}
+			start, err := sc.Initial(reg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := sc.Config
+			cfg.Workers = 1
+			if tc.sequential {
+				cfg.Order = core.Sequential
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng, err := core.New(reg, start, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for r := 0; r < tc.rounds; r++ {
+					eng.Step()
+				}
+				b.StopTimer()
+				if eng.Network().MessageCount() == 0 {
+					b.Fatal("no messages charged; accounting broken")
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkNewRunner measures building a 10k-node scenario's runner: region
+// decomposition, grid placement (a containment test per candidate point) and
+// engine construction.
+func BenchmarkNewRunner(b *testing.B) {
+	for _, name := range []string{"square1km", "campus"} {
+		b.Run(name, func(b *testing.B) {
+			sc, err := scenario.Lookup(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scenario.NewRunner(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

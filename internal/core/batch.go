@@ -237,12 +237,20 @@ func (ns *nodeState) localizedRegionRefs(i int, isBoundary bool, rng *rand.Rand,
 	return refs, invRad
 }
 
+// ringTable holds the directions of the 48-gon that closes a boundary
+// node's region, shared read-only by every engine and worker.
+var ringTable = geom.NewCircleTable(48, math.Pi/48)
+
 // clipToDiskRefs clips a slab-resident region to an inscribed 48-gon of the
-// disk — the search ring closing a boundary node's dominating region.
+// disk — the search ring closing a boundary node's dominating region. The
+// ring's vertices come from ringTable (no trigonometry per closure), and
+// voronoi.Scratch.ClipToConvexSoA skips every edge whose clip provably keeps
+// the whole piece, which is most of them: the region usually lies well
+// inside the ring.
 func clipToDiskRefs(refs []geom.PolyRef, disk geom.Circle, s *Scratch) []geom.PolyRef {
 	if disk.R <= 0 {
 		return nil
 	}
-	s.ring = geom.AppendCirclePoints(s.ring[:0], disk, 48, math.Pi/48)
+	s.ring = ringTable.AppendPoints(s.ring[:0], disk)
 	return s.vor.ClipToConvexSoA(refs, geom.Polygon(s.ring))
 }

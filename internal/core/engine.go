@@ -121,13 +121,14 @@ type Engine struct {
 	// msgBase is the message count carried over from before a Resume; the
 	// live network counter restarts at zero on every (re)construction.
 	msgBase int64
-	// finalMsgs counts messages charged by Finalize's out-of-round final
-	// collection (an unconverged run's; a converged run's charges nothing).
+	// offRoundMsgs counts messages charged out of round (see offRound): by
+	// Finalize's final collection (an unconverged run's; a converged run's
+	// charges nothing) and by DebugRegions' Localized searches.
 	// Result.Messages includes them, but Snapshot subtracts them: a
 	// checkpoint is the state at a round boundary, and a run resumed from it
 	// performs its own final collection — counting the interrupted run's
-	// partial-result assembly too would double-charge it.
-	finalMsgs int64
+	// partial-result assembly or inspections too would overcharge it.
+	offRoundMsgs int64
 	// observer, if set, runs after every round of Run with that round's
 	// statistics (see SetObserver).
 	observer func(RoundStats) error
@@ -517,7 +518,7 @@ func (e *Engine) Finalize() (*Result, error) {
 	}
 	before := e.net.MessageCount()
 	e.finalRadii(e.every(), tag, radii, nil)
-	e.finalMsgs += e.net.MessageCount() - before
+	e.offRound(before)
 	return &Result{
 		Positions: e.net.Positions(),
 		Radii:     radii,
@@ -531,13 +532,25 @@ func (e *Engine) Finalize() (*Result, error) {
 // DebugRegions computes and returns every node's dominating region at the
 // current positions without advancing the round counter, recomputing every
 // node. In Localized mode this performs (and charges) real expanding-ring
-// searches, out of round. Intended for inspection, rendering and
-// cross-validation (see finalRadii).
+// searches, out of round: Result.Messages counts them, but neither a
+// Snapshot nor the next round's statistics do. Intended for inspection,
+// rendering and cross-validation (see finalRadii).
 func (e *Engine) DebugRegions() [][]geom.Polygon {
 	e.sync()
 	out := make([][]geom.Polygon, e.net.Len())
+	before := e.net.MessageCount()
 	e.finalRadii(e.every(), finalRoundTag(e.round), nil, out)
+	e.offRound(before)
 	return out
+}
+
+// offRound books the messages charged since the network counter read before
+// as out of round: Snapshot leaves them out, and so does the next round's
+// RoundStats.Messages, which counts only what its own searches charge.
+func (e *Engine) offRound(before int64) {
+	d := e.net.MessageCount() - before
+	e.offRoundMsgs += d
+	e.prevMsgs += d
 }
 
 // MoveNode moves node i to p (clamped into the region) between rounds: the

@@ -47,7 +47,7 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 			break
 		}
 		nbrIDs = query(rho)
-		dominated, sampled := ns.circleDominated(i, nbrIDs, rho/2, isBoundary, s)
+		dominated, sampled := ns.circleDominated(i, nbrIDs, rho/2, isBoundary)
 		if dominated {
 			if sampled == 0 {
 				// The whole check circle fell outside the region (or the
@@ -68,20 +68,26 @@ func (ns *nodeState) localizedSearch(i int, isBoundary bool, rng *rand.Rand, s *
 	return nbrIDs, rho, clipToRing, invRad
 }
 
+// arcPhase is the angle of the domination check's first circle sample; a
+// small offset keeps the samples off axis-aligned region boundaries.
+const arcPhase = 1e-3
+
 // circleDominated implements lines 5–8 of Algorithm 2: it samples the circle
 // of radius r around node i and reports whether every valid sample already
 // has at least k closer nodes among nbrIDs. Samples outside the region are
 // always skipped (the region boundary naturally bounds dominating regions);
 // for boundary nodes, samples outside the network's covered area are skipped
 // as well. The second return value is the number of samples actually
-// checked.
-func (ns *nodeState) circleDominated(i int, nbrIDs []int, r float64, isBoundary bool, s *Scratch) (bool, int) {
+// checked. The ArcSamples directions come from the node state's table, so a
+// probe evaluates no trigonometry; each sample is generated as it is tested
+// and is bitwise the point AppendCirclePoints would produce.
+func (ns *nodeState) circleDominated(i int, nbrIDs []int, r float64, isBoundary bool) (bool, int) {
 	ui := ns.net.Position(i)
 	k := ns.cfg.K
 	sampled := 0
-	// A small phase offset keeps samples off axis-aligned region boundaries.
-	s.ring = geom.AppendCirclePoints(s.ring[:0], geom.Circle{Center: ui, R: r}, ns.cfg.ArcSamples, 1e-3)
-	for _, v := range s.ring {
+	c := geom.Circle{Center: ui, R: r}
+	for a := 0; a < ns.arc.Len(); a++ {
+		v := ns.arc.Point(c, a)
 		if !ns.reg.Contains(v) {
 			continue
 		}

@@ -27,6 +27,9 @@ type nodeState struct {
 	cfg Config
 	reg *region.Region
 	net *wsn.Network
+	// arc holds the unit directions of the domination check's ρ/2-circle
+	// samples, built by install for cfg.ArcSamples.
+	arc geom.CircleTable
 
 	// admit, when set, decides whether an outcome computed over net is exact
 	// given the radius it read and its R̂; a rejected outcome is neither
@@ -160,7 +163,7 @@ type nodeOutcome struct {
 }
 
 // init validates cfg against the node count n and installs it over reg with
-// the defaults applied (RingCap, loss retries, arc samples). Workers is
+// the defaults applied (see install). Workers is
 // deliberately left as given: the -1 "all CPUs" sentinel must survive in the
 // Config so a recorded run replays portably across machines with different
 // core counts; the engine resolves it per fan-out via parallel.Workers.
@@ -171,6 +174,14 @@ func (ns *nodeState) init(reg *region.Region, n int, cfg Config) error {
 	if err := cfg.Validate(n); err != nil {
 		return err
 	}
+	ns.install(reg, cfg)
+	return nil
+}
+
+// install applies cfg's defaults and installs it over reg, with the
+// domination check's sample directions (see circleDominated) tabulated for
+// the normalized ArcSamples.
+func (ns *nodeState) install(reg *region.Region, cfg Config) {
 	if cfg.RingCap == 0 {
 		cfg.RingCap = reg.BBox().Diagonal() + cfg.Gamma
 	}
@@ -181,7 +192,7 @@ func (ns *nodeState) init(reg *region.Region, n int, cfg Config) error {
 		cfg.ArcSamples = 64
 	}
 	ns.cfg, ns.reg = cfg, reg
-	return nil
+	ns.arc = geom.NewCircleTable(cfg.ArcSamples, arcPhase)
 }
 
 // indexGamma is the cell-sizing gamma of the spatial index: the radio range

@@ -34,19 +34,13 @@ func ExpandingRing(net *wsn.Network, reg *region.Region, i, k, arcSamples int, r
 	if arcSamples < 8 {
 		arcSamples = 64
 	}
-	if ringCap == 0 {
-		ringCap = reg.BBox().Diagonal() + net.Gamma()
-	}
-	e := &nodeState{
-		cfg: Config{
-			K:          k,
-			Gamma:      net.Gamma(),
-			ArcSamples: arcSamples,
-			RingCap:    ringCap,
-		},
-		reg: reg,
-		net: net,
-	}
+	e := &nodeState{net: net}
+	e.install(reg, Config{
+		K:          k,
+		Gamma:      net.Gamma(),
+		ArcSamples: arcSamples,
+		RingCap:    ringCap,
+	})
 	s := NewScratch()
 	nbrIDs, rho, _, _ := e.localizedSearch(i, false, nil, s)
 	sites := make([]voronoi.Site, 0, len(nbrIDs))

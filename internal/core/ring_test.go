@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"testing"
 
 	"laacad/internal/geom"
@@ -132,5 +134,30 @@ func TestUpdateOrderString(t *testing.T) {
 	}
 	if UpdateOrder(9).String() == "" {
 		t.Error("unknown order should still print")
+	}
+}
+
+// The domination check samples the ρ/2 circle from the node state's
+// direction table and the ring closure builds its 48-gon from ringTable;
+// both must produce bitwise the points AppendCirclePoints does for the
+// normalized ArcSamples (zero selects 64) and for (48, π/48).
+func TestSampleTablesFollowConfig(t *testing.T) {
+	reg := region.UnitSquareKm()
+	c := geom.Circle{Center: geom.Pt(0.3, 0.7), R: 0.137}
+	for _, arc := range []int{0, 8, 100} {
+		cfg := DefaultConfig(2)
+		cfg.Mode, cfg.Gamma, cfg.ArcSamples = Localized, 0.25, arc
+		eng, err := New(reg, uniformStart(10, 3), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := geom.AppendCirclePoints(nil, c, eng.cfg.ArcSamples, arcPhase)
+		if got := eng.arc.AppendPoints(nil, c); !reflect.DeepEqual(got, want) {
+			t.Errorf("arc_samples %d: table points differ from AppendCirclePoints(%d, %v)", arc, eng.cfg.ArcSamples, arcPhase)
+		}
+	}
+	want := geom.AppendCirclePoints(nil, c, 48, math.Pi/48)
+	if got := ringTable.AppendPoints(nil, c); !reflect.DeepEqual(got, want) {
+		t.Error("ring table points differ from AppendCirclePoints(48, π/48)")
 	}
 }

@@ -21,7 +21,7 @@ type Scratch struct {
 	nbrs  []int
 	nbrD2 []float64 // squared distances parallel to nbrs (batch gather)
 	verts []geom.Point
-	ring  []geom.Point // circle-sample / disk-clip ring (Localized mode)
+	ring  []geom.Point // disk-clip ring (Localized mode)
 	probe []int        // IDs of the last ring probe (Localized mode)
 
 	// searchRho is the expanding search's final (pre-tightening) radius from

@@ -21,11 +21,11 @@ import (
 // checkpoint. Call it only between Steps (e.g. from an Observer or after Run
 // returns); calling it concurrently with a Step would observe a torn round.
 func (e *Engine) Snapshot() (*snapshot.State, error) {
-	// Exclude finalMsgs: a checkpoint is round-boundary state, and the
+	// Exclude offRoundMsgs: a checkpoint is round-boundary state, and the
 	// resumed run performs its own final radius collection. Keeping the
-	// interrupted run's partial-result assembly in the count would make the
-	// resumed total exceed an uninterrupted run's by one extra collection.
-	msgs := e.msgBase + e.net.MessageCount() - e.finalMsgs
+	// interrupted run's partial-result assembly or DebugRegions searches in
+	// the count would make the resumed total exceed an uninterrupted run's.
+	msgs := e.msgBase + e.net.MessageCount() - e.offRoundMsgs
 	return Checkpoint(e.net.Positions(), e.cfg, e.round, e.Converged(), e.trace, msgs), nil
 }
 

@@ -201,3 +201,59 @@ func TestConvergedCheckpointResumesBitIdentically(t *testing.T) {
 		})
 	}
 }
+
+// An inspection between rounds is not part of the run: a Localized
+// DebugRegions call charges its expanding-ring searches to the network, but a
+// checkpoint taken after it must not carry them, or the resumed run finishes
+// with more messages than the uninterrupted one; nor may the next round's
+// statistics count them. Result.Messages does count them.
+func TestDebugRegionsChargesStayOutOfCheckpoint(t *testing.T) {
+	reg := region.UnitSquareKm()
+	cfg := DefaultConfig(2)
+	cfg.Mode, cfg.Gamma, cfg.Epsilon, cfg.Seed = Localized, 0.25, 0.01, 5
+	eng, err := New(reg, uniformStart(40, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err = New(reg, uniformStart(40, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		eng.Step()
+	}
+	before := eng.Network().MessageCount()
+	eng.DebugRegions()
+	inspect := eng.Network().MessageCount() - before
+	if inspect == 0 {
+		t.Fatal("DebugRegions charged nothing; the test needs a charging inspection")
+	}
+	st, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(reg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "resume after DebugRegions", want.Trace, got.Trace, want, got)
+	if got.Messages != want.Messages {
+		t.Errorf("messages: resumed %d, uninterrupted %d", got.Messages, want.Messages)
+	}
+	cont, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "run on after DebugRegions", want.Trace, cont.Trace, want, cont)
+	if cont.Messages != want.Messages+inspect {
+		t.Errorf("messages: run on %d, want uninterrupted %d + inspection %d", cont.Messages, want.Messages, inspect)
+	}
+}

@@ -95,3 +95,46 @@ func AppendCirclePoints(dst []Point, c Circle, n int, phase float64) []Point {
 	}
 	return pts
 }
+
+// CircleTable holds the unit directions of n points evenly spaced on a
+// circle from angle phase — the cosines and sines AppendCirclePoints
+// evaluates on every call, computed once. It is read-only after
+// construction, so goroutines share one table without locking.
+type CircleTable struct {
+	dirs []Point // (cos θ_i, sin θ_i)
+}
+
+// NewCircleTable returns the table of n directions starting at angle phase
+// (radians), with the angles computed exactly as AppendCirclePoints
+// computes them.
+func NewCircleTable(n int, phase float64) CircleTable {
+	dirs := make([]Point, n)
+	for i := range dirs {
+		th := phase + 2*math.Pi*float64(i)/float64(n)
+		dirs[i] = Point{math.Cos(th), math.Sin(th)}
+	}
+	return CircleTable{dirs: dirs}
+}
+
+// Len returns the number of directions in the table.
+func (t CircleTable) Len() int { return len(t.dirs) }
+
+// Point returns sample i on the circle c — bitwise equal to the i-th point
+// AppendCirclePoints(dst, c, t.Len(), phase) appends, because it evaluates
+// the same expression over the same direction values.
+func (t CircleTable) Point(c Circle, i int) Point {
+	d := t.dirs[i]
+	return Point{
+		X: c.Center.X + c.R*d.X,
+		Y: c.Center.Y + c.R*d.Y,
+	}
+}
+
+// AppendPoints appends every sample on the circle c to dst and returns it —
+// AppendCirclePoints(dst, c, t.Len(), phase) without the trigonometry.
+func (t CircleTable) AppendPoints(dst []Point, c Circle) []Point {
+	for i := range t.dirs {
+		dst = append(dst, t.Point(c, i))
+	}
+	return dst
+}

@@ -79,24 +79,41 @@ func (p Polygon) Centroid() Point {
 func (p Polygon) BBox() BBox { return BBoxOf(p) }
 
 // Contains reports whether q lies inside or on the boundary of the simple
-// polygon, using the winding/crossing rule with boundary tolerance.
+// polygon, using the crossing rule with boundary tolerance. The answer is
+// OnBoundary(q) || crossing(q); the crossing test runs first because it is
+// cheap and decides most points, and the boundary test (a square root per
+// edge) runs only for points the crossing test places outside.
 func (p Polygon) Contains(q Point) bool {
-	n := len(p)
-	if n < 3 {
+	if len(p) < 3 {
 		return false
 	}
-	if p.OnBoundary(q) {
-		return true
+	return p.crossing(q) || p.OnBoundary(q)
+}
+
+// ContainsStrictly reports whether q lies inside the simple polygon and not
+// on its boundary within tolerance: Contains(q) && !OnBoundary(q), with the
+// boundary test run only for points inside by the crossing rule. A region
+// excludes exactly these points of an obstacle hole.
+func (p Polygon) ContainsStrictly(q Point) bool {
+	if len(p) < 3 {
+		return false
 	}
+	return p.crossing(q) && !p.OnBoundary(q)
+}
+
+// crossing is the even-odd crossing test: whether a ray from q toward +x
+// crosses the polygon's edges an odd number of times.
+func (p Polygon) crossing(q Point) bool {
 	inside := false
-	for i := 0; i < n; i++ {
-		a, b := p[i], p[(i+1)%n]
+	a := p[len(p)-1]
+	for _, b := range p {
 		if (a.Y > q.Y) != (b.Y > q.Y) {
 			xCross := a.X + (q.Y-a.Y)/(b.Y-a.Y)*(b.X-a.X)
 			if q.X < xCross {
 				inside = !inside
 			}
 		}
+		a = b
 	}
 	return inside
 }

@@ -77,59 +77,6 @@ func (s *PolySlab) AppendTo(dst []Point, r PolyRef) []Point {
 	return dst
 }
 
-// ClipHalfPlane clips the convex polygon r against the closed half-plane h,
-// writing the result at the slab tail and returning its ref. It is the slab
-// form of Polygon.ClipHalfPlaneInto: same classification tolerances, same
-// intersection arithmetic, same consecutive-duplicate removal, so the output
-// vertices are bitwise equal to the scalar clip of the same input. The input
-// polygon is not modified.
-func (s *PolySlab) ClipHalfPlane(r PolyRef, h HalfPlane) PolyRef {
-	out := PolyRef{Off: len(s.XS)}
-	n := r.N
-	if n == 0 {
-		return out
-	}
-	// Pre-grow for the worst case (each edge emits an intersection plus a
-	// kept vertex) so the emission loop never reallocates, then pin the input
-	// window — growth copies, so the offsets stay valid either way.
-	s.XS = growFloats(s.XS, out.Off+2*n)
-	s.YS = growFloats(s.YS, out.Off+2*n)
-	xs := s.XS[r.Off : r.Off+n]
-	ys := s.YS[r.Off : r.Off+n]
-	// Tolerance scaled by normal magnitude and coordinate size keeps the
-	// classification stable for raw (unnormalized) bisector coefficients.
-	// The pre-dedupe bounding box is accumulated while emitting (the scalar
-	// path recomputes it afterward; Expand order is identical).
-	prev := Point{xs[n-1], ys[n-1]}
-	prevVal := h.Eval(prev)
-	nNorm := h.N.Norm()
-	prevIn := prevVal <= Eps*(1+nNorm*(1+prev.Norm()))
-	bb := EmptyBBox()
-	for i := 0; i < n; i++ {
-		cur := Point{xs[i], ys[i]}
-		curVal := h.Eval(cur)
-		curIn := curVal <= Eps*(1+nNorm*(1+cur.Norm()))
-		switch {
-		case prevIn && curIn:
-			bb = bb.Expand(cur)
-			s.push(cur)
-		case prevIn && !curIn:
-			v := intersectEdgePlane(prev, cur, prevVal, curVal)
-			bb = bb.Expand(v)
-			s.push(v)
-		case !prevIn && curIn:
-			v := intersectEdgePlane(prev, cur, prevVal, curVal)
-			bb = bb.Expand(v)
-			s.push(v)
-			bb = bb.Expand(cur)
-			s.push(cur)
-		}
-		prev, prevVal, prevIn = cur, curVal, curIn
-	}
-	out.N = len(s.XS) - out.Off
-	return s.dedupeTail(out, bb)
-}
-
 // dedupeTail is dedupeInPlace on the slab tail: it removes consecutive
 // (near-)duplicate vertices of the just-emitted polygon out (which must end
 // at the slab tail), truncates the slab to the compacted length, and returns
@@ -158,28 +105,6 @@ func (s *PolySlab) dedupeTail(out PolyRef, bb BBox) PolyRef {
 	s.XS = s.XS[:out.Off+w]
 	s.YS = s.YS[:out.Off+w]
 	return out
-}
-
-// ClipHalfPlaneBatch clips every live polygon in refs against h in place:
-// refs[i] is replaced by the ref of its clipped result. Polygons already
-// collapsed below 3 vertices are carried through untouched — the scalar
-// pipeline stops clipping those, and re-clipping a degenerate chain could
-// resurrect vertices. This is the batch entry the ring-closure path uses:
-// edge-major iteration keeps each clipping round's output contiguous.
-func (s *PolySlab) ClipHalfPlaneBatch(refs []PolyRef, h HalfPlane) {
-	for i, r := range refs {
-		if r.N < 3 {
-			continue
-		}
-		refs[i] = s.ClipHalfPlane(r, h)
-	}
-}
-
-// Area returns the (positive) shoelace area of r — Polygon.Area on the slab,
-// same accumulation order.
-func (s *PolySlab) Area(r PolyRef) float64 {
-	a, _ := s.AreaBBox(r)
-	return a
 }
 
 // AreaBBox returns the (positive) shoelace area and the bounding box of r in
@@ -445,9 +370,11 @@ func (s *PolySlab) copyDedupe(r PolyRef, bb BBox) (PolyRef, bool) {
 	return out, false
 }
 
-// ClipHalfPlaneFast is ClipHalfPlane for the walk's budget-0 step: clip r
-// against h, returning (out, true) with out == r untouched when the clip is
-// provably the identity. The caller supplies nNorm = h.N.Norm(), r's exact
+// ClipHalfPlaneFast clips the convex polygon r against the closed
+// half-plane h, writing any new polygon at the slab tail: the slab form of
+// Polygon.ClipHalfPlaneInto, bitwise, for the walk's budget-0 step and the
+// ring closure. It returns (out, true) with out == r untouched when the clip
+// is provably the identity. The caller supplies nNorm = h.N.Norm(), r's exact
 // bounding box bb, and mN = bb.MaxCornerNorm() (an upper bound on any
 // vertex's distance from the origin), all tracked across the walk; trusted
 // marks r dedupe-stable.

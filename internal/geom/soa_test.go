@@ -113,41 +113,6 @@ func TestAreaBBoxMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestClipHalfPlaneBatch checks the edge-major batch entry against per-poly
-// scalar clips, including the carry-through of collapsed polygons.
-func TestClipHalfPlaneBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var slab PolySlab
-	polys := make([]Polygon, 6)
-	refs := make([]PolyRef, 6)
-	slab.Reset()
-	for i := range polys {
-		polys[i] = randConvexish(rng, 3+rng.Intn(6), 1)
-		refs[i] = slab.Append(polys[i])
-	}
-	clip := Polygon{{-0.4, -0.4}, {0.4, -0.4}, {0.4, 0.4}, {-0.4, 0.4}}
-	for e := 0; e < len(clip); e++ {
-		h := HalfPlaneFromEdge(clip[e], clip[(e+1)%len(clip)])
-		slab.ClipHalfPlaneBatch(refs, h)
-		for i := range polys {
-			if len(polys[i]) < 3 {
-				continue
-			}
-			polys[i] = polys[i].ClipHalfPlaneInto(make(Polygon, 0, 16), h)
-		}
-	}
-	for i := range polys {
-		want := polys[i]
-		if len(want) < 3 {
-			if refs[i].N >= 3 {
-				t.Fatalf("poly %d: scalar collapsed, slab has %d verts", i, refs[i].N)
-			}
-			continue
-		}
-		polyEqualBits(t, want, &slab, refs[i])
-	}
-}
-
 // FuzzBatchClipMatchesScalar fuzzes raw polygon coordinates and half-plane
 // coefficients and requires the slab clip to match the scalar
 // ClipHalfPlaneInto bitwise — vertex count and every coordinate.

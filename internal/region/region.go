@@ -128,7 +128,7 @@ func (r *Region) Contains(p geom.Point) bool {
 		return false
 	}
 	for _, h := range r.holes {
-		if h.Contains(p) && !h.OnBoundary(p) {
+		if h.ContainsStrictly(p) {
 			return false
 		}
 	}

@@ -340,20 +340,40 @@ func (s *Scratch) splitByBudgetSoA(self Site, j, budget int, poly geom.PolyRef, 
 }
 
 // ClipToConvexSoA clips each survivor ref against the convex CCW polygon
-// clip — the batch form of the oracle's Scratch.ClipToConvex, edge-major
-// through geom.PolySlab.ClipHalfPlaneBatch so each clipping round's output
-// stays contiguous in the slab. refs is mutated in place as working storage; the
-// returned refs (the pieces with ≥ 3 vertices and non-negligible area, in
-// input order) are valid until the next DominatingRegionSoA call on s.
+// clip — the batch form of the oracle's Scratch.ClipToConvex. Each ref is
+// clipped through all of clip's edges in turn, via the walk's fast entry
+// (geom.PolySlab.ClipHalfPlaneFast) with its bounding box, corner norm and
+// area tracked across the edges, so an edge whose clip provably keeps the
+// whole piece costs O(1). As in the walk, a piece is untrusted until its
+// first clip (it may come straight from the region's decomposition) and
+// trusted after. A ref that collapses below 3 vertices is clipped no
+// further, as in the scalar pipeline. The returned refs (the pieces with
+// ≥ 3 vertices and non-negligible area, in input order) are valid until the
+// next DominatingRegionSoA call on s.
 func (s *Scratch) ClipToConvexSoA(refs []geom.PolyRef, clip geom.Polygon) []geom.PolyRef {
-	n := len(clip)
-	for i := 0; i < n; i++ {
-		h := geom.HalfPlaneFromEdge(clip[i], clip[(i+1)%n])
-		s.Slab.ClipHalfPlaneBatch(refs, h)
-	}
 	s.refs2 = s.refs2[:0]
 	for _, r := range refs {
-		if r.N >= 3 && s.Slab.Area(r) > 1e-16 {
+		if r.N < 3 {
+			continue
+		}
+		area, bb := s.Slab.AreaBBox(r)
+		mN := bb.MaxCornerNorm()
+		trusted := false
+		for i := 0; i < len(clip) && r.N >= 3; i++ {
+			j := i + 1
+			if j == len(clip) {
+				j = 0
+			}
+			h := geom.HalfPlaneFromEdge(clip[i], clip[j])
+			var same bool
+			r, same = s.Slab.ClipHalfPlaneFast(r, h, h.N.Norm(), bb, mN, trusted)
+			trusted = true
+			if !same && r.N >= 3 {
+				area, bb = s.Slab.AreaBBox(r)
+				mN = bb.MaxCornerNorm()
+			}
+		}
+		if r.N >= 3 && area > 1e-16 {
 			s.refs2 = append(s.refs2, r)
 		}
 	}

@@ -231,21 +231,93 @@ func TestIncrementalRelCullMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestClipToConvexSoAMatchesScalar checks the edge-major ring closure against
-// the oracle's scalar ClipToConvex, bitwise.
+// TestClipToConvexSoAMatchesScalar checks the ring closure against the
+// oracle's scalar ClipToConvex, bitwise: dominating regions cut by the ring,
+// untrusted entry pieces straight from a region's decomposition (some with a
+// near-duplicate vertex the first clip's dedupe must drop), collapsed refs
+// mixed into the input, and regions that already lie inside the ring, whose
+// every edge clip is the identity.
 func TestClipToConvexSoAMatchesScalar(t *testing.T) {
 	reg := region.UnitSquareKm()
 	sites := scratchSites(20, 5)
 	osites := oracleSites(sites)
 	ring := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.3}, 48, 0.065)
+	wide := geom.RegularPolygon(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 2}, 48, 0.065)
 	var sc oracle.Scratch
 	var sb Scratch
-	for _, self := range sites {
-		polys := oracle.DominatingRegion(oracle.Site(self), osites, 2, reg.Pieces(), &sc)
-		want := sc.ClipToConvex(polys, ring)
-		refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
-		got := sb.ClipToConvexSoA(refs, ring)
-		refsEqualBits(t, want, &sb.Slab, got)
+	for _, clip := range []geom.Polygon{ring, wide} {
+		for _, self := range sites {
+			polys := oracle.DominatingRegion(oracle.Site(self), osites, 2, reg.Pieces(), &sc)
+			want := sc.ClipToConvex(polys, clip)
+			refs := DominatingRegionBatch(self, sites, 2, reg.Pieces(), reg.PieceBoxes(), &sb)
+			got := sb.ClipToConvexSoA(refs, clip)
+			refsEqualBits(t, want, &sb.Slab, got)
+		}
+	}
+	for _, r := range []*region.Region{region.Campus(), region.LShape(), region.SquareWithTwoObstacles()} {
+		var entry []geom.Polygon
+		for pi, piece := range r.Pieces() {
+			p := piece.Clone()
+			if pi%3 == 0 {
+				// A vertex within the dedupe tolerance of its predecessor:
+				// an untrusted piece the scalar clip shortens.
+				p = append(p[:1], append(geom.Polygon{p[0].Add(geom.Pt(1e-13, 0))}, p[1:]...)...)
+			}
+			entry = append(entry, p)
+			if pi%4 == 1 {
+				entry = append(entry, p[:2]) // a collapsed ref
+			}
+		}
+		for _, clip := range []geom.Polygon{ring, wide} {
+			want := sc.ClipToConvex(entry, clip)
+			sb.Slab.Reset()
+			refs := make([]geom.PolyRef, len(entry))
+			for i, p := range entry {
+				refs[i] = sb.Slab.Append(p)
+			}
+			got := sb.ClipToConvexSoA(refs, clip)
+			refsEqualBits(t, want, &sb.Slab, got)
+		}
+	}
+}
+
+// TestClipToConvexSoAMatchesPerPolyClips checks the closure over random
+// convex-ish polygons at scales from 10⁻³ to 10³ against clipping each one
+// alone with the scalar Polygon.ClipHalfPlaneInto, edge by edge, stopping at
+// collapse: the same sequence of clips, the same carry-through of collapsed
+// polygons and the same final filter.
+func TestClipToConvexSoAMatchesPerPolyClips(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sb Scratch
+	for trial := 0; trial < 200; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		clip := geom.RegularPolygon(geom.Circle{R: scale * (0.2 + rng.Float64())}, 3+rng.Intn(46), rng.Float64())
+		polys := make([]geom.Polygon, 1+rng.Intn(6))
+		sb.Slab.Reset()
+		refs := make([]geom.PolyRef, len(polys))
+		for i := range polys {
+			n := 3 + rng.Intn(6)
+			c := geom.Pt(scale*(rng.Float64()-0.5), scale*(rng.Float64()-0.5))
+			p := make(geom.Polygon, 0, n)
+			for j := 0; j < n; j++ {
+				ang := 2 * math.Pi * (float64(j) + 0.8*rng.Float64()) / float64(n)
+				r := scale * (0.05 + 0.5*rng.Float64())
+				p = append(p, geom.Pt(c.X+r*math.Cos(ang), c.Y+r*math.Sin(ang)))
+			}
+			polys[i] = p
+			refs[i] = sb.Slab.Append(p)
+		}
+		var want []geom.Polygon
+		for _, p := range polys {
+			for e := 0; e < len(clip) && len(p) >= 3; e++ {
+				h := geom.HalfPlaneFromEdge(clip[e], clip[(e+1)%len(clip)])
+				p = p.ClipHalfPlaneInto(make(geom.Polygon, 0, len(p)+2), h)
+			}
+			if len(p) >= 3 && p.Area() > 1e-16 {
+				want = append(want, p)
+			}
+		}
+		refsEqualBits(t, want, &sb.Slab, sb.ClipToConvexSoA(refs, clip))
 	}
 }
 
@@ -440,8 +512,8 @@ func BenchmarkBatchKernelDominatingRegion(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchKernelClipToConvex compares the edge-major slab ring closure
-// against the scalar per-piece path.
+// BenchmarkBatchKernelClipToConvex compares the slab ring closure against
+// the scalar per-piece path.
 func BenchmarkBatchKernelClipToConvex(b *testing.B) {
 	reg := region.UnitSquareKm()
 	pieces, boxes := reg.Pieces(), reg.PieceBoxes()
