@@ -61,6 +61,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Metrics holds the row's b.ReportMetric values by unit (say,
+	// first_round_ms), for benchmarks whose claim is not ns/op.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Procs is the GOMAXPROCS value the row ran under — the numeric suffix
 	// go test appends to the name. It disambiguates the rows of a -cpus
 	// sweep, where the same benchmark appears once per requested width.
@@ -87,8 +90,10 @@ type Snapshot struct {
 // benchLine matches `go test -bench -benchmem` result rows, e.g.
 //
 //	BenchmarkStepParallel/n=250/workers=1-8   3   5887147 ns/op   224802 B/op   704 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//
+// capturing the name, the iteration count and the "value unit" pairs that
+// follow; b.ReportMetric pairs sit between ns/op and B/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*\bns/op\b.*)$`)
 
 // procSuffix strips the trailing -<GOMAXPROCS> go test appends to names.
 var procSuffix = regexp.MustCompile(`-\d+$`)
@@ -242,19 +247,27 @@ func Reduce(r io.Reader) (*Snapshot, error) {
 		if b.Iterations, err = strconv.ParseInt(m[2], 10, 64); err != nil {
 			return nil, fmt.Errorf("bench: parsing %q: %w", line, err)
 		}
-		if b.NsPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
-			return nil, fmt.Errorf("bench: parsing %q: %w", line, err)
+		pairs := strings.Fields(m[3])
+		if len(pairs)%2 != 0 {
+			return nil, fmt.Errorf("bench: parsing %q: unpaired value", line)
 		}
-		if m[4] != "" {
-			bytes, err := strconv.ParseFloat(m[4], 64)
+		for i := 0; i < len(pairs); i += 2 {
+			v, err := strconv.ParseFloat(pairs[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bench: parsing %q: %w", line, err)
 			}
-			b.BytesPerOp = int64(bytes)
-		}
-		if m[5] != "" {
-			if b.AllocsPerOp, err = strconv.ParseInt(m[5], 10, 64); err != nil {
-				return nil, fmt.Errorf("bench: parsing %q: %w", line, err)
+			switch unit := pairs[i+1]; unit {
+			case "ns/op":
+				b.NsPerOp = v
+			case "B/op":
+				b.BytesPerOp = int64(v)
+			case "allocs/op":
+				b.AllocsPerOp = int64(v)
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[unit] = v
 			}
 		}
 		snap.Benchmarks = append(snap.Benchmarks, b)

@@ -178,6 +178,26 @@ BenchmarkSeqLocalizedFewMovers/n=1000-4   	       3	 3000000 ns/op	  100 B/op	  
 	}
 }
 
+// b.ReportMetric values sit between ns/op and B/op; they land in Metrics and
+// must not cost the row its memory columns.
+func TestReduceReportedMetrics(t *testing.T) {
+	const row = "BenchmarkJobFirstRoundEvent-2   	      10	  13500000 ns/op	         1.500 first_round_ms	  2048 B/op	  30 allocs/op\n"
+	snap, err := Reduce(strings.NewReader(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Benchmarks) != 1 {
+		t.Fatalf("got %d rows, want 1", len(snap.Benchmarks))
+	}
+	b := snap.Benchmarks[0]
+	if b.NsPerOp != 13500000 || b.BytesPerOp != 2048 || b.AllocsPerOp != 30 || b.Procs != 2 {
+		t.Errorf("row parsed as %+v", b)
+	}
+	if got := b.Metrics["first_round_ms"]; got != 1.5 || len(b.Metrics) != 1 {
+		t.Errorf("metrics = %v, want first_round_ms 1.5", b.Metrics)
+	}
+}
+
 // Sweep rows must not shadow each other in compare: when a name appears at
 // several widths, the keys are procs-qualified, so all rows participate.
 func TestCompareCpusSweepKeys(t *testing.T) {

@@ -78,6 +78,7 @@ func TestCommittedCheckpointResumes(t *testing.T) {
 		converges bool
 	}{
 		{"centralized_synchronous_round3.json", Centralized, Synchronous, 0, 400, true},
+		{"centralized_sequential_round3.json", Centralized, Sequential, 0, 400, true},
 		{"localized_synchronous_round3.json", Localized, Synchronous, 0, 400, true},
 		{"localized_sequential_round3.json", Localized, Sequential, 0, 400, true},
 		{"localized_lossy_round3.json", Localized, Synchronous, 0.3, 60, false},

@@ -36,7 +36,11 @@ type Config struct {
 	// OpenJournal for the format and crash-recovery semantics).
 	SpoolDir string
 	// Pool is the number of worker slots — concurrent laacad runs. Zero or
-	// negative means runtime.NumCPU().
+	// negative means runtime.NumCPU(). Runs are CPU-bound, so a pool as wide
+	// as GOMAXPROCS leaves no processor idle for the daemon's own goroutines;
+	// each unpaced run yields its processor at every round boundary, so
+	// those wait at most one round. Rounds longer than the runtime's 10 ms
+	// preemption slice still leave them to that preemption.
 	Pool int
 	// FS is the filesystem seam every durable operation runs through; nil
 	// means the real filesystem. Fault-injection tests interpose here.
@@ -724,13 +728,19 @@ func (s *Server) attempt(ctx context.Context, j *job, chk *snapshot.State) (res 
 	pace := time.Duration(j.Spec.PaceMS) * time.Millisecond
 	opts := []scenario.Option{scenario.WithObserver(func(_ scenario.Runner, st core.RoundStats) error {
 		s.onRound(j, st)
-		if pace > 0 {
-			t := time.NewTimer(pace)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-			}
+		if pace <= 0 {
+			// A running job never blocks between rounds, so whatever the
+			// round readied (the event's watchers, a handler back from its
+			// fsync, a reader the netpoller woke) would otherwise wait for
+			// the runtime's 10 ms preemption. A paced job parks below.
+			runtime.Gosched()
+			return nil
+		}
+		t := time.NewTimer(pace)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 		}
 		return nil
 	})}

@@ -3,10 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -458,5 +462,133 @@ func TestSpoolQuarantinesCorruptFiles(t *testing.T) {
 	}
 	if got := len(s2.List()); got != 1 {
 		t.Errorf("after restart jobs = %d, want 1 (the completed submission)", got)
+	}
+}
+
+// centralizedScenario is testScenario under the Centralized mode: rounds
+// of pure computation, the daemon's CPU-bound case.
+func centralizedScenario(n, rounds int, seed int64) scenario.Scenario {
+	sc := testScenario(n, rounds, 1e-12, seed)
+	sc.Config.Mode = core.Centralized
+	return sc
+}
+
+// A running job never blocks between rounds, so on one processor the
+// goroutines its rounds ready (here a Server.Events watcher) run only when
+// the job yields. Yielding at every round boundary lets the watcher take
+// each round as it lands; at the runtime's 10 ms preemption alone it would
+// wake a handful of times and find many rounds at once.
+func TestRoundEventsReachWatcherEachRound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestServer(t, 1)
+	const rounds = 40
+	st, err := s.Submit(JobSpec{Scenario: centralizedScenario(200, rounds, 1)})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	after, seen, wakeups := 0, 0, 0
+	for {
+		evs, notify, terminal, err := s.Events(st.ID, after)
+		if err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		after += len(evs)
+		n := 0
+		for _, e := range evs {
+			if e.Type == "round" {
+				n++
+			}
+		}
+		if n > 0 {
+			wakeups++
+			seen += n
+		}
+		if terminal {
+			break
+		}
+		select {
+		case <-notify:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("no event within 60 s after %d rounds", seen)
+		}
+	}
+	if seen != rounds {
+		t.Fatalf("saw %d round events, want %d", seen, rounds)
+	}
+	if wakeups < rounds/2 {
+		t.Errorf("round events reached the watcher in %d wakeups, want at least %d", wakeups, rounds/2)
+	}
+}
+
+// BenchmarkJobFirstRoundEvent times, with two CPU-bound jobs sharing the
+// pool, how long a submission waits for its first round event to reach a
+// Server.Events watcher (first_round_ms, the median over all jobs); ns/op
+// is the time for both jobs to finish.
+func BenchmarkJobFirstRoundEvent(b *testing.B) {
+	s, err := New(Config{SpoolDir: b.TempDir(), Pool: 2})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			b.Errorf("shutdown: %v", err)
+		}
+	}()
+	specs := []JobSpec{
+		{Scenario: centralizedScenario(200, 10, 1)},
+		{Scenario: centralizedScenario(200, 10, 2)},
+	}
+	firsts := make([]float64, b.N*len(specs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for k, spec := range specs {
+			start := time.Now()
+			st, err := s.Submit(spec)
+			if err != nil {
+				b.Fatalf("submit: %v", err)
+			}
+			wg.Add(1)
+			go func(id string, slot *float64) {
+				defer wg.Done()
+				first, err := watchJob(s, id)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				*slot = float64(first.Sub(start)) / float64(time.Millisecond)
+			}(st.ID, &firsts[i*len(specs)+k])
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	sort.Float64s(firsts)
+	b.ReportMetric(firsts[len(firsts)/2], "first_round_ms")
+}
+
+// watchJob follows a job's events to the end and returns when its first
+// round event was seen.
+func watchJob(s *Server, id string) (time.Time, error) {
+	var first time.Time
+	for after := 0; ; {
+		evs, notify, terminal, err := s.Events(id, after)
+		if err != nil {
+			return first, err
+		}
+		after += len(evs)
+		for _, e := range evs {
+			if e.Type == "round" && first.IsZero() {
+				first = time.Now()
+			}
+		}
+		if terminal {
+			if first.IsZero() {
+				return first, fmt.Errorf("job %s ended without a round event", id)
+			}
+			return first, nil
+		}
+		<-notify
 	}
 }
